@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -39,20 +40,16 @@ from .simulate import ROUNDING_MODES, SimSpec, simulate
 
 CSV_HEADER = ("array", "accident", "development", "value")
 
-_KNOWN_KEYS = (
-    {
-        "data", "t_max", "partition", "design", "covariance",
-        "sigma2", "tau2", "v2",
-        "include_across_shock", "include_within_shock", "shared_shock_mean",
-        "tol", "max_iter", "init_omega", "out", "seed",
-        "n_arrays", "n_rows", "n_cols", "mask",
-        "shock_mean_log", "shock_sd", "idio_sd", "rounding",
-    }
-    | {f"row_effects_{n}" for n in range(1, 33)}
-    | {f"col_effects_{n}" for n in range(1, 33)}
-    | {f"tau2_{n}" for n in range(1, 33)}
-    | {f"v2_{n}" for n in range(1, 33)}
-)
+_KNOWN_KEYS = {
+    "data", "t_max", "partition", "design", "covariance",
+    "sigma2", "tau2", "v2",
+    "include_across_shock", "include_within_shock", "shared_shock_mean",
+    "tol", "max_iter", "init_omega", "out", "seed",
+    "n_arrays", "n_rows", "n_cols", "mask",
+    "shock_mean_log", "shock_sd", "idio_sd", "rounding",
+}
+# per-array keys, arrays numbered from 1
+_ARRAY_KEY = re.compile(r"(row_effects|col_effects|tau2|v2)_[1-9][0-9]*")
 
 _COVARIANCE_CHOICES = ("cellwise_two_level", "diagonal_scalar", "example48")
 
@@ -89,6 +86,10 @@ def read_claims_csv(paths) -> ClaimCollection:
                     value = float(parts[3])
                 except ValueError as exc:
                     raise DataError(f"{p}:{lineno}: {exc}") from None
+                if i < 1 or j < 1:
+                    raise DataError(
+                        f"{p}:{lineno}: accident and development indices start at 1"
+                    )
                 if (n, i, j) in cells:
                     raise DataError(f"{p}:{lineno}: duplicate cell (array {n}, {i}, {j})")
                 cells[(n, i, j)] = value
@@ -148,7 +149,7 @@ def parse_config(path) -> dict:
             raise ConfigError(f"{p}:{lineno}: expected 'key = value', got {line!r}")
         key, _, value = stripped.partition("=")
         key = key.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in _KNOWN_KEYS and not _ARRAY_KEY.fullmatch(key):
             raise ConfigError(f"{p}:{lineno}: unknown key {key!r}")
         cfg[key] = value.strip()
     return cfg
@@ -221,10 +222,11 @@ def _load_collection(cfg) -> ClaimCollection:
     return read_claims_csv(paths)
 
 
-def _fit_from_config(cfg):
-    """Shared fit pipeline for the fit and forecast commands.
+def _build_model(cfg):
+    """Load the data and assemble the design, as every model command does.
 
-    Returns (fit, full_collection, fit_collection, t_max).
+    Returns (full_collection, fit_collection, t_max, design); the partition
+    and shock specification travel on ``design.shock``.
     """
     full = _load_collection(cfg)
     observed_tmax = max(i + j - 1 for (i, j) in full.layout.stacking_order)
@@ -233,22 +235,29 @@ def _fit_from_config(cfg):
 
     kind = _get_choice(cfg, "partition", PARTITION_KINDS, "cell")
     variant = _get_choice(cfg, "design", IDIO_VARIANTS, "chain_ladder")
-    layout = fit_coll.layout
-    partition = build_partition(kind, layout)
     shock = ShockSpec(
-        partition=partition,
+        partition=build_partition(kind, fit_coll.layout),
         include_across=_get_bool(cfg, "include_across_shock", True),
         include_within=_get_bool(cfg, "include_within_shock", False),
         shared_across_mean=_get_bool(cfg, "shared_shock_mean", True),
     )
-    design = assemble(layout, shock, variant)
+    return full, fit_coll, t_max, assemble(fit_coll.layout, shock, variant)
+
+
+def _fit_from_config(cfg):
+    """Shared fit pipeline for the fit and forecast commands.
+
+    Returns (fit, full_collection, fit_collection, t_max).
+    """
+    full, fit_coll, t_max, design = _build_model(cfg)
+    layout = design.layout
     y = stack_log(fit_coll)
 
     structure_name = _get_choice(cfg, "covariance", _COVARIANCE_CHOICES, "cellwise_two_level")
     if structure_name == "cellwise_two_level":
         structure = CellwiseTwoLevel(layout.n_arrays, layout.cells_per_array)
     elif structure_name == "diagonal_scalar":
-        structure = DiagonalScalar(design.A, design.B if shock.include_within else None)
+        structure = DiagonalScalar(design.A, design.B if design.shock.include_within else None)
     else:
         # identity development operator: per-array shock and noise scales
         eye = np.eye(layout.cells_per_array)
@@ -484,21 +493,9 @@ def cmd_simulate(cfg, out_path, seed=None) -> str:
 
 
 def cmd_inspect(cfg) -> str:
-    full = _load_collection(cfg)
-    observed_tmax = max(i + j - 1 for (i, j) in full.layout.stacking_order)
-    t_max = _get_int(cfg, "t_max", observed_tmax)
-    fit_coll = full.restrict_to_diagonals(t_max) if t_max < observed_tmax else full
-    lay = fit_coll.layout
-    kind = _get_choice(cfg, "partition", PARTITION_KINDS, "cell")
-    variant = _get_choice(cfg, "design", IDIO_VARIANTS, "chain_ladder")
-    partition = build_partition(kind, lay)
-    shock = ShockSpec(
-        partition=partition,
-        include_across=_get_bool(cfg, "include_across_shock", True),
-        include_within=_get_bool(cfg, "include_within_shock", False),
-        shared_across_mean=_get_bool(cfg, "shared_shock_mean", True),
-    )
-    design = assemble(lay, shock, variant)
+    _, _, _, design = _build_model(cfg)
+    lay = design.layout
+    partition = design.shock.partition
     n_obs = lay.n_observations
     P = partition.n_subsets
     q = design.C.shape[1] // lay.n_arrays
@@ -509,7 +506,7 @@ def cmd_inspect(cfg) -> str:
         f"grid (I* x J):             {lay.n_rows} x {lay.n_cols}",
         f"cells per array |A|:       {lay.cells_per_array}",
         f"observations N|A|:         {n_obs}",
-        f"partition '{kind}' subsets P: {P}",
+        f"partition '{partition.kind}' subsets P: {P}",
         f"idiosyncratic params q:    {q}",
         f"A block:                   {n_obs} x {design.A.shape[1]}",
         f"B block:                   {n_obs} x {design.B.shape[1]}",

@@ -4,9 +4,10 @@ With the covariance known, the location estimate is the usual GLS solution,
 computed through Cholesky whitening and least squares rather than explicit
 inverses. With the covariance unknown up to variance components omega, the
 profile score (the derivative of the log-likelihood in omega after
-concentrating out the location parameters) is driven to zero either by a
-generic per-component root search or, for the two-array cell-matched
-structure, by the closed-form solution of a quadratic in the variance ratio.
+concentrating out the location parameters) is driven to zero either by
+projected Fisher scoring on the profile likelihood or, for the two-array
+cell-matched structure, by the closed-form solution of a quadratic in the
+variance ratio.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.optimize import brentq
 
 from .covariance import CellwiseTwoLevel, GammaStructure, SigmaModel
 from .design import ModelDesign
@@ -98,8 +98,9 @@ def gls_fit(y: np.ndarray, design: ModelDesign, sigma: SigmaModel) -> FitResult:
     W = sigma.whiten(M)
     q, r = np.linalg.qr(W)
     rdiag = np.abs(np.diag(r))
-    if rdiag.min() <= 1e-12 * max(rdiag.max(), 1.0):
-        bad = [labels[k] for k in np.where(rdiag <= 1e-12 * rdiag.max())[0]]
+    aliased = rdiag <= 1e-12 * max(rdiag.max(), 1.0)
+    if aliased.any():
+        bad = [labels[k] for k in np.where(aliased)[0]]
         raise DesignError(f"normal equations are singular; aliased columns: {bad}")
     kappa = solve_triangular(r, q.T @ wy)
     rinv = solve_triangular(r, np.eye(r.shape[0]))
@@ -146,14 +147,18 @@ def ml_dispersion_generic(
     max_iter: int = 200,
     free_mask=None,
 ) -> FitResult:
-    """Maximum likelihood for the variance components by score root finding.
+    """Maximum likelihood for the variance components by projected Fisher scoring.
 
-    Cycles over components, bracketing and solving the one-dimensional
-    profile score in each while holding the others fixed, until the score
-    max-norm over free components drops below ``tol``. Components whose score
-    is negative as they approach zero are clamped to the boundary (only
-    where the structure stays positive definite there). ``free_mask`` fixes
-    selected components at their initial values.
+    Each iteration solves I step = score in the least-squares sense, with the
+    expected information I_kl = tr(Sigma^-1 D_k Sigma^-1 D_l)/2, over the free
+    components that are not held; a component is held when it sits on its
+    lower bound (0 where the structure stays positive definite there, else
+    1e-14 var(y)) and its score points outward. The trial point is projected
+    onto the bounds and the step halved until the profile log-likelihood does
+    not drop by more than its rounding. Iteration stops once every free
+    component has a score below ``tol`` in absolute value, or sits at zero
+    with a negative score. ``free_mask`` fixes selected components at their
+    initial values.
     """
     y = np.asarray(y, dtype=float).ravel()
     omega = np.asarray(init_omega, dtype=float).ravel().copy()
@@ -161,93 +166,55 @@ def ml_dispersion_generic(
         raise NumericalError(
             f"init_omega needs {structure.n_params} components {structure.omega_names}"
         )
-    if np.any(omega[np.asarray(structure.zero_allowed) == False] <= 0):  # noqa: E712
+    zero_allowed = np.asarray(structure.zero_allowed, dtype=bool)
+    if np.any(omega[~zero_allowed] <= 0):
         raise NumericalError("initial values must be strictly positive")
     free = np.ones(omega.size, dtype=bool) if free_mask is None else np.asarray(free_mask, bool)
-    scale = max(float(np.var(y)), 1e-12)
+    lower = np.where(zero_allowed, 0.0, 1e-14 * max(float(np.var(y)), 1e-12))
+    dmats = structure.dsigma_matrices()
 
-    def score_at(om):
-        return profile_score(y, design, structure, om)
-
-    def component_score(k, x, om):
-        trial = om.copy()
-        trial[k] = x
-        return score_at(trial)[k]
-
-    def converged(om, sc):
-        # interior components need a vanishing score; components sitting on
-        # the zero boundary only need the score pointing outward
-        for k in np.where(free)[0]:
-            if abs(sc[k]) < tol:
-                continue
-            if om[k] == 0.0 and sc[k] < 0.0:
-                continue
-            return False
-        return True
-
-    n_cycles = 0
-    score = score_at(omega)
-    while n_cycles < max_iter:
-        if converged(omega, score):
-            break
-        for k in np.where(free)[0]:
-            f = lambda x: component_score(k, x, omega)  # noqa: E731
-            x0 = omega[k] if omega[k] > 0 else 1e-8 * scale
-            lo = hi = x0
-            fhi = f(hi)
-            grow = 0
-            while fhi > 0:
-                hi *= 8.0
-                fhi = f(hi)
-                grow += 1
-                if grow > 60:
-                    raise NumericalError(
-                        "score does not change sign while growing the bracket",
-                        last_omega=omega.copy(),
-                        score_norm=float(np.max(np.abs(score))),
-                    )
-            flo = f(lo)
-            clamped = False
-            shrink = 0
-            while flo < 0:
-                lo /= 8.0
-                if lo < 1e-14 * scale:
-                    if structure.zero_allowed[k]:
-                        omega[k] = 0.0
-                        clamped = True
-                        break
-                    lo = 1e-14 * scale
-                    flo = f(lo)
-                    if flo < 0:
-                        raise NumericalError(
-                            f"component {structure.omega_names[k]} collapses below "
-                            "the positivity floor",
-                            last_omega=omega.copy(),
-                        )
-                    break
-                flo = f(lo)
-                shrink += 1
-                if shrink > 80:
-                    break
-            if clamped:
-                continue
-            if flo < 0:
-                # score negative on the whole bracket: boundary already handled
-                continue
-            omega[k] = brentq(f, lo, hi, xtol=1e-30, rtol=8.9e-16, maxiter=200)
-        score = score_at(omega)
-        n_cycles += 1
-    else:
-        raise NumericalError(
-            f"dispersion estimation did not converge in {max_iter} cycles",
-            last_omega=omega.copy(),
-            score_norm=float(np.max(np.abs(score[free]))),
+    def fail(message):
+        return NumericalError(
+            message, last_omega=omega.copy(), score_norm=float(np.max(np.abs(score[free])))
         )
 
-    sigma = SigmaModel(structure, omega)
-    fit = gls_fit(y, design, sigma)
+    fit = gls_fit(y, design, SigmaModel(structure, omega))
+    score = profile_score(y, design, structure, omega)
+    n_iter = 0
+    # interior components need a vanishing score; components sitting on the
+    # zero boundary only need the score pointing outward
+    while not np.all(~free | (np.abs(score) < tol) | ((omega == 0.0) & (score < 0.0))):
+        if n_iter == max_iter:
+            raise fail(f"dispersion estimation did not converge in {max_iter} iterations")
+        active = free & ~((omega <= lower) & (score < 0.0))
+        if np.all(np.abs(score[active]) < tol):
+            # what is left unconverged is held on a positive floor
+            k = np.where(free & ~active & (omega > 0.0))[0][0]
+            raise fail(
+                f"component {structure.omega_names[k]} collapses below the positivity floor"
+            )
+        idx = np.where(active)[0]
+        prods = [fit.sigma.solve(dmats[k]) for k in idx]
+        info = 0.5 * np.array([[np.sum(a * b.T) for b in prods] for a in prods])
+        step = np.zeros_like(omega)
+        step[idx] = np.linalg.lstsq(info, score[idx], rcond=None)[0]
+        # a drop within the rounding of the log-likelihood is not a drop: near
+        # the root the gain of a step is far below it
+        min_loglik = fit.loglik - 1e-12 * (1.0 + abs(fit.loglik))
+        for _ in range(60):
+            trial = np.where(active, np.maximum(omega + step, lower), omega)
+            trial_fit = gls_fit(y, design, SigmaModel(structure, trial))
+            if trial_fit.loglik >= min_loglik:
+                break
+            step *= 0.5
+        else:
+            raise fail("step halving found no increase of the log-likelihood")
+        omega, fit = trial, trial_fit
+        score = profile_score(y, design, structure, omega)
+        n_iter += 1
+
     fit.omega_hat = omega
-    fit.n_iter = n_cycles
+    fit.n_iter = n_iter
     fit.score = score
     return fit
 

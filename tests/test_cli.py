@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import commonshock as cs
-from commonshock.cli import main, read_claims_csv, write_claims_csv
+from commonshock.cli import main, parse_config, read_claims_csv, write_claims_csv
+from commonshock.errors import ConfigError
 from commonshock.datasets import bundled_paths
 
 
@@ -94,6 +95,26 @@ class TestFitCommand:
         # and the long-tailed array carries the larger cell noise here
         assert disp["v2_1"] == pytest.approx(0.03186, abs=5e-4)
         assert disp["v2_2"] == pytest.approx(0.01470, abs=5e-4)
+
+    def test_example48_every_component_estimated(self, tmp_path):
+        # under the identity operator tau2_n and v2_n have the same derivative,
+        # so the expected information is singular and only their sum is
+        # identified; the reference values come from an independent
+        # coordinate-wise root search on the same model
+        cfg = write_config(
+            tmp_path / "ex.cfg",
+            data=", ".join(bundled_paths()),
+            t_max=15,
+            covariance="example48",
+        )
+        out = tmp_path / "ex"
+        assert main(["fit", "--config", cfg, "--out", str(out)]) == 0
+        payload = json.loads((tmp_path / "ex.json").read_text())
+        disp = payload["dispersion"]
+        assert disp["sigma2"] == pytest.approx(0.00796951828603064, rel=1e-6)
+        assert disp["tau2_1"] + disp["v2_1"] == pytest.approx(0.023890104699071602, rel=1e-6)
+        assert disp["tau2_2"] + disp["v2_2"] == pytest.approx(0.0067337221073098235, rel=1e-6)
+        assert payload["loglik"] == pytest.approx(128.1630552297779, rel=1e-9)
 
     def test_reports_are_deterministic(self, bundled_config, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -233,6 +254,28 @@ class TestErrorPaths:
         cfg = tmp_path / "c.cfg"
         cfg.write_text("dta = file.csv\n")
         assert main(["fit", "--config", str(cfg)]) == 2
+
+    def test_per_array_keys_follow_a_pattern(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("tau2_33 = 0.1\nv2_33 = 0.2\nrow_effects_33 = 1\ncol_effects_100 = 1\n")
+        assert set(parse_config(cfg)) == {"tau2_33", "v2_33", "row_effects_33", "col_effects_100"}
+        for key in ("tau2_0", "v2_01", "tau2_", "tau2_3x"):
+            cfg.write_text(f"{key} = 0.1\n")
+            with pytest.raises(ConfigError, match="unknown key"):
+                parse_config(cfg)
+
+    @pytest.mark.parametrize("row", ["1,0,1,99", "1,1,-1,99"])
+    def test_index_below_one_is_a_data_error(self, tmp_path, capsys, row):
+        # unchecked, index 0 wraps to the last row or column and overwrites a
+        # real cell, and a negative index escapes as an IndexError
+        f = tmp_path / "d.csv"
+        f.write_text(
+            "array,accident,development,value\n"
+            f"1,1,1,10\n1,1,2,20\n1,2,1,30\n1,2,2,40\n{row}\n"
+        )
+        cfg = write_config(tmp_path / "c.cfg", data=str(f))
+        assert main(["fit", "--config", cfg]) == 3
+        assert "d.csv:6" in capsys.readouterr().err
 
     def test_non_congruent_arrays_rejected(self, tmp_path):
         f = tmp_path / "d.csv"

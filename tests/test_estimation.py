@@ -33,6 +33,16 @@ class TestGlsFit:
             fit = cs.gls_fit(y, M, cs.SigmaModel(structure, [0.0, c]))
             np.testing.assert_allclose(fit.kappa_hat, ols, atol=1e-10)
 
+    def test_aliased_columns_are_named_on_a_small_scale(self):
+        # the singularity test floors its threshold at 1; the reported list
+        # must use the same threshold, or a design scaled below 1 reports []
+        rng = np.random.default_rng(4)
+        M = 1e-3 * rng.normal(size=(8, 3))
+        M[:, 2] = M[:, 1] + 1e-13 * rng.normal(size=8)
+        structure = CellwiseTwoLevel(1, 8)
+        with pytest.raises(cs.DesignError, match=r"aliased columns: \['column_2'\]"):
+            cs.gls_fit(rng.normal(size=8), M, cs.SigmaModel(structure, [0.0, 1.0]))
+
     def test_reference_location_estimates(self, ref_fit):
         table = cs.chain_ladder_effect_table(ref_fit["fit"])
         a1 = table["array_1"]
