@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .arrays import ClaimCollection, future_cells, stack_log
-from .covariance import CellwiseTwoLevel, DiagonalScalar, Example48, SigmaModel
+from .covariance import SigmaModel, structure_for
 from .design import IDIO_VARIANTS, ShockSpec, assemble
 from .errors import CommonShockError, ConfigError, DataError, DesignError, NumericalError
 from .estimation import (
@@ -253,15 +253,13 @@ def _fit_from_config(cfg):
     layout = design.layout
     y = stack_log(fit_coll)
 
-    structure_name = _get_choice(cfg, "covariance", _COVARIANCE_CHOICES, "cellwise_two_level")
-    if structure_name == "cellwise_two_level":
-        structure = CellwiseTwoLevel(layout.n_arrays, layout.cells_per_array)
-    elif structure_name == "diagonal_scalar":
-        structure = DiagonalScalar(design.A, design.B if design.shock.include_within else None)
-    else:
-        # identity development operator: per-array shock and noise scales
-        eye = np.eye(layout.cells_per_array)
-        structure = Example48(layout.n_arrays, eye, eye)
+    structure = structure_for(
+        _get_choice(cfg, "covariance", _COVARIANCE_CHOICES, "cellwise_two_level"),
+        layout.n_arrays,
+        layout.cells_per_array,
+        design.A,
+        design.B,
+    )
 
     values, free = [], []
     for name in structure.omega_names:
@@ -282,11 +280,7 @@ def _fit_from_config(cfg):
 
     if not any(free):
         fit = gls_fit(y, design, SigmaModel(structure, values))
-    elif (
-        isinstance(structure, CellwiseTwoLevel)
-        and layout.n_arrays == 2
-        and all(free)
-    ):
+    elif structure.kind == "cellwise_two_level" and layout.n_arrays == 2 and all(free):
         fit = ml_dispersion_cellwise(y, design)
     else:
         init = cfg.get("init_omega")

@@ -1,40 +1,68 @@
 """Parametric covariance structures for the stacked log observations.
 
-Every structure here is linear in its variance components,
-Sigma(omega) = sum_k omega_k D_k with fixed symmetric D_k, which makes the
-analytic derivatives trivial and lets the score equations be written in
-terms of the D_k alone. Each structure also knows its Gamma-and-L
-factorization Sigma = L Gamma L^T, with Gamma the block-diagonal covariance
-of the stacked shock and idiosyncratic vectors.
+Every structure is one list of terms, linear in its variance components:
+
+    Sigma(omega) = sum_k omega_k D_k,   D_k = (g_k g_k^T) kron (F_k R_k F_k^T),
+
+with an array-side loading g_k (N x r_k), a cell-side loading F_k and a
+Gamma block R_k, where None stands for the identity in F_k and R_k. The
+analytic derivatives are the D_k themselves, and the same terms give the
+Gamma-and-L factorization Sigma = L Gamma L^T: L = [g_1 kron F_1, ...] and
+Gamma block diagonal with blocks omega_k (I_{r_k} kron R_k), the covariance
+of the stacked shock and idiosyncratic vectors. ``CellwiseTwoLevel``,
+``DiagonalScalar`` and ``Example48`` are constructors of this one form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import block_diag, cho_factor, cho_solve, solve_triangular
 
 from .errors import ConfigError, NumericalError
 from .kron import kron
 
-STRUCTURE_NAMES = ("diagonal_scalar", "example48", "cellwise_two_level")
+
+class Term(NamedTuple):
+    """One variance component: omega_k (g g^T) kron (F R F^T)."""
+
+    name: str
+    zero_allowed: bool  # Sigma stays positive definite with this component at 0
+    g: np.ndarray  # array-side loading, N x r
+    F: np.ndarray | None = None  # cell-side loading, cells x p; None for I
+    R: np.ndarray | None = None  # Gamma block, p x p; None for I
 
 
+@dataclass(frozen=True)
 class GammaStructure:
-    """Interface shared by the covariance structures.
+    """A covariance structure Sigma(omega) = sum_k omega_k (g_k g_k^T) kron (F_k R_k F_k^T).
 
-    Subclasses define ``omega_names``, ``zero_allowed`` (whether each
-    component may sit on the zero boundary while Sigma stays positive
-    definite), and the derivative matrices ``dsigma_matrices``.
+    ``cells`` is the cell-side dimension, the rows of every F_k. ``kind``
+    names the constructor that rebuilds the structure over another region
+    of cells (see ``structure_for``); it is None where no such rule exists.
     """
 
-    omega_names: tuple = ()
-    zero_allowed: tuple = ()
+    terms: tuple
+    cells: int
+    kind: str | None = None
+
+    @property
+    def n_arrays(self) -> int:
+        return self.terms[0].g.shape[0]
+
+    @property
+    def omega_names(self) -> tuple:
+        return tuple(t.name for t in self.terms)
+
+    @property
+    def zero_allowed(self) -> tuple:
+        return tuple(t.zero_allowed for t in self.terms)
 
     @property
     def n_params(self) -> int:
-        return len(self.omega_names)
+        return len(self.terms)
 
     def _check(self, omega) -> np.ndarray:
         omega = np.asarray(omega, dtype=float).ravel()
@@ -47,177 +75,133 @@ class GammaStructure:
             raise ConfigError("variance components must be non-negative")
         return omega
 
+    def _factors(self, term: Term):
+        """(g g^T, F R F^T) of one term, the cell side None for the identity.
+
+        The cell side is symmetrized here, on the small factor, so that every
+        D_k and Sigma come out exactly symmetric.
+        """
+        G = term.g @ term.g.T
+        if term.F is None and term.R is None:
+            return G, None
+        F = np.eye(self.cells) if term.F is None else term.F
+        if term.R is None:
+            return G, F @ F.T
+        K = F @ term.R @ F.T
+        return G, 0.5 * (K + K.T)
+
     def sigma(self, omega) -> np.ndarray:
         omega = self._check(omega)
-        mats = self.dsigma_matrices()
-        out = np.zeros_like(mats[0])
-        for w, d in zip(omega, mats):
-            out += w * d
-        return 0.5 * (out + out.T)
+        c = self.cells
+        out = np.zeros((self.n_arrays * c,) * 2)
+        diag = np.arange(c)
+        for w, term in zip(omega, self.terms):
+            G, K = self._factors(term)
+            # add w (G kron K) block by block, without forming the product
+            for a, b in zip(*np.nonzero(G)):
+                if K is None:
+                    out[a * c + diag, b * c + diag] += w * G[a, b]
+                else:
+                    out[a * c : (a + 1) * c, b * c : (b + 1) * c] += (w * G[a, b]) * K
+        return out
 
     def dsigma_matrices(self) -> list:
-        raise NotImplementedError
+        mats = []
+        for term in self.terms:
+            G, K = self._factors(term)
+            K = np.eye(self.cells) if K is None else K
+            # a unit 1 x 1 array side leaves the cell side as it is; skip the copy
+            mats.append(K if np.array_equal(G, [[1.0]]) else kron(G, K))
+        return mats
 
     def gamma_matrix(self, omega) -> np.ndarray:
-        raise NotImplementedError
+        omega = self._check(omega)
+        blocks = []
+        for w, t in zip(omega, self.terms):
+            p = self.cells if t.F is None else t.F.shape[1]
+            blocks.append(w * kron(np.eye(t.g.shape[1]), np.eye(p) if t.R is None else t.R))
+        return block_diag(*blocks)
 
     def l_matrix(self) -> np.ndarray:
-        raise NotImplementedError
+        return np.hstack(
+            [kron(t.g, np.eye(self.cells) if t.F is None else t.F) for t in self.terms]
+        )
 
 
-@dataclass(frozen=True)
-class CellwiseTwoLevel(GammaStructure):
+def CellwiseTwoLevel(n_arrays: int, cells: int) -> GammaStructure:
     """Across-array shock shared cell by cell plus a white idiosyncratic term.
 
     Sigma = sigma2 (1_N 1_N^T kron I_cells) + v2 I. omega = (sigma2, v2).
     """
-
-    n_arrays: int
-    cells: int
-
-    omega_names = ("sigma2", "v2")
-    zero_allowed = (True, False)
-
-    def dsigma_matrices(self) -> list:
-        d_shock = kron(np.ones((self.n_arrays, self.n_arrays)), np.eye(self.cells))
-        return [d_shock, np.eye(self.n_arrays * self.cells)]
-
-    def gamma_matrix(self, omega) -> np.ndarray:
-        s2, v2 = self._check(omega)
-        n = self.n_arrays * self.cells
-        return np.diag(np.concatenate([np.full(self.cells, s2), np.full(n, v2)]))
-
-    def l_matrix(self) -> np.ndarray:
-        n = self.n_arrays * self.cells
-        return np.hstack([kron(np.ones((self.n_arrays, 1)), np.eye(self.cells)), np.eye(n)])
-
-    def analytic_inverse(self, omega) -> np.ndarray:
-        s2, v2 = self._check(omega)
-        return sigma_inverse_cellwise(s2, v2, self.cells, self.n_arrays)
+    terms = (
+        Term("sigma2", True, np.ones((n_arrays, 1))),
+        Term("v2", False, np.eye(n_arrays)),
+    )
+    return GammaStructure(terms, cells, "cellwise_two_level")
 
 
-@dataclass(frozen=True)
-class DiagonalScalar(GammaStructure):
+def DiagonalScalar(A, B=None) -> GammaStructure:
     """Scalar-block Gamma: sigma2 I_P, optionally tau2 I_NP, and v2 I.
 
     Built from the design's shock coefficient blocks A (and B when within
     shocks are present): Sigma = sigma2 A A^T [+ tau2 B B^T] + v2 I.
-    omega = (sigma2[, tau2], v2).
+    omega = (sigma2[, tau2], v2). A and B already span all arrays, so the
+    array side of every term is 1 x 1.
     """
-
-    A: np.ndarray
-    B: np.ndarray = None
-
-    def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        object.__setattr__(self, "A", A)
-        if self.B is not None and np.asarray(self.B).size == 0:
-            object.__setattr__(self, "B", None)
-        if self.B is not None:
-            B = np.asarray(self.B, dtype=float)
-            if B.shape[0] != A.shape[0]:
-                raise ConfigError("A and B must have the same number of rows")
-            object.__setattr__(self, "B", B)
-        names = ("sigma2", "tau2", "v2") if self.B is not None else ("sigma2", "v2")
-        zeros = (True, True, False) if self.B is not None else (True, False)
-        object.__setattr__(self, "omega_names", names)
-        object.__setattr__(self, "zero_allowed", zeros)
-
-    def dsigma_matrices(self) -> list:
-        mats = [self.A @ self.A.T]
-        if self.B is not None:
-            mats.append(self.B @ self.B.T)
-        mats.append(np.eye(self.A.shape[0]))
-        return mats
-
-    def gamma_matrix(self, omega) -> np.ndarray:
-        omega = self._check(omega)
-        n = self.A.shape[0]
-        parts = [np.full(self.A.shape[1], omega[0])]
-        if self.B is not None:
-            parts.append(np.full(self.B.shape[1], omega[1]))
-        parts.append(np.full(n, omega[-1]))
-        return np.diag(np.concatenate(parts))
-
-    def l_matrix(self) -> np.ndarray:
-        n = self.A.shape[0]
-        blocks = [self.A]
-        if self.B is not None:
-            blocks.append(self.B)
-        blocks.append(np.eye(n))
-        return np.hstack(blocks)
+    A = np.asarray(A, dtype=float)
+    one = np.ones((1, 1))
+    terms = [Term("sigma2", True, one, A)]
+    if B is not None and np.asarray(B).size:
+        B = np.asarray(B, dtype=float)
+        if B.shape[0] != A.shape[0]:
+            raise ConfigError("A and B must have the same number of rows")
+        terms.append(Term("tau2", True, one, B))
+    terms.append(Term("v2", False, one))
+    return GammaStructure(tuple(terms), A.shape[0], "diagonal_scalar")
 
 
-@dataclass(frozen=True)
-class Example48(GammaStructure):
+def Example48(n_arrays: int, A0, R) -> GammaStructure:
     """Shared development operator with per-array shock and noise scales.
 
     Sigma = (sigma2 1_N 1_N^T + Phi) kron (A0 R A0^T) + Psi kron I_cells with
     Phi = diag(tau2_1..tau2_N) and Psi = diag(v2_1..v2_N).
-    omega = (sigma2, tau2_1..tau2_N, v2_1..v2_N), in that order.
+    omega = (sigma2, tau2_1..tau2_N, v2_1..v2_N), in that order. Only the
+    identity operator (A0 = R = I) has a rule for the future region, so any
+    other operator gives a structure of kind None.
     """
+    A0 = np.asarray(A0, dtype=float)
+    R = np.asarray(R, dtype=float)
+    if A0.ndim != 2 or A0.shape[0] != A0.shape[1]:
+        raise ConfigError("A0 must be square")
+    if R.shape != A0.shape:
+        raise ConfigError("R must match the shape of A0")
+    eye = np.eye(A0.shape[0])
+    identity = np.array_equal(A0, eye) and np.array_equal(R, eye)
+    F, Rk = (None, None) if identity else (A0, R)
+    arrays = np.eye(n_arrays)
+    terms = (
+        (Term("sigma2", True, np.ones((n_arrays, 1)), F, Rk),)
+        + tuple(Term(f"tau2_{n + 1}", True, arrays[:, [n]], F, Rk) for n in range(n_arrays))
+        + tuple(Term(f"v2_{n + 1}", False, arrays[:, [n]]) for n in range(n_arrays))
+    )
+    return GammaStructure(terms, A0.shape[0], "example48" if identity else None)
 
-    n_arrays: int
-    A0: np.ndarray
-    R: np.ndarray
 
-    def __post_init__(self):
-        A0 = np.asarray(self.A0, dtype=float)
-        R = np.asarray(self.R, dtype=float)
-        if A0.ndim != 2 or A0.shape[0] != A0.shape[1]:
-            raise ConfigError("A0 must be square")
-        if R.shape != A0.shape:
-            raise ConfigError("R must match the shape of A0")
-        object.__setattr__(self, "A0", A0)
-        object.__setattr__(self, "R", R)
-        names = (
-            ("sigma2",)
-            + tuple(f"tau2_{n}" for n in range(1, self.n_arrays + 1))
-            + tuple(f"v2_{n}" for n in range(1, self.n_arrays + 1))
-        )
-        object.__setattr__(self, "omega_names", names)
-        object.__setattr__(
-            self, "zero_allowed", (True,) + (True,) * self.n_arrays + (False,) * self.n_arrays
-        )
+def structure_for(kind: str, n_arrays: int, cells: int, A, B) -> GammaStructure:
+    """The structure named ``kind`` for N arrays of ``cells`` cells each.
 
-    @property
-    def cells(self) -> int:
-        return self.A0.shape[0]
-
-    def dsigma_matrices(self) -> list:
-        N = self.n_arrays
-        K = self.A0 @ self.R @ self.A0.T
-        mats = [kron(np.ones((N, N)), K)]
-        for n in range(N):
-            e = np.zeros((N, N))
-            e[n, n] = 1.0
-            mats.append(kron(e, K))
-        for n in range(N):
-            e = np.zeros((N, N))
-            e[n, n] = 1.0
-            mats.append(kron(e, np.eye(self.cells)))
-        return mats
-
-    def gamma_matrix(self, omega) -> np.ndarray:
-        omega = self._check(omega)
-        N, c = self.n_arrays, self.cells
-        s2 = omega[0]
-        phi = np.diag(omega[1 : 1 + N])
-        psi = omega[1 + N :]
-        top = s2 * self.R
-        mid = kron(phi, self.R)
-        bottom = np.diag(np.repeat(psi, c))
-        out = np.zeros((c + N * c + N * c, c + N * c + N * c))
-        out[:c, :c] = top
-        out[c : c + N * c, c : c + N * c] = mid
-        out[c + N * c :, c + N * c :] = bottom
-        return out
-
-    def l_matrix(self) -> np.ndarray:
-        N, c = self.n_arrays, self.cells
-        return np.hstack(
-            [kron(np.ones((N, 1)), self.A0), kron(np.eye(N), self.A0), np.eye(N * c)]
-        )
+    A and B are the design's shock coefficient blocks over those cells; only
+    ``diagonal_scalar`` reads them (an empty B means no within shocks).
+    ``example48`` gets the identity development operator.
+    """
+    if kind == "cellwise_two_level":
+        return CellwiseTwoLevel(n_arrays, cells)
+    if kind == "diagonal_scalar":
+        return DiagonalScalar(A, B)
+    if kind == "example48":
+        eye = np.eye(cells)
+        return Example48(n_arrays, eye, eye)
+    raise ConfigError(f"unknown covariance structure {kind!r}")
 
 
 def sigma_example48(n_arrays, sigma2, tau2, v2, A0, R) -> "SigmaModel":
@@ -299,6 +283,4 @@ class SigmaModel:
 
     def whiten(self, x: np.ndarray) -> np.ndarray:
         """Multiply by Sigma^(-1/2) (via the lower Cholesky factor)."""
-        from scipy.linalg import solve_triangular
-
         return solve_triangular(self._cho[0], x, lower=True)

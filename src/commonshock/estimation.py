@@ -348,7 +348,13 @@ def chain_ladder_effect_table(fit: FitResult) -> dict:
 
 
 def dependence_stats(d1, d2):
-    """Pearson correlation and sign-agreement count of two residual vectors."""
+    """Pearson correlation and sign-agreement count of two residual vectors.
+
+    A residual of at most 1e-10 times its vector's largest magnitude counts
+    as zero: exactly fitted cells leave residuals that are zero up to
+    rounding, and their signs would otherwise follow the last bits of the
+    estimate.
+    """
     d1 = np.asarray(d1, dtype=float).ravel()
     d2 = np.asarray(d2, dtype=float).ravel()
     if d1.size != d2.size:
@@ -356,5 +362,9 @@ def dependence_stats(d1, d2):
     if np.std(d1) == 0.0 or np.std(d2) == 0.0:
         raise NumericalError("a residual vector has zero variance")
     corr = float(np.corrcoef(d1, d2)[0, 1])
-    agree = int(np.sum(np.sign(d1) == np.sign(d2)))
+
+    def signs(d):
+        return np.where(np.abs(d) <= 1e-10 * np.max(np.abs(d)), 0.0, np.sign(d))
+
+    agree = int(np.sum(signs(d1) == signs(d2)))
     return corr, agree

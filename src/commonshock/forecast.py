@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covariance import CellwiseTwoLevel, DiagonalScalar, Example48
+from .covariance import structure_for
 from .errors import DesignError, NumericalError
 from .estimation import FitResult
 from .lognormal import LogNormalSummary, raw_cov, raw_mean
@@ -84,32 +84,17 @@ def build_forecast_design(design, cells) -> ForecastDesign:
 
 def _process_error(fit: FitResult, fd: ForecastDesign) -> np.ndarray:
     """Sigma* over the forecast region, from the fitted structure and omega."""
-    n_fut = len(fd.cells)
-    n = fd.n_arrays * n_fut
-    if n == 0:
-        return np.zeros((0, 0))
     structure = fit.sigma.structure
     omega = fit.omega_hat if fit.omega_hat is not None else fit.sigma.omega
-    if isinstance(structure, CellwiseTwoLevel):
-        future = CellwiseTwoLevel(fd.n_arrays, n_fut)
-        return future.sigma(omega)
-    if isinstance(structure, DiagonalScalar):
-        future = DiagonalScalar(fd.a_star, fd.b_star if fd.b_star.size else None)
-        if future.n_params != structure.n_params:
-            raise NumericalError(
-                "future shock blocks do not match the fitted covariance structure"
-            )
-        return future.sigma(omega)
-    if isinstance(structure, Example48):
-        eye = np.eye(structure.cells)
-        if np.array_equal(structure.A0, eye) and np.array_equal(structure.R, eye):
-            fut_eye = np.eye(n_fut)
-            return Example48(fd.n_arrays, fut_eye, fut_eye).sigma(omega)
+    if structure.kind is None:
         raise NumericalError(
             "forecasting under a non-identity development operator needs an "
             "explicit operator for the future region; none is defined"
         )
-    raise NumericalError(f"unsupported covariance structure {type(structure).__name__}")
+    future = structure_for(structure.kind, fd.n_arrays, len(fd.cells), fd.a_star, fd.b_star)
+    if future.omega_names != structure.omega_names:
+        raise NumericalError("future shock blocks do not match the fitted covariance structure")
+    return future.sigma(omega)
 
 
 def predict(

@@ -2,7 +2,26 @@ import numpy as np
 import pytest
 
 import commonshock as cs
-from commonshock.covariance import CellwiseTwoLevel, DiagonalScalar, Example48
+from commonshock.covariance import CellwiseTwoLevel, DiagonalScalar, Example48, GammaStructure, Term
+
+
+def random_example48(n_arrays, cells, seed):
+    rng = np.random.default_rng(seed)
+    R0 = rng.normal(size=(cells, cells))
+    return Example48(n_arrays, rng.normal(size=(cells, cells)), R0 @ R0.T)
+
+
+def random_terms(seed):
+    # general loadings: a 2 x 2 array side, a non-square cell side, and a
+    # non-unit array side on an identity cell side
+    rng = np.random.default_rng(seed)
+    terms = (
+        Term("a", True, rng.normal(size=(2, 2)), rng.normal(size=(3, 2))),
+        Term("b", True, rng.normal(size=(2, 1)), None, np.diag([0.5, 2.0, 1.0])),
+        Term("c", False, rng.normal(size=(2, 1))),
+        Term("v2", False, np.eye(2)),
+    )
+    return GammaStructure(terms, 3)
 
 
 def central_difference(structure, omega, k, h=1e-5):
@@ -58,6 +77,11 @@ class TestExample48:
         omega = [0.4, 0.2, 0.6, 0.9, 1.1]
         via_lgl = cs.sigma_from_gamma(ex.l_matrix(), ex, omega)
         np.testing.assert_allclose(via_lgl.sigma, ex.sigma(omega), atol=1e-12)
+        # three arrays: per-array blocks of Gamma and L in array order
+        ex3 = random_example48(3, cells, seed=6)
+        omega3 = [0.4, 0.1, 0.2, 0.3, 0.8, 0.9, 1.1]
+        via_lgl = cs.sigma_from_gamma(ex3.l_matrix(), ex3, omega3)
+        np.testing.assert_allclose(via_lgl.sigma, ex3.sigma(omega3), rtol=1e-12, atol=1e-12)
 
     def test_two_array_scalar_cell_values(self):
         model = cs.sigma_example48(
@@ -119,6 +143,11 @@ class TestDerivatives:
             (DiagonalScalar(np.kron(np.ones((2, 1)), np.eye(3))), [0.2, 0.5]),
             (Example48(2, np.array([[1.0, 0.0], [0.5, 1.0]]), np.eye(2)),
              [0.4, 0.1, 0.3, 0.8, 0.9]),
+            (DiagonalScalar(np.kron(np.ones((2, 1)), np.eye(3)),
+                            np.kron(np.eye(2), np.ones((3, 1)))),
+             [0.2, 0.3, 0.5]),
+            (random_example48(3, 2, seed=7), [0.4, 0.1, 0.2, 0.3, 0.8, 0.9, 1.1]),
+            (random_terms(seed=8), [0.3, 0.2, 0.4, 0.7]),
         ],
     )
     def test_matches_central_differences(self, structure, omega):
@@ -126,6 +155,9 @@ class TestDerivatives:
             numeric = central_difference(structure, omega, k)
             analytic = cs.dsigma_domega(structure, k)
             np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-9)
+        # Sigma assembled from the D_k equals L Gamma L^T
+        via_lgl = cs.sigma_from_gamma(structure.l_matrix(), structure, omega)
+        np.testing.assert_allclose(via_lgl.sigma, structure.sigma(omega), rtol=1e-12, atol=1e-12)
 
     def test_shared_operator_derivative_forms(self):
         A0 = np.array([[1.0, 0.0], [0.3, 1.0]])

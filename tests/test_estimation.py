@@ -279,6 +279,22 @@ class TestDependenceStats:
         assert corr == pytest.approx(0.36, abs=0.03)
         assert abs(agree - 144) <= 3
 
+    def test_sign_agreement_ignores_rounding_of_exact_fits(self, ref_fit):
+        # the bundled data has exact-fit cells whose residuals are zero up
+        # to rounding; their signs must not depend on the last bits of omega
+        fit, full, y = ref_fit["fit"], ref_fit["full"], ref_fit["y"]
+        design = fit.design
+        structure = DiagonalScalar(design.A)
+        m_ext = design.rows_for_cells(full.layout.stacking_order)
+        rng = np.random.default_rng(13)
+        counts = set()
+        for _ in range(12):
+            omega = fit.omega_hat * (1.0 + 1e-13 * rng.standard_normal(2))
+            refit = cs.gls_fit(y, design, cs.SigmaModel(structure, omega))
+            d = cs.stack_log(full) - m_ext @ refit.kappa_hat
+            counts.add(cs.dependence_stats(*d.reshape(2, -1))[1])
+        assert counts == {143}
+
     def test_opposite_vectors(self):
         d = np.array([0.5, -1.0, 2.0])
         corr, agree = cs.dependence_stats(d, -d)

@@ -162,6 +162,79 @@ def test_identity_operator_per_array_process_error():
     np.testing.assert_allclose(np.diag(process)[n_fut:], 0.01 + 0.05, atol=1e-12)
 
 
+def process_error(fit, fd):
+    """Sigma* as predict adds it: omega_star less the parameter error."""
+    res = cs.predict(fit, fd)
+    return res.omega_star - fd.m_star @ fit.var_kappa @ fd.m_star.T
+
+
+def test_within_shock_process_error():
+    # diagonal_scalar with within shocks on the row partition: the future
+    # region gets its own A* and B* blocks
+    lay = ArrayLayout.triangle(2, 5)
+    coll = simulate_two_level(lay, 0.1, 0.15, seed=8)
+    design = toy_design(lay, kind="row", include_within=True)
+    s2, t2, v2 = 0.01, 0.02, 0.03
+    structure = cs.DiagonalScalar(design.A, design.B)
+    fit = cs.gls_fit(cs.stack_log(coll), design, cs.SigmaModel(structure, [s2, t2, v2]))
+    fd = cs.build_forecast_design(design, cs.future_cells(lay, 5))
+    assert fd.b_star.shape[1] > 0
+    expected = (
+        s2 * fd.a_star @ fd.a_star.T
+        + t2 * fd.b_star @ fd.b_star.T
+        + v2 * np.eye(fd.m_star.shape[0])
+    )
+    np.testing.assert_allclose(process_error(fit, fd), expected, atol=1e-12)
+
+
+def test_three_array_cellwise_process_error():
+    lay = ArrayLayout.triangle(3, 4)
+    coll = simulate_two_level(lay, 0.1, 0.15, seed=9)
+    design = toy_design(lay)
+    s2, v2 = 0.01, 0.04
+    fit = cs.gls_fit(
+        cs.stack_log(coll), design,
+        cs.SigmaModel(CellwiseTwoLevel(3, lay.cells_per_array), [s2, v2]),
+    )
+    fd = cs.build_forecast_design(design, cs.future_cells(lay, 4))
+    n_fut = len(fd.cells)
+    expected = s2 * np.kron(np.ones((3, 3)), np.eye(n_fut)) + v2 * np.eye(3 * n_fut)
+    np.testing.assert_allclose(process_error(fit, fd), expected, atol=1e-12)
+    assert cs.predict(fit, fd).reserves.shape == (3,)
+
+
+def _non_identity_operator_fit():
+    lay = ArrayLayout.triangle(2, 4)
+    design = toy_design(lay)
+    A0 = np.eye(lay.cells_per_array) + 0.5 * np.eye(lay.cells_per_array, k=-1)
+    structure = cs.Example48(2, A0, np.eye(lay.cells_per_array))
+    return lay, design, structure, [0.01, 0.0, 0.0, 0.02, 0.05]
+
+
+def _within_shock_structure_without_within_design():
+    lay = ArrayLayout.triangle(2, 4)
+    design = toy_design(lay)  # no within shocks
+    B = cs.build_B(design.shock.partition, lay)
+    return lay, design, cs.DiagonalScalar(design.A, B), [0.01, 0.02, 0.03]
+
+
+@pytest.mark.parametrize(
+    "make,message",
+    [
+        (_non_identity_operator_fit, "non-identity development operator"),
+        (_within_shock_structure_without_within_design, "do not match"),
+    ],
+    ids=["non_identity_operator", "within_shocks_not_in_design"],
+)
+def test_process_error_without_a_future_structure_raises(make, message):
+    lay, design, structure, omega = make()
+    coll = simulate_two_level(lay, 0.1, 0.15, seed=10)
+    fit = cs.gls_fit(cs.stack_log(coll), design, cs.SigmaModel(structure, omega))
+    fd = cs.build_forecast_design(design, cs.future_cells(lay, 4))
+    with pytest.raises(cs.NumericalError, match=message):
+        cs.predict(fit, fd)
+
+
 def test_unidentified_future_cell_raises():
     lay = ArrayLayout.triangle(2, 5)
     coll = simulate_two_level(lay, 0.1, 0.1, seed=2)
