@@ -11,6 +11,11 @@ Gamma-and-L factorization Sigma = L Gamma L^T: L = [g_1 kron F_1, ...] and
 Gamma block diagonal with blocks omega_k (I_{r_k} kron R_k), the covariance
 of the stacked shock and idiosyncratic vectors. ``CellwiseTwoLevel``,
 ``DiagonalScalar`` and ``Example48`` are constructors of this one form.
+
+``SigmaModel`` factors Sigma as C kron I_c (``GammaStructure.kron_form``):
+when every cell side is the identity, C is the N x N array side
+G(omega) = sum_k omega_k g_k g_k^T and c = cells, so no n x n matrix is
+formed or factored; otherwise C is the dense Sigma and c = 1.
 """
 
 from __future__ import annotations
@@ -104,6 +109,19 @@ class GammaStructure:
                 else:
                     out[a * c : (a + 1) * c, b * c : (b + 1) * c] += (w * G[a, b]) * K
         return out
+
+    def kron_form(self, omega):
+        """(C, c) with Sigma(omega) = C kron I_c.
+
+        C is the array side sum_k omega_k g_k g_k^T and c = ``cells`` when
+        every term's cell side is the identity (F and R None); otherwise C is
+        the dense Sigma and c = 1.
+        """
+        if any(t.F is not None or t.R is not None for t in self.terms):
+            return self.sigma(omega), 1
+        omega = self._check(omega)
+        C = sum(w * (t.g @ t.g.T) for w, t in zip(omega, self.terms))
+        return C, self.cells
 
     def dsigma_matrices(self) -> list:
         mats = []
@@ -256,31 +274,47 @@ def dsigma_domega(structure: GammaStructure, k: int) -> np.ndarray:
 class SigmaModel:
     """A covariance structure evaluated at a parameter vector.
 
-    Holds the dense matrix and a Cholesky factor; solves and log-determinants
-    go through the factor rather than an explicit inverse.
+    Sigma = C kron I_c (see ``GammaStructure.kron_form``) is held through a
+    Cholesky factor L of C alone: stacking puts the arrays outermost, so
+    reshaping a vector to C.shape[0] rows applies L^-1 kron I_c with one
+    triangular solve. Solves and log-determinants go through the factor
+    rather than an explicit inverse; the dense Sigma is built only when
+    ``sigma`` is read.
     """
 
     def __init__(self, structure: GammaStructure, omega, sigma: np.ndarray | None = None):
         self.structure = structure
         self.omega = np.asarray(omega, dtype=float).ravel()
-        self.sigma = structure.sigma(self.omega) if sigma is None else np.asarray(sigma, float)
+        if sigma is None:
+            self._C, self._c = structure.kron_form(self.omega)
+        else:
+            self._C, self._c = np.asarray(sigma, float), 1
         try:
-            self._cho = cho_factor(self.sigma, lower=True)
+            self._cho = cho_factor(self._C, lower=True)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(
                 f"covariance is not positive definite at omega = {self.omega.tolist()}"
             ) from exc
 
     @property
+    def sigma(self) -> np.ndarray:
+        """The dense n x n Sigma, built on each read when c > 1."""
+        return self._C if self._c == 1 else self.structure.sigma(self.omega)
+
+    @property
     def n(self) -> int:
-        return self.sigma.shape[0]
+        return self._C.shape[0] * self._c
+
+    def _by_array(self, apply, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        return apply(x.reshape(self._C.shape[0], -1)).reshape(x.shape)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return cho_solve(self._cho, rhs)
+        return self._by_array(lambda b: cho_solve(self._cho, b), rhs)
 
     def logdet(self) -> float:
-        return 2.0 * float(np.sum(np.log(np.diag(self._cho[0]))))
+        return self._c * 2.0 * float(np.sum(np.log(np.diag(self._cho[0]))))
 
     def whiten(self, x: np.ndarray) -> np.ndarray:
         """Multiply by Sigma^(-1/2) (via the lower Cholesky factor)."""
-        return solve_triangular(self._cho[0], x, lower=True)
+        return self._by_array(lambda b: solve_triangular(self._cho[0], b, lower=True), x)

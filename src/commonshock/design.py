@@ -158,16 +158,17 @@ def reduce_columns(M: np.ndarray, keep_priority=None, tol_factor: float = 1e-10)
         keep_priority = list(range(m))
     smax = np.linalg.norm(M, 2) if m else 0.0
     tol = tol_factor * smax
-    Q = np.zeros((n, 0))
+    basis = np.empty((min(n, m), n))  # orthonormal basis of the kept span, by rows
     kept, dropped, reasons = [], [], {}
     for idx in keep_priority:
         c = M[:, idx]
-        r = c - Q @ (Q.T @ c)
-        r = r - Q @ (Q.T @ r)  # one re-orthogonalization pass
+        Qt = basis[: len(kept)]
+        r = c - Qt.T @ (Qt @ c)
+        r = r - Qt.T @ (Qt @ r)  # one re-orthogonalization pass
         nr = np.linalg.norm(r)
         if nr > tol:
+            basis[len(kept)] = r / nr
             kept.append(idx)
-            Q = np.hstack([Q, (r / nr)[:, None]])
         else:
             dropped.append(idx)
             reasons[idx] = "unobserved" if np.linalg.norm(c) <= tol else "aliased"

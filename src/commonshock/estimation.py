@@ -12,7 +12,7 @@ variance ratio.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -28,15 +28,16 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 class FitResult:
     """Outcome of a location (and optionally dispersion) fit.
 
-    ``omega_fit`` is the covariance matrix of the fitted mean vector
-    (M Var[kappa] M^T); ``omega_hat`` is the vector of estimated variance
-    components, None when the covariance was supplied as known.
+    ``M`` is the reduced mean design the fit used; ``omega_fit``, the
+    covariance matrix of the fitted mean vector (M Var[kappa] M^T), is
+    formed from it on first read. ``omega_hat`` is the vector of estimated
+    variance components, None when the covariance was supplied as known.
     """
 
     kappa_hat: np.ndarray
     var_kappa: np.ndarray
     y_hat: np.ndarray
-    omega_fit: np.ndarray
+    M: np.ndarray
     residual: np.ndarray
     loglik: float
     sigma: SigmaModel
@@ -45,6 +46,13 @@ class FitResult:
     omega_hat: np.ndarray = None
     n_iter: int = 0
     score: np.ndarray = None
+    _omega_fit: np.ndarray = field(default=None, init=False, repr=False)
+
+    @property
+    def omega_fit(self) -> np.ndarray:
+        if self._omega_fit is None:
+            self._omega_fit = self.M @ self.var_kappa @ self.M.T
+        return self._omega_fit
 
     @property
     def residual_by_array(self) -> list:
@@ -60,10 +68,9 @@ def _loglik(n: int, logdet: float, quad: float) -> float:
 def gls_fit(y: np.ndarray, design: ModelDesign, sigma: SigmaModel) -> FitResult:
     """Generalized least squares for the reduced design.
 
-    kappa = (M^T Sigma^-1 M)^-1 M^T Sigma^-1 y, with variance
-    (M^T Sigma^-1 M)^-1 and fitted-value covariance M Var[kappa] M^T, all
-    computed from a Cholesky factor of Sigma and a QR factor of the whitened
-    design.
+    kappa = (M^T Sigma^-1 M)^-1 M^T Sigma^-1 y with variance
+    (M^T Sigma^-1 M)^-1, computed from a Cholesky factor of Sigma and a QR
+    factor of the whitened design.
     """
     y = np.asarray(y, dtype=float).ravel()
     if isinstance(design, np.ndarray):
@@ -87,7 +94,7 @@ def gls_fit(y: np.ndarray, design: ModelDesign, sigma: SigmaModel) -> FitResult:
             kappa_hat=np.zeros(0),
             var_kappa=np.zeros((0, 0)),
             y_hat=np.zeros_like(y),
-            omega_fit=np.zeros((y.size, y.size)),
+            M=M,
             residual=d,
             loglik=_loglik(y.size, sigma.logdet(), quad),
             sigma=sigma,
@@ -106,14 +113,13 @@ def gls_fit(y: np.ndarray, design: ModelDesign, sigma: SigmaModel) -> FitResult:
     rinv = solve_triangular(r, np.eye(r.shape[0]))
     var_kappa = rinv @ rinv.T
     y_hat = M @ kappa
-    omega_fit = M @ var_kappa @ M.T
     d = y - y_hat
     wd = wy - W @ kappa
     return FitResult(
         kappa_hat=kappa,
         var_kappa=var_kappa,
         y_hat=y_hat,
-        omega_fit=omega_fit,
+        M=M,
         residual=d,
         loglik=_loglik(y.size, sigma.logdet(), float(wd @ wd)),
         sigma=sigma,
@@ -122,18 +128,22 @@ def gls_fit(y: np.ndarray, design: ModelDesign, sigma: SigmaModel) -> FitResult:
     )
 
 
-def profile_score(y, design: ModelDesign, structure: GammaStructure, omega) -> np.ndarray:
+def profile_score(
+    y, design: ModelDesign, structure: GammaStructure, omega, *, fit: FitResult = None
+) -> np.ndarray:
     """Score in the variance components with the location profiled out.
 
     Component k is -tr(Sigma^-1 dSigma_k)/2 + (Sigma^-1 d)^T dSigma_k
-    (Sigma^-1 d)/2 evaluated at d = y - M kappa(omega).
+    (Sigma^-1 d)/2 evaluated at d = y - M kappa(omega). ``fit``, when given,
+    is the GLS fit at ``omega``, and its factor of Sigma is used instead of
+    a new one.
     """
-    sigma = SigmaModel(structure, omega)
-    fit = gls_fit(y, design, sigma)
-    e = sigma.solve(fit.residual)
+    if fit is None:
+        fit = gls_fit(y, design, SigmaModel(structure, omega))
+    e = fit.sigma.solve(fit.residual)
     out = np.empty(structure.n_params)
     for k, dmat in enumerate(structure.dsigma_matrices()):
-        trace = float(np.trace(sigma.solve(dmat)))
+        trace = float(np.trace(fit.sigma.solve(dmat)))
         out[k] = -0.5 * trace + 0.5 * float(e @ dmat @ e)
     return out
 
@@ -179,7 +189,7 @@ def ml_dispersion_generic(
         )
 
     fit = gls_fit(y, design, SigmaModel(structure, omega))
-    score = profile_score(y, design, structure, omega)
+    score = profile_score(y, design, structure, omega, fit=fit)
     n_iter = 0
     # interior components need a vanishing score; components sitting on the
     # zero boundary only need the score pointing outward
@@ -210,7 +220,7 @@ def ml_dispersion_generic(
         else:
             raise fail("step halving found no increase of the log-likelihood")
         omega, fit = trial, trial_fit
-        score = profile_score(y, design, structure, omega)
+        score = profile_score(y, design, structure, omega, fit=fit)
         n_iter += 1
 
     fit.omega_hat = omega
@@ -239,12 +249,16 @@ def ml_dispersion_cellwise_closed_form(d1, d2, cells: int = None):
     a = float((d1 - d2) @ (d1 - d2))
     s = float((d1 + d2) @ (d1 + d2))
     c = float(d1 @ d2)
+    norm2 = float(d1 @ d1 + d2 @ d2)
     if a == 0.0:
         raise NumericalError(
             "residual vectors are identical; the idiosyncratic variance would be "
             "zero and the likelihood unbounded (perfectly correlated residuals)"
         )
-    if s == 0.0:
+    # |d1 + d2| within 1e-10 of the residual norm is zero up to rounding: a
+    # design that gives each cell its own shock mean leaves residuals that
+    # cancel to the last bits, and v2 would come out as rounding noise
+    if s <= 1e-20 * norm2:
         raise NumericalError(
             "residual vectors are exact negatives; the shared-shock structure is "
             "degenerate"
@@ -271,8 +285,6 @@ def ml_dispersion_cellwise_closed_form(d1, d2, cells: int = None):
     elif len(positive) == 1:
         r_hat = positive[0]
     else:
-        norm2 = float(d1 @ d1 + d2 @ d2)
-
         def ll(r):
             v2 = v2_of(r)
             s2 = r * v2

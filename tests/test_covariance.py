@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import commonshock as cs
 from commonshock.covariance import CellwiseTwoLevel, DiagonalScalar, Example48, GammaStructure, Term
@@ -190,7 +192,84 @@ class TestSigmaModel:
         )
         assert model.logdet() == pytest.approx(np.linalg.slogdet(model.sigma)[1])
 
+    @pytest.mark.parametrize(
+        "structure, omega",
+        [
+            (Example48(3, np.eye(2), np.eye(2)), [0.2, 0.1, 0.0, 0.3, 0.7, 0.5, 0.9]),
+            (DiagonalScalar(np.kron(np.ones((2, 1)), np.eye(3))), [0.2, 0.7]),
+        ],
+        ids=["example48_identity", "diagonal_scalar"],
+    )
+    def test_solve_and_logdet_match_dense_in_either_form(self, structure, omega):
+        # identity Example48 factors through its 3 x 3 array side, and
+        # DiagonalScalar through the dense Sigma
+        model = cs.SigmaModel(structure, omega)
+        rhs = np.arange(6.0)
+        np.testing.assert_allclose(
+            model.solve(rhs), np.linalg.solve(model.sigma, rhs), atol=1e-12
+        )
+        assert model.logdet() == pytest.approx(np.linalg.slogdet(model.sigma)[1])
+
     def test_nonconforming_dimensions_rejected(self):
         structure = CellwiseTwoLevel(2, 3)
         with pytest.raises(cs.ConfigError):
             cs.sigma_from_gamma(np.eye(5), structure, [0.1, 0.2])
+
+
+def identity_side_structure(n_arrays, cells, example48):
+    eye = np.eye(cells)
+    return Example48(n_arrays, eye, eye) if example48 else CellwiseTwoLevel(n_arrays, cells)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    n_arrays=st.integers(1, 4),
+    cells=st.integers(1, 6),
+    example48=st.booleans(),
+    data=st.data(),
+)
+def test_array_side_factor_matches_dense(n_arrays, cells, example48, data):
+    # identity cell sides factor through the N x N array side; every
+    # operation must agree with the dense Sigma
+    structure = identity_side_structure(n_arrays, cells, example48)
+    omega = [
+        data.draw(
+            st.one_of(st.just(0.0), st.floats(1e-3, 2.0)) if zero_allowed else st.floats(0.05, 2.0)
+        )
+        for zero_allowed in structure.zero_allowed
+    ]
+    C, c = structure.kron_form(omega)
+    assert C.shape == (n_arrays, n_arrays) and c == cells
+
+    model = cs.SigmaModel(structure, omega)
+    sigma = model.sigma
+    n = n_arrays * cells
+    assert model.n == n and sigma.shape == (n, n)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=n)
+    X = rng.normal(size=(n, 3))
+    w = model.whiten(x)
+    np.testing.assert_allclose(w @ w, x @ np.linalg.solve(sigma, x), rtol=1e-10)
+    np.testing.assert_allclose(model.whiten(X).T @ model.whiten(X), X.T @ np.linalg.solve(sigma, X),
+                               rtol=1e-10, atol=1e-10)
+    np.testing.assert_allclose(model.solve(x), np.linalg.solve(sigma, x), rtol=1e-10, atol=1e-10)
+    np.testing.assert_allclose(model.solve(X), np.linalg.solve(sigma, X), rtol=1e-10, atol=1e-10)
+    assert model.logdet() == pytest.approx(np.linalg.slogdet(sigma)[1], rel=1e-10, abs=1e-10)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    n_arrays=st.integers(1, 4),
+    cells=st.integers(1, 6),
+    example48=st.booleans(),
+    sigma2=st.sampled_from([0.0, 0.25, 1.0, 4.0]),
+)
+def test_singular_array_side_raises(n_arrays, cells, example48, sigma2):
+    # with every other component at zero, G = sigma2 1 1^T is singular for
+    # N >= 2 (and zero for sigma2 = 0); exact squares keep the Cholesky
+    # pivot exactly zero
+    assume(n_arrays > 1 or sigma2 == 0.0)
+    structure = identity_side_structure(n_arrays, cells, example48)
+    omega = [sigma2] + [0.0] * (structure.n_params - 1)
+    with pytest.raises(cs.NumericalError, match="not positive definite"):
+        cs.SigmaModel(structure, omega)

@@ -3,7 +3,8 @@ import pytest
 
 import commonshock as cs
 from commonshock.arrays import ArrayLayout
-from commonshock.covariance import CellwiseTwoLevel, DiagonalScalar
+from commonshock import estimation
+from commonshock.covariance import CellwiseTwoLevel, DiagonalScalar, Example48, GammaStructure
 from conftest import simulate_two_level, toy_design
 
 
@@ -117,6 +118,17 @@ class TestProfileScore:
             ) / (2 * h)
             assert score[k] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
+    def test_given_fit_is_reused(self, ref_fit, monkeypatch):
+        fit = ref_fit["fit"]
+        args = (ref_fit["y"], ref_fit["design"], fit.sigma.structure, fit.omega_hat)
+        expected = cs.profile_score(*args)
+
+        def refit(*_):
+            raise AssertionError("profile_score refitted at a point it was given the fit of")
+
+        monkeypatch.setattr(estimation, "gls_fit", refit)
+        np.testing.assert_array_equal(cs.profile_score(*args, fit=fit), expected)
+
     def test_indefinite_covariance_rejected(self):
         y, design, _ = small_fit_inputs(seed=6, size=3)
         structure = CellwiseTwoLevel(2, 9)
@@ -156,6 +168,26 @@ class TestClosedForm:
         d = np.array([0.4, -0.2, 0.1])
         with pytest.raises(cs.NumericalError):
             cs.ml_dispersion_cellwise_closed_form(d, -d)
+
+    def test_cancelling_residuals_fail_on_the_first_pass(self, bundled, monkeypatch):
+        # one across-array shock mean per cell absorbs d1 + d2, so the two
+        # residual vectors cancel up to rounding; the alternation must stop
+        # at once rather than chase v2 through rounding noise
+        coll = bundled.restrict_to_diagonals(15)
+        lay = coll.layout
+        shock = cs.ShockSpec(partition=cs.build_partition("cell", lay), include_across=True)
+        design = cs.assemble(lay, shock, "chain_ladder")
+        calls = []
+        closed_form = estimation.ml_dispersion_cellwise_closed_form
+
+        def counted(*args):
+            calls.append(args)
+            return closed_form(*args)
+
+        monkeypatch.setattr(estimation, "ml_dispersion_cellwise_closed_form", counted)
+        with pytest.raises(cs.NumericalError, match="exact negatives"):
+            cs.ml_dispersion_cellwise(cs.stack_log(coll), design)
+        assert len(calls) <= 2
 
     def test_boundary_at_zero_shock(self):
         # simulated with no shared shock: the positive root disappears in
@@ -222,6 +254,21 @@ class TestGenericSolver:
             d = gen.residual
             assert gen.omega_hat[1] == pytest.approx(float(d @ d) / d.size, rel=1e-8)
         assert found_boundary
+
+    def test_one_factorization_per_point(self, monkeypatch):
+        y, design, _ = small_fit_inputs(seed=11)
+        structure = CellwiseTwoLevel(2, 25)
+        points = []
+        model = estimation.SigmaModel
+
+        def recorded(structure, omega):
+            points.append(tuple(omega))
+            return model(structure, omega)
+
+        monkeypatch.setattr(estimation, "SigmaModel", recorded)
+        fit = cs.ml_dispersion_generic(y, design, structure, [0.005, 0.02])
+        assert fit.n_iter >= 1
+        assert len(points) == len(set(points))
 
     def test_non_convergence_error_carries_state(self):
         y, design, _ = small_fit_inputs(seed=13, size=3)
@@ -304,3 +351,33 @@ class TestDependenceStats:
     def test_zero_variance_rejected(self):
         with pytest.raises(cs.NumericalError):
             cs.dependence_stats(np.ones(3), np.array([1.0, 2.0, 3.0]))
+
+
+class TestArraySideFactor:
+    """Identity cell sides: the fit never forms an n x n matrix."""
+
+    @pytest.fixture
+    def no_dense_sigma(self, monkeypatch):
+        def dense(self, omega):
+            raise AssertionError("the dense Sigma was built")
+
+        monkeypatch.setattr(GammaStructure, "sigma", dense)
+
+    def test_closed_form_path(self, ref_fit, no_dense_sigma):
+        fit = cs.ml_dispersion_cellwise(ref_fit["y"], ref_fit["design"])
+        np.testing.assert_allclose(fit.omega_hat, ref_fit["fit"].omega_hat, rtol=1e-12)
+        assert fit.sigma.n == ref_fit["y"].size
+        assert fit._omega_fit is None  # formed only on first read
+
+    def test_identity_example48_generic_path(self, no_dense_sigma):
+        y, design, lay = small_fit_inputs(seed=5, size=4)
+        eye = np.eye(lay.cells_per_array)
+        fit = cs.ml_dispersion_generic(y, design, Example48(2, eye, eye), [0.01] * 5)
+        assert fit.sigma.n == y.size
+        assert np.all(np.isfinite(fit.omega_hat))
+
+    def test_omega_fit_on_first_read(self, ref_fit):
+        fit = ref_fit["fit"]
+        M = fit.design.M
+        np.testing.assert_allclose(fit.omega_fit, M @ fit.var_kappa @ M.T, rtol=1e-12)
+        assert fit.omega_fit is fit.omega_fit
