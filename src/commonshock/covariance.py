@@ -15,7 +15,10 @@ of the stacked shock and idiosyncratic vectors. ``CellwiseTwoLevel``,
 ``SigmaModel`` factors Sigma as C kron I_c (``GammaStructure.kron_form``):
 when every cell side is the identity, C is the N x N array side
 G(omega) = sum_k omega_k g_k g_k^T and c = cells, so no n x n matrix is
-formed or factored; otherwise C is the dense Sigma and c = 1.
+formed or factored; otherwise C is the dense Sigma and c = 1. The traces the
+ML solver needs, tr(Sigma^-1 D_k) and tr(Sigma^-1 D_k Sigma^-1 D_l), come
+from each term's loading in that frame (g_k on the array side, g_k kron F_k
+against the dense Sigma), so no D_k is formed on the way.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import block_diag, cho_factor, cho_solve, solve_triangular
+from scipy.linalg import block_diag, cho_factor, cho_solve, lapack, solve_triangular
 
 from .errors import ConfigError, NumericalError
 from .kron import kron
@@ -68,6 +71,11 @@ class GammaStructure:
     @property
     def n_params(self) -> int:
         return len(self.terms)
+
+    @property
+    def identity_cell_side(self) -> bool:
+        """Every term's cell side is the identity, so Sigma = G(omega) kron I_cells."""
+        return all(t.F is None and t.R is None for t in self.terms)
 
     def _check(self, omega) -> np.ndarray:
         omega = np.asarray(omega, dtype=float).ravel()
@@ -117,20 +125,24 @@ class GammaStructure:
         every term's cell side is the identity (F and R None); otherwise C is
         the dense Sigma and c = 1.
         """
-        if any(t.F is not None or t.R is not None for t in self.terms):
+        if not self.identity_cell_side:
             return self.sigma(omega), 1
         omega = self._check(omega)
         C = sum(w * (t.g @ t.g.T) for w, t in zip(omega, self.terms))
         return C, self.cells
 
-    def dsigma_matrices(self) -> list:
-        mats = []
-        for term in self.terms:
-            G, K = self._factors(term)
-            K = np.eye(self.cells) if K is None else K
-            # a unit 1 x 1 array side leaves the cell side as it is; skip the copy
-            mats.append(K if np.array_equal(G, [[1.0]]) else kron(G, K))
-        return mats
+    def quadratic_forms(self, x) -> np.ndarray:
+        """x^T D_k x for every term k, from the loadings.
+
+        With X the stacked vector reshaped to N x cells, L_k^T x is
+        U = g_k^T X F_k, and x^T D_k x = tr(U R_k U^T).
+        """
+        X = np.asarray(x, dtype=float).reshape(self.n_arrays, self.cells)
+        out = np.empty(self.n_params)
+        for k, t in enumerate(self.terms):
+            U = t.g.T @ X if t.F is None else t.g.T @ X @ t.F
+            out[k] = _inner(U, U if t.R is None else U @ _sym(t.R))
+        return out
 
     def gamma_matrix(self, omega) -> np.ndarray:
         omega = self._check(omega)
@@ -262,13 +274,34 @@ def sigma_from_gamma(L: np.ndarray, structure: GammaStructure, omega) -> "SigmaM
 
 
 def dsigma_domega(structure: GammaStructure, k: int) -> np.ndarray:
-    """Analytic derivative of Sigma with respect to component k of omega."""
-    mats = structure.dsigma_matrices()
-    if not 0 <= k < len(mats):
+    """Analytic derivative of Sigma with respect to component k of omega.
+
+    This is the dense n x n D_k, built on each call; the solver never needs it.
+    """
+    if not 0 <= k < structure.n_params:
         raise ConfigError(
             f"component index {k} out of range for {structure.omega_names}"
         )
-    return mats[k]
+    G, K = structure._factors(structure.terms[k])
+    K = np.eye(structure.cells) if K is None else K
+    # a unit 1 x 1 array side leaves the cell side as it is; skip the copy
+    return K if np.array_equal(G, [[1.0]]) else kron(G, K)
+
+
+def _sym(R: np.ndarray) -> np.ndarray:
+    return 0.5 * (R + R.T)
+
+
+def _times_array_side(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """x (g kron I_c) for x whose columns are stacked with arrays outermost.
+
+    A unit 1 x 1 array side returns x itself, so that ``information`` can
+    recognise a whitened identity loading as L^-1.
+    """
+    if np.array_equal(g, [[1.0]]):
+        return x
+    blocks = x.reshape(x.shape[0], g.shape[0], -1).transpose(0, 2, 1)
+    return (blocks @ g).transpose(0, 2, 1).reshape(x.shape[0], -1)
 
 
 class SigmaModel:
@@ -280,6 +313,12 @@ class SigmaModel:
     triangular solve. Solves and log-determinants go through the factor
     rather than an explicit inverse; the dense Sigma is built only when
     ``sigma`` is read.
+
+    ``term_traces`` and ``information`` work in the same frame. Each term's
+    loading there is g_k when C is the array side and g_k kron F_k when C is
+    the dense Sigma, and its whitened loading W_k = L^-1 (loading) is built
+    once, on first use, and shared by both. A loading with an identity cell
+    side goes through L^-1 itself, formed once per model.
     """
 
     def __init__(self, structure: GammaStructure, omega, sigma: np.ndarray | None = None):
@@ -289,12 +328,15 @@ class SigmaModel:
             self._C, self._c = structure.kron_form(self.omega)
         else:
             self._C, self._c = np.asarray(sigma, float), 1
+        self._array_side = sigma is None and structure.identity_cell_side
         try:
             self._cho = cho_factor(self._C, lower=True)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(
                 f"covariance is not positive definite at omega = {self.omega.tolist()}"
             ) from exc
+        self._whitened_terms = [None] * structure.n_params
+        self._l_inv = None
 
     @property
     def sigma(self) -> np.ndarray:
@@ -318,3 +360,68 @@ class SigmaModel:
     def whiten(self, x: np.ndarray) -> np.ndarray:
         """Multiply by Sigma^(-1/2) (via the lower Cholesky factor)."""
         return self._by_array(lambda b: solve_triangular(self._cho[0], b, lower=True), x)
+
+    def _factor_inverse(self) -> np.ndarray:
+        """L^-1, the inverse of the lower Cholesky factor (computed once)."""
+        if self._l_inv is None:
+            # invert the upper factor L^T in place: np.tril gives a C-ordered
+            # copy, whose transpose LAPACK takes without another copy
+            inv, info = lapack.dtrtri(np.tril(self._cho[0]).T, lower=0, overwrite_c=1)
+            if info != 0:
+                raise NumericalError("the Cholesky factor of the covariance is singular")
+            self._l_inv = inv.T
+        return self._l_inv
+
+    def _whitened(self, k: int):
+        """(W_k, Y_k) with W_k = L^-1 (loading of term k) and Y_k = W_k (I kron R_k)."""
+        if self._whitened_terms[k] is None:
+            t = self.structure.terms[k]
+            if self._array_side:
+                W = solve_triangular(self._cho[0], t.g, lower=True)
+            elif t.F is None:
+                W = _times_array_side(self._factor_inverse(), t.g)
+            else:
+                W = solve_triangular(self._cho[0], kron(t.g, t.F), lower=True)
+            if t.R is None:
+                Y = W
+            else:
+                blocks = W.reshape(W.shape[0], -1, t.R.shape[0])
+                Y = (blocks @ _sym(t.R)).reshape(W.shape)
+            self._whitened_terms[k] = W, Y
+        return self._whitened_terms[k]
+
+    def term_traces(self) -> np.ndarray:
+        """tr(Sigma^-1 D_k) = c tr(W_k^T W_k R_k) for every term k."""
+        return np.array(
+            [self._c * _inner(*self._whitened(k)) for k in range(self.structure.n_params)]
+        )
+
+    def information(self, idx=None) -> np.ndarray:
+        """tr(Sigma^-1 D_k Sigma^-1 D_l) over the terms ``idx`` (default all).
+
+        With P = W_k^T W_l this is c tr(R_k P R_l P^T), summed as the
+        elementwise product of W_k^T W_l and Y_k^T Y_l.
+        """
+        idx = range(self.structure.n_params) if idx is None else list(idx)
+        terms = [self._whitened(k) for k in idx]
+        out = np.empty((len(terms), len(terms)))
+        for a, (Wa, Ya) in enumerate(terms):
+            for b in range(a, len(terms)):
+                Wb, Yb = terms[b]
+                if Wa is Wb is Ya is Yb is self._l_inv:
+                    # both loadings are I: ||L^-T L^-1||^2 from one triangle
+                    # of Sigma^-1, which LAPACK's lauum forms in a third of
+                    # the flops of the full product (L^-1 is held transposed)
+                    P = lapack.dlauum(Wa.T, lower=0)[0]
+                    d = np.diag(P)
+                    value = 2.0 * _inner(P, P) - float(d @ d)
+                else:
+                    P = Wa.T @ Wb
+                    value = _inner(P, P if (Ya is Wa and Yb is Wb) else Ya.T @ Yb)
+                out[a, b] = out[b, a] = self._c * value
+        return out
+
+
+def _inner(a: np.ndarray, b: np.ndarray) -> float:
+    """The Frobenius inner product sum(a * b), without copies of either."""
+    return float(np.einsum("ij,ij->", a, b))

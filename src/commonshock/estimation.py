@@ -30,8 +30,11 @@ class FitResult:
 
     ``M`` is the reduced mean design the fit used; ``omega_fit``, the
     covariance matrix of the fitted mean vector (M Var[kappa] M^T), is
-    formed from it on first read. ``omega_hat`` is the vector of estimated
-    variance components, None when the covariance was supplied as known.
+    formed from it on first read. ``r_inv`` is the inverse of the triangular
+    factor of the whitened design, so that Var[kappa] = r_inv r_inv^T; the
+    forecast writes its parameter error through it. ``omega_hat`` is the
+    vector of estimated variance components, None when the covariance was
+    supplied as known.
     """
 
     kappa_hat: np.ndarray
@@ -46,6 +49,7 @@ class FitResult:
     omega_hat: np.ndarray = None
     n_iter: int = 0
     score: np.ndarray = None
+    r_inv: np.ndarray = None
     _omega_fit: np.ndarray = field(default=None, init=False, repr=False)
 
     @property
@@ -93,6 +97,7 @@ def gls_fit(y: np.ndarray, design: ModelDesign, sigma: SigmaModel) -> FitResult:
         return FitResult(
             kappa_hat=np.zeros(0),
             var_kappa=np.zeros((0, 0)),
+            r_inv=np.zeros((0, 0)),
             y_hat=np.zeros_like(y),
             M=M,
             residual=d,
@@ -118,6 +123,7 @@ def gls_fit(y: np.ndarray, design: ModelDesign, sigma: SigmaModel) -> FitResult:
     return FitResult(
         kappa_hat=kappa,
         var_kappa=var_kappa,
+        r_inv=rinv,
         y_hat=y_hat,
         M=M,
         residual=d,
@@ -136,16 +142,17 @@ def profile_score(
     Component k is -tr(Sigma^-1 dSigma_k)/2 + (Sigma^-1 d)^T dSigma_k
     (Sigma^-1 d)/2 evaluated at d = y - M kappa(omega). ``fit``, when given,
     is the GLS fit at ``omega``, and its factor of Sigma is used instead of
-    a new one.
+    a new one; a fit at another point raises DesignError.
     """
     if fit is None:
         fit = gls_fit(y, design, SigmaModel(structure, omega))
+    elif not np.array_equal(fit.sigma.omega, np.ravel(omega)):
+        raise DesignError(
+            f"the given fit is at omega = {fit.sigma.omega.tolist()}, "
+            f"not at {np.ravel(omega).tolist()}"
+        )
     e = fit.sigma.solve(fit.residual)
-    out = np.empty(structure.n_params)
-    for k, dmat in enumerate(structure.dsigma_matrices()):
-        trace = float(np.trace(fit.sigma.solve(dmat)))
-        out[k] = -0.5 * trace + 0.5 * float(e @ dmat @ e)
-    return out
+    return -0.5 * fit.sigma.term_traces() + 0.5 * fit.sigma.structure.quadratic_forms(e)
 
 
 def ml_dispersion_generic(
@@ -181,7 +188,6 @@ def ml_dispersion_generic(
         raise NumericalError("initial values must be strictly positive")
     free = np.ones(omega.size, dtype=bool) if free_mask is None else np.asarray(free_mask, bool)
     lower = np.where(zero_allowed, 0.0, 1e-14 * max(float(np.var(y)), 1e-12))
-    dmats = structure.dsigma_matrices()
 
     def fail(message):
         return NumericalError(
@@ -204,8 +210,7 @@ def ml_dispersion_generic(
                 f"component {structure.omega_names[k]} collapses below the positivity floor"
             )
         idx = np.where(active)[0]
-        prods = [fit.sigma.solve(dmats[k]) for k in idx]
-        info = 0.5 * np.array([[np.sum(a * b.T) for b in prods] for a in prods])
+        info = 0.5 * fit.sigma.information(idx)
         step = np.zeros_like(omega)
         step[idx] = np.linalg.lstsq(info, score[idx], rcond=None)[0]
         # a drop within the rounding of the log-likelihood is not a drop: near

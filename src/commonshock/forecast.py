@@ -145,8 +145,10 @@ def predict(
             raise DesignError("extra offset variances must be non-negative, length N * n_future")
         sigma_star = sigma_star + np.diag(var)
 
-    omega_star = fd.m_star @ fit.var_kappa @ fd.m_star.T + sigma_star
-    omega_star = 0.5 * (omega_star + omega_star.T)
+    # parameter error M* Var[kappa] M*^T as B B^T with B = M* r_inv: a
+    # symmetric product, so Omega* needs no symmetrizing pass
+    b = fd.m_star @ fit.r_inv
+    omega_star = b @ b.T + sigma_star
 
     summary = LogNormalSummary(y_star, omega_star)
     x_vec = raw_mean(summary)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import commonshock as cs
 from commonshock.arrays import ArrayLayout
-from commonshock import estimation
-from commonshock.covariance import CellwiseTwoLevel, DiagonalScalar, Example48, GammaStructure
+from commonshock import covariance, estimation
+from commonshock.covariance import CellwiseTwoLevel, DiagonalScalar, Example48, GammaStructure, Term
 from conftest import simulate_two_level, toy_design
 
 
@@ -128,6 +130,12 @@ class TestProfileScore:
 
         monkeypatch.setattr(estimation, "gls_fit", refit)
         np.testing.assert_array_equal(cs.profile_score(*args, fit=fit), expected)
+
+    def test_fit_at_another_point_rejected(self, ref_fit):
+        fit = ref_fit["fit"]
+        args = (ref_fit["y"], ref_fit["design"], fit.sigma.structure, 1.5 * fit.omega_hat)
+        with pytest.raises(cs.DesignError, match="given fit is at omega"):
+            cs.profile_score(*args, fit=fit)
 
     def test_indefinite_covariance_rejected(self):
         y, design, _ = small_fit_inputs(seed=6, size=3)
@@ -369,6 +377,29 @@ class TestArraySideFactor:
         assert fit.sigma.n == ref_fit["y"].size
         assert fit._omega_fit is None  # formed only on first read
 
+    @pytest.mark.parametrize("example48", [False, True], ids=["cellwise_two_level", "example48"])
+    def test_generic_solver_forms_no_dense_derivative(self, example48, monkeypatch):
+        # the score and the information come from the N x N array side: no
+        # Kronecker product, dense Sigma or n x n derivative is built
+        lay = ArrayLayout.full(3, 4, 4)
+        y = cs.stack_log(simulate_two_level(lay, 0.12, 0.1, seed=3))
+        design = toy_design(lay)
+        cells = lay.cells_per_array
+        eye = np.eye(cells)
+        structure = Example48(3, eye, eye) if example48 else CellwiseTwoLevel(3, cells)
+
+        def dense(*_, **__):
+            raise AssertionError("a dense n x n matrix was built")
+
+        monkeypatch.setattr(GammaStructure, "sigma", dense)
+        monkeypatch.setattr(covariance, "kron", dense)
+        monkeypatch.setattr(covariance, "dsigma_domega", dense)
+        monkeypatch.setattr(cs, "dsigma_domega", dense)
+        monkeypatch.setattr(np, "kron", dense)
+        fit = cs.ml_dispersion_generic(y, design, structure, [0.01] * structure.n_params)
+        assert fit.n_iter > 0
+        assert np.all((np.abs(fit.score) < 1e-9) | ((fit.omega_hat == 0.0) & (fit.score < 0.0)))
+
     def test_identity_example48_generic_path(self, no_dense_sigma):
         y, design, lay = small_fit_inputs(seed=5, size=4)
         eye = np.eye(lay.cells_per_array)
@@ -381,3 +412,84 @@ class TestArraySideFactor:
         M = fit.design.M
         np.testing.assert_allclose(fit.omega_fit, M @ fit.var_kappa @ M.T, rtol=1e-12)
         assert fit.omega_fit is fit.omega_fit
+
+
+def raw_structure(rng, n_arrays, cells):
+    """A term list with general loadings: 2-column array sides on a cell side
+    and on an identity cell side with an R block, an R block on a wide cell
+    side, and a per-array identity noise term."""
+    R0 = rng.normal(size=(3, 3))
+    terms = (
+        Term("a", True, rng.normal(size=(n_arrays, 2)), rng.normal(size=(cells, 2))),
+        Term("b", True, rng.normal(size=(n_arrays, 2)), None, np.diag(rng.uniform(0.5, 2.0, cells))),
+        Term("c", True, rng.normal(size=(n_arrays, 1)), rng.normal(size=(cells, 3)), R0 @ R0.T),
+        Term("v2", False, np.eye(n_arrays)),
+    )
+    return GammaStructure(terms, cells)
+
+
+def dense_score_reference(y, M, structure, omega):
+    """tr(Sigma^-1 D_k), (Sigma^-1 d)^T D_k (Sigma^-1 d) and the information
+    tr(Sigma^-1 D_k Sigma^-1 D_l), from the dense D_k and np.linalg.solve."""
+    D = [cs.dsigma_domega(structure, k) for k in range(structure.n_params)]
+    S = sum(w * d for w, d in zip(omega, D))
+    SiM = np.linalg.solve(S, M)
+    kappa = np.linalg.solve(M.T @ SiM, SiM.T @ y) if M.shape[1] else np.zeros(0)
+    e = np.linalg.solve(S, y - M @ kappa)
+    SiD = [np.linalg.solve(S, d) for d in D]
+    traces = np.array([np.trace(a) for a in SiD])
+    quads = np.array([e @ d @ e for d in D])
+    info = np.array([[np.sum(a * b.T) for b in SiD] for a in SiD])
+    return traces, quads, info
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    family=st.sampled_from(
+        ["cellwise", "example48_identity", "example48_random", "diagonal_scalar",
+         "diagonal_scalar_b", "raw"]
+    ),
+    n_arrays=st.integers(1, 4),
+    cells=st.integers(1, 5),
+    dense_frame=st.booleans(),
+    data=st.data(),
+)
+def test_score_and_information_match_dense_reference(family, n_arrays, cells, dense_frame, data):
+    # the loading traces against the dense D_k, in the array-side frame and
+    # in the dense frame (identity cell sides reach it through an explicit Sigma)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    n = n_arrays * cells
+    eye = np.eye(cells)
+    if family == "cellwise":
+        structure = CellwiseTwoLevel(n_arrays, cells)
+    elif family == "example48_identity":
+        structure = Example48(n_arrays, eye, eye)
+    elif family == "example48_random":
+        R0 = rng.normal(size=(cells, cells))
+        structure = Example48(n_arrays, rng.normal(size=(cells, cells)), R0 @ R0.T)
+    elif family.startswith("diagonal_scalar"):
+        B = rng.normal(size=(n, 2)) if family == "diagonal_scalar_b" else None
+        structure = DiagonalScalar(rng.normal(size=(n, 3)), B)
+    else:
+        structure = raw_structure(rng, n_arrays, cells)
+    omega = [
+        data.draw(
+            st.one_of(st.just(0.0), st.floats(1e-3, 2.0)) if zero_allowed else st.floats(0.05, 2.0)
+        )
+        for zero_allowed in structure.zero_allowed
+    ]
+    M = rng.normal(size=(n, data.draw(st.integers(0, min(3, n - 1)))))
+    y = rng.normal(size=n)
+
+    sigma = structure.sigma(omega) if dense_frame and structure.identity_cell_side else None
+    model = cs.SigmaModel(structure, omega, sigma=sigma)
+    fit = cs.gls_fit(y, M, model)
+    score = cs.profile_score(y, M, structure, omega, fit=fit)
+    traces, quads, info = dense_score_reference(y, M, structure, omega)
+
+    scale = np.abs(traces) + np.abs(quads)
+    assert np.all(np.abs(score - 0.5 * (quads - traces)) <= 1e-10 * scale)
+    np.testing.assert_allclose(model.term_traces(), traces, rtol=1e-10)
+    np.testing.assert_allclose(model.information(), info, rtol=1e-10, atol=1e-10 * np.abs(info).max())
+    idx = [k for k in range(structure.n_params) if data.draw(st.booleans())]
+    np.testing.assert_array_equal(model.information(idx), model.information()[np.ix_(idx, idx)])

@@ -3,7 +3,7 @@ import pytest
 
 import commonshock as cs
 from commonshock.arrays import ArrayLayout
-from commonshock.covariance import CellwiseTwoLevel
+from commonshock.covariance import CellwiseTwoLevel, structure_for
 from conftest import simulate_two_level, toy_design
 
 
@@ -269,3 +269,32 @@ class TestGammaAr1:
     def test_bad_horizon(self):
         with pytest.raises(cs.DesignError):
             cs.gamma_ar1(1.0, 0.0, 0.5, 0)
+
+
+def _within_shock_forecast_inputs():
+    lay = ArrayLayout.triangle(2, 5)
+    coll = simulate_two_level(lay, 0.1, 0.15, seed=8)
+    design = toy_design(lay, kind="row", include_within=True)
+    structure = cs.DiagonalScalar(design.A, design.B)
+    fit = cs.gls_fit(cs.stack_log(coll), design, cs.SigmaModel(structure, [0.01, 0.02, 0.03]))
+    return fit, design, 5
+
+
+@pytest.mark.parametrize("case", ["bundled_cellwise", "within_shock_diagonal_scalar"])
+def test_predictive_covariance_is_symmetric_and_psd(ref_fit, case):
+    # the parameter error is written as B B^T with B = M* r_inv, so Omega*
+    # needs no symmetrizing pass to come out exactly symmetric
+    if case == "bundled_cellwise":
+        fit, design, t_max = ref_fit["fit"], ref_fit["design"], 15
+    else:
+        fit, design, t_max = _within_shock_forecast_inputs()
+    fd = cs.build_forecast_design(design, cs.future_cells(design.layout, t_max))
+    omega_star = cs.predict(fit, fd).omega_star
+    assert np.array_equal(omega_star, omega_star.T)
+
+    structure = fit.sigma.structure
+    future = structure_for(structure.kind, fd.n_arrays, len(fd.cells), fd.a_star, fd.b_star)
+    expected = fd.m_star @ fit.var_kappa @ fd.m_star.T + future.sigma(fit.sigma.omega)
+    scale = np.max(np.abs(expected))
+    assert np.max(np.abs(omega_star - expected)) <= 1e-12 * scale
+    assert np.linalg.eigvalsh(omega_star).min() >= -1e-12 * scale
