@@ -22,6 +22,26 @@ def diagonal_of(i: int, j: int) -> int:
     return i + j - 1
 
 
+def _grid_diagonals(n_rows: int, n_cols: int) -> np.ndarray:
+    """Calendar diagonal of every cell of an n_rows x n_cols grid."""
+    return diagonal_of(*np.indices((n_rows, n_cols)) + 1)
+
+
+def _cells_of(mask: np.ndarray) -> list:
+    """1-based (i, j) of the True cells of a mask, in row-major order.
+
+    This is the stacking order: the order of ``np.nonzero`` and of
+    ``values[:, mask]``.
+    """
+    return [tuple(ij) for ij in (np.argwhere(mask) + 1).tolist()]
+
+
+def _first_cell(layout: "ArrayLayout", flags: np.ndarray) -> tuple:
+    """1-based (array, i, j) of the first True of an (N, cells) array, in stacking order."""
+    n, k = divmod(int(np.argmax(flags)), flags.shape[1])
+    return (n + 1, *layout.stacking_order[k])
+
+
 @dataclass(frozen=True)
 class ArrayLayout:
     """Shared shape of the arrays in a collection.
@@ -56,13 +76,7 @@ class ArrayLayout:
         mask = mask.copy()
         mask.setflags(write=False)
         object.__setattr__(self, "mask", mask)
-        order = tuple(
-            (i, j)
-            for i in range(1, self.n_rows + 1)
-            for j in range(1, self.n_cols + 1)
-            if mask[i - 1, j - 1]
-        )
-        object.__setattr__(self, "stacking_order", order)
+        object.__setattr__(self, "stacking_order", tuple(_cells_of(mask)))
 
     @classmethod
     def full(cls, n_arrays: int, n_rows: int, n_cols: int) -> "ArrayLayout":
@@ -72,10 +86,7 @@ class ArrayLayout:
     @classmethod
     def triangle(cls, n_arrays: int, size: int) -> "ArrayLayout":
         """Conventional triangle: cells with i + j - 1 <= size on a size x size grid."""
-        mask = np.array(
-            [[i + j - 1 <= size for j in range(1, size + 1)] for i in range(1, size + 1)]
-        )
-        return cls(n_arrays, size, size, mask)
+        return cls(n_arrays, size, size, _grid_diagonals(size, size) <= size)
 
     @property
     def cells_per_array(self) -> int:
@@ -88,17 +99,9 @@ class ArrayLayout:
 
     def position(self, i: int, j: int) -> int:
         """0-based position of cell (i, j) within one array's stacked vector."""
-        try:
-            return self._positions()[(i, j)]
-        except KeyError:
-            raise DataError(f"cell ({i}, {j}) is not masked in") from None
-
-    def _positions(self) -> dict:
-        cached = self.__dict__.get("_pos_cache")
-        if cached is None:
-            cached = {cell: k for k, cell in enumerate(self.stacking_order)}
-            self.__dict__["_pos_cache"] = cached
-        return cached
+        if not self.contains(i, j):
+            raise DataError(f"cell ({i}, {j}) is not masked in")
+        return int(np.count_nonzero(self.mask.ravel()[: (i - 1) * self.n_cols + j - 1]))
 
     def contains(self, i: int, j: int) -> bool:
         return (
@@ -109,12 +112,7 @@ class ArrayLayout:
 
     def restrict_to_diagonals(self, t_max: int) -> "ArrayLayout":
         """Sub-layout keeping only masked cells with i + j - 1 <= t_max."""
-        keep = self.mask & np.array(
-            [
-                [i + j - 1 <= t_max for j in range(1, self.n_cols + 1)]
-                for i in range(1, self.n_rows + 1)
-            ]
-        )
+        keep = self.mask & (_grid_diagonals(self.n_rows, self.n_cols) <= t_max)
         return ArrayLayout(self.n_arrays, self.n_rows, self.n_cols, keep)
 
 
@@ -126,12 +124,7 @@ def future_cells(layout: ArrayLayout, t_max: int) -> list:
     """
     if t_max < 1:
         raise DataError("t_max must be at least 1")
-    return [
-        (i, j)
-        for i in range(1, layout.n_rows + 1)
-        for j in range(1, layout.n_cols + 1)
-        if i + j - 1 > t_max
-    ]
+    return _cells_of(_grid_diagonals(layout.n_rows, layout.n_cols) > t_max)
 
 
 @dataclass(frozen=True)
@@ -149,14 +142,14 @@ class ClaimCollection:
         expected = (self.layout.n_arrays, self.layout.n_rows, self.layout.n_cols)
         if vals.shape != expected:
             raise DataError(f"values shape {vals.shape} does not match layout {expected}")
-        for n in range(self.layout.n_arrays):
-            for (i, j) in self.layout.stacking_order:
-                v = vals[n, i - 1, j - 1]
-                if not np.isfinite(v) or v <= 0.0:
-                    raise DataError(
-                        f"claim value at (array {n + 1}, i={i}, j={j}) "
-                        f"must be a positive number, got {v!r}"
-                    )
+        observed = vals[:, self.layout.mask]
+        bad = ~(np.isfinite(observed) & (observed > 0.0))
+        if bad.any():
+            n, i, j = _first_cell(self.layout, bad)
+            raise DataError(
+                f"claim value at (array {n}, i={i}, j={j}) "
+                f"must be a positive number, got {vals[n - 1, i - 1, j - 1]!r}"
+            )
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -199,20 +192,15 @@ def stack_log(collection: ClaimCollection) -> np.ndarray:
     Component order: array n = 1..N outermost, the layout's stacking order
     within each array. Entry k is ln of the claim value at that cell.
     """
-    layout = collection.layout
-    out = np.empty(layout.n_observations)
-    k = 0
-    for n in range(layout.n_arrays):
-        for (i, j) in layout.stacking_order:
-            v = collection.values[n, i - 1, j - 1]
-            if not v > 0.0:
-                raise DataError(
-                    f"cannot take log of non-positive value at "
-                    f"(array {n + 1}, i={i}, j={j})"
-                )
-            out[k] = np.log(v)
-            k += 1
-    return out
+    observed = collection.values[:, collection.layout.mask]
+    bad = ~(observed > 0.0)
+    if bad.any():
+        n, i, j = _first_cell(collection.layout, bad)
+        raise DataError(
+            f"cannot take log of non-positive value at "
+            f"(array {n}, i={i}, j={j})"
+        )
+    return np.log(observed).ravel()
 
 
 def unstack(vec: np.ndarray, layout: ArrayLayout) -> np.ndarray:
@@ -228,9 +216,5 @@ def unstack(vec: np.ndarray, layout: ArrayLayout) -> np.ndarray:
             f"N*|cells| = {layout.n_observations}"
         )
     out = np.full((layout.n_arrays, layout.n_rows, layout.n_cols), np.nan)
-    k = 0
-    for n in range(layout.n_arrays):
-        for (i, j) in layout.stacking_order:
-            out[n, i - 1, j - 1] = vec[k]
-            k += 1
+    out[:, layout.mask] = vec.reshape(layout.n_arrays, -1)
     return out

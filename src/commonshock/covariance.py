@@ -24,6 +24,7 @@ against the dense Sigma), so no D_k is formed on the way.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -88,28 +89,30 @@ class GammaStructure:
             raise ConfigError("variance components must be non-negative")
         return omega
 
-    def _factors(self, term: Term):
-        """(g g^T, F R F^T) of one term, the cell side None for the identity.
+    @cached_property
+    def _factors(self) -> tuple:
+        """(g g^T, F R F^T) of every term, the cell side None for the identity.
 
-        The cell side is symmetrized here, on the small factor, so that every
-        D_k and Sigma come out exactly symmetric.
+        Neither depends on omega, so they are formed once per structure and
+        kept read-only. The cell side is symmetrized here, on the small
+        factor, so that every D_k and Sigma come out exactly symmetric.
         """
-        G = term.g @ term.g.T
-        if term.F is None and term.R is None:
-            return G, None
-        F = np.eye(self.cells) if term.F is None else term.F
-        if term.R is None:
-            return G, F @ F.T
-        K = F @ term.R @ F.T
-        return G, 0.5 * (K + K.T)
+        out = []
+        for term in self.terms:
+            K = None
+            if term.F is not None or term.R is not None:
+                F = np.eye(self.cells) if term.F is None else term.F
+                K = F @ F.T if term.R is None else _sym(F @ term.R @ F.T)
+                K.setflags(write=False)
+            out.append((term.g @ term.g.T, K))
+        return tuple(out)
 
     def sigma(self, omega) -> np.ndarray:
         omega = self._check(omega)
         c = self.cells
         out = np.zeros((self.n_arrays * c,) * 2)
         diag = np.arange(c)
-        for w, term in zip(omega, self.terms):
-            G, K = self._factors(term)
+        for w, (G, K) in zip(omega, self._factors):
             # add w (G kron K) block by block, without forming the product
             for a, b in zip(*np.nonzero(G)):
                 if K is None:
@@ -282,10 +285,10 @@ def dsigma_domega(structure: GammaStructure, k: int) -> np.ndarray:
         raise ConfigError(
             f"component index {k} out of range for {structure.omega_names}"
         )
-    G, K = structure._factors(structure.terms[k])
+    G, K = structure._factors[k]
     K = np.eye(structure.cells) if K is None else K
-    # a unit 1 x 1 array side leaves the cell side as it is; skip the copy
-    return K if np.array_equal(G, [[1.0]]) else kron(G, K)
+    # a unit 1 x 1 array side leaves the cell side as it is
+    return K.copy() if np.array_equal(G, [[1.0]]) else kron(G, K)
 
 
 def _sym(R: np.ndarray) -> np.ndarray:

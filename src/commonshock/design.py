@@ -58,15 +58,116 @@ class ShockSpec:
                 raise ConfigError(f"{name} coefficients must be non-negative")
             object.__setattr__(self, name, coeff)
 
-    def alpha_value(self, n: int, i: int, j: int) -> float:
-        if self.alpha is None:
-            return 1.0
-        return float(self.alpha[n - 1, i - 1, j - 1])
 
-    def beta_value(self, n: int, i: int, j: int) -> float:
-        if self.beta is None:
-            return 1.0
-        return float(self.beta[n - 1, i - 1, j - 1])
+def _grid_cells(layout: ArrayLayout, cells):
+    """1-based row and column index arrays of a cell list, checked against the grid."""
+    cells = tuple(cells)
+    i, j = np.array(cells, dtype=int).reshape(-1, 2).T
+    outside = (i < 1) | (i > layout.n_rows) | (j < 1) | (j > layout.n_cols)
+    if outside.any():
+        i, j = cells[int(np.argmax(outside))]
+        raise DesignError(f"cell (i={i}, j={j}) lies outside the grid")
+    return i, j
+
+
+class _CellRows:
+    """Design rows of the cells (i[c], j[c]) in every array, arrays outermost.
+
+    Row n * k + c of a block belongs to array n + 1 and cell c of the k
+    cells, so the row-major ``np.nonzero`` order of a mask gives the stacking
+    order. ``labels[c]`` is the cell's subset, 0 to ``n_subsets`` - 1, or -1
+    for a subset with no observed member, which gets no shock entry. Fitted
+    and future rows come from this one rule.
+    """
+
+    def __init__(self, layout: ArrayLayout, i, j, labels=None, n_subsets: int = 0):
+        self.layout, self.i, self.j = layout, i, j
+        self.labels, self.n_subsets = labels, n_subsets
+
+    @classmethod
+    def stacked(cls, layout: ArrayLayout, partition: Partition = None) -> "_CellRows":
+        """The rows of a layout's stacking order, labelled by ``partition``."""
+        i, j = np.nonzero(layout.mask)
+        if partition is None:
+            return cls(layout, i + 1, j + 1)
+        return cls(layout, i + 1, j + 1, partition.labels, partition.n_subsets)
+
+    def _coefficients(self, table) -> np.ndarray:
+        """table[n, i, j] per array and cell, shape (N, k); 1 where table is None."""
+        if table is None:
+            return np.ones((self.layout.n_arrays, self.i.size))
+        return np.asarray(table, dtype=float)[:, self.i - 1, self.j - 1]
+
+    def _one_per_row(self, table, column, width: int) -> np.ndarray:
+        # row n * k + c holds the cell's coefficient in column[n, c]
+        N, k = self.layout.n_arrays, self.i.size
+        n, c = np.nonzero(np.broadcast_to(self.labels >= 0, (N, k)))
+        out = np.zeros((N, k, width))
+        out[n, c, np.broadcast_to(column, (N, k))[n, c]] = self._coefficients(table)[n, c]
+        return out.reshape(N * k, width)
+
+    def across(self, alpha=None) -> np.ndarray:
+        """Across-array shock columns, (N k, P): alpha in the cell's subset."""
+        return self._one_per_row(alpha, self.labels, self.n_subsets)
+
+    def within(self, beta=None) -> np.ndarray:
+        """Within-array shock columns, (N k, N P): beta in the array's own block."""
+        N, P = self.layout.n_arrays, self.n_subsets
+        return self._one_per_row(beta, np.arange(N)[:, None] * P + self.labels, N * P)
+
+    def idiosyncratic(self, variant: str):
+        """One array's idiosyncratic block, (k, q), and its column labels
+        (see ``build_C_chain_ladder`` and ``build_C_hoerl``)."""
+        lay, i, j = self.layout, self.i, self.j
+        c = np.arange(i.size)
+        if variant == "chain_ladder":
+            # chi_1 is constrained to zero and carries no column, so the
+            # column effects absorb the overall level
+            block = np.zeros((i.size, lay.n_rows - 1 + lay.n_cols))
+            block[c[i >= 2], i[i >= 2] - 2] = 1.0
+            block[c, lay.n_rows - 2 + j] = 1.0
+            labels = [("chi", r) for r in range(2, lay.n_rows + 1)]
+            return block, labels + [("col", s) for s in range(1, lay.n_cols + 1)]
+        block = np.zeros((i.size, lay.n_rows + 2))
+        block[c, i - 1] = 1.0
+        block[:, lay.n_rows] = np.log(j)
+        block[:, lay.n_rows + 1] = -j
+        return block, [("level", r) for r in range(1, lay.n_rows + 1)] + [("logdev",), ("decay",)]
+
+    def shock_blocks(self, shock: ShockSpec):
+        """(A, B), each with no columns when its shock is left out."""
+        n = self.layout.n_arrays * self.i.size
+        A = self.across(shock.alpha) if shock.include_across else np.zeros((n, 0))
+        B = self.within(shock.beta) if shock.include_within else np.zeros((n, 0))
+        return A, B
+
+    def design(self, shock: ShockSpec, variant: str):
+        """(A, B, C, M_full, labels) with M_full = [xi | eta | zeta].
+
+        The xi block is A, or the one column of alpha when the across-array
+        shock means are tied; C is block diagonal with one block per array.
+        """
+        N, P = self.layout.n_arrays, self.n_subsets
+        A, B = self.shock_blocks(shock)
+        block, block_labels = self.idiosyncratic(variant)
+        k, q = block.shape
+        C = np.zeros((N, k, N, q))
+        C[np.arange(N), :, np.arange(N), :] = block
+        C = C.reshape(N * k, N * q)
+        mean_blocks, labels = [], []
+        if shock.include_across:
+            if shock.shared_across_mean:
+                mean_blocks.append(self._coefficients(shock.alpha).reshape(-1, 1))
+                labels.append(("xi_shared",))
+            else:
+                mean_blocks.append(A)
+                labels.extend(("xi", p) for p in range(P))
+        if shock.include_within:
+            mean_blocks.append(B)
+            labels.extend(("eta", n, p) for n in range(1, N + 1) for p in range(P))
+        mean_blocks.append(C)
+        labels.extend((lbl[0], n) + lbl[1:] for n in range(1, N + 1) for lbl in block_labels)
+        return A, B, C, np.hstack(mean_blocks), labels
 
 
 def build_A(partition: Partition, layout: ArrayLayout, alpha=None) -> np.ndarray:
@@ -75,39 +176,12 @@ def build_A(partition: Partition, layout: ArrayLayout, alpha=None) -> np.ndarray
     The row for cell (n, i, j) carries the cell's alpha coefficient in the
     column of its subset; the per-array blocks are stacked vertically.
     """
-    ncell = layout.cells_per_array
-    A = np.zeros((layout.n_arrays * ncell, partition.n_subsets))
-    for n in range(layout.n_arrays):
-        for k, (i, j) in enumerate(layout.stacking_order):
-            a = 1.0 if alpha is None else float(alpha[n, i - 1, j - 1])
-            A[n * ncell + k, partition.labels[k]] = a
-    return A
+    return _CellRows.stacked(layout, partition).across(alpha)
 
 
 def build_B(partition: Partition, layout: ArrayLayout, beta=None) -> np.ndarray:
     """Within-array shock coefficient matrix, block diagonal, shape (N*|cells|, N*P)."""
-    ncell = layout.cells_per_array
-    P = partition.n_subsets
-    B = np.zeros((layout.n_arrays * ncell, layout.n_arrays * P))
-    for n in range(layout.n_arrays):
-        for k, (i, j) in enumerate(layout.stacking_order):
-            b = 1.0 if beta is None else float(beta[n, i - 1, j - 1])
-            B[n * ncell + k, n * P + partition.labels[k]] = b
-    return B
-
-
-def _chain_ladder_row(i: int, j: int, n_rows: int, n_cols: int) -> list:
-    # (column offset, value) pairs; chi_1 is constrained to zero and carries
-    # no column, so the column effects absorb the overall level
-    entries = []
-    if i >= 2:
-        entries.append((i - 2, 1.0))
-    entries.append((n_rows - 1 + (j - 1), 1.0))
-    return entries
-
-
-def _hoerl_row(i: int, j: int, n_rows: int, n_cols: int) -> list:
-    return [(i - 1, 1.0), (n_rows, np.log(j)), (n_rows + 1, -float(j))]
+    return _CellRows.stacked(layout, partition).within(beta)
 
 
 def build_C_chain_ladder(layout: ArrayLayout):
@@ -116,14 +190,7 @@ def build_C_chain_ladder(layout: ArrayLayout):
     Columns: row effects chi_i for i = 2..n_rows (chi_1 = 0), then column
     effects for j = 1..n_cols; q = (n_rows - 1) + n_cols.
     """
-    q = (layout.n_rows - 1) + layout.n_cols
-    block = np.zeros((layout.cells_per_array, q))
-    for k, (i, j) in enumerate(layout.stacking_order):
-        for col, val in _chain_ladder_row(i, j, layout.n_rows, layout.n_cols):
-            block[k, col] = val
-    labels = [("chi", i) for i in range(2, layout.n_rows + 1)]
-    labels += [("col", j) for j in range(1, layout.n_cols + 1)]
-    return block, labels
+    return _CellRows.stacked(layout).idiosyncratic("chain_ladder")
 
 
 def build_C_hoerl(layout: ArrayLayout):
@@ -132,14 +199,7 @@ def build_C_hoerl(layout: ArrayLayout):
     Columns: one level per row, then the log-development slope and the decay
     rate; q = n_rows + 2. The implied raw-scale shape in j is j^chi e^(-rho j).
     """
-    q = layout.n_rows + 2
-    block = np.zeros((layout.cells_per_array, q))
-    for k, (i, j) in enumerate(layout.stacking_order):
-        for col, val in _hoerl_row(i, j, layout.n_rows, layout.n_cols):
-            block[k, col] = val
-    labels = [("level", i) for i in range(1, layout.n_rows + 1)]
-    labels += [("logdev",), ("decay",)]
-    return block, labels
+    return _CellRows.stacked(layout).idiosyncratic("hoerl")
 
 
 def reduce_columns(M: np.ndarray, keep_priority=None, tol_factor: float = 1e-10):
@@ -213,51 +273,21 @@ class ModelDesign:
     def n_params(self) -> int:
         return self.M.shape[1]
 
-    def _full_row(self, n: int, i: int, j: int) -> np.ndarray:
-        lay = self.layout
-        part = self.shock.partition
-        row = np.zeros(len(self.full_labels))
-        offset = 0
-        if self.shock.include_across:
-            a = self.shock.alpha_value(n, i, j)
-            if self.shock.shared_across_mean:
-                row[0] = a
-                offset = 1
-            else:
-                p = part.label_for_grid_cell(i, j)
-                if p is None:
-                    raise DesignError(
-                        f"cell (i={i}, j={j}) needs an across-array shock mean for a "
-                        "subset never observed; supply the future values by hand "
-                        "(an AR(1) extrapolation plus forecast offsets)"
-                    )
-                row[p] = a
-                offset = part.n_subsets
-        if self.shock.include_within:
-            p = part.label_for_grid_cell(i, j)
-            if p is None:
-                raise DesignError(
-                    f"cell (i={i}, j={j}) needs a within-array shock mean for a "
-                    "subset never observed; supply the future values by hand "
-                    "(an AR(1) extrapolation plus forecast offsets)"
-                )
-            row[offset + (n - 1) * part.n_subsets + p] = self.shock.beta_value(n, i, j)
-            offset += lay.n_arrays * part.n_subsets
-        q = self.C.shape[1] // lay.n_arrays
-        row_builder = _chain_ladder_row if self.idio_variant == "chain_ladder" else _hoerl_row
-        for col, val in row_builder(i, j, lay.n_rows, lay.n_cols):
-            row[offset + (n - 1) * q + col] = val
-        return row
-
     def full_rows_for_cells(self, cells) -> np.ndarray:
         """Unreduced design rows for arbitrary grid cells, array index outermost."""
-        rows = []
-        for n in range(1, self.layout.n_arrays + 1):
-            for (i, j) in cells:
-                if not (1 <= i <= self.layout.n_rows and 1 <= j <= self.layout.n_cols):
-                    raise DesignError(f"cell (i={i}, j={j}) lies outside the grid")
-                rows.append(self._full_row(n, i, j))
-        return np.array(rows) if rows else np.zeros((0, len(self.full_labels)))
+        i, j = _grid_cells(self.layout, cells)
+        shock, part = self.shock, self.shock.partition
+        labels = part._grid[i - 1, j - 1]
+        across = shock.include_across and not shock.shared_across_mean
+        if (across or shock.include_within) and np.any(labels < 0):
+            c = int(np.argmax(labels < 0))
+            raise DesignError(
+                f"cell (i={i[c]}, j={j[c]}) needs {'an across' if across else 'a within'}"
+                "-array shock mean for a subset never observed; supply the future "
+                "values by hand (an AR(1) extrapolation plus forecast offsets)"
+            )
+        rows = _CellRows(self.layout, i, j, labels, part.n_subsets)
+        return rows.design(shock, self.idio_variant)[3]
 
     def rows_for_cells(self, cells) -> np.ndarray:
         """Reduced-design rows for arbitrary grid cells, array index outermost.
@@ -267,6 +297,7 @@ class ModelDesign:
         alias relation observed in the data, otherwise the cell's mean is not
         identified and a DesignError is raised.
         """
+        cells = tuple(cells)
         kept = list(self.kept)
         drop_idx = [k for k, _ in enumerate(self.full_labels) if k not in set(kept)]
         full = self.full_rows_for_cells(cells)
@@ -274,9 +305,8 @@ class ModelDesign:
             mismatch = full[:, drop_idx] - full[:, kept] @ self.coef
             worst = int(np.argmax(np.abs(mismatch).max(axis=1)))
             if np.abs(mismatch).max() > 1e-8:
-                n_cells = len(tuple(cells))
-                n = worst // n_cells + 1
-                i, j = tuple(cells)[worst % n_cells]
+                n = worst // len(cells) + 1
+                i, j = cells[worst % len(cells)]
                 bad_col = drop_idx[int(np.argmax(np.abs(mismatch[worst])))]
                 raise DesignError(
                     f"cell (array {n}, i={i}, j={j}) requires parameter "
@@ -284,7 +314,7 @@ class ModelDesign:
                     "observed data; supply the future values by hand (an AR(1) "
                     "extrapolation plus forecast offsets)"
                 )
-        return full[:, kept] if full.shape[0] else np.zeros((0, self.n_params))
+        return full[:, kept]
 
     def shock_blocks_for_cells(self, cells):
         """(A*, B*) coefficient blocks over a future region.
@@ -295,25 +325,15 @@ class ModelDesign:
         arrays).
         """
         lay = self.layout
-        if not cells:
+        i, j = _grid_cells(lay, cells)
+        if not i.size:
             zero = np.zeros((0, 0))
             return zero, zero
         mask = np.zeros((lay.n_rows, lay.n_cols), dtype=bool)
-        for (i, j) in cells:
-            mask[i - 1, j - 1] = True
+        mask[i - 1, j - 1] = True
         future_layout = ArrayLayout(lay.n_arrays, lay.n_rows, lay.n_cols, mask)
         part = build_partition(self.shock.partition.kind, future_layout)
-        a_star = (
-            build_A(part, future_layout, self.shock.alpha)
-            if self.shock.include_across
-            else np.zeros((future_layout.n_observations, 0))
-        )
-        b_star = (
-            build_B(part, future_layout, self.shock.beta)
-            if self.shock.include_within
-            else np.zeros((future_layout.n_observations, 0))
-        )
-        return a_star, b_star
+        return _CellRows.stacked(future_layout, part).shock_blocks(self.shock)
 
 
 def assemble(
@@ -339,51 +359,11 @@ def assemble(
     if part.layout is not lay and part.layout.stacking_order != lay.stacking_order:
         raise ConfigError("partition was built for a different layout")
 
-    A = build_A(part, lay, shock.alpha) if shock.include_across else np.zeros((lay.n_observations, 0))
-    B = build_B(part, lay, shock.beta) if shock.include_within else np.zeros((lay.n_observations, 0))
-
-    if idio_variant == "chain_ladder":
-        block, block_labels = build_C_chain_ladder(lay)
-    else:
-        block, block_labels = build_C_hoerl(lay)
-    q = block.shape[1]
-    C = np.zeros((lay.n_observations, lay.n_arrays * q))
-    for n in range(lay.n_arrays):
-        C[n * lay.cells_per_array : (n + 1) * lay.cells_per_array, n * q : (n + 1) * q] = block
-
-    mean_blocks, labels = [], []
-    if shock.include_across:
-        if shock.shared_across_mean:
-            mean_blocks.append(A @ np.ones((A.shape[1], 1)))
-            labels.append(("xi_shared",))
-        else:
-            mean_blocks.append(A)
-            labels.extend(("xi", p) for p in range(part.n_subsets))
-    if shock.include_within:
-        mean_blocks.append(B)
-        labels.extend(
-            ("eta", n, p)
-            for n in range(1, lay.n_arrays + 1)
-            for p in range(part.n_subsets)
-        )
-    mean_blocks.append(C)
-    labels.extend(
-        (lbl[0], n) + lbl[1:]
-        for n in range(1, lay.n_arrays + 1)
-        for lbl in block_labels
-    )
-    M_full = np.hstack(mean_blocks)
+    A, B, C, M_full, labels = _CellRows.stacked(lay, part).design(shock, idio_variant)
 
     # keep priority: zeta block first, then eta, then xi
-    n_xi = 1 if (shock.include_across and shock.shared_across_mean) else (
-        part.n_subsets if shock.include_across else 0
-    )
-    n_eta = lay.n_arrays * part.n_subsets if shock.include_within else 0
-    priority = (
-        list(range(n_xi + n_eta, M_full.shape[1]))
-        + list(range(n_xi, n_xi + n_eta))
-        + list(range(n_xi))
-    )
+    rank = {"xi": 2, "xi_shared": 2, "eta": 1}
+    priority = sorted(range(M_full.shape[1]), key=lambda k: (rank.get(labels[k][0], 0), k))
     kept, dropped, coef, reasons = reduce_columns(M_full, priority, tol_factor)
     if not kept:
         raise DesignError("design reduced to zero columns")

@@ -166,11 +166,8 @@ def predict(
         raise NumericalError("total reserve variance is negative")
 
     grid = np.full((lay.n_arrays, lay.n_rows, lay.n_cols), np.nan)
-    k = 0
-    for m in range(fd.n_arrays):
-        for (i, j) in fd.cells:
-            grid[m, i - 1, j - 1] = x_vec[k]
-            k += 1
+    i, j = np.array(fd.cells).T
+    grid[:, i - 1, j - 1] = x_vec.reshape(fd.n_arrays, n_fut)
 
     return ForecastResult(
         y_star=y_star,

@@ -12,26 +12,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arrays import ArrayLayout
+from .arrays import ArrayLayout, diagonal_of
 from .errors import ConfigError
 
 PARTITION_KINDS = ("array", "cell", "row", "column", "diagonal")
 
 
-def _raw_label(kind: str, i: int, j: int, layout: ArrayLayout):
-    if kind == "array":
-        return 0
-    if kind == "cell":
-        return (i, j)
-    if kind == "row":
-        return i
-    if kind == "column":
-        return j
-    if kind == "diagonal":
-        return i + j - 1
-    raise ConfigError(
-        f"unknown partition kind {kind!r}; valid kinds: {', '.join(PARTITION_KINDS)}"
-    )
+def _raw_label(kind: str, i, j) -> np.ndarray:
+    """Key of the subset of each cell (i, j), one row per cell."""
+    if kind not in PARTITION_KINDS:
+        raise ConfigError(
+            f"unknown partition kind {kind!r}; valid kinds: {', '.join(PARTITION_KINDS)}"
+        )
+    keys = {"array": [0 * i], "cell": [i, j], "row": [i], "column": [j], "diagonal": [diagonal_of(i, j)]}
+    return np.stack(keys[kind], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -42,20 +36,25 @@ class Partition:
     layout: ArrayLayout
     labels: np.ndarray = field(init=False)  # per stacking position
     n_subsets: int = field(init=False)
-    _raw_to_p: dict = field(init=False, repr=False)
+    # per grid cell, -1 where the subset has no masked-in member
+    _grid: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        raw = [_raw_label(self.kind, i, j, self.layout) for (i, j) in self.layout.stacking_order]
-        seen: dict = {}
-        labels = np.empty(len(raw), dtype=int)
-        for k, r in enumerate(raw):
-            if r not in seen:
-                seen[r] = len(seen)
-            labels[k] = seen[r]
-        labels.setflags(write=False)
+        mask = self.layout.mask
+        i, j = np.indices(mask.shape) + 1
+        raw = _raw_label(self.kind, i.ravel(), j.ravel())
+        key = np.ravel_multi_index(raw.T, raw.max(axis=0) + 1).reshape(mask.shape)
+        # subsets are numbered in the order of their first cell in the stacking order
+        seen, first = np.unique(key[mask], return_index=True)
+        p_of_key = np.full(key.max() + 1, -1)
+        p_of_key[seen[np.argsort(first)]] = np.arange(seen.size)
+        grid = p_of_key[key]
+        labels = grid[mask]
+        for a in (grid, labels):
+            a.setflags(write=False)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "n_subsets", len(seen))
-        object.__setattr__(self, "_raw_to_p", seen)
+        object.__setattr__(self, "n_subsets", int(seen.size))
+        object.__setattr__(self, "_grid", grid)
 
     def p_of(self, i: int, j: int) -> int:
         """Subset index of masked-in cell (i, j)."""
@@ -64,7 +63,9 @@ class Partition:
     def label_for_grid_cell(self, i: int, j: int):
         """Subset index for any grid cell, or None when its subset has no
         masked-in member (the subset's shock never appears in the data)."""
-        return self._raw_to_p.get(_raw_label(self.kind, i, j, self.layout))
+        rows, cols = self._grid.shape
+        p = int(self._grid[i - 1, j - 1]) if 1 <= i <= rows and 1 <= j <= cols else -1
+        return None if p < 0 else p
 
 
 def build_partition(kind: str, layout: ArrayLayout) -> Partition:
@@ -74,8 +75,4 @@ def build_partition(kind: str, layout: ArrayLayout) -> Partition:
     cell, equal to the stacking position), "row", "column", and "diagonal"
     (t = i + j - 1).
     """
-    if kind not in PARTITION_KINDS:
-        raise ConfigError(
-            f"unknown partition kind {kind!r}; valid kinds: {', '.join(PARTITION_KINDS)}"
-        )
     return Partition(kind, layout)

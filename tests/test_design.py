@@ -185,6 +185,20 @@ def test_rows_for_cells_matches_design_rows(ref_fit):
     np.testing.assert_array_equal(rows, design.M)
 
 
+def test_rows_for_a_cell_generator_cover_every_array(ref_fit):
+    design = ref_fit["design"]
+    region = cs.future_cells(design.layout, 15)
+    rows = design.rows_for_cells(cell for cell in region)
+    assert rows.shape[0] == design.layout.n_arrays * len(region)
+    np.testing.assert_array_equal(rows, design.rows_for_cells(region))
+
+
+@pytest.mark.parametrize("cell", [(0, 3), (16, 2)])
+def test_shock_blocks_reject_cells_outside_the_grid(ref_fit, cell):
+    with pytest.raises(cs.DesignError, match="lies outside the grid"):
+        ref_fit["design"].shock_blocks_for_cells([cell])
+
+
 def test_rows_for_unobservable_shock_mean_raises():
     # free per-subset shock means with a diagonal partition: future diagonals
     # were never observed, so their means cannot enter a forecast

@@ -34,6 +34,21 @@ CONFIGS = {
     },
     "example48_cell": {"covariance": "example48", "partition": "cell"},
     "example48_diagonal": {"covariance": "example48", "partition": "diagonal"},
+    "hoerl_column": {"covariance": "diagonal_scalar", "partition": "column", "design": "hoerl"},
+    "hoerl_cell": {"covariance": "diagonal_scalar", "partition": "cell", "design": "hoerl"},
+    "diagonal_scalar_array": {"covariance": "diagonal_scalar", "partition": "array"},
+    "cellwise_two_level_row": {"covariance": "cellwise_two_level", "partition": "row"},
+    "diagonal_scalar_row_unshared": {
+        "covariance": "diagonal_scalar",
+        "partition": "row",
+        "shared_shock_mean": "false",
+    },
+    "diagonal_scalar_column_within_unshared": {
+        "covariance": "diagonal_scalar",
+        "partition": "column",
+        "include_within_shock": "true",
+        "shared_shock_mean": "false",
+    },
 }
 
 
