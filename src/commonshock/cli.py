@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .arrays import ClaimCollection, future_cells, stack_log
+from .arrays import ArrayLayout, ClaimCollection, future_cells, stack_log
 from .covariance import SigmaModel, structure_for
 from .design import IDIO_VARIANTS, ShockSpec, assemble
 from .errors import CommonShockError, ConfigError, DataError, DesignError, NumericalError
@@ -59,8 +59,14 @@ _COVARIANCE_CHOICES = ("cellwise_two_level", "diagonal_scalar", "example48")
 # ---------------------------------------------------------------------------
 
 def read_claims_csv(paths) -> ClaimCollection:
-    """Read one collection from one or more claim CSV files."""
-    cells = {}  # (array, i, j) -> value
+    """Read one collection from one or more claim CSV files.
+
+    Lines are parsed one at a time, so that every data error names its file
+    and line; the congruence check, the mask and the value grid are then
+    built with array indexing.
+    """
+    seen = set()  # (array, i, j) of the rows read so far
+    rows_read, values_read = [], []
     for path in paths:
         p = Path(path)
         if not p.exists():
@@ -82,43 +88,46 @@ def read_claims_csv(paths) -> ClaimCollection:
                 if len(parts) != 4:
                     raise DataError(f"{p}:{lineno}: expected 4 fields, got {len(parts)}")
                 try:
-                    n, i, j = int(parts[0]), int(parts[1]), int(parts[2])
+                    key = int(parts[0]), int(parts[1]), int(parts[2])
                     value = float(parts[3])
                 except ValueError as exc:
                     raise DataError(f"{p}:{lineno}: {exc}") from None
+                n, i, j = key
                 if i < 1 or j < 1:
                     raise DataError(
                         f"{p}:{lineno}: accident and development indices start at 1"
                     )
-                if (n, i, j) in cells:
+                if key in seen:
                     raise DataError(f"{p}:{lineno}: duplicate cell (array {n}, {i}, {j})")
-                cells[(n, i, j)] = value
+                seen.add(key)
+                rows_read.append(key)
+                values_read.append(value)
                 rows += 1
         if rows == 0:
             raise DataError(f"{p}: no data rows")
 
-    array_ids = sorted({key[0] for key in cells})
-    cell_sets = {
-        a: {(i, j) for (n, i, j) in cells if n == a} for a in array_ids
-    }
-    common = cell_sets[array_ids[0]]
-    for a in array_ids[1:]:
-        if cell_sets[a] != common:
+    # rows sorted by array, then cell: each array's cells are one slice
+    n, i, j = np.array(rows_read, dtype=np.int64).reshape(-1, 3).T
+    order = np.lexsort((j, i, n))
+    n, i, j = n[order], i[order], j[order]
+    array_ids, first, counts = np.unique(n, return_index=True, return_counts=True)
+    common = slice(0, counts[0])
+    for a, start, count in zip(array_ids[1:], first[1:], counts[1:]):
+        other = slice(start, start + count)
+        if count != counts[0] or not (
+            np.array_equal(i[other], i[common]) and np.array_equal(j[other], j[common])
+        ):
             raise DataError(
                 f"arrays are not congruent: array {a} covers different cells "
                 f"than array {array_ids[0]}"
             )
-    n_rows = max(i for (i, _) in common)
-    n_cols = max(j for (_, j) in common)
+    n_rows, n_cols = int(i[common].max()), int(j[common].max())
     mask = np.zeros((n_rows, n_cols), dtype=bool)
-    for (i, j) in common:
-        mask[i - 1, j - 1] = True
-    values = np.full((len(array_ids), n_rows, n_cols), np.nan)
-    for (n, i, j), v in cells.items():
-        values[array_ids.index(n), i - 1, j - 1] = v
-    from .arrays import ArrayLayout
-
-    return ClaimCollection(ArrayLayout(len(array_ids), n_rows, n_cols, mask), values)
+    mask[i[common] - 1, j[common] - 1] = True
+    values = np.full((array_ids.size, n_rows, n_cols), np.nan)
+    arrays = np.repeat(np.arange(array_ids.size), counts)
+    values[arrays, i - 1, j - 1] = np.array(values_read)[order]
+    return ClaimCollection(ArrayLayout(array_ids.size, n_rows, n_cols, mask), values)
 
 
 def write_claims_csv(path, collection: ClaimCollection) -> None:
@@ -454,8 +463,6 @@ def cmd_forecast(cfg, out_prefix, independence: bool = False) -> dict:
 
 
 def cmd_simulate(cfg, out_path, seed=None) -> str:
-    from .arrays import ArrayLayout
-
     n_arrays = _get_int(cfg, "n_arrays", 2)
     n_rows = _get_int(cfg, "n_rows")
     n_cols = _get_int(cfg, "n_cols")

@@ -147,6 +147,33 @@ class GammaStructure:
             out[k] = _inner(U, U if t.R is None else U @ _sym(t.R))
         return out
 
+    @cached_property
+    def identity_terms(self) -> tuple:
+        """Whether each term's D_k is the n x n identity (g g^T = I, no cell side)."""
+        return tuple(
+            t.F is None and t.R is None and np.array_equal(t.g @ t.g.T, np.eye(t.g.shape[0]))
+            for t in self.terms
+        )
+
+    def term_images(self, k: int, X):
+        """(D_k X, X^T D_k X) for X with n rows in stacking order, from term k's loadings.
+
+        With X reshaped to N x cells x m, V = L_k^T X is g_k^T along the
+        arrays and F_k^T along the cells; then D_k X = L_k R_k V and
+        X^T D_k X = V^T R_k V, so neither D_k nor L_k is formed.
+        """
+        t = self.terms[k]
+        X = np.asarray(X, dtype=float)
+        r, c, m = t.g.shape[1], self.cells, X.shape[1]
+        V = (t.g.T @ X.reshape(self.n_arrays, c * m)).reshape(r, c, m)
+        if t.F is not None:
+            V = np.matmul(t.F.T, V)
+        RV = V if t.R is None else np.matmul(_sym(t.R), V)
+        rows = r * V.shape[1]
+        gram = V.reshape(rows, m).T @ RV.reshape(rows, m)
+        Y = RV if t.F is None else np.matmul(t.F, RV)
+        return (t.g @ Y.reshape(r, c * m)).reshape(X.shape), gram
+
     def gamma_matrix(self, omega) -> np.ndarray:
         omega = self._check(omega)
         blocks = []

@@ -141,14 +141,14 @@ class _CellRows:
         B = self.within(shock.beta) if shock.include_within else np.zeros((n, 0))
         return A, B
 
-    def design(self, shock: ShockSpec, variant: str):
-        """(A, B, C, M_full, labels) with M_full = [xi | eta | zeta].
+    def design(self, shock: ShockSpec, variant: str, A=None, B=None):
+        """(C, M_full, labels) with M_full = [xi | eta | zeta].
 
         The xi block is A, or the one column of alpha when the across-array
         shock means are tied; C is block diagonal with one block per array.
+        A and B, when not given, are built only if M_full holds them.
         """
         N, P = self.layout.n_arrays, self.n_subsets
-        A, B = self.shock_blocks(shock)
         block, block_labels = self.idiosyncratic(variant)
         k, q = block.shape
         C = np.zeros((N, k, N, q))
@@ -160,14 +160,14 @@ class _CellRows:
                 mean_blocks.append(self._coefficients(shock.alpha).reshape(-1, 1))
                 labels.append(("xi_shared",))
             else:
-                mean_blocks.append(A)
+                mean_blocks.append(self.across(shock.alpha) if A is None else A)
                 labels.extend(("xi", p) for p in range(P))
         if shock.include_within:
-            mean_blocks.append(B)
+            mean_blocks.append(self.within(shock.beta) if B is None else B)
             labels.extend(("eta", n, p) for n in range(1, N + 1) for p in range(P))
         mean_blocks.append(C)
         labels.extend((lbl[0], n) + lbl[1:] for n in range(1, N + 1) for lbl in block_labels)
-        return A, B, C, np.hstack(mean_blocks), labels
+        return C, np.hstack(mean_blocks), labels
 
 
 def build_A(partition: Partition, layout: ArrayLayout, alpha=None) -> np.ndarray:
@@ -287,7 +287,7 @@ class ModelDesign:
                 "values by hand (an AR(1) extrapolation plus forecast offsets)"
             )
         rows = _CellRows(self.layout, i, j, labels, part.n_subsets)
-        return rows.design(shock, self.idio_variant)[3]
+        return rows.design(shock, self.idio_variant)[1]
 
     def rows_for_cells(self, cells) -> np.ndarray:
         """Reduced-design rows for arbitrary grid cells, array index outermost.
@@ -359,7 +359,9 @@ def assemble(
     if part.layout is not lay and part.layout.stacking_order != lay.stacking_order:
         raise ConfigError("partition was built for a different layout")
 
-    A, B, C, M_full, labels = _CellRows.stacked(lay, part).design(shock, idio_variant)
+    rows = _CellRows.stacked(lay, part)
+    A, B = rows.shock_blocks(shock)
+    C, M_full, labels = rows.design(shock, idio_variant, A, B)
 
     # keep priority: zeta block first, then eta, then xi
     rank = {"xi": 2, "xi_shared": 2, "eta": 1}

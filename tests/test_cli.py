@@ -1,11 +1,12 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import commonshock as cs
 from commonshock.cli import main, parse_config, read_claims_csv, write_claims_csv
-from commonshock.errors import ConfigError
+from commonshock.errors import ConfigError, DataError
 from commonshock.datasets import bundled_paths
 
 
@@ -294,6 +295,53 @@ class TestErrorPaths:
         write_claims_csv(data, dup)
         cfg = write_config(tmp_path / "c.cfg", data=str(data), t_max=15)
         assert main(["fit", "--config", cfg]) == 4
+
+
+HEADER = "array,accident,development,value\n"
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("header", "array,acc,development,value\n1,1,1,5\n",
+     "header.csv:1: expected header 'array,accident,development,value', "
+     "got 'array,acc,development,value'"),
+    ("fields", HEADER + "1,1,1,5\n1,1,2\n", "fields.csv:3: expected 4 fields, got 3"),
+    ("parse", HEADER + "1,1,1,5\n1, 1 , x ,20\n",
+     "parse.csv:3: invalid literal for int() with base 10: 'x'"),
+    ("index", HEADER + "1,1,1,5\n1,0,1,99\n",
+     "index.csv:3: accident and development indices start at 1"),
+    # the first bad line wins, whatever comes after it
+    ("duplicate", HEADER + "1,1,1,5\n1,1,1,7\n1,x,1,7\n",
+     "duplicate.csv:3: duplicate cell (array 1, 1, 1)"),
+    ("empty", HEADER, "empty.csv: no data rows"),
+    ("count", HEADER + "1,1,1,10\n1,1,2,20\n2,1,1,30\n",
+     "arrays are not congruent: array 2 covers different cells than array 1"),
+    ("cells", HEADER + "3,1,1,1\n3,1,2,1\n1,1,1,10\n1,1,2,20\n7,1,1,30\n7,1,3,3\n",
+     "arrays are not congruent: array 7 covers different cells than array 1"),
+])
+def test_claims_csv_error_texts(tmp_path, monkeypatch, name, text, message):
+    monkeypatch.chdir(tmp_path)
+    Path(f"{name}.csv").write_text(text)
+    with pytest.raises(DataError) as err:
+        read_claims_csv([f"{name}.csv"])
+    assert str(err.value) == message
+
+
+def test_claims_csv_duplicate_across_files(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("a.csv").write_text(HEADER + "1,1,1,5\n")
+    Path("b.csv").write_text(HEADER + "1,1,2,5\n1,1,1,5\n")
+    with pytest.raises(DataError, match=r"^b\.csv:3: duplicate cell \(array 1, 1, 1\)$"):
+        read_claims_csv(["a.csv", "b.csv"])
+
+
+def test_claims_csv_rows_in_any_order(tmp_path):
+    # arrays numbered with gaps, rows shuffled, blank lines and padded fields
+    f = tmp_path / "d.csv"
+    f.write_text(HEADER + "5,2,1,4\n1,1,3,10\n\n1,2,1,20\n5,1,3,30\n 1 , 1 , 1 , 2.5 \n5,1,1,1e3\n")
+    coll = read_claims_csv([f])
+    assert (coll.layout.n_arrays, coll.layout.n_rows, coll.layout.n_cols) == (2, 2, 3)
+    np.testing.assert_array_equal(coll.layout.mask, [[True, False, True], [True, False, False]])
+    np.testing.assert_array_equal(coll.values[:, coll.layout.mask], [[2.5, 10, 20], [1e3, 30, 4]])
 
 
 def test_claims_csv_roundtrip(tmp_path, bundled):

@@ -3,6 +3,7 @@ import pytest
 
 import commonshock as cs
 from commonshock.arrays import ArrayLayout
+import commonshock.design as design_module
 from commonshock.design import reduce_columns
 from conftest import toy_design
 
@@ -206,3 +207,20 @@ def test_rows_for_unobservable_shock_mean_raises():
     design = toy_design(lay, kind="diagonal", shared_mean=False)
     with pytest.raises(cs.DesignError, match="AR\\(1\\)"):
         design.rows_for_cells([(5, 5)])
+
+
+@pytest.mark.parametrize("kind, within", [("cell", False), ("column", True)])
+def test_tied_mean_rows_never_build_the_across_block(ref_fit, monkeypatch, kind, within):
+    # with the across-array means tied, M_full holds only the alpha column,
+    # so the per-subset across block is not built for fitted or future rows
+    lay = ref_fit["design"].layout
+    design = toy_design(lay, kind=kind, include_within=within)
+    expected = design.rows_for_cells(lay.stacking_order)
+    future = cs.future_cells(lay, 15)
+
+    def across(*_, **__):
+        raise AssertionError("the across block was built")
+
+    monkeypatch.setattr(design_module._CellRows, "across", across)
+    np.testing.assert_array_equal(design.rows_for_cells(lay.stacking_order), expected)
+    assert design.rows_for_cells(future).shape[0] == lay.n_arrays * len(future)
