@@ -31,6 +31,8 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 # _fixed_location): on the bundled data the 57 invariant configurations give
 # at most 5e-15, the other three 0.27 or more
 INVARIANCE_TOL = 1e-8
+# the generic solver stops once every free score is below this
+SCORE_TOL = 1e-9
 
 
 @dataclass
@@ -43,10 +45,8 @@ class FitResult:
     Var[kappa] = B B^T, the forecast writes its parameter error through it:
     the inverse of the triangular factor of the whitened design after a GLS
     fit, R^-1 chol(Q^T Sigma Q) after a fixed-location fit, so not always
-    triangular. ``q`` is the orthonormal factor of the whitened design
-    (Sigma^-1/2 M = q R), None after a fixed-location fit. ``omega_hat`` is
-    the vector of estimated variance components, None when the covariance
-    was supplied as known.
+    triangular. ``omega_hat`` is the vector of estimated variance
+    components, None when the covariance was supplied as known.
     """
 
     kappa_hat: np.ndarray
@@ -62,7 +62,8 @@ class FitResult:
     n_iter: int = 0
     score: np.ndarray = None
     r_inv: np.ndarray = None
-    q: np.ndarray = field(default=None, repr=False)
+    # the orthonormal factor of M, kept only by a least-squares fit (see gls_fit)
+    _q: np.ndarray = field(default=None, init=False, repr=False)
     _omega_fit: np.ndarray = field(default=None, init=False, repr=False)
 
     @property
@@ -114,7 +115,8 @@ def gls_fit(y: np.ndarray, design: ModelDesign, sigma: SigmaModel) -> FitResult:
 
     kappa = (M^T Sigma^-1 M)^-1 M^T Sigma^-1 y with variance
     (M^T Sigma^-1 M)^-1, computed from a Cholesky factor of Sigma and a QR
-    factor of the whitened design.
+    factor of the whitened design. A fit at Sigma = I, where the whitened
+    design is M itself, keeps that factor for the fixed-location test.
     """
     y, M, labels, design_ref = _design_parts(y, design)
     if sigma.n != y.size:
@@ -135,7 +137,6 @@ def gls_fit(y: np.ndarray, design: ModelDesign, sigma: SigmaModel) -> FitResult:
             sigma=sigma,
             design=design_ref,
             labels=labels,
-            q=np.zeros((y.size, 0)),
         )
 
     W = sigma.whiten(M)
@@ -146,7 +147,7 @@ def gls_fit(y: np.ndarray, design: ModelDesign, sigma: SigmaModel) -> FitResult:
     y_hat = M @ kappa
     d = y - y_hat
     wd = wy - W @ kappa
-    return FitResult(
+    fit = FitResult(
         kappa_hat=kappa,
         var_kappa=var_kappa,
         r_inv=rinv,
@@ -157,8 +158,10 @@ def gls_fit(y: np.ndarray, design: ModelDesign, sigma: SigmaModel) -> FitResult:
         sigma=sigma,
         design=design_ref,
         labels=labels,
-        q=q,
     )
+    if np.array_equal(W, M):
+        fit._q = q
+    return fit
 
 
 @dataclass(frozen=True)
@@ -218,11 +221,10 @@ def _fixed_location(y, design, structure: GammaStructure, ols: FitResult = None)
     """
     y, M, labels, design_ref = _design_parts(y, design)
     m = M.shape[1]
-    if ols is not None:
-        q, kappa, r_inv = ols.q, ols.kappa_hat, ols.r_inv
+    if ols is not None and ols._q is not None:
+        q, kappa, r_inv = ols._q, ols.kappa_hat, ols.r_inv
     else:
-        q, r = _factor(M, labels)
-        kappa = solve_triangular(r, q.T @ y)
+        q, r, kappa = _least_squares(y, M, labels)
         r_inv = solve_triangular(r, np.eye(m))
     blocks = []
     Z = np.random.default_rng(0).standard_normal((m, 4))
@@ -239,6 +241,12 @@ def _fixed_location(y, design, structure: GammaStructure, ols: FitResult = None)
     return _FixedLocation(M, labels, design_ref, kappa, y_hat, y - y_hat, r_inv, tuple(blocks))
 
 
+def _least_squares(y, M, labels) -> tuple:
+    """(q, r, kappa) of the least-squares fit of y on M, with M = q r."""
+    q, r = _factor(M, labels)
+    return q, r, solve_triangular(r, q.T @ y)
+
+
 def _fit_at(y, design, sigma: SigmaModel, location: _FixedLocation = None) -> FitResult:
     """The fit at ``sigma``: from the fixed location where there is one, else by GLS."""
     return gls_fit(y, design, sigma) if location is None else location.fit(sigma)
@@ -251,21 +259,35 @@ def profile_score(
 
     Component k is -tr(Sigma^-1 dSigma_k)/2 + (Sigma^-1 d)^T dSigma_k
     (Sigma^-1 d)/2 evaluated at d = y - M kappa(omega). ``fit``, when given,
-    is the GLS fit at ``omega``, and its factor of Sigma is used instead of
-    a new one; a fit at another point raises DesignError. Without it the
-    location is fitted as the solvers fit it: once by least squares where
-    span(M) is invariant under every D_k, else by GLS at ``omega``.
+    is the fit at ``omega``, and its factor of Sigma is used instead of a
+    new one; a fit at another point raises DesignError.
+
+    Without it the location is the GLS fit at ``omega``, so the score does
+    not rest on the solvers' invariance test. Where the least-squares
+    residual gives the same score to within 1e-10 of each trace term, as it
+    does when span(M) is invariant under every D_k, that score is returned
+    instead: it is the score a solver on the fixed location stops on, to the
+    last bit.
     """
     if fit is None:
-        sigma = SigmaModel(structure, omega)
-        fit = _fit_at(y, design, sigma, _fixed_location(y, design, structure))
-    elif not np.array_equal(fit.sigma.omega, np.ravel(omega)):
+        fit = gls_fit(y, design, SigmaModel(structure, omega))
+        traces = fit.sigma.term_traces()
+        score = _score(fit.sigma, traces, fit.residual)
+        y, M, labels, _ = _design_parts(y, design)
+        kappa = _least_squares(y, M, labels)[2]
+        ls = _score(fit.sigma, traces, y - M @ kappa)
+        return ls if np.all(np.abs(ls - score) <= 1e-10 * np.abs(traces)) else score
+    if not np.array_equal(fit.sigma.omega, np.ravel(omega)):
         raise DesignError(
             f"the given fit is at omega = {fit.sigma.omega.tolist()}, "
             f"not at {np.ravel(omega).tolist()}"
         )
-    e = fit.sigma.solve(fit.residual)
-    return -0.5 * fit.sigma.term_traces() + 0.5 * fit.sigma.structure.quadratic_forms(e)
+    return _score(fit.sigma, fit.sigma.term_traces(), fit.residual)
+
+
+def _score(sigma: SigmaModel, traces: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """-tr(Sigma^-1 D_k)/2 + (Sigma^-1 d)^T D_k (Sigma^-1 d)/2 for every k."""
+    return -0.5 * traces + 0.5 * sigma.structure.quadratic_forms(sigma.solve(d))
 
 
 def ml_dispersion_generic(
@@ -273,7 +295,7 @@ def ml_dispersion_generic(
     design: ModelDesign,
     structure: GammaStructure,
     init_omega,
-    tol: float = 1e-9,
+    tol: float = SCORE_TOL,
     max_iter: int = 200,
     free_mask=None,
 ) -> FitResult:
@@ -293,18 +315,25 @@ def ml_dispersion_generic(
     When span(M) is invariant under every D_k the location is fitted once
     and a trial point costs one factor of Sigma, with no QR; otherwise each
     trial point is a GLS fit. A start that needs no step is returned as its
-    GLS fit either way.
+    GLS fit either way, which on an invariant design is a second QR.
     """
-    y = np.asarray(y, dtype=float).ravel()
     omega = np.asarray(init_omega, dtype=float).ravel().copy()
     if omega.size != structure.n_params:
         raise NumericalError(
             f"init_omega needs {structure.n_params} components {structure.omega_names}"
         )
-    zero_allowed = np.asarray(structure.zero_allowed, dtype=bool)
-    if np.any(omega[~zero_allowed] <= 0):
+    if np.any(omega[~np.asarray(structure.zero_allowed, dtype=bool)] <= 0):
         raise NumericalError("initial values must be strictly positive")
+    location = _fixed_location(y, design, structure)
+    return _scoring(y, design, structure, omega, location, tol, max_iter, free_mask)
+
+
+def _scoring(y, design, structure, omega, location, tol, max_iter, free_mask) -> FitResult:
+    """The projected Fisher scoring of ml_dispersion_generic from ``omega``,
+    on the fixed ``location`` where there is one."""
+    y = np.asarray(y, dtype=float).ravel()
     free = np.ones(omega.size, dtype=bool) if free_mask is None else np.asarray(free_mask, bool)
+    zero_allowed = np.asarray(structure.zero_allowed, dtype=bool)
     lower = np.where(zero_allowed, 0.0, 1e-14 * max(float(np.var(y)), 1e-12))
 
     def fail(message):
@@ -312,7 +341,6 @@ def ml_dispersion_generic(
             message, last_omega=omega.copy(), score_norm=float(np.max(np.abs(score[free])))
         )
 
-    location = _fixed_location(y, design, structure)
     fit = _fit_at(y, design, SigmaModel(structure, omega), location)
     score = profile_score(y, design, structure, omega, fit=fit)
     n_iter = 0
@@ -436,9 +464,9 @@ def ml_dispersion_cellwise(
     step: when span(M) is invariant under both terms of Sigma, as it is for
     designs whose shock coefficients are uniform across arrays, d is the GLS
     residual at every omega. A design without that invariance, reachable
-    through non-uniform alpha or beta tables, goes to
-    ``ml_dispersion_generic`` started at the closed-form point, at most
-    ``max_iter`` iterations. ``tol`` is no longer read: the step on a
+    through non-uniform alpha or beta tables, goes to the scoring of
+    ``ml_dispersion_generic``, with no second invariance test, started at
+    the closed-form point, at most ``max_iter`` iterations. ``tol`` is no longer read: the step on a
     fixed location is exact, and the generic solver keeps its own score
     tolerance.
     """
@@ -454,7 +482,7 @@ def ml_dispersion_cellwise(
     omega = np.array([s2, v2])
     location = _fixed_location(y, design, structure, ols)
     if location is None:
-        return ml_dispersion_generic(y, design, structure, omega, max_iter=max_iter)
+        return _scoring(y, design, structure, omega, None, SCORE_TOL, max_iter, None)
     fit = location.fit(SigmaModel(structure, omega), variance=True)
     fit.omega_hat = omega
     fit.n_iter = 1

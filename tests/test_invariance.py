@@ -163,11 +163,50 @@ def test_generic_solver_on_an_invariant_design_makes_one_qr(ref_fit, qr_shapes, 
     else:
         structure = DiagonalScalar(design.A)
     fit = cs.ml_dispersion_generic(ref_fit["y"], design, structure, [0.01] * structure.n_params)
-    assert fit.n_iter >= 1
+    assert fit.n_iter >= 1  # this start steps; a start that does not is the next test
     assert qr_shapes == [design.M.shape]
     want = cs.gls_fit(ref_fit["y"], design, fit.sigma)
     np.testing.assert_allclose(fit.var_kappa, want.var_kappa, rtol=1e-10, atol=1e-14)
     assert fit.loglik == pytest.approx(want.loglik, rel=1e-12)
+
+
+def test_generic_solver_start_that_needs_no_step_is_its_gls_fit(ref_fit, qr_shapes):
+    # the invariance test's factor of M, then gls_fit's whitened factor: a
+    # start that needs no step costs two QRs, not one
+    y, design = ref_fit["y"], ref_fit["design"]
+    structure = CellwiseTwoLevel(2, design.layout.cells_per_array)
+    fit = cs.ml_dispersion_generic(y, design, structure, [0.01, 0.01], free_mask=[False, False])
+    assert fit.n_iter == 0
+    assert qr_shapes == [design.M.shape, design.M.shape]
+    assert fit.loglik == cs.gls_fit(y, design, fit.sigma).loglik
+
+
+def test_profile_score_without_a_fit_does_not_test_invariance(ref_fit, bundled, monkeypatch):
+    # the score the solver checks measure against is the GLS one, whatever
+    # the invariance test decides
+    def untested(*_):
+        raise AssertionError("profile_score used the solvers' invariance test")
+
+    monkeypatch.setattr(estimation, "_fixed_location", untested)
+    y, design = ref_fit["y"], ref_fit["design"]
+    structure = CellwiseTwoLevel(2, design.layout.cells_per_array)
+    omega = ref_fit["fit"].omega_hat
+    sigma = cs.SigmaModel(structure, omega)
+    gls = cs.profile_score(y, design, structure, omega, fit=cs.gls_fit(y, design, sigma))
+    np.testing.assert_allclose(
+        cs.profile_score(y, design, structure, omega), gls,
+        rtol=0.0, atol=1e-10 * np.abs(sigma.term_traces()).max(),
+    )
+    # where least squares moves the score, the GLS score is returned as is
+    coll = bundled.restrict_to_diagonals(15)
+    design = toy_design(coll.layout, kind="diagonal")
+    structure = DiagonalScalar(design.A)
+    y = cs.stack_log(coll)
+    sigma = cs.SigmaModel(structure, [0.01, 0.02])
+    np.testing.assert_array_equal(
+        cs.profile_score(y, design, structure, [0.01, 0.02]),
+        cs.profile_score(y, design, structure, [0.01, 0.02], fit=cs.gls_fit(y, design, sigma)),
+    )
 
 
 def test_generic_solver_on_a_moving_design_fits_each_point(bundled, qr_shapes):
@@ -178,6 +217,7 @@ def test_generic_solver_on_a_moving_design_fits_each_point(bundled, qr_shapes):
     # the invariance test's factor, then one whitened factor per point visited
     assert len(qr_shapes) >= fit.n_iter + 2
     assert qr_shapes[0] == design.M.shape
+    assert fit._q is None  # no n x m factor outlives the solve
 
 
 def test_closed_form_path_on_a_moving_design(bundled):
@@ -193,7 +233,17 @@ def test_closed_form_path_on_a_moving_design(bundled):
     y = cs.stack_log(coll)
     structure = CellwiseTwoLevel(2, lay.cells_per_array)
     assert estimation._fixed_location(y, design, structure) is None
-    fit = cs.ml_dispersion_cellwise(y, design)
+    tests = []
+    fixed_location = estimation._fixed_location
+
+    def counted(*args):
+        tests.append(1)
+        return fixed_location(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(estimation, "_fixed_location", counted)
+        fit = cs.ml_dispersion_cellwise(y, design)
+    assert len(tests) == 1  # the generic solver does not test invariance again
     gen = cs.ml_dispersion_generic(y, design, structure, [0.01, 0.01])
     np.testing.assert_allclose(fit.omega_hat, gen.omega_hat, rtol=1e-8)
     assert np.max(np.abs(fit.score)) < 1e-9
