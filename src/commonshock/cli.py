@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .arrays import ArrayLayout, ClaimCollection, future_cells, stack_log
+from .arrays import ArrayLayout, ClaimCollection, diagonal_of, future_cells, stack_log
 from .covariance import SigmaModel, structure_for
 from .design import IDIO_VARIANTS, ShockSpec, assemble
 from .errors import CommonShockError, ConfigError, DataError, DesignError, NumericalError
@@ -238,7 +238,8 @@ def _build_model(cfg):
     and shock specification travel on ``design.shock``.
     """
     full = _load_collection(cfg)
-    observed_tmax = max(i + j - 1 for (i, j) in full.layout.stacking_order)
+    rows, cols = np.nonzero(full.layout.mask)
+    observed_tmax = int(diagonal_of(rows + 1, cols + 1).max())
     t_max = _get_int(cfg, "t_max", observed_tmax)
     fit_coll = full.restrict_to_diagonals(t_max) if t_max < observed_tmax else full
 

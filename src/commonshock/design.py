@@ -299,7 +299,8 @@ class ModelDesign:
         """
         cells = tuple(cells)
         kept = list(self.kept)
-        drop_idx = [k for k, _ in enumerate(self.full_labels) if k not in set(kept)]
+        kept_set = set(kept)
+        drop_idx = [k for k in range(len(self.full_labels)) if k not in kept_set]
         full = self.full_rows_for_cells(cells)
         if drop_idx and full.shape[0]:
             mismatch = full[:, drop_idx] - full[:, kept] @ self.coef

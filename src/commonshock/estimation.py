@@ -11,8 +11,8 @@ When span(M) is invariant under every term D_k = dSigma/domega_k, GLS equals
 ordinary least squares at every omega (Kruskal 1968): the location and its
 residual d are fitted once, from one QR factor M = Q R, and a trial point
 costs one factor of Sigma. For the two-array cell-matched structure the
-dispersion is then the closed-form root of a quadratic in the variance ratio,
-taken on d as the exact step.
+dispersion is then in closed form: d splits into the sum and difference of
+its two arrays, whose squared norms give the ML variances.
 """
 
 from __future__ import annotations
@@ -72,12 +72,6 @@ class FitResult:
             self._omega_fit = self.M @ self.var_kappa @ self.M.T
         return self._omega_fit
 
-    @property
-    def residual_by_array(self) -> list:
-        """Residual vector split into per-array pieces (stacking order)."""
-        n = self.design.layout.n_arrays if self.design is not None else 1
-        return list(self.residual.reshape(n, -1))
-
 
 def _loglik(n: int, logdet: float, quad: float) -> float:
     return -0.5 * (n * LOG_2PI + logdet + quad)
@@ -123,22 +117,6 @@ def gls_fit(y: np.ndarray, design: ModelDesign, sigma: SigmaModel) -> FitResult:
         raise DesignError("covariance dimension does not match the data")
 
     wy = sigma.whiten(y)
-    if M.shape[1] == 0:
-        d = y
-        quad = float(wy @ wy)
-        return FitResult(
-            kappa_hat=np.zeros(0),
-            var_kappa=np.zeros((0, 0)),
-            r_inv=np.zeros((0, 0)),
-            y_hat=np.zeros_like(y),
-            M=M,
-            residual=d,
-            loglik=_loglik(y.size, sigma.logdet(), quad),
-            sigma=sigma,
-            design=design_ref,
-            labels=labels,
-        )
-
     W = sigma.whiten(M)
     q, r = _factor(W, labels)
     kappa = solve_triangular(r, q.T @ wy)
@@ -385,23 +363,23 @@ def _scoring(y, design, structure, omega, location, tol, max_iter, free_mask) ->
     return fit
 
 
-def ml_dispersion_cellwise_closed_form(d1, d2, cells: int = None):
+def ml_dispersion_cellwise_closed_form(d1, d2):
     """Closed-form ML variance components from two arrays' residuals.
 
-    With a = |d1 - d2|^2, s = |d1 + d2|^2 and c = <d1, d2>, the variance
-    ratio r = sigma2/v2 solves 2 a r^2 - (s - 2a) r - 2c = 0; the positive
-    root is taken (r = 0 when none exists, the no-shock boundary), then
-    v2 = s / (2 cells (2r + 1)) and sigma2 = r v2. When both roots are
-    positive the one with the higher profile log-likelihood wins.
+    In each cell the pair (d1, d2) has variance 2 sigma2 + v2 along the sum
+    direction (1, 1) and v2 along the difference direction (1, -1), so with
+    k = len(d1), a = |d1 - d2|^2 and c = <d1, d2> the likelihood is
+    maximised by sigma2 = c / k and v2 = a / (2k) when c > 0. Otherwise the
+    maximum sits on the no-shock boundary sigma2 = 0, where the two
+    directions share v2 = (|d1|^2 + |d2|^2) / (2k).
 
-    Returns (sigma2, v2, r).
+    Returns (sigma2, v2, r) with r = sigma2 / v2.
     """
     d1 = np.asarray(d1, dtype=float).ravel()
     d2 = np.asarray(d2, dtype=float).ravel()
     if d1.size != d2.size:
         raise NumericalError("residual vectors must have equal length")
-    if cells is None:
-        cells = d1.size
+    k = d1.size
     a = float((d1 - d2) @ (d1 - d2))
     s = float((d1 + d2) @ (d1 + d2))
     c = float(d1 @ d2)
@@ -419,56 +397,24 @@ def ml_dispersion_cellwise_closed_form(d1, d2, cells: int = None):
             "residual vectors are exact negatives; the shared-shock structure is "
             "degenerate"
         )
-
-    # stable quadratic roots for 2a r^2 - (s - 2a) r - 2c = 0
-    qa, qb, qc = 2.0 * a, -(s - 2.0 * a), -2.0 * c
-    disc = qb * qb - 4.0 * qa * qc
-    roots = []
-    if disc >= 0.0:
-        sq = np.sqrt(disc)
-        qq = -0.5 * (qb + np.copysign(sq, qb if qb != 0 else 1.0))
-        if qq != 0.0:
-            roots = [qq / qa, qc / qq]
-        else:
-            roots = [0.0]
-    positive = sorted({r for r in roots if r > 0.0})
-
-    def v2_of(r):
-        return s / (2.0 * cells * (2.0 * r + 1.0))
-
-    if not positive:
-        r_hat = 0.0
-    elif len(positive) == 1:
-        r_hat = positive[0]
-    else:
-        def ll(r):
-            v2 = v2_of(r)
-            s2 = r * v2
-            logdet = cells * (np.log(2.0 * s2 + v2) + np.log(v2))
-            quad = ((s2 + v2) * norm2 - 2.0 * s2 * c) / (v2 * (2.0 * s2 + v2))
-            return -0.5 * (logdet + quad)
-
-        r_hat = max(positive, key=ll)
-
-    v2_hat = v2_of(r_hat)
-    return r_hat * v2_hat, v2_hat, r_hat
+    if c <= 0.0:
+        return 0.0, norm2 / (2.0 * k), 0.0
+    sigma2, v2 = c / k, a / (2.0 * k)
+    return sigma2, v2, sigma2 / v2
 
 
-def ml_dispersion_cellwise(
-    y, design: ModelDesign, tol: float = 1e-10, max_iter: int = 100
-) -> FitResult:
+def ml_dispersion_cellwise(y, design: ModelDesign, max_iter: int = 100) -> FitResult:
     """Closed-form dispersion path for two arrays with cell-matched shocks.
 
     The least-squares fit (the GLS fit at the identity start omega = (0, 1))
-    gives the residual d, and the closed-form root on d is the exact ML
-    step: when span(M) is invariant under both terms of Sigma, as it is for
-    designs whose shock coefficients are uniform across arrays, d is the GLS
-    residual at every omega. A design without that invariance, reachable
-    through non-uniform alpha or beta tables, goes to the scoring of
-    ``ml_dispersion_generic``, with no second invariance test, started at
-    the closed-form point, at most ``max_iter`` iterations. ``tol`` is no longer read: the step on a
-    fixed location is exact, and the generic solver keeps its own score
-    tolerance.
+    gives the residual d, and the closed form on d's two halves is the
+    exact ML point, the no-shock boundary included: when span(M) is
+    invariant under both terms of Sigma, as it is for designs whose shock
+    coefficients are uniform across arrays, d is the GLS residual at every
+    omega. A design without that invariance, reachable through non-uniform
+    alpha or beta tables, goes to the scoring of ``ml_dispersion_generic``,
+    with no second invariance test, started at the closed-form point, at
+    most ``max_iter`` iterations.
     """
     lay = design.layout
     if lay.n_arrays != 2:
@@ -476,9 +422,7 @@ def ml_dispersion_cellwise(
     cells = lay.cells_per_array
     structure = CellwiseTwoLevel(2, cells)
     ols = gls_fit(y, design, SigmaModel(structure, [0.0, 1.0]))
-    s2, v2, _ = ml_dispersion_cellwise_closed_form(
-        ols.residual[:cells], ols.residual[cells:], cells
-    )
+    s2, v2, _ = ml_dispersion_cellwise_closed_form(ols.residual[:cells], ols.residual[cells:])
     omega = np.array([s2, v2])
     location = _fixed_location(y, design, structure, ols)
     if location is None:

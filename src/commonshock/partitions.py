@@ -18,8 +18,12 @@ from .errors import ConfigError
 PARTITION_KINDS = ("array", "cell", "row", "column", "diagonal")
 
 
-def _raw_label(kind: str, i, j) -> np.ndarray:
-    """Key of the subset of each cell (i, j), one row per cell."""
+def subset_key(kind: str, i, j) -> np.ndarray:
+    """Key of the subset of each cell (i, j), one row per cell.
+
+    The key is the subset's own identity (its row, column, diagonal or cell
+    coordinates), independent of masking and of the relabelling to 0..P-1.
+    """
     if kind not in PARTITION_KINDS:
         raise ConfigError(
             f"unknown partition kind {kind!r}; valid kinds: {', '.join(PARTITION_KINDS)}"
@@ -42,7 +46,7 @@ class Partition:
     def __post_init__(self):
         mask = self.layout.mask
         i, j = np.indices(mask.shape) + 1
-        raw = _raw_label(self.kind, i.ravel(), j.ravel())
+        raw = subset_key(self.kind, i.ravel(), j.ravel())
         key = np.ravel_multi_index(raw.T, raw.max(axis=0) + 1).reshape(mask.shape)
         # subsets are numbered in the order of their first cell in the stacking order
         seen, first = np.unique(key[mask], return_index=True)

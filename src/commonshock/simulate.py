@@ -16,7 +16,7 @@ import numpy as np
 
 from .arrays import ArrayLayout, ClaimCollection
 from .errors import ConfigError
-from .partitions import PARTITION_KINDS, Partition
+from .partitions import PARTITION_KINDS, Partition, subset_key
 
 ROUNDING_MODES = ("none", "integer")
 
@@ -24,22 +24,9 @@ _SHOCK_STREAM = 0
 _IDIO_STREAM = 1
 
 
-def _normal_draw(seed: int, stream: int, a: int, b: int, c: int = 0) -> float:
+def _normal_draw(seed: int, stream: int, a: int, b: int = 0, c: int = 0) -> float:
     bits = np.random.Philox(key=np.uint64(seed), counter=[stream, a, b, c])
     return float(np.random.Generator(bits).standard_normal())
-
-
-def _shock_key(kind: str, i: int, j: int):
-    # identity of the subset's shock, independent of masking and relabelling
-    if kind == "cell":
-        return i, j
-    if kind == "array":
-        return 0, 0
-    if kind == "row":
-        return i, 0
-    if kind == "column":
-        return j, 0
-    return i + j - 1, 0  # diagonal
 
 
 @dataclass(frozen=True)
@@ -88,26 +75,32 @@ class SimSpec:
 def simulate(spec: SimSpec) -> ClaimCollection:
     """Generate one collection from the spec, bit-reproducible from the seed.
 
-    Shock draws are keyed by the subset's own identity (its row, column,
-    diagonal, or cell coordinates), not its position, so a cell receives the
-    same draws in any layout that contains it. Integer rounding floors at 1
-    to keep every cell positive.
+    Each subset's shock is drawn once, keyed by the subset's own identity
+    (``partitions.subset_key``: its row, column, diagonal, or cell
+    coordinates), not its position, so a cell receives the same draws in
+    any layout that contains it. Integer rounding floors at 1 to keep every
+    cell positive.
     """
     lay = spec.layout
     kind_id = PARTITION_KINDS.index(spec.partition_kind)
+    rows, cols = np.nonzero(lay.mask)
+    keys, subset = np.unique(
+        subset_key(spec.partition_kind, rows + 1, cols + 1), axis=0, return_inverse=True
+    )
+    shock_log = [
+        spec.shock_mean_log
+        + spec.shock_sd * _normal_draw(spec.seed, _SHOCK_STREAM, kind_id, *map(int, key))
+        for key in keys
+    ]
     values = np.full((lay.n_arrays, lay.n_rows, lay.n_cols), np.nan)
     for n in range(lay.n_arrays):
-        for (i, j) in lay.stacking_order:
-            a, b = _shock_key(spec.partition_kind, i, j)
-            shock_log = spec.shock_mean_log + spec.shock_sd * _normal_draw(
-                spec.seed, _SHOCK_STREAM, kind_id, a, b
-            )
+        for p, (i, j) in zip(subset.ravel(), lay.stacking_order):
             z_log = (
                 np.log(spec.row_effects[n, i - 1])
                 + np.log(spec.col_effects[n, j - 1])
                 + spec.idio_sd * _normal_draw(spec.seed, _IDIO_STREAM, n + 1, i, j)
             )
-            x = np.exp(shock_log + z_log)
+            x = np.exp(shock_log[p] + z_log)
             if spec.rounding == "integer":
                 x = max(1.0, float(np.rint(x)))
             values[n, i - 1, j - 1] = x
@@ -147,7 +140,7 @@ def balance_diagnostic(partition: Partition, shock_values, z_values, alpha=None)
         raise ConfigError("shock draws must be positive")
     z = np.asarray(z_values, dtype=float)
     if z.shape == (lay.n_rows, lay.n_cols):
-        z = np.array([z[i - 1, j - 1] for (i, j) in lay.stacking_order])
+        z = z[lay.mask]
     z = z.ravel()
     if z.size != lay.cells_per_array:
         raise ConfigError("need one idiosyncratic value per masked-in cell")

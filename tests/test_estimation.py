@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -45,6 +47,25 @@ class TestGlsFit:
         structure = CellwiseTwoLevel(1, 8)
         with pytest.raises(cs.DesignError, match=r"aliased columns: \['column_2'\]"):
             cs.gls_fit(rng.normal(size=8), M, cs.SigmaModel(structure, [0.0, 1.0]))
+
+    def test_design_without_columns(self):
+        # no location to fit: the residual is y itself and the log-likelihood
+        # is the plain Gaussian density of y under Sigma
+        rng = np.random.default_rng(5)
+        y = rng.normal(size=6)
+        for structure, omega in (
+            (CellwiseTwoLevel(2, 3), [0.2, 0.5]),
+            (DiagonalScalar(rng.normal(size=(6, 2))), [0.3, 0.4]),
+        ):
+            model = cs.SigmaModel(structure, omega)
+            fit = cs.gls_fit(y, np.zeros((6, 0)), model)
+            assert np.array_equal(fit.residual, y)
+            sigma = structure.sigma(omega)
+            want = -0.5 * (
+                6 * np.log(2 * np.pi) + np.linalg.slogdet(sigma)[1] + y @ np.linalg.solve(sigma, y)
+            )
+            assert fit.loglik == pytest.approx(want, rel=1e-12)
+            assert fit.kappa_hat.shape == (0,) and fit.var_kappa.shape == (0, 0)
 
     def test_reference_location_estimates(self, ref_fit):
         table = cs.chain_ladder_effect_table(ref_fit["fit"])
@@ -198,8 +219,9 @@ class TestClosedForm:
         assert len(calls) <= 2
 
     def test_boundary_at_zero_shock(self):
-        # simulated with no shared shock: the positive root disappears in
-        # most replicates and the shock variance clamps to zero
+        # simulated with no shared shock: the residual halves are not
+        # positively correlated in most replicates, and the shock variance
+        # sits on its zero boundary
         lay = ArrayLayout.full(2, 4, 4)
         design = toy_design(lay)
         sigma2_hats, v2_hats = [], []
@@ -229,7 +251,7 @@ class TestGenericSolver:
             y = cs.stack_log(coll)
             closed = cs.ml_dispersion_cellwise(y, design)
             if closed.omega_hat[0] == 0.0:
-                continue  # boundary case: the oracle equivalence is interior-only
+                continue  # boundary case: see test_boundary_oracle_equivalence
             gen = cs.ml_dispersion_generic(y, design, structure, [0.01, 0.01])
             np.testing.assert_allclose(gen.omega_hat, closed.omega_hat, rtol=1e-8)
 
@@ -242,10 +264,10 @@ class TestGenericSolver:
         assert fit.loglik >= start - 1e-9
 
     def test_boundary_clamp_is_exact_zero(self):
-        # when the quadratic has no positive root the generic solver lands on
-        # the boundary exactly; its noise variance is then the plain MLE
-        # |d|^2 / (2 cells), which the spec'd closed-form expression for the
-        # interior case does not reproduce (agreement is interior-only)
+        # when the residual halves are not positively correlated the generic
+        # solver lands on the boundary exactly; its noise variance is then
+        # the plain MLE |d|^2 / (2 cells), which the closed form also returns
+        # there (test_boundary_oracle_equivalence)
         lay = ArrayLayout.full(2, 4, 4)
         design = toy_design(lay)
         structure = CellwiseTwoLevel(2, 16)
@@ -262,6 +284,24 @@ class TestGenericSolver:
             d = gen.residual
             assert gen.omega_hat[1] == pytest.approx(float(d @ d) / d.size, rel=1e-8)
         assert found_boundary
+
+    def test_boundary_oracle_equivalence(self):
+        # the seeds of test_boundary_clamp_is_exact_zero: where the closed
+        # form sits on sigma2 = 0 the generic solver reaches the same point
+        lay = ArrayLayout.full(2, 4, 4)
+        design = toy_design(lay)
+        structure = CellwiseTwoLevel(2, 16)
+        boundary = 0
+        for seed in (3, 7, 19, 23):
+            y = cs.stack_log(simulate_two_level(lay, sigma=0.0, v=0.2, seed=seed))
+            closed = cs.ml_dispersion_cellwise(y, design)
+            if closed.omega_hat[0] != 0.0:
+                continue
+            boundary += 1
+            gen = cs.ml_dispersion_generic(y, design, structure, [0.01, 0.01])
+            np.testing.assert_allclose(gen.omega_hat, closed.omega_hat, rtol=1e-8)
+            assert math.isclose(gen.loglik, closed.loglik, rel_tol=1e-10, abs_tol=1e-10)
+        assert boundary
 
     def test_one_factorization_per_point(self, monkeypatch):
         y, design, _ = small_fit_inputs(seed=11)
@@ -493,3 +533,54 @@ def test_score_and_information_match_dense_reference(family, n_arrays, cells, de
     np.testing.assert_allclose(model.information(), info, rtol=1e-10, atol=1e-10 * np.abs(info).max())
     idx = [k for k in range(structure.n_params) if data.draw(st.booleans())]
     np.testing.assert_array_equal(model.information(idx), model.information()[np.ix_(idx, idx)])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    k=st.integers(1, 40),
+    scale=st.sampled_from([1e-2, 0.1, 1.0, 10.0]),
+    ratio=st.sampled_from([0.05, 0.5, 1.0, 3.0]),
+    sign=st.sampled_from(["positive", "zero", "negative"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_closed_form_is_the_ml_point(k, scale, ratio, sign, seed):
+    # the closed form against the generic solver on y = [d1; d2] with no
+    # location, inside the parameter space and on its sigma2 = 0 boundary.
+    # Residuals of norm scale sqrt(k), with d1 - d2 kept away from zero,
+    # keep omega off the sizes where the solver's absolute score tolerance
+    # drowns in rounding
+    rng = np.random.default_rng(seed)
+
+    def direction(size):
+        x = rng.normal(size=size)
+        return scale * np.sqrt(k) * x / np.linalg.norm(x) if size else x
+
+    if sign == "zero":
+        # disjoint supports: <d1, d2> = 0 exactly (d2 = 0 when k = 1)
+        h = max(k // 2, 1)
+        d1 = np.concatenate([direction(h), np.zeros(k - h)])
+        d2 = np.concatenate([np.zeros(h), ratio * direction(k - h)])
+    else:
+        d1 = direction(k)
+        # noise orthogonal to d1 fixes the sign of <d1, d2>
+        z = rng.normal(size=k)
+        z -= (z @ d1) / (d1 @ d1) * d1
+        noise = scale * np.sqrt(k) * z / np.linalg.norm(z) if k > 1 else np.zeros(1)
+        d2 = ratio * ((0.8 if sign == "positive" else -0.8) * d1 + noise)
+    c = float(d1 @ d2)
+    assert np.sign(c) == {"positive": 1.0, "zero": 0.0, "negative": -1.0}[sign]
+    s2, v2, r = cs.ml_dispersion_cellwise_closed_form(d1, d2)
+    assert r == s2 / v2
+    if c <= 0.0:
+        assert s2 == 0.0
+        assert v2 == pytest.approx((d1 @ d1 + d2 @ d2) / (2 * k), rel=1e-14)
+
+    y = np.concatenate([d1, d2])
+    empty = np.zeros((2 * k, 0))
+    structure = CellwiseTwoLevel(2, k)
+    gen = cs.ml_dispersion_generic(y, empty, structure, [0.01, 0.01])
+    closed = cs.gls_fit(y, empty, cs.SigmaModel(structure, [s2, v2]))
+    # at c = 0 the sigma2 score vanishes on the boundary, so the solver may
+    # stop at a sigma2 of rounding size: compare on the scale of omega
+    np.testing.assert_allclose(gen.omega_hat, [s2, v2], rtol=1e-8, atol=1e-8 * v2)
+    assert math.isclose(gen.loglik, closed.loglik, rel_tol=1e-10, abs_tol=1e-10)
