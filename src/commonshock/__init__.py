@@ -3,8 +3,8 @@
 Fit collections of claim arrays whose logged cells follow a linear model
 with shared shock components, estimate the location parameters by GLS and
 the variance components by maximum likelihood (closed form for the
-two-array cell-matched case), and forecast loss reserves with the full
-predictive covariance.
+cell-matched case on any number of arrays), and forecast loss reserves with
+the full predictive covariance.
 """
 
 from .arrays import (

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .arrays import ArrayLayout, ClaimCollection, diagonal_of, future_cells, stack_log
-from .covariance import SigmaModel, structure_for
+from .covariance import STRUCTURE_KINDS, SigmaModel, structure_for
 from .design import IDIO_VARIANTS, ShockSpec, assemble
 from .errors import CommonShockError, ConfigError, DataError, DesignError, NumericalError
 from .estimation import (
@@ -50,8 +50,6 @@ _KNOWN_KEYS = {
 }
 # per-array keys, arrays numbered from 1
 _ARRAY_KEY = re.compile(r"(row_effects|col_effects|tau2|v2)_[1-9][0-9]*")
-
-_COVARIANCE_CHOICES = ("cellwise_two_level", "diagonal_scalar", "example48")
 
 
 # ---------------------------------------------------------------------------
@@ -264,47 +262,37 @@ def _fit_from_config(cfg):
     y = stack_log(fit_coll)
 
     structure = structure_for(
-        _get_choice(cfg, "covariance", _COVARIANCE_CHOICES, "cellwise_two_level"),
+        _get_choice(cfg, "covariance", STRUCTURE_KINDS, "cellwise_two_level"),
         layout.n_arrays,
         layout.cells_per_array,
         design.A,
         design.B,
     )
 
-    values, free = [], []
+    values = []  # None for a component to estimate
     for name in structure.omega_names:
         base = name.rsplit("_", 1)[0] if name.rsplit("_", 1)[-1].isdigit() else name
         raw = cfg.get(name, cfg.get(base, "estimate"))
-        if raw == "estimate":
-            values.append(None)
-            free.append(True)
-        else:
-            try:
-                values.append(float(raw))
-            except ValueError:
-                raise ConfigError(f"{name} must be 'estimate' or a number") from None
-            free.append(False)
+        try:
+            values.append(None if raw == "estimate" else float(raw))
+        except ValueError:
+            raise ConfigError(f"{name} must be 'estimate' or a number") from None
+    free = [v is None for v in values]
 
     tol = _get_float(cfg, "tol", 1e-9)
     max_iter = _get_int(cfg, "max_iter", 200)
 
     if not any(free):
         fit = gls_fit(y, design, SigmaModel(structure, values))
-    elif structure.kind == "cellwise_two_level" and layout.n_arrays == 2 and all(free):
+    elif structure.kind == "cellwise_two_level" and all(free):
         fit = ml_dispersion_cellwise(y, design)
     else:
-        init = cfg.get("init_omega")
-        if init is not None:
-            init = _get_list(cfg, "init_omega")
-            if len(init) != structure.n_params:
-                raise ConfigError(
-                    f"init_omega needs {structure.n_params} values for {structure.omega_names}"
-                )
-        else:
-            init = [0.01] * structure.n_params
-        for k, v in enumerate(values):
-            if v is not None:
-                init[k] = v
+        init = _get_list(cfg, "init_omega") if "init_omega" in cfg else [0.01] * len(values)
+        if len(init) != structure.n_params:
+            raise ConfigError(
+                f"init_omega needs {structure.n_params} values for {structure.omega_names}"
+            )
+        init = [w if v is None else v for w, v in zip(init, values)]
         fit = ml_dispersion_generic(
             y, design, structure, init, tol=tol, max_iter=max_iter, free_mask=free
         )
@@ -388,18 +376,13 @@ def cmd_fit(cfg, out_prefix) -> dict:
 
     lines.append("")
     lines.append("Dispersion parameters")
-    if fit.omega_hat is not None:
-        names = fit.sigma.structure.omega_names
-        disp = {name: float(w) for name, w in zip(names, fit.omega_hat)}
-        payload["dispersion"] = disp
-        for name, w in zip(names, fit.omega_hat):
-            lines.append(f"  {name:8} {_sig4(float(w))}   (sd {_sig4(float(np.sqrt(w)))})")
-    else:
-        names = fit.sigma.structure.omega_names
-        disp = {name: float(w) for name, w in zip(names, fit.sigma.omega)}
-        payload["dispersion"] = disp
-        for name, w in disp.items():
-            lines.append(f"  {name:8} {_sig4(w)}   (fixed)")
+    estimated = fit.omega_hat is not None
+    omega = fit.omega_hat if estimated else fit.sigma.omega
+    disp = {name: float(w) for name, w in zip(fit.sigma.structure.omega_names, omega)}
+    payload["dispersion"] = disp
+    for name, w in disp.items():
+        note = f"sd {_sig4(float(np.sqrt(w)))}" if estimated else "fixed"
+        lines.append(f"  {name:8} {_sig4(w)}   ({note})")
 
     if lay.n_arrays == 2:
         d1, d2 = _extended_residuals(fit, full)

@@ -33,6 +33,9 @@ from scipy.linalg import block_diag, cho_factor, cho_solve, lapack, solve_triang
 from .errors import ConfigError, NumericalError
 from .kron import kron
 
+# the structures ``structure_for`` builds by name
+STRUCTURE_KINDS = ("cellwise_two_level", "diagonal_scalar", "example48")
+
 
 class Term(NamedTuple):
     """One variance component: omega_k (g g^T) kron (F R F^T)."""
@@ -254,14 +257,14 @@ def structure_for(kind: str, n_arrays: int, cells: int, A, B) -> GammaStructure:
     ``diagonal_scalar`` reads them (an empty B means no within shocks).
     ``example48`` gets the identity development operator.
     """
+    if kind not in STRUCTURE_KINDS:
+        raise ConfigError(f"unknown covariance structure {kind!r}")
     if kind == "cellwise_two_level":
         return CellwiseTwoLevel(n_arrays, cells)
     if kind == "diagonal_scalar":
         return DiagonalScalar(A, B)
-    if kind == "example48":
-        eye = np.eye(cells)
-        return Example48(n_arrays, eye, eye)
-    raise ConfigError(f"unknown covariance structure {kind!r}")
+    eye = np.eye(cells)
+    return Example48(n_arrays, eye, eye)
 
 
 def sigma_example48(n_arrays, sigma2, tau2, v2, A0, R) -> "SigmaModel":
@@ -275,20 +278,14 @@ def sigma_example48(n_arrays, sigma2, tau2, v2, A0, R) -> "SigmaModel":
 
 
 def sigma_inverse_cellwise(sigma2: float, v2: float, cells: int, n_arrays: int = 2) -> np.ndarray:
-    """Closed-form inverse of the two-array cell-matched structure.
+    """Closed-form inverse of the cell-matched structure on N arrays.
 
-    For N = 2, Sigma = sigma2 (1 1^T kron I) + v2 I inverts to
-    (1 / (v2 (2 sigma2 + v2))) [[(sigma2+v2) I, -sigma2 I], [-sigma2 I, (sigma2+v2) I]].
+    Sigma = (sigma2 J_N + v2 I_N) kron I_cells inverts to
+    ((I_N - sigma2 / (v2 + N sigma2) J_N) / v2) kron I_cells.
     """
-    if n_arrays != 2:
-        raise ConfigError("the closed-form inverse is for exactly two arrays")
     if v2 <= 0:
         raise NumericalError("v2 must be positive, the structure is singular at v2 = 0")
-    eye = np.eye(cells)
-    scale = 1.0 / (v2 * (2.0 * sigma2 + v2))
-    top = np.hstack([(sigma2 + v2) * eye, -sigma2 * eye])
-    bottom = np.hstack([-sigma2 * eye, (sigma2 + v2) * eye])
-    return scale * np.vstack([top, bottom])
+    return kron((np.eye(n_arrays) - sigma2 / (v2 + n_arrays * sigma2)) / v2, np.eye(cells))
 
 
 def sigma_from_gamma(L: np.ndarray, structure: GammaStructure, omega) -> "SigmaModel":
@@ -342,7 +339,8 @@ class SigmaModel:
     reshaping a vector to C.shape[0] rows applies L^-1 kron I_c with one
     triangular solve. Solves and log-determinants go through the factor
     rather than an explicit inverse; the dense Sigma is built only when
-    ``sigma`` is read.
+    ``sigma`` is read. ``identity`` records whether the factored matrix is
+    the identity, in which case whitening returns its input.
 
     ``term_traces`` and ``information`` work in the same frame. Each term's
     loading there is g_k when C is the array side and g_k kron F_k when C is
@@ -359,6 +357,9 @@ class SigmaModel:
         else:
             self._C, self._c = np.asarray(sigma, float), 1
         self._array_side = sigma is None and structure.identity_cell_side
+        # Sigma = I: a unit diagonal and nothing off it
+        C = self._C
+        self.identity = bool(np.all(np.diagonal(C) == 1.0)) and np.count_nonzero(C) == len(C)
         try:
             self._cho = cho_factor(self._C, lower=True)
         except np.linalg.LinAlgError as exc:
@@ -388,7 +389,9 @@ class SigmaModel:
         return self._c * 2.0 * float(np.sum(np.log(np.diag(self._cho[0]))))
 
     def whiten(self, x: np.ndarray) -> np.ndarray:
-        """Multiply by Sigma^(-1/2) (via the lower Cholesky factor)."""
+        """Multiply by Sigma^(-1/2) (via the lower Cholesky factor); at Sigma = I, x itself."""
+        if self.identity:
+            return np.asarray(x, dtype=float)
         return self._by_array(lambda b: solve_triangular(self._cho[0], b, lower=True), x)
 
     def _factor_inverse(self) -> np.ndarray:

@@ -341,7 +341,6 @@ def assemble(
     layout: ArrayLayout,
     shock: ShockSpec,
     idio_variant: str = "chain_ladder",
-    tol_factor: float = 1e-10,
 ) -> ModelDesign:
     """Build all design blocks and remove redundant mean columns.
 
@@ -367,7 +366,7 @@ def assemble(
     # keep priority: zeta block first, then eta, then xi
     rank = {"xi": 2, "xi_shared": 2, "eta": 1}
     priority = sorted(range(M_full.shape[1]), key=lambda k: (rank.get(labels[k][0], 0), k))
-    kept, dropped, coef, reasons = reduce_columns(M_full, priority, tol_factor)
+    kept, dropped, coef, reasons = reduce_columns(M_full, priority)
     if not kept:
         raise DesignError("design reduced to zero columns")
     return ModelDesign(

@@ -10,9 +10,10 @@ Fisher scoring on the profile likelihood.
 When span(M) is invariant under every term D_k = dSigma/domega_k, GLS equals
 ordinary least squares at every omega (Kruskal 1968): the location and its
 residual d are fitted once, from one QR factor M = Q R, and a trial point
-costs one factor of Sigma. For the two-array cell-matched structure the
-dispersion is then in closed form: d splits into the sum and difference of
-its two arrays, whose squared norms give the ML variances.
+costs one factor of Sigma. For the cell-matched structure on N >= 2 arrays
+the dispersion is then in closed form (Szatrowski 1980): the ML variances
+are means over the array pairs of d's cross products and squared
+differences.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from scipy.linalg import solve_triangular
 
 from .covariance import CellwiseTwoLevel, GammaStructure, SigmaModel
 from .design import ModelDesign
-from .errors import DesignError, NumericalError
+from .errors import ConfigError, DesignError, NumericalError
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 # a relative invariance residual at or below this counts as invariant (see
@@ -33,24 +34,24 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 INVARIANCE_TOL = 1e-8
 # the generic solver stops once every free score is below this
 SCORE_TOL = 1e-9
+MAX_ITER = 200  # and raises after this many iterations
 
 
 @dataclass
 class FitResult:
     """Outcome of a location (and optionally dispersion) fit.
 
-    ``M`` is the reduced mean design the fit used; ``omega_fit``, the
-    covariance matrix of the fitted mean vector (M Var[kappa] M^T), is
-    formed from it on first read. ``r_inv`` is a matrix B with
-    Var[kappa] = B B^T, the forecast writes its parameter error through it:
-    the inverse of the triangular factor of the whitened design after a GLS
-    fit, R^-1 chol(Q^T Sigma Q) after a fixed-location fit, so not always
-    triangular. ``omega_hat`` is the vector of estimated variance
+    ``M`` is the reduced mean design the fit used. ``r_inv`` is a matrix B
+    with Var[kappa] = B B^T, the forecast writes its parameter error through
+    it: the inverse of the triangular factor of the whitened design after a
+    GLS fit, R^-1 chol(Q^T Sigma Q) after a fixed-location fit, so not
+    always triangular. ``var_kappa`` (B B^T) and ``omega_fit``, the
+    covariance matrix of the fitted mean vector (M Var[kappa] M^T), are
+    formed on first read. ``omega_hat`` is the vector of estimated variance
     components, None when the covariance was supplied as known.
     """
 
     kappa_hat: np.ndarray
-    var_kappa: np.ndarray
     y_hat: np.ndarray
     M: np.ndarray
     residual: np.ndarray
@@ -64,7 +65,15 @@ class FitResult:
     r_inv: np.ndarray = None
     # the orthonormal factor of M, kept only by a least-squares fit (see gls_fit)
     _q: np.ndarray = field(default=None, init=False, repr=False)
+    _var_kappa: np.ndarray = field(default=None, init=False, repr=False)
     _omega_fit: np.ndarray = field(default=None, init=False, repr=False)
+
+    @property
+    def var_kappa(self) -> np.ndarray:
+        """Var[kappa] = r_inv r_inv^T, None where the fit holds no r_inv."""
+        if self._var_kappa is None and self.r_inv is not None:
+            self._var_kappa = self.r_inv @ self.r_inv.T
+        return self._var_kappa
 
     @property
     def omega_fit(self) -> np.ndarray:
@@ -109,8 +118,9 @@ def gls_fit(y: np.ndarray, design: ModelDesign, sigma: SigmaModel) -> FitResult:
 
     kappa = (M^T Sigma^-1 M)^-1 M^T Sigma^-1 y with variance
     (M^T Sigma^-1 M)^-1, computed from a Cholesky factor of Sigma and a QR
-    factor of the whitened design. A fit at Sigma = I, where the whitened
-    design is M itself, keeps that factor for the fixed-location test.
+    factor of the whitened design. At Sigma = I whitening leaves y and M as
+    they are, so the fit is least squares, and it keeps the factor of M for
+    the fixed-location test.
     """
     y, M, labels, design_ref = _design_parts(y, design)
     if sigma.n != y.size:
@@ -121,13 +131,11 @@ def gls_fit(y: np.ndarray, design: ModelDesign, sigma: SigmaModel) -> FitResult:
     q, r = _factor(W, labels)
     kappa = solve_triangular(r, q.T @ wy)
     rinv = solve_triangular(r, np.eye(r.shape[0]))
-    var_kappa = rinv @ rinv.T
     y_hat = M @ kappa
     d = y - y_hat
     wd = wy - W @ kappa
     fit = FitResult(
         kappa_hat=kappa,
-        var_kappa=var_kappa,
         r_inv=rinv,
         y_hat=y_hat,
         M=M,
@@ -137,7 +145,7 @@ def gls_fit(y: np.ndarray, design: ModelDesign, sigma: SigmaModel) -> FitResult:
         design=design_ref,
         labels=labels,
     )
-    if np.array_equal(W, M):
+    if sigma.identity:
         fit._q = q
     return fit
 
@@ -162,17 +170,15 @@ class _FixedLocation:
     blocks: tuple
 
     def fit(self, sigma: SigmaModel, variance: bool = False) -> FitResult:
-        """The fit at ``sigma``'s omega; Var[kappa] and r_inv only with ``variance``."""
+        """The fit at ``sigma``'s omega; r_inv, and so Var[kappa], only with ``variance``."""
         d = self.residual
         wd = sigma.whiten(d)
-        r_inv = var_kappa = None
+        r_inv = None
         if variance:
             S = sum(w * b for w, b in zip(sigma.omega, self.blocks))
             r_inv = self.r_inv @ np.linalg.cholesky(S)
-            var_kappa = r_inv @ r_inv.T
         return FitResult(
             kappa_hat=self.kappa,
-            var_kappa=var_kappa,
             r_inv=r_inv,
             y_hat=self.y_hat,
             M=self.M,
@@ -274,7 +280,7 @@ def ml_dispersion_generic(
     structure: GammaStructure,
     init_omega,
     tol: float = SCORE_TOL,
-    max_iter: int = 200,
+    max_iter: int = MAX_ITER,
     free_mask=None,
 ) -> FitResult:
     """Maximum likelihood for the variance components by projected Fisher scoring.
@@ -363,70 +369,71 @@ def _scoring(y, design, structure, omega, location, tol, max_iter, free_mask) ->
     return fit
 
 
-def ml_dispersion_cellwise_closed_form(d1, d2):
-    """Closed-form ML variance components from two arrays' residuals.
+def ml_dispersion_cellwise_closed_form(*residuals):
+    """Closed-form ML variance components from N >= 2 arrays' residuals.
 
-    In each cell the pair (d1, d2) has variance 2 sigma2 + v2 along the sum
-    direction (1, 1) and v2 along the difference direction (1, -1), so with
-    k = len(d1), a = |d1 - d2|^2 and c = <d1, d2> the likelihood is
-    maximised by sigma2 = c / k and v2 = a / (2k) when c > 0. Otherwise the
-    maximum sits on the no-shock boundary sigma2 = 0, where the two
-    directions share v2 = (|d1|^2 + |d2|^2) / (2k).
+    In each cell the N residuals have covariance sigma2 J + v2 I: variance
+    N sigma2 + v2 along the sum direction and v2 across its complement. With
+    k cells per array the likelihood is maximised by the means over the
+    array pairs (a, b) of <d_a, d_b> / k for sigma2 and of |d_a - d_b|^2 / (2k)
+    for v2 when the cross products sum to a positive value. Otherwise the
+    maximum sits on the no-shock boundary sigma2 = 0, with
+    v2 = sum_a |d_a|^2 / (N k). With one array, sigma2 and v2 have the same
+    derivative and only their sum is identified: ConfigError.
 
     Returns (sigma2, v2, r) with r = sigma2 / v2.
     """
-    d1 = np.asarray(d1, dtype=float).ravel()
-    d2 = np.asarray(d2, dtype=float).ravel()
-    if d1.size != d2.size:
+    ds = [np.asarray(d, dtype=float).ravel() for d in residuals]
+    if len(ds) < 2:
+        raise ConfigError("sigma2 and v2 have the same derivative with one array")
+    if len({d.size for d in ds}) > 1:
         raise NumericalError("residual vectors must have equal length")
-    k = d1.size
-    a = float((d1 - d2) @ (d1 - d2))
-    s = float((d1 + d2) @ (d1 + d2))
-    c = float(d1 @ d2)
-    norm2 = float(d1 @ d1 + d2 @ d2)
-    if a == 0.0:
+    n, k = len(ds), ds[0].size
+    pairs = [(a, b) for i, a in enumerate(ds) for b in ds[i + 1:]]
+    diff2 = sum(float((a - b) @ (a - b)) for a, b in pairs)
+    cross = sum(float(a @ b) for a, b in pairs)
+    total = sum(ds)
+    norm2 = float(sum(d @ d for d in ds))
+    if diff2 == 0.0:
         raise NumericalError(
             "residual vectors are identical; the idiosyncratic variance would be "
             "zero and the likelihood unbounded (perfectly correlated residuals)"
         )
-    # |d1 + d2| within 1e-10 of the residual norm is zero up to rounding: a
+    # |sum_a d_a| within 1e-10 of the residual norm is zero up to rounding: a
     # design that gives each cell its own shock mean leaves residuals that
     # cancel to the last bits, and v2 would come out as rounding noise
-    if s <= 1e-20 * norm2:
+    if float(total @ total) <= 1e-20 * norm2:
         raise NumericalError(
-            "residual vectors are exact negatives; the shared-shock structure is "
-            "degenerate"
+            f"residual vectors {'are exact negatives' if n == 2 else 'sum to zero'}; "
+            "the shared-shock structure is degenerate"
         )
-    if c <= 0.0:
-        return 0.0, norm2 / (2.0 * k), 0.0
-    sigma2, v2 = c / k, a / (2.0 * k)
+    if cross <= 0.0:
+        return 0.0, norm2 / (n * k), 0.0
+    sigma2, v2 = cross / (len(pairs) * k), diff2 / (len(pairs) * 2.0 * k)
     return sigma2, v2, sigma2 / v2
 
 
-def ml_dispersion_cellwise(y, design: ModelDesign, max_iter: int = 100) -> FitResult:
-    """Closed-form dispersion path for two arrays with cell-matched shocks.
+def ml_dispersion_cellwise(y, design: ModelDesign) -> FitResult:
+    """Closed-form dispersion path for N >= 2 arrays with cell-matched shocks.
 
     The least-squares fit (the GLS fit at the identity start omega = (0, 1))
-    gives the residual d, and the closed form on d's two halves is the
-    exact ML point, the no-shock boundary included: when span(M) is
-    invariant under both terms of Sigma, as it is for designs whose shock
+    gives the residual d, and the closed form on d's N arrays is the exact
+    ML point, the no-shock boundary included: when span(M) is invariant
+    under both terms of Sigma, as it is for designs whose shock
     coefficients are uniform across arrays, d is the GLS residual at every
     omega. A design without that invariance, reachable through non-uniform
     alpha or beta tables, goes to the scoring of ``ml_dispersion_generic``,
-    with no second invariance test, started at the closed-form point, at
-    most ``max_iter`` iterations.
+    with no second invariance test, started at the closed-form point. One
+    array raises ConfigError (see the closed form).
     """
     lay = design.layout
-    if lay.n_arrays != 2:
-        raise NumericalError("the closed-form path needs exactly two arrays")
-    cells = lay.cells_per_array
-    structure = CellwiseTwoLevel(2, cells)
+    structure = CellwiseTwoLevel(lay.n_arrays, lay.cells_per_array)
     ols = gls_fit(y, design, SigmaModel(structure, [0.0, 1.0]))
-    s2, v2, _ = ml_dispersion_cellwise_closed_form(ols.residual[:cells], ols.residual[cells:])
-    omega = np.array([s2, v2])
+    d = ols.residual.reshape(lay.n_arrays, -1)
+    omega = np.array(ml_dispersion_cellwise_closed_form(*d)[:2])
     location = _fixed_location(y, design, structure, ols)
     if location is None:
-        return _scoring(y, design, structure, omega, None, SCORE_TOL, max_iter, None)
+        return _scoring(y, design, structure, omega, None, SCORE_TOL, MAX_ITER, None)
     fit = location.fit(SigmaModel(structure, omega), variance=True)
     fit.omega_hat = omega
     fit.n_iter = 1

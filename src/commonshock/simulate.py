@@ -24,11 +24,6 @@ _SHOCK_STREAM = 0
 _IDIO_STREAM = 1
 
 
-def _normal_draw(seed: int, stream: int, a: int, b: int = 0, c: int = 0) -> float:
-    bits = np.random.Philox(key=np.uint64(seed), counter=[stream, a, b, c])
-    return float(np.random.Generator(bits).standard_normal())
-
-
 @dataclass(frozen=True)
 class SimSpec:
     """Data-generating parameters.
@@ -87,9 +82,18 @@ def simulate(spec: SimSpec) -> ClaimCollection:
     keys, subset = np.unique(
         subset_key(spec.partition_kind, rows + 1, cols + 1), axis=0, return_inverse=True
     )
+    # one bit generator serves every draw: each draw resets it to the fresh
+    # state at the draw's own counter
+    bits = np.random.Philox(key=np.uint64(spec.seed))
+    gen, state = np.random.Generator(bits), bits.state
+
+    def draw(stream: int, a: int, b: int = 0, c: int = 0) -> float:
+        state["state"]["counter"] = np.array([stream, a, b, c], dtype=np.uint64)
+        bits.state = state
+        return float(gen.standard_normal())
+
     shock_log = [
-        spec.shock_mean_log
-        + spec.shock_sd * _normal_draw(spec.seed, _SHOCK_STREAM, kind_id, *map(int, key))
+        spec.shock_mean_log + spec.shock_sd * draw(_SHOCK_STREAM, kind_id, *map(int, key))
         for key in keys
     ]
     values = np.full((lay.n_arrays, lay.n_rows, lay.n_cols), np.nan)
@@ -98,7 +102,7 @@ def simulate(spec: SimSpec) -> ClaimCollection:
             z_log = (
                 np.log(spec.row_effects[n, i - 1])
                 + np.log(spec.col_effects[n, j - 1])
-                + spec.idio_sd * _normal_draw(spec.seed, _IDIO_STREAM, n + 1, i, j)
+                + spec.idio_sd * draw(_IDIO_STREAM, n + 1, i, j)
             )
             x = np.exp(shock_log[p] + z_log)
             if spec.rounding == "integer":

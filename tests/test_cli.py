@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import commonshock as cs
+from commonshock import cli
 from commonshock.cli import main, parse_config, read_claims_csv, write_claims_csv
 from commonshock.errors import ConfigError, DataError
 from commonshock.datasets import bundled_paths
@@ -116,6 +117,50 @@ class TestFitCommand:
         assert disp["tau2_1"] + disp["v2_1"] == pytest.approx(0.023890104699071602, rel=1e-6)
         assert disp["tau2_2"] + disp["v2_2"] == pytest.approx(0.0067337221073098235, rel=1e-6)
         assert payload["loglik"] == pytest.approx(128.1630552297779, rel=1e-9)
+
+    @staticmethod
+    def simulated_config(tmp_path, n_arrays):
+        lay = cs.ArrayLayout.triangle(n_arrays, 8)
+        spec = cs.SimSpec(
+            layout=lay,
+            row_effects=np.full((n_arrays, 8), 1000.0),
+            col_effects=np.linspace(0.3, 0.05, 8) * np.ones((n_arrays, 1)),
+            shock_mean_log=0.0,
+            shock_sd=0.1,
+            idio_sd=0.15,
+            seed=11,
+        )
+        data = tmp_path / "sim.csv"
+        write_claims_csv(data, cs.simulate(spec))
+        return write_config(tmp_path / "fit.cfg", data=str(data))
+
+    def test_three_arrays_take_the_closed_form(self, tmp_path, monkeypatch):
+        # the cell-matched closed form serves any number of arrays and gives
+        # the point the generic solver reaches on the same model
+        cfg = self.simulated_config(tmp_path, 3)
+        coll = read_claims_csv([tmp_path / "sim.csv"])
+        shock = cs.ShockSpec(
+            partition=cs.build_partition("cell", coll.layout), shared_across_mean=True
+        )
+        design = cs.assemble(coll.layout, shock, "chain_ladder")
+        structure = cs.CellwiseTwoLevel(3, coll.layout.cells_per_array)
+        gen = cs.ml_dispersion_generic(cs.stack_log(coll), design, structure, [0.01, 0.01])
+
+        def unused(*_, **__):
+            raise AssertionError("the fit went through the generic solver")
+
+        monkeypatch.setattr(cli, "ml_dispersion_generic", unused)
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "fit")]) == 0
+        disp = json.loads((tmp_path / "fit.json").read_text())["dispersion"]
+        np.testing.assert_allclose([disp["sigma2"], disp["v2"]], gen.omega_hat, rtol=1e-10)
+
+    def test_one_array_is_a_config_error(self, tmp_path, capsys):
+        # with one array sigma2 and v2 have the same derivative: only their
+        # sum is identified, so no split of it is reported
+        cfg = self.simulated_config(tmp_path, 1)
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "fit")]) == 2
+        err = capsys.readouterr().err
+        assert "sigma2" in err and "v2" in err
 
     def test_reports_are_deterministic(self, bundled_config, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

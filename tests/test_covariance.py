@@ -125,6 +125,13 @@ class TestClosedFormInverse:
         with pytest.raises(cs.NumericalError):
             cs.sigma_inverse_cellwise(0.1, 0.0, cells=2)
 
+    @pytest.mark.parametrize("n_arrays", [1, 3, 5])
+    def test_any_number_of_arrays(self, n_arrays):
+        s2, v2, cells = 0.1**2, 0.15**2, 4
+        inv = cs.sigma_inverse_cellwise(s2, v2, cells, n_arrays)
+        sig = CellwiseTwoLevel(n_arrays, cells).sigma([s2, v2])
+        np.testing.assert_allclose(inv @ sig, np.eye(n_arrays * cells), atol=1e-12)
+
 
 class TestDerivatives:
     def test_cellwise_analytic_forms(self):

@@ -48,6 +48,27 @@ class TestGlsFit:
         with pytest.raises(cs.DesignError, match=r"aliased columns: \['column_2'\]"):
             cs.gls_fit(rng.normal(size=8), M, cs.SigmaModel(structure, [0.0, 1.0]))
 
+    def test_least_squares_keeps_the_factor_of_m(self, monkeypatch):
+        # at Sigma = I whitening leaves M as it is: no triangular solve on M,
+        # and the factor of M stays for the fixed-location test
+        rng = np.random.default_rng(3)
+        y, M = rng.normal(size=12), rng.normal(size=(12, 3))
+        solves = []
+        solve = covariance.solve_triangular
+
+        def recorded(a, b, *args, **kwargs):
+            solves.append(np.shape(b))
+            return solve(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(covariance, "solve_triangular", recorded)
+        for structure in (CellwiseTwoLevel(2, 6), DiagonalScalar(rng.normal(size=(12, 2)))):
+            fit = cs.gls_fit(y, M, cs.SigmaModel(structure, [0.0, 1.0]))
+            assert solves == [] and fit._q is not None
+            for omega in ([0.0, 2.0], [0.1, 1.0]):
+                assert cs.gls_fit(y, M, cs.SigmaModel(structure, omega))._q is None
+            assert solves
+            solves.clear()
+
     def test_design_without_columns(self):
         # no location to fit: the residual is y itself and the log-likelihood
         # is the plain Gaussian density of y under Sigma
@@ -537,47 +558,57 @@ def test_score_and_information_match_dense_reference(family, n_arrays, cells, de
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(
+    n_arrays=st.integers(2, 5),
     k=st.integers(1, 40),
     scale=st.sampled_from([1e-2, 0.1, 1.0, 10.0]),
     ratio=st.sampled_from([0.05, 0.5, 1.0, 3.0]),
     sign=st.sampled_from(["positive", "zero", "negative"]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_closed_form_is_the_ml_point(k, scale, ratio, sign, seed):
-    # the closed form against the generic solver on y = [d1; d2] with no
-    # location, inside the parameter space and on its sigma2 = 0 boundary.
-    # Residuals of norm scale sqrt(k), with d1 - d2 kept away from zero,
-    # keep omega off the sizes where the solver's absolute score tolerance
-    # drowns in rounding
+def test_closed_form_is_the_ml_point(n_arrays, k, scale, ratio, sign, seed):
+    # the closed form against the generic solver on y = [d_1; ...; d_N] with
+    # no location, inside the parameter space and on its sigma2 = 0
+    # boundary. Residuals of mean square scale^2, with the arrays kept away
+    # from one another, keep omega off the sizes where the solver's absolute
+    # score tolerance drowns in rounding
     rng = np.random.default_rng(seed)
-
-    def direction(size):
-        x = rng.normal(size=size)
-        return scale * np.sqrt(k) * x / np.linalg.norm(x) if size else x
-
     if sign == "zero":
-        # disjoint supports: <d1, d2> = 0 exactly (d2 = 0 when k = 1)
-        h = max(k // 2, 1)
-        d1 = np.concatenate([direction(h), np.zeros(k - h)])
-        d2 = np.concatenate([np.zeros(h), ratio * direction(k - h)])
+        # disjoint supports: every <d_a, d_b> = 0 exactly (some d_a = 0 when k < N)
+        E = np.zeros((n_arrays, k))
+        for a, idx in enumerate(np.array_split(np.arange(k), n_arrays)):
+            x = rng.normal(size=idx.size)
+            if idx.size:
+                E[a, idx] = (ratio if a == 1 else 1.0) * scale * np.sqrt(k) * x / np.linalg.norm(x)
     else:
-        d1 = direction(k)
-        # noise orthogonal to d1 fixes the sign of <d1, d2>
-        z = rng.normal(size=k)
-        z -= (z @ d1) / (d1 @ d1) * d1
-        noise = scale * np.sqrt(k) * z / np.linalg.norm(z) if k > 1 else np.zeros(1)
-        d2 = ratio * ((0.8 if sign == "positive" else -0.8) * d1 + noise)
-    c = float(d1 @ d2)
+        # E = 1 s^T / sqrt(N) + H with the columns of H summing to zero: the
+        # cross products sum to ((N - 1)|s|^2 - |H|^2) / 2, whose sign
+        # rho = (N - 1)|s|^2 / |H|^2 sets
+        rho = 1.0 + ratio if sign == "positive" else 1.0 / (1.0 + ratio)
+        H = rng.normal(size=(n_arrays, k))
+        H -= H.mean(axis=0)
+        s = rng.normal(size=k)
+        H *= np.sqrt((n_arrays - 1) / rho) * np.linalg.norm(s) / np.linalg.norm(H)
+        E = np.outer(np.ones(n_arrays) / np.sqrt(n_arrays), s) + H
+        E *= scale * np.sqrt(n_arrays * k) / np.linalg.norm(E)
+    c = sum(float(E[a] @ E[b]) for a in range(n_arrays) for b in range(a + 1, n_arrays))
     assert np.sign(c) == {"positive": 1.0, "zero": 0.0, "negative": -1.0}[sign]
-    s2, v2, r = cs.ml_dispersion_cellwise_closed_form(d1, d2)
+    s2, v2, r = cs.ml_dispersion_cellwise_closed_form(*E)
     assert r == s2 / v2
     if c <= 0.0:
         assert s2 == 0.0
-        assert v2 == pytest.approx((d1 @ d1 + d2 @ d2) / (2 * k), rel=1e-14)
+        assert v2 == pytest.approx(float(np.sum(E * E)) / (n_arrays * k), rel=1e-14)
+    if n_arrays == 2:
+        # the two-array sum/difference split, to the last bit
+        d1, d2 = E
+        a, c, norm2 = float((d1 - d2) @ (d1 - d2)), float(d1 @ d2), float(d1 @ d1 + d2 @ d2)
+        if c <= 0.0:
+            assert (s2, v2, r) == (0.0, norm2 / (2.0 * k), 0.0)
+        else:
+            assert (s2, v2, r) == (c / k, a / (2.0 * k), (c / k) / (a / (2.0 * k)))
 
-    y = np.concatenate([d1, d2])
-    empty = np.zeros((2 * k, 0))
-    structure = CellwiseTwoLevel(2, k)
+    y = E.ravel()
+    empty = np.zeros((n_arrays * k, 0))
+    structure = CellwiseTwoLevel(n_arrays, k)
     gen = cs.ml_dispersion_generic(y, empty, structure, [0.01, 0.01])
     closed = cs.gls_fit(y, empty, cs.SigmaModel(structure, [s2, v2]))
     # at c = 0 the sigma2 score vanishes on the boundary, so the solver may
