@@ -59,9 +59,67 @@ _ARRAY_KEY = re.compile(r"(row_effects|col_effects|tau2|v2)_[1-9][0-9]*")
 def read_claims_csv(paths) -> ClaimCollection:
     """Read one collection from one or more claim CSV files.
 
-    Lines are parsed one at a time, so that every data error names its file
-    and line; the congruence check, the mask and the value grid are then
-    built with array indexing.
+    Each file's header line is checked and its rows are parsed in bulk, and
+    the index ranges and duplicate cells are checked over all files at once.
+    When any of that fails, every file goes through ``_read_claim_lines``,
+    the line-by-line parser, so that each data error names its file and line.
+    The congruence check, the mask and the value grid are then built with
+    array indexing.
+    """
+    paths = list(paths)
+    rows = _read_claim_rows_bulk(paths)
+    collection = None if rows is None else _collection_from_rows(*rows)
+    if collection is None:
+        collection = _collection_from_rows(*_read_claim_lines(paths))
+    return collection
+
+
+def _is_header(line: str) -> bool:
+    return tuple(f.strip().lower() for f in line.strip().split(",")) == CSV_HEADER
+
+
+# a CSV row: array, accident and development indices and the claim value
+_CSV_ROW = np.dtype([("n", np.int64), ("i", np.int64), ("j", np.int64), ("value", np.float64)])
+
+
+def _read_claim_rows_bulk(paths):
+    """(array, accident, development, value) columns of all files, or None.
+
+    None when a file is missing, its first line is not the header, or
+    ``np.loadtxt`` rejects a row or finds none; the line parser then reports
+    the fault. ``loadtxt`` parses numbers as ``float`` and ``int`` do, but
+    accepts less (no "1.0" or "1_0" as an index, no "#" comments), so a file
+    it takes gives the line parser's values to the bit.
+    """
+    import warnings
+
+    columns = []
+    for path in paths:
+        p = Path(path)
+        if not p.exists():
+            return None
+        try:
+            with open(p, encoding="utf-8") as fh:
+                if not _is_header(fh.readline()):
+                    return None
+                # warnings as errors: loadtxt warns on a file with no rows, and
+                # numpy before 2.0 warns where it reads "1.0" as an index
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    data = np.loadtxt(fh, delimiter=",", dtype=_CSV_ROW, comments=None, ndmin=1)
+        except (ValueError, Warning):
+            return None
+        if data.size == 0:
+            return None
+        columns.append(data)
+    data = np.concatenate(columns)
+    return data["n"], data["i"], data["j"], data["value"]
+
+
+def _read_claim_lines(paths):
+    """(array, accident, development, value) columns, parsed line by line.
+
+    Every data error names its file and line.
     """
     seen = set()  # (array, i, j) of the rows read so far
     rows_read, values_read = [], []
@@ -77,7 +135,7 @@ def read_claims_csv(paths) -> ClaimCollection:
                     continue
                 parts = [f.strip() for f in line.split(",")]
                 if lineno == 1:
-                    if tuple(f.lower() for f in parts) != CSV_HEADER:
+                    if not _is_header(line):
                         raise DataError(
                             f"{p}:{lineno}: expected header "
                             f"'{','.join(CSV_HEADER)}', got {line!r}"
@@ -103,11 +161,22 @@ def read_claims_csv(paths) -> ClaimCollection:
                 rows += 1
         if rows == 0:
             raise DataError(f"{p}: no data rows")
-
-    # rows sorted by array, then cell: each array's cells are one slice
     n, i, j = np.array(rows_read, dtype=np.int64).reshape(-1, 3).T
+    return n, i, j, np.array(values_read)
+
+
+def _collection_from_rows(n, i, j, values):
+    """The collection of the parsed rows; None on an index below 1 or a duplicate cell.
+
+    Raises DataError when the arrays do not cover the same cells.
+    """
+    if i.min() < 1 or j.min() < 1:
+        return None
+    # rows sorted by array, then cell: each array's cells are one slice
     order = np.lexsort((j, i, n))
     n, i, j = n[order], i[order], j[order]
+    if np.any((n[1:] == n[:-1]) & (i[1:] == i[:-1]) & (j[1:] == j[:-1])):
+        return None
     array_ids, first, counts = np.unique(n, return_index=True, return_counts=True)
     common = slice(0, counts[0])
     for a, start, count in zip(array_ids[1:], first[1:], counts[1:]):
@@ -122,10 +191,10 @@ def read_claims_csv(paths) -> ClaimCollection:
     n_rows, n_cols = int(i[common].max()), int(j[common].max())
     mask = np.zeros((n_rows, n_cols), dtype=bool)
     mask[i[common] - 1, j[common] - 1] = True
-    values = np.full((array_ids.size, n_rows, n_cols), np.nan)
+    grid = np.full((array_ids.size, n_rows, n_cols), np.nan)
     arrays = np.repeat(np.arange(array_ids.size), counts)
-    values[arrays, i - 1, j - 1] = np.array(values_read)[order]
-    return ClaimCollection(ArrayLayout(array_ids.size, n_rows, n_cols, mask), values)
+    grid[arrays, i - 1, j - 1] = values[order]
+    return ClaimCollection(ArrayLayout(array_ids.size, n_rows, n_cols, mask), grid)
 
 
 def write_claims_csv(path, collection: ClaimCollection) -> None:

@@ -93,12 +93,23 @@ class GammaStructure:
         return omega
 
     @cached_property
-    def _factors(self) -> tuple:
-        """(g g^T, F R F^T) of every term, the cell side None for the identity.
+    def _array_sides(self) -> tuple:
+        """g g^T of every term, formed once per structure and kept read-only."""
+        out = []
+        for term in self.terms:
+            G = term.g @ term.g.T
+            G.setflags(write=False)
+            out.append(G)
+        return tuple(out)
+
+    @cached_property
+    def _cell_sides(self) -> tuple:
+        """F R F^T of every term, None for the identity; cells x cells each.
 
         Neither depends on omega, so they are formed once per structure and
-        kept read-only. The cell side is symmetrized here, on the small
-        factor, so that every D_k and Sigma come out exactly symmetric.
+        kept read-only, for the all-rows ``sigma_rows`` call only. The cell
+        side is symmetrized here, on the small factor, so that every D_k and
+        Sigma come out exactly symmetric.
         """
         out = []
         for term in self.terms:
@@ -107,22 +118,54 @@ class GammaStructure:
                 F = np.eye(self.cells) if term.F is None else term.F
                 K = F @ F.T if term.R is None else _sym(F @ term.R @ F.T)
                 K.setflags(write=False)
-            out.append((term.g @ term.g.T, K))
+            out.append(K)
         return tuple(out)
 
-    def sigma(self, omega) -> np.ndarray:
+    def _cell_side_rows(self, k: int, p0: int, p1: int) -> np.ndarray:
+        """Rows p0:p1 of term k's cell side F R F^T, formed from its loadings."""
+        t = self.terms[k]
+        if t.F is None:
+            return 0.5 * (t.R[p0:p1] + t.R[:, p0:p1].T)
+        right = t.F.T if t.R is None else _sym(t.R) @ t.F.T
+        return t.F[p0:p1] @ right
+
+    def sigma_rows(self, omega, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Rows start:stop of Sigma(omega), all n columns; every row by default.
+
+        Row a * cells + p is sum_k omega_k G_k[a] kron K_k[p], added term by
+        term. An identity cell side puts omega_k G_k[a, b] at column
+        b * cells + p. Any other cell side adds K_k's rows p: the cached
+        ``_cell_sides`` when every row is asked for, and otherwise rows formed
+        from the loadings, so that a few rows cost no cells x cells matrix.
+        ``sigma`` is the all-rows call.
+        """
         omega = self._check(omega)
         c = self.cells
-        out = np.zeros((self.n_arrays * c,) * 2)
-        diag = np.arange(c)
-        for w, (G, K) in zip(omega, self._factors):
-            # add w (G kron K) block by block, without forming the product
-            for a, b in zip(*np.nonzero(G)):
-                if K is None:
-                    out[a * c + diag, b * c + diag] += w * G[a, b]
-                else:
-                    out[a * c : (a + 1) * c, b * c : (b + 1) * c] += (w * G[a, b]) * K
+        n = self.n_arrays * c
+        stop = n if stop is None else stop
+        every = start == 0 and stop == n
+        out = np.zeros((stop - start, n))
+        for k, (w, G) in enumerate(zip(omega, self._array_sides)):
+            identity = self.terms[k].F is None and self.terms[k].R is None
+            for a in range(self.n_arrays):
+                # the rows of array a inside start:stop are its cells p0:p1
+                p0, p1 = max(start - a * c, 0), min(stop - a * c, c)
+                if p0 >= p1 or not G[a].any():
+                    continue
+                rows = slice(a * c + p0 - start, a * c + p1 - start)
+                if identity:
+                    diag = np.arange(p0, p1)
+                    for b in np.flatnonzero(G[a]):
+                        out[diag + (a * c - start), b * c + diag] += w * G[a, b]
+                    continue
+                K = self._cell_sides[k][p0:p1] if every else self._cell_side_rows(k, p0, p1)
+                for b in np.flatnonzero(G[a]):
+                    out[rows, b * c : (b + 1) * c] += (w * G[a, b]) * K
         return out
+
+    def sigma(self, omega) -> np.ndarray:
+        """The dense n x n Sigma(omega): ``sigma_rows`` over every row."""
+        return self.sigma_rows(omega)
 
     def kron_form(self, omega):
         """(C, c) with Sigma(omega) = C kron I_c.
@@ -309,7 +352,7 @@ def dsigma_domega(structure: GammaStructure, k: int) -> np.ndarray:
         raise ConfigError(
             f"component index {k} out of range for {structure.omega_names}"
         )
-    G, K = structure._factors[k]
+    G, K = structure._array_sides[k], structure._cell_sides[k]
     K = np.eye(structure.cells) if K is None else K
     # a unit 1 x 1 array side leaves the cell side as it is
     return K.copy() if np.array_equal(G, [[1.0]]) else kron(G, K)

@@ -1,12 +1,18 @@
 """Forecasting future cells and aggregating loss reserves.
 
 The forecast mean is M* kappa with M* built by the same design rules as the
-fitted rows. Its covariance adds parameter error, M* Var[kappa] M*^T, and
-process error Sigma*, the same shock structure evaluated over the forecast
-region (future shocks are fresh draws, shared within subsets of the region
-and across arrays for the across-array shock; covariances between observed
-and future cells are not carried). Raw-scale forecasts and reserve moments
-then follow from the log-normal moment maps.
+fitted rows. Its covariance Omega* adds parameter error, written B B^T with
+B = M* r_inv, and process error Sigma*, the same shock structure evaluated
+over the forecast region (future shocks are fresh draws, shared within
+subsets of the region and across arrays for the across-array shock;
+covariances between observed and future cells are not carried). Raw-scale
+forecasts and reserve moments then follow from the log-normal moment maps.
+
+``predict`` needs only per-array sums of the raw-scale covariance, so it
+reads Omega* in row blocks (``lognormal.grouped_raw_moments``), with Sigma*'s
+rows from ``GammaStructure.sigma_rows``, and forms no n_future x n_future
+matrix. The dense Omega* and raw-scale covariance are formed only when
+``ForecastResult.omega_star`` or ``xi_star`` is read.
 """
 
 from __future__ import annotations
@@ -18,7 +24,10 @@ import numpy as np
 from .covariance import structure_for
 from .errors import DesignError, NumericalError
 from .estimation import FitResult
-from .lognormal import LogNormalSummary, raw_cov, raw_mean
+
+# raw_mean is unused here but stays a module attribute: perfbench/tracer.py
+# wraps this module's raw_mean and raw_cov
+from .lognormal import LogNormalSummary, grouped_raw_moments, raw_cov, raw_mean  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -38,28 +47,56 @@ class ForecastResult:
 
     ``x_star`` has shape (n_arrays, n_rows, n_cols) with NaN outside the
     forecast region; vectors follow the forecast stacking order (array index
-    outermost).
+    outermost). ``reserve_cov`` is the N x N covariance of the per-array
+    reserves, which the standard errors and ``reserve_correlation`` read.
+    ``omega_star`` (log scale) and ``xi_star`` (raw scale), the n x n
+    predictive covariances with n = N * n_future, are formed on first read.
     """
 
     y_star: np.ndarray
-    omega_star: np.ndarray
     x_star_vector: np.ndarray
-    xi_star: np.ndarray
     x_star: np.ndarray
     cells: tuple
     reserves: np.ndarray  # per-array
     reserve_total: float
-    std_errors: np.ndarray  # per-array
-    std_error_total: float
+    reserve_cov: np.ndarray  # per-array reserves, N x N
+    _b: np.ndarray = field(repr=False)  # B = M* r_inv, the parameter error B B^T
+    _sigma_star_rows: object = field(repr=False)  # rows of Sigma*, see _process_error
+    std_errors: np.ndarray = field(init=False)  # per-array
+    std_error_total: float = field(init=False)
     covs: np.ndarray = field(init=False)  # per-array CoV
     cov_total: float = field(init=False)
+    _omega_star: np.ndarray = field(default=None, init=False, repr=False)
+    _xi_star: np.ndarray = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
+        std_errors = np.sqrt(np.maximum(np.diag(self.reserve_cov), 0.0))
+        std_error_total = float(np.sqrt(max(float(self.reserve_cov.sum()), 0.0)))
         with np.errstate(divide="ignore", invalid="ignore"):
-            covs = np.where(self.reserves > 0, self.std_errors / self.reserves, 0.0)
-            total = self.std_error_total / self.reserve_total if self.reserve_total > 0 else 0.0
+            covs = np.where(self.reserves > 0, std_errors / self.reserves, 0.0)
+            total = std_error_total / self.reserve_total if self.reserve_total > 0 else 0.0
+        object.__setattr__(self, "std_errors", std_errors)
+        object.__setattr__(self, "std_error_total", std_error_total)
         object.__setattr__(self, "covs", covs)
         object.__setattr__(self, "cov_total", float(total))
+
+    @property
+    def omega_star(self) -> np.ndarray:
+        """Omega* = B B^T + Sigma*, the log-scale predictive covariance.
+
+        B B^T is a symmetric product, so Omega* needs no symmetrizing pass.
+        """
+        if self._omega_star is None:
+            object.__setattr__(self, "_omega_star", self._b @ self._b.T + self._sigma_star_rows())
+        return self._omega_star
+
+    @property
+    def xi_star(self) -> np.ndarray:
+        """The raw-scale predictive covariance, ``raw_cov`` of (y_star, omega_star)."""
+        if self._xi_star is None:
+            summary = LogNormalSummary(self.y_star, self.omega_star)
+            object.__setattr__(self, "_xi_star", raw_cov(summary))
+        return self._xi_star
 
 
 def build_forecast_design(design, cells) -> ForecastDesign:
@@ -82,8 +119,13 @@ def build_forecast_design(design, cells) -> ForecastDesign:
     )
 
 
-def _process_error(fit: FitResult, fd: ForecastDesign) -> np.ndarray:
-    """Sigma* over the forecast region, from the fitted structure and omega."""
+def _process_error(fit: FitResult, fd: ForecastDesign, extra_offset_var=None):
+    """Rows of Sigma* over the forecast region, as ``rows(start=0, stop=n)``.
+
+    Sigma* is the fitted structure rebuilt over the future cells at the
+    fitted omega, with ``extra_offset_var`` added to its diagonal. Rows come
+    from ``GammaStructure.sigma_rows``; ``rows()`` is the whole n x n Sigma*.
+    """
     structure = fit.sigma.structure
     omega = fit.omega_hat if fit.omega_hat is not None else fit.sigma.omega
     if structure.kind is None:
@@ -94,7 +136,23 @@ def _process_error(fit: FitResult, fd: ForecastDesign) -> np.ndarray:
     future = structure_for(structure.kind, fd.n_arrays, len(fd.cells), fd.a_star, fd.b_star)
     if future.omega_names != structure.omega_names:
         raise NumericalError("future shock blocks do not match the fitted covariance structure")
-    return future.sigma(omega)
+    n = fd.n_arrays * len(fd.cells)
+    var = None
+    if extra_offset_var is not None:
+        var = np.asarray(extra_offset_var, dtype=float).ravel()
+        if var.size == 1:
+            var = np.full(n, float(var[0]))
+        if var.size != n or np.any(var < 0):
+            raise DesignError("extra offset variances must be non-negative, length N * n_future")
+
+    def rows(start: int = 0, stop: int = n) -> np.ndarray:
+        out = future.sigma_rows(omega, start, stop)
+        if var is not None:
+            i = np.arange(start, stop)
+            out[i - start, i] += var[start:stop]
+        return out
+
+    return rows
 
 
 def predict(
@@ -115,18 +173,16 @@ def predict(
     n = fd.n_arrays * n_fut
     if n == 0:
         empty = np.zeros(0)
-        grid = np.full((lay.n_arrays, lay.n_rows, lay.n_cols), np.nan)
         return ForecastResult(
             y_star=empty,
-            omega_star=np.zeros((0, 0)),
             x_star_vector=empty,
-            xi_star=np.zeros((0, 0)),
-            x_star=grid,
+            x_star=np.full((lay.n_arrays, lay.n_rows, lay.n_cols), np.nan),
             cells=fd.cells,
             reserves=np.zeros(fd.n_arrays),
             reserve_total=0.0,
-            std_errors=np.zeros(fd.n_arrays),
-            std_error_total=0.0,
+            reserve_cov=np.zeros((fd.n_arrays, fd.n_arrays)),
+            _b=np.zeros((0, 0)),
+            _sigma_star_rows=lambda: np.zeros((0, 0)),
         )
 
     y_star = fd.m_star @ fit.kappa_hat
@@ -136,50 +192,36 @@ def predict(
             raise DesignError(f"extra offsets must have length {n}")
         y_star = y_star + offs
 
-    sigma_star = _process_error(fit, fd)
-    if extra_offset_var is not None:
-        var = np.asarray(extra_offset_var, dtype=float).ravel()
-        if var.size == 1:
-            var = np.full(n, float(var[0]))
-        if var.size != n or np.any(var < 0):
-            raise DesignError("extra offset variances must be non-negative, length N * n_future")
-        sigma_star = sigma_star + np.diag(var)
-
-    # parameter error M* Var[kappa] M*^T as B B^T with B = M* r_inv: a
-    # symmetric product, so Omega* needs no symmetrizing pass
+    sigma_star_rows = _process_error(fit, fd, extra_offset_var)
     b = fd.m_star @ fit.r_inv
-    omega_star = b @ b.T + sigma_star
 
-    summary = LogNormalSummary(y_star, omega_star)
-    x_vec = raw_mean(summary)
-    xi_star = raw_cov(summary)
+    def omega_star_panel(start, stop):
+        # rows start:stop of Omega* = B B^T + Sigma*, from column start on
+        out = sigma_star_rows(start, stop)[:, start:]
+        out += b[start:stop] @ b[start:].T
+        return out
 
-    reserves = np.array([x_vec[k * n_fut : (k + 1) * n_fut].sum() for k in range(fd.n_arrays)])
-    variances = np.array(
-        [
-            xi_star[k * n_fut : (k + 1) * n_fut, k * n_fut : (k + 1) * n_fut].sum()
-            for k in range(fd.n_arrays)
-        ]
+    x_vec, reserve_cov = grouped_raw_moments(
+        y_star, omega_star_panel, np.repeat(np.arange(fd.n_arrays), n_fut), fd.n_arrays
     )
-    total_var = float(xi_star.sum())
-    if total_var < -1e-9:
+    if float(reserve_cov.sum()) < -1e-9:
         raise NumericalError("total reserve variance is negative")
 
     grid = np.full((lay.n_arrays, lay.n_rows, lay.n_cols), np.nan)
     i, j = np.array(fd.cells).T
     grid[:, i - 1, j - 1] = x_vec.reshape(fd.n_arrays, n_fut)
+    reserves = x_vec.reshape(fd.n_arrays, n_fut).sum(axis=1)
 
     return ForecastResult(
         y_star=y_star,
-        omega_star=omega_star,
         x_star_vector=x_vec,
-        xi_star=xi_star,
         x_star=grid,
         cells=fd.cells,
         reserves=reserves,
         reserve_total=float(reserves.sum()),
-        std_errors=np.sqrt(np.maximum(variances, 0.0)),
-        std_error_total=float(np.sqrt(max(total_var, 0.0))),
+        reserve_cov=reserve_cov,
+        _b=b,
+        _sigma_star_rows=sigma_star_rows,
     )
 
 
@@ -187,12 +229,10 @@ def reserve_correlation(result: ForecastResult) -> float:
     """Implied correlation between the two per-array reserves (N = 2 only)."""
     if result.reserves.size != 2:
         raise NumericalError("reserve correlation is defined for exactly two arrays")
-    n_fut = len(result.cells)
-    cov = float(result.xi_star[:n_fut, n_fut:].sum())
     se1, se2 = result.std_errors
     if se1 == 0.0 or se2 == 0.0:
         raise NumericalError("a reserve has zero standard error")
-    return cov / (se1 * se2)
+    return float(result.reserve_cov[0, 1]) / (se1 * se2)
 
 
 def independence_counterfactual_cov(result: ForecastResult) -> float:

@@ -362,6 +362,13 @@ HEADER = "array,accident,development,value\n"
      "arrays are not congruent: array 2 covers different cells than array 1"),
     ("cells", HEADER + "3,1,1,1\n3,1,2,1\n1,1,1,10\n1,1,2,20\n7,1,1,30\n7,1,3,3\n",
      "arrays are not congruent: array 7 covers different cells than array 1"),
+    # files the bulk parse rejects or cannot place reach the line parser
+    ("float_index", HEADER + "1,1,1,5\n1,1.0,2,6\n",
+     "float_index.csv:3: invalid literal for int() with base 10: '1.0'"),
+    ("comment", HEADER + "1,1,1,5\n1,1,2,6 # note\n",
+     "comment.csv:3: could not convert string to float: '6 # note'"),
+    ("blank_first_line", "\n" + HEADER + "1,1,1,5\n",
+     "blank_first_line.csv:2: invalid literal for int() with base 10: 'array'"),
 ])
 def test_claims_csv_error_texts(tmp_path, monkeypatch, name, text, message):
     monkeypatch.chdir(tmp_path)
@@ -377,6 +384,28 @@ def test_claims_csv_duplicate_across_files(tmp_path, monkeypatch):
     Path("b.csv").write_text(HEADER + "1,1,2,5\n1,1,1,5\n")
     with pytest.raises(DataError, match=r"^b\.csv:3: duplicate cell \(array 1, 1, 1\)$"):
         read_claims_csv(["a.csv", "b.csv"])
+
+
+def test_claims_csv_bulk_parse_gives_the_line_parsers_rows(tmp_path):
+    rng = np.random.default_rng(5)
+    values = (rng.lognormal(0.0, 3.0, 400) * 10.0 ** rng.integers(-200, 200, 400)).tolist()
+    text = [f"{n + 1}, {k + 1},1,{v!r}" if k % 2 else f"{n + 1},{k + 1},1,{v:.20e}"
+            for n in range(2) for k, v in enumerate(values[200 * n : 200 * (n + 1)])]
+    f = tmp_path / "d.csv"
+    f.write_text(HEADER + "\n".join(text) + "\n")
+    bulk = cli._read_claim_rows_bulk([f])
+    assert bulk is not None
+    for got, want in zip(bulk, cli._read_claim_lines([f])):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_claims_csv_underscore_index_is_read_by_the_line_parser(tmp_path):
+    # int() reads "1_0" as 10 and loadtxt refuses it: the file is accepted
+    f = tmp_path / "d.csv"
+    f.write_text(HEADER + "1,1,1,5\n1,1_0,1,7\n")
+    assert cli._read_claim_rows_bulk([f]) is None
+    coll = read_claims_csv([f])
+    assert coll.layout.n_rows == 10 and coll.value(1, 10, 1) == 7.0
 
 
 def test_claims_csv_rows_in_any_order(tmp_path):

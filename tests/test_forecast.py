@@ -1,9 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import commonshock as cs
+import commonshock.forecast as forecast_module
 from commonshock.arrays import ArrayLayout
-from commonshock.covariance import CellwiseTwoLevel, structure_for
+from commonshock.covariance import (
+    STRUCTURE_KINDS,
+    CellwiseTwoLevel,
+    GammaStructure,
+    structure_for,
+)
+from commonshock.lognormal import ROW_BLOCK, LogNormalSummary, raw_mean
+from commonshock.partitions import PARTITION_KINDS
 from conftest import simulate_two_level, toy_design
 
 
@@ -280,15 +292,9 @@ def _within_shock_forecast_inputs():
     return fit, design, 5
 
 
-@pytest.mark.parametrize("case", ["bundled_cellwise", "within_shock_diagonal_scalar"])
-def test_predictive_covariance_is_symmetric_and_psd(ref_fit, case):
+def assert_predictive_covariance_is_symmetric_and_psd(fit, fd):
     # the parameter error is written as B B^T with B = M* r_inv, so Omega*
     # needs no symmetrizing pass to come out exactly symmetric
-    if case == "bundled_cellwise":
-        fit, design, t_max = ref_fit["fit"], ref_fit["design"], 15
-    else:
-        fit, design, t_max = _within_shock_forecast_inputs()
-    fd = cs.build_forecast_design(design, cs.future_cells(design.layout, t_max))
     omega_star = cs.predict(fit, fd).omega_star
     assert np.array_equal(omega_star, omega_star.T)
 
@@ -298,3 +304,139 @@ def test_predictive_covariance_is_symmetric_and_psd(ref_fit, case):
     scale = np.max(np.abs(expected))
     assert np.max(np.abs(omega_star - expected)) <= 1e-12 * scale
     assert np.linalg.eigvalsh(omega_star).min() >= -1e-12 * scale
+
+
+@pytest.mark.parametrize("case", ["bundled_cellwise", "within_shock_diagonal_scalar"])
+def test_predictive_covariance_is_symmetric_and_psd(ref_fit, case):
+    if case == "bundled_cellwise":
+        fit, design, t_max = ref_fit["fit"], ref_fit["design"], 15
+    else:
+        fit, design, t_max = _within_shock_forecast_inputs()
+    fd = cs.build_forecast_design(design, cs.future_cells(design.layout, t_max))
+    assert_predictive_covariance_is_symmetric_and_psd(fit, fd)
+
+
+@st.composite
+def forecast_inputs(draw):
+    """A GLS fit at a random omega and the forecast design of its unobserved cells.
+
+    Layouts are triangles (forecast region: the lower triangle) or random
+    masks whose first row and column are observed (region: every cell off
+    the mask), for 1 to 4 arrays, every partition and the three structures
+    the CLI builds. Grids are up to 6 x 6 or from 12 x 12 to 16 x 16, so
+    that the region (up to 4 x 225 future rows) is sometimes smaller and
+    sometimes larger than one row block of the moment map.
+    """
+    sides = st.one_of(st.integers(2, 6), st.integers(12, 16))
+    n_arrays, rows = draw(st.integers(1, 4)), draw(sides)
+    if draw(st.booleans()):
+        lay = ArrayLayout.triangle(n_arrays, rows)
+        region = cs.future_cells(lay, rows)
+    else:
+        cols = draw(sides)
+        mask = np.array(draw(st.lists(st.booleans(), min_size=rows * cols, max_size=rows * cols)))
+        mask = mask.reshape(rows, cols)
+        mask[0] = mask[:, 0] = True
+        lay = ArrayLayout(n_arrays, rows, cols, mask)
+        region = [(i + 1, j + 1) for i, j in zip(*np.nonzero(~mask))]
+    kind = draw(st.sampled_from(STRUCTURE_KINDS))
+    within = kind == "diagonal_scalar" and draw(st.booleans())
+    design = toy_design(lay, draw(st.sampled_from(PARTITION_KINDS)), include_within=within)
+    try:
+        fd = cs.build_forecast_design(design, region)
+    except cs.DesignError:
+        assume(False)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    structure = structure_for(kind, n_arrays, lay.cells_per_array, design.A, design.B)
+    omega = rng.uniform(0.005, 0.05, structure.n_params)
+    y = rng.normal(5.0, 1.0, design.n_obs)
+    fit = cs.gls_fit(y, design, cs.SigmaModel(structure, omega))
+    return fit, fd, rng
+
+
+def assert_reserve_moments_match_the_dense_covariance(fit, fd, var):
+    n_arrays, n_fut = fd.n_arrays, len(fd.cells)
+    res = cs.predict(fit, fd, extra_offset_var=var)
+    # the block sums against the dense raw-scale covariance, formed on read
+    by_array = np.kron(np.eye(n_arrays), np.ones((n_fut, 1)))
+    dense = by_array.T @ res.xi_star @ by_array
+    scale = max(np.max(np.abs(dense)), np.finfo(float).tiny)
+    assert np.max(np.abs(res.reserve_cov - dense)) <= 1e-12 * scale
+    np.testing.assert_allclose(
+        res.x_star_vector, raw_mean(LogNormalSummary(res.y_star, res.omega_star)), rtol=1e-12
+    )
+    np.testing.assert_array_equal(res.reserves, res.x_star_vector.reshape(n_arrays, n_fut).sum(axis=1))
+    np.testing.assert_array_equal(res.std_errors, np.sqrt(np.maximum(np.diag(res.reserve_cov), 0)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(forecast_inputs(), st.sampled_from([None, "scalar", "per_cell"]))
+def test_reserve_moments_match_the_dense_covariance(case, extra):
+    fit, fd, rng = case
+    n = fd.m_star.shape[0]
+    var = {None: None, "scalar": 0.03, "per_cell": rng.uniform(0.0, 0.05, n)}[extra]
+    assert_reserve_moments_match_the_dense_covariance(fit, fd, var)
+
+
+@pytest.mark.parametrize("kind, within", [
+    ("cellwise_two_level", False),
+    ("diagonal_scalar", False),
+    ("diagonal_scalar", True),
+    ("example48", False),
+])
+def test_reserve_moments_over_several_row_blocks(kind, within):
+    # three arrays on a 16 x 16 triangle: 360 future rows, three row blocks
+    lay = ArrayLayout.triangle(3, 16)
+    design = toy_design(lay, "row", include_within=within)
+    structure = structure_for(kind, 3, lay.cells_per_array, design.A, design.B)
+    rng = np.random.default_rng(11)
+    omega = rng.uniform(0.005, 0.05, structure.n_params)
+    fit = cs.gls_fit(rng.normal(5.0, 1.0, design.n_obs), design, cs.SigmaModel(structure, omega))
+    fd = cs.build_forecast_design(design, cs.future_cells(lay, 16))
+    assert fd.m_star.shape[0] > 2 * ROW_BLOCK
+    assert_reserve_moments_match_the_dense_covariance(fit, fd, rng.uniform(0.0, 0.05, 360))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(forecast_inputs())
+def test_predictive_covariance_is_symmetric_and_psd_over_random_layouts(case):
+    fit, fd, _ = case
+    assume(len(fd.cells) > 0)  # a full mask leaves nothing to forecast
+    assert_predictive_covariance_is_symmetric_and_psd(fit, fd)
+
+
+def test_predict_forms_no_future_by_future_matrix():
+    # N = 2 on a 30 x 30 triangle: 870 future rows, and one 870 x 870
+    # float64 array would take 6.1 MB, more than all of predict may hold
+    lay = ArrayLayout.triangle(2, 30)
+    coll = simulate_two_level(lay, 0.1, 0.15, seed=3)
+    design = toy_design(lay)
+    fit = cs.ml_dispersion_cellwise(cs.stack_log(coll), design)
+    fd = cs.build_forecast_design(design, cs.future_cells(lay, 30))
+    n = fd.m_star.shape[0]
+    assert n == 870
+    tracemalloc.start()
+    try:
+        res = cs.predict(fit, fd)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8
+    assert res.reserve_cov.shape == (2, 2)
+
+
+def test_predict_builds_neither_the_dense_process_error_nor_the_raw_covariance(
+    ref_fit, ref_forecast, monkeypatch
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("predict formed a dense n_future x n_future matrix")
+
+    design = ref_fit["design"]
+    fd = cs.build_forecast_design(design, cs.future_cells(design.layout, 15))
+    with monkeypatch.context() as m:
+        m.setattr(GammaStructure, "sigma", refuse)
+        m.setattr(forecast_module, "raw_cov", refuse)
+        res = cs.predict(ref_fit["fit"], fd)
+    # both are formed on first read, by the formulas the reference used
+    np.testing.assert_array_equal(res.omega_star, ref_forecast.omega_star)
+    np.testing.assert_array_equal(res.xi_star, ref_forecast.xi_star)
