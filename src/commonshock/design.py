@@ -202,43 +202,96 @@ def build_C_hoerl(layout: ArrayLayout):
     return _CellRows.stacked(layout).idiosyncratic("hoerl")
 
 
-def reduce_columns(M: np.ndarray, keep_priority=None, tol_factor: float = 1e-10):
-    """Rank-revealing column selection.
+def _sweep(columns: np.ndarray, order, tol: float, prior=lambda v: 0.0):
+    """Classical Gram-Schmidt with one re-orthogonalisation pass (CGS2).
 
-    Sweeps columns in ``keep_priority`` order (default: left to right),
-    keeping a column only if its residual against the span of already-kept
-    columns exceeds tol_factor times the largest singular value of M.
-    Returns (kept indices sorted, dropped indices, coef, reasons) where
-    ``coef`` expresses each dropped column as a combination of kept ones and
-    ``reasons`` maps dropped index to "aliased" or "unobserved" (zero column).
+    Visits ``columns[:, idx]`` for idx in ``order`` and keeps a column when
+    its residual against the kept ones, and against the span that ``prior``
+    projects onto, exceeds ``tol``. Returns the kept and dropped indices in
+    sweep order and the kept columns' orthonormal basis, one row each.
     """
-    M = np.asarray(M, dtype=float)
-    n, m = M.shape
-    if keep_priority is None:
-        keep_priority = list(range(m))
-    smax = np.linalg.norm(M, 2) if m else 0.0
-    tol = tol_factor * smax
-    basis = np.empty((min(n, m), n))  # orthonormal basis of the kept span, by rows
-    kept, dropped, reasons = [], [], {}
-    for idx in keep_priority:
-        c = M[:, idx]
+    n = columns.shape[0]
+    basis = np.empty((min(n, len(order)), n))
+    kept, dropped = [], []
+    for idx in order:
+        c = columns[:, idx]
         Qt = basis[: len(kept)]
-        r = c - Qt.T @ (Qt @ c)
-        r = r - Qt.T @ (Qt @ r)  # one re-orthogonalization pass
+        r = c - Qt.T @ (Qt @ c) - prior(c)
+        r = r - Qt.T @ (Qt @ r) - prior(r)  # one re-orthogonalization pass
         nr = np.linalg.norm(r)
         if nr > tol:
             basis[len(kept)] = r / nr
             kept.append(idx)
         else:
             dropped.append(idx)
-            reasons[idx] = "unobserved" if np.linalg.norm(c) <= tol else "aliased"
-    kept.sort()
-    dropped.sort()
+    return kept, dropped, basis[: len(kept)]
+
+
+def _reduce_blocks(X, x_order, C0, c0_order, n_blocks: int, tol_factor: float):
+    """Rank-revealing column selection on M = [X | I_N (x) C0], by blocks.
+
+    X holds the shock-mean columns, (N k, s), and C0 one array's idiosyncratic
+    block, (k, q); column s + n q + j of M is C0's column j in array n + 1.
+    ||M||_2 comes from the (s + N q)-square Gram matrix with C0'C0 formed
+    once. C0 is swept once in ``c0_order``, and its kept set and basis Q0
+    serve every array, because array n's columns meet no other array's rows.
+    X is then swept in ``x_order`` against I_N (x) Q0 and its own kept
+    columns. Returns what ``reduce_columns`` returns, indexed into M.
+    """
+    N = n_blocks
+    (k, q), s = C0.shape, X.shape[1]
+    gram = C0.T @ C0
+    if s:
+        XC = (C0.T @ X.reshape(N, k, s)).transpose(2, 0, 1).reshape(s, N * q)
+        gram = np.block([[X.T @ X, XC], [XC.T, np.kron(np.eye(N), gram)]])
+    smax = np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)) if gram.size else 0.0
+    tol = tol_factor * smax
+
+    kept0, dropped0, Q0 = _sweep(C0, c0_order, tol)
+    keptx, droppedx, Qx = _sweep(X, x_order, tol, lambda v: (v.reshape(N, k) @ Q0.T @ Q0).ravel())
+    reasons = {}
+    for cols, dropped, offsets in ((X, droppedx, [0]), (C0, dropped0, s + q * np.arange(N))):
+        for j in dropped:
+            reason = "unobserved" if np.linalg.norm(cols[:, j]) <= tol else "aliased"
+            reasons.update((int(o + j), reason) for o in offsets)
+    k0, d0, kx, dx = (sorted(ids) for ids in (kept0, dropped0, keptx, droppedx))
+    block_ids = s + q * np.arange(N)[:, None]
+    kept = kx + (block_ids + k0).ravel().tolist()
+    dropped = dx + (block_ids + d0).ravel().tolist()
+
+    coef = np.zeros((len(kept), len(dropped)))
     if dropped:
-        coef, *_ = np.linalg.lstsq(M[:, kept], M[:, dropped], rcond=None)
-    else:
-        coef = np.zeros((len(kept), 0))
+        # a dropped shock column d = Xk a + (I (x) C0k) b: a solves against
+        # Xk with C0 projected out (Qx spans it, orthogonal to I (x) Q0), b
+        # is least squares on C0k of what a leaves, array by array. A
+        # dropped C0 column has a = 0, and b is its least squares on C0k
+        Xk, Xd, r0 = X[:, kx], X[:, dx], len(k0)
+        a = np.linalg.solve(Qx @ Xk, Qx @ Xd)
+        left = (Xd - Xk @ a).reshape(N, k, len(dx)).transpose(1, 0, 2).reshape(k, N * len(dx))
+        b = np.linalg.lstsq(C0[:, k0], np.hstack([C0[:, d0], left]), rcond=None)[0]
+        coef[: len(kx), : len(dx)] = a
+        b_shock = b[:, len(d0):].reshape(r0, N, len(dx)).transpose(1, 0, 2)
+        coef[len(kx):, : len(dx)] = b_shock.reshape(N * r0, len(dx))
+        coef[len(kx):, len(dx):] = np.kron(np.eye(N), b[:, : len(d0)])
     return kept, dropped, coef, reasons
+
+
+def reduce_columns(M: np.ndarray, keep_priority=None, tol_factor: float = 1e-10):
+    """Rank-revealing column selection.
+
+    Sweeps columns in ``keep_priority`` order (default: left to right),
+    keeping a column only if its residual against the span of already-kept
+    columns exceeds tol_factor times the largest singular value of M, read
+    off the Gram matrix M'M. Returns (kept indices sorted, dropped indices,
+    coef, reasons) where ``coef`` expresses each dropped column as the least
+    squares combination of kept ones and ``reasons`` maps dropped index to
+    "aliased" or "unobserved" (zero column). This is the one-block case of
+    the reduction ``assemble`` runs: N = 1 and no shock-mean columns.
+    """
+    M = np.asarray(M, dtype=float)
+    n, m = M.shape
+    order = list(range(m)) if keep_priority is None else list(keep_priority)
+    return _reduce_blocks(np.zeros((n, 0)), [], M, order, 1, tol_factor)
 
 
 @dataclass(frozen=True)
@@ -302,20 +355,22 @@ class ModelDesign:
         kept_set = set(kept)
         drop_idx = [k for k in range(len(self.full_labels)) if k not in kept_set]
         full = self.full_rows_for_cells(cells)
+        rows = full[:, kept]
         if drop_idx and full.shape[0]:
-            mismatch = full[:, drop_idx] - full[:, kept] @ self.coef
-            worst = int(np.argmax(np.abs(mismatch).max(axis=1)))
-            if np.abs(mismatch).max() > 1e-8:
+            mismatch = np.abs(full[:, drop_idx] - rows @ self.coef)
+            row_max = mismatch.max(axis=1)
+            worst = int(np.argmax(row_max))
+            if row_max[worst] > 1e-8:
                 n = worst // len(cells) + 1
                 i, j = cells[worst % len(cells)]
-                bad_col = drop_idx[int(np.argmax(np.abs(mismatch[worst])))]
+                bad_col = drop_idx[int(np.argmax(mismatch[worst]))]
                 raise DesignError(
                     f"cell (array {n}, i={i}, j={j}) requires parameter "
                     f"{self.full_labels[bad_col]} that is not identified by the "
                     "observed data; supply the future values by hand (an AR(1) "
                     "extrapolation plus forecast offsets)"
                 )
-        return full[:, kept]
+        return rows
 
     def shock_blocks_for_cells(self, cells):
         """(A*, B*) coefficient blocks over a future region.
@@ -347,7 +402,11 @@ def assemble(
     The reduction sweep keeps idiosyncratic columns in preference to shock
     means (and within-array means in preference to across-array ones), which
     reproduces the usual convention: aliased shock means are absorbed into
-    the idiosyncratic effects.
+    the idiosyncratic effects. C = I_N (x) C0 for congruent arrays, so the
+    sweep visits one array's block C0 once and reuses its kept columns for
+    every array, then sweeps the shock means against that span; the result
+    is ``reduce_columns(M_full, priority)`` with the same priority, without
+    factoring the n-row M_full.
     """
     if idio_variant not in IDIO_VARIANTS:
         raise ConfigError(
@@ -363,10 +422,16 @@ def assemble(
     A, B = rows.shock_blocks(shock)
     C, M_full, labels = rows.design(shock, idio_variant, A, B)
 
-    # keep priority: zeta block first, then eta, then xi
-    rank = {"xi": 2, "xi_shared": 2, "eta": 1}
-    priority = sorted(range(M_full.shape[1]), key=lambda k: (rank.get(labels[k][0], 0), k))
-    kept, dropped, coef, reasons = reduce_columns(M_full, priority)
+    # keep priority: zeta block first, then eta, then xi; M_full is
+    # [xi | eta | I_N (x) C0], and the reduction works on those blocks
+    N = lay.n_arrays
+    C0 = C[: C.shape[0] // N, : C.shape[1] // N]
+    s = M_full.shape[1] - C.shape[1]
+    rank = {"xi": 1, "xi_shared": 1, "eta": 0}
+    x_order = sorted(range(s), key=lambda k: (rank[labels[k][0]], k))
+    kept, dropped, coef, reasons = _reduce_blocks(
+        M_full[:, :s], x_order, C0, range(C0.shape[1]), N, 1e-10
+    )
     if not kept:
         raise DesignError("design reduced to zero columns")
     return ModelDesign(

@@ -143,6 +143,32 @@ def test_duplicate_column_detected_and_fit_unchanged(ref_fit):
     np.testing.assert_allclose(coef[:, 0], [0, 1, 0, 0], atol=1e-9)
 
 
+def test_assemble_factors_no_matrix_with_a_row_per_observation(monkeypatch):
+    # the reduction sweeps one array's block and reads ||M||_2 off a Gram
+    # matrix: no SVD and no least squares on a matrix with one row per
+    # observation
+    mask = ArrayLayout.triangle(3, 6).mask.copy()
+    mask[:, 3] = False  # column 4 is never observed: its effect is a zero column
+    lay = ArrayLayout(3, 6, 6, mask)
+    shapes = []
+
+    def recording(fn):
+        def wrapper(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return fn(a, *args, **kwargs)
+
+        return wrapper
+
+    norm_globals = np.linalg.norm.__wrapped__.__globals__  # norm(M, 2) calls svd there
+    for name in ("svd", "lstsq"):
+        wrapped = recording(getattr(np.linalg, name))
+        monkeypatch.setattr(np.linalg, name, wrapped)
+        monkeypatch.setitem(norm_globals, name, wrapped)
+    design = toy_design(lay, kind="row", shared_mean=False, include_within=True)
+    assert {reason for _, reason in design.dropped} == {"aliased", "unobserved"}
+    assert shapes and all(shape[0] != lay.n_observations for shape in shapes)
+
+
 def test_gauge_invariance_of_fitted_values(bundled):
     # the same model with the shock-mean column kept and a column effect
     # dropped instead must produce identical fitted values
@@ -207,6 +233,19 @@ def test_rows_for_unobservable_shock_mean_raises():
     design = toy_design(lay, kind="diagonal", shared_mean=False)
     with pytest.raises(cs.DesignError, match="AR\\(1\\)"):
         design.rows_for_cells([(5, 5)])
+
+
+def test_rows_for_an_unobserved_column_effect_raise():
+    # column 4 was never observed, so its effect was dropped as a zero column
+    # and no alias relation reproduces the weight a column-4 row puts on it
+    mask = ArrayLayout.triangle(2, 5).mask.copy()
+    mask[:, 3] = False
+    lay = ArrayLayout(2, 5, 5, mask)
+    shock = cs.ShockSpec(partition=cs.build_partition("cell", lay), include_across=False)
+    design = cs.assemble(lay, shock, "chain_ladder")
+    assert design.dropped == ((("col", 1, 4), "unobserved"), (("col", 2, 4), "unobserved"))
+    with pytest.raises(cs.DesignError, match=r"array 1, i=1, j=4\) requires parameter \('col', 1, 4\)"):
+        design.rows_for_cells([(2, 3), (1, 4)])
 
 
 @pytest.mark.parametrize("kind, within", [("cell", False), ("column", True)])

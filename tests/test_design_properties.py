@@ -1,12 +1,12 @@
 """Property tests of the design invariants over random layouts, masks and partitions."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import commonshock as cs
 from commonshock.arrays import ArrayLayout, ClaimCollection
-from commonshock.design import IDIO_VARIANTS
+from commonshock.design import IDIO_VARIANTS, reduce_columns
 from commonshock.partitions import PARTITION_KINDS
 
 
@@ -29,9 +29,16 @@ def designs(draw):
     lay = draw(layouts())
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     shape = (lay.n_arrays, lay.n_rows, lay.n_cols)
-    tables = [rng.uniform(0.5, 2.0, shape) if draw(st.booleans()) else None for _ in range(2)]
+    tables = []
+    for _ in range(2):
+        table = rng.uniform(0.5, 2.0, shape) if draw(st.booleans()) else None
+        if table is not None:
+            # zero coefficients leave some shock-mean columns empty ("unobserved")
+            table[rng.random(shape) < draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]))] = 0.0
+        tables.append(table)
     shock = cs.ShockSpec(
         partition=cs.build_partition(draw(st.sampled_from(PARTITION_KINDS)), lay),
+        include_across=draw(st.booleans()),
         include_within=draw(st.booleans()),
         shared_across_mean=draw(st.booleans()),
         alpha=tables[0],
@@ -40,8 +47,17 @@ def designs(draw):
     return cs.assemble(lay, shock, draw(st.sampled_from(IDIO_VARIANTS))), rng
 
 
+def both_shock_means():
+    # within- and across-array means on the same subsets: which of them the
+    # reduction keeps depends on its order, within-array means first
+    lay = ArrayLayout.full(2, 2, 2)
+    shock = cs.ShockSpec(partition=cs.build_partition("cell", lay), include_within=True)
+    return cs.assemble(lay, shock), np.random.default_rng(0)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(designs())
+@example(both_shock_means())
 def test_design_invariants(case):
     design, rng = case
     lay = design.layout
@@ -52,6 +68,15 @@ def test_design_invariants(case):
     # the alias coefficients rebuild every dropped column from the kept ones
     dropped = [k for k in range(design.M_full.shape[1]) if k not in design.kept]
     np.testing.assert_allclose(design.M @ design.coef, design.M_full[:, dropped], atol=1e-9)
+    # the block reduction is the dense sweep of M_full in assemble's priority:
+    # idiosyncratic columns, then within-array means, then across-array ones
+    labels = design.full_labels
+    rank = {"xi": 2, "xi_shared": 2, "eta": 1}
+    priority = sorted(range(len(labels)), key=lambda k: (rank.get(labels[k][0], 0), k))
+    kept, dense_dropped, coef, reasons = reduce_columns(design.M_full, priority)
+    assert tuple(kept) == design.kept and dense_dropped == dropped
+    assert design.dropped == tuple((labels[d], reasons[d]) for d in dropped)
+    np.testing.assert_allclose(design.coef, coef, rtol=1e-10, atol=1e-10)
     assert np.linalg.matrix_rank(design.M) == design.n_params
     # stacking is the mask order, and unstacking inverts it
     values = np.exp(rng.normal(size=(lay.n_arrays, lay.n_rows, lay.n_cols)))
