@@ -28,13 +28,14 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import block_diag, cho_factor, cho_solve, lapack, solve_triangular
 
 from .errors import ConfigError, NumericalError
 from .kron import kron
 
 # the structures ``structure_for`` builds by name
 STRUCTURE_KINDS = ("cellwise_two_level", "diagonal_scalar", "example48")
+# blocks of at most this order are inverted whole by ``_tril_inverse``
+TRIL_LEAF = 64
 
 
 class Term(NamedTuple):
@@ -221,12 +222,19 @@ class GammaStructure:
         return (t.g @ Y.reshape(r, c * m)).reshape(X.shape), gram
 
     def gamma_matrix(self, omega) -> np.ndarray:
+        """Gamma(omega), block diagonal with blocks omega_k (I_{r_k} kron R_k)."""
         omega = self._check(omega)
         blocks = []
         for w, t in zip(omega, self.terms):
             p = self.cells if t.F is None else t.F.shape[1]
             blocks.append(w * kron(np.eye(t.g.shape[1]), np.eye(p) if t.R is None else t.R))
-        return block_diag(*blocks)
+        size = sum(len(b) for b in blocks)
+        out = np.zeros((size, size))
+        at = 0
+        for b in blocks:
+            out[at : at + len(b), at : at + len(b)] = b
+            at += len(b)
+        return out
 
     def l_matrix(self) -> np.ndarray:
         return np.hstack(
@@ -362,11 +370,36 @@ def _sym(R: np.ndarray) -> np.ndarray:
     return 0.5 * (R + R.T)
 
 
+def _tril_inverse(L: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The inverse of the nonsingular lower-triangular L, with an exactly zero upper triangle.
+
+    By 2 x 2 block recursion: for L = [[A, 0], [B, D]] the inverse is
+    [[A^-1, 0], [-D^-1 B A^-1, D^-1]], so the work beyond the two diagonal
+    blocks is two matrix products. Blocks of order ``TRIL_LEAF`` or less are
+    inverted whole, keeping their lower triangle. Each block is written in
+    place into one output, ``out`` when given. The upper-triangular R of a
+    QR factor inverts through its transpose: R^-1 = _tril_inverse(R.T).T.
+    """
+    if out is None:
+        out = np.zeros(L.shape)
+    n = L.shape[0]
+    if n <= TRIL_LEAF:
+        out[...] = np.tril(np.linalg.inv(L))
+        return out
+    h = n // 2
+    _tril_inverse(L[:h, :h], out[:h, :h])
+    _tril_inverse(L[h:, h:], out[h:, h:])
+    lower = out[h:, :h]
+    np.matmul(out[h:, h:], L[h:, :h] @ out[:h, :h], out=lower)
+    np.negative(lower, out=lower)
+    return out
+
+
 def _times_array_side(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     """x (g kron I_c) for x whose columns are stacked with arrays outermost.
 
-    A unit 1 x 1 array side returns x itself, so that ``information`` can
-    recognise a whitened identity loading as L^-1.
+    A unit 1 x 1 array side returns x itself, so that ``information``'s
+    product of a whitened identity loading with itself is one W^T W.
     """
     if np.array_equal(g, [[1.0]]):
         return x
@@ -379,17 +412,18 @@ class SigmaModel:
 
     Sigma = C kron I_c (see ``GammaStructure.kron_form``) is held through a
     Cholesky factor L of C alone: stacking puts the arrays outermost, so
-    reshaping a vector to C.shape[0] rows applies L^-1 kron I_c with one
-    triangular solve. Solves and log-determinants go through the factor
-    rather than an explicit inverse; the dense Sigma is built only when
-    ``sigma`` is read. ``identity`` records whether the factored matrix is
-    the identity, in which case whitening returns its input.
+    reshaping a vector to C.shape[0] rows applies L^-1 kron I_c as one
+    product with L^-1. That inverse is formed once per model, on first use,
+    and solves and whitening are products with it; the log-determinant
+    reads L's diagonal. The dense Sigma is built only when ``sigma`` is
+    read. ``identity`` records whether the factored matrix is the identity,
+    in which case whitening returns its input.
 
     ``term_traces`` and ``information`` work in the same frame. Each term's
     loading there is g_k when C is the array side and g_k kron F_k when C is
     the dense Sigma, and its whitened loading W_k = L^-1 (loading) is built
     once, on first use, and shared by both. A loading with an identity cell
-    side goes through L^-1 itself, formed once per model.
+    side goes through L^-1 itself.
     """
 
     def __init__(self, structure: GammaStructure, omega, sigma: np.ndarray | None = None):
@@ -404,7 +438,7 @@ class SigmaModel:
         C = self._C
         self.identity = bool(np.all(np.diagonal(C) == 1.0)) and np.count_nonzero(C) == len(C)
         try:
-            self._cho = cho_factor(self._C, lower=True)
+            self._L = np.linalg.cholesky(C)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(
                 f"covariance is not positive definite at omega = {self.omega.tolist()}"
@@ -426,26 +460,23 @@ class SigmaModel:
         return apply(x.reshape(self._C.shape[0], -1)).reshape(x.shape)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self._by_array(lambda b: cho_solve(self._cho, b), rhs)
+        """Sigma^-1 rhs = L^-T (L^-1 rhs)."""
+        inv = self._factor_inverse()
+        return self._by_array(lambda b: inv.T @ (inv @ b), rhs)
 
     def logdet(self) -> float:
-        return self._c * 2.0 * float(np.sum(np.log(np.diag(self._cho[0]))))
+        return self._c * 2.0 * float(np.sum(np.log(np.diagonal(self._L))))
 
     def whiten(self, x: np.ndarray) -> np.ndarray:
-        """Multiply by Sigma^(-1/2) (via the lower Cholesky factor); at Sigma = I, x itself."""
+        """Multiply by Sigma^(-1/2) = L^-1 kron I_c; at Sigma = I, x itself."""
         if self.identity:
             return np.asarray(x, dtype=float)
-        return self._by_array(lambda b: solve_triangular(self._cho[0], b, lower=True), x)
+        return self._by_array(self._factor_inverse().__matmul__, x)
 
     def _factor_inverse(self) -> np.ndarray:
         """L^-1, the inverse of the lower Cholesky factor (computed once)."""
         if self._l_inv is None:
-            # invert the upper factor L^T in place: np.tril gives a C-ordered
-            # copy, whose transpose LAPACK takes without another copy
-            inv, info = lapack.dtrtri(np.tril(self._cho[0]).T, lower=0, overwrite_c=1)
-            if info != 0:
-                raise NumericalError("the Cholesky factor of the covariance is singular")
-            self._l_inv = inv.T
+            self._l_inv = _tril_inverse(self._L)
         return self._l_inv
 
     def _whitened(self, k: int):
@@ -453,11 +484,11 @@ class SigmaModel:
         if self._whitened_terms[k] is None:
             t = self.structure.terms[k]
             if self._array_side:
-                W = solve_triangular(self._cho[0], t.g, lower=True)
+                W = self._factor_inverse() @ t.g
             elif t.F is None:
                 W = _times_array_side(self._factor_inverse(), t.g)
             else:
-                W = solve_triangular(self._cho[0], kron(t.g, t.F), lower=True)
+                W = self._factor_inverse() @ kron(t.g, t.F)
             if t.R is None:
                 Y = W
             else:
@@ -476,7 +507,10 @@ class SigmaModel:
         """tr(Sigma^-1 D_k Sigma^-1 D_l) over the terms ``idx`` (default all).
 
         With P = W_k^T W_l this is c tr(R_k P R_l P^T), summed as the
-        elementwise product of W_k^T W_l and Y_k^T Y_l.
+        elementwise product of W_k^T W_l and Y_k^T Y_l. Where both loadings
+        are the identity, W_k = W_l = L^-1 and the entry is
+        ||L^-T L^-1||_F^2, from one product W_k^T W_k, which BLAS forms as a
+        symmetric rank-k update.
         """
         idx = range(self.structure.n_params) if idx is None else list(idx)
         terms = [self._whitened(k) for k in idx]
@@ -484,16 +518,8 @@ class SigmaModel:
         for a, (Wa, Ya) in enumerate(terms):
             for b in range(a, len(terms)):
                 Wb, Yb = terms[b]
-                if Wa is Wb is Ya is Yb is self._l_inv:
-                    # both loadings are I: ||L^-T L^-1||^2 from one triangle
-                    # of Sigma^-1, which LAPACK's lauum forms in a third of
-                    # the flops of the full product (L^-1 is held transposed)
-                    P = lapack.dlauum(Wa.T, lower=0)[0]
-                    d = np.diag(P)
-                    value = 2.0 * _inner(P, P) - float(d @ d)
-                else:
-                    P = Wa.T @ Wb
-                    value = _inner(P, P if (Ya is Wa and Yb is Wb) else Ya.T @ Yb)
+                P = Wa.T @ Wb
+                value = _inner(P, P if (Ya is Wa and Yb is Wb) else Ya.T @ Yb)
                 out[a, b] = out[b, a] = self._c * value
         return out
 

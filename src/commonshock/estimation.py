@@ -1,8 +1,8 @@
 """Location fitting by generalized least squares and ML dispersion estimation.
 
 With the covariance known, the location estimate is the usual GLS solution,
-computed through Cholesky whitening and least squares rather than explicit
-inverses. With the covariance unknown up to variance components omega, the
+computed through Cholesky whitening and least squares: neither Sigma^-1 nor
+(M^T Sigma^-1 M)^-1 is formed, only the inverses of triangular factors. With the covariance unknown up to variance components omega, the
 profile score (the derivative of the log-likelihood in omega after
 concentrating out the location parameters) is driven to zero by projected
 Fisher scoring on the profile likelihood.
@@ -21,9 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
-from .covariance import CellwiseTwoLevel, GammaStructure, SigmaModel
+from .covariance import CellwiseTwoLevel, GammaStructure, SigmaModel, _tril_inverse
 from .design import ModelDesign
 from .errors import ConfigError, DesignError, NumericalError
 
@@ -117,8 +116,8 @@ def gls_fit(y: np.ndarray, design: ModelDesign, sigma: SigmaModel) -> FitResult:
     """Generalized least squares for the reduced design.
 
     kappa = (M^T Sigma^-1 M)^-1 M^T Sigma^-1 y with variance
-    (M^T Sigma^-1 M)^-1, computed from a Cholesky factor of Sigma and a QR
-    factor of the whitened design. At Sigma = I whitening leaves y and M as
+    (M^T Sigma^-1 M)^-1 = R^-1 R^-T, computed from a Cholesky factor of
+    Sigma and a QR factor Q R of the whitened design. At Sigma = I whitening leaves y and M as
     they are, so the fit is least squares, and it keeps the factor of M for
     the fixed-location test.
     """
@@ -128,9 +127,7 @@ def gls_fit(y: np.ndarray, design: ModelDesign, sigma: SigmaModel) -> FitResult:
 
     wy = sigma.whiten(y)
     W = sigma.whiten(M)
-    q, r = _factor(W, labels)
-    kappa = solve_triangular(r, q.T @ wy)
-    rinv = solve_triangular(r, np.eye(r.shape[0]))
+    q, rinv, kappa = _least_squares(wy, W, labels)
     y_hat = M @ kappa
     d = y - y_hat
     wd = wy - W @ kappa
@@ -208,8 +205,7 @@ def _fixed_location(y, design, structure: GammaStructure, ols: FitResult = None)
     if ols is not None and ols._q is not None:
         q, kappa, r_inv = ols._q, ols.kappa_hat, ols.r_inv
     else:
-        q, r, kappa = _least_squares(y, M, labels)
-        r_inv = solve_triangular(r, np.eye(m))
+        q, r_inv, kappa = _least_squares(y, M, labels)
     blocks = []
     Z = np.random.default_rng(0).standard_normal((m, 4))
     for k, identity in enumerate(structure.identity_terms):
@@ -226,9 +222,10 @@ def _fixed_location(y, design, structure: GammaStructure, ols: FitResult = None)
 
 
 def _least_squares(y, M, labels) -> tuple:
-    """(q, r, kappa) of the least-squares fit of y on M, with M = q r."""
+    """(q, r^-1, kappa) of the least-squares fit of y on M, with M = q r."""
     q, r = _factor(M, labels)
-    return q, r, solve_triangular(r, q.T @ y)
+    r_inv = _tril_inverse(r.T).T
+    return q, r_inv, r_inv @ (q.T @ y)
 
 
 def _fit_at(y, design, sigma: SigmaModel, location: _FixedLocation = None) -> FitResult:

@@ -341,6 +341,20 @@ class TestErrorPaths:
         cfg = write_config(tmp_path / "c.cfg", data=str(data), t_max=15)
         assert main(["fit", "--config", cfg]) == 4
 
+    @pytest.mark.parametrize("covariance", ["cellwise_two_level", "diagonal_scalar"])
+    def test_failed_factor_exit_code(self, tmp_path, capsys, covariance):
+        # v2 = 0 leaves Sigma singular, in the array frame and in the dense one
+        cfg = write_config(
+            tmp_path / "c.cfg",
+            data=", ".join(bundled_paths()),
+            t_max=15,
+            covariance=covariance,
+            sigma2=0.008,
+            v2=0,
+        )
+        assert main(["fit", "--config", cfg]) == 4
+        assert "not positive definite" in capsys.readouterr().err
+
 
 HEADER = "array,accident,development,value\n"
 

@@ -4,7 +4,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import commonshock as cs
-from commonshock.covariance import CellwiseTwoLevel, DiagonalScalar, Example48, GammaStructure, Term
+from commonshock.covariance import (
+    TRIL_LEAF,
+    CellwiseTwoLevel,
+    DiagonalScalar,
+    Example48,
+    GammaStructure,
+    Term,
+    _tril_inverse,
+)
 
 
 def random_example48(n_arrays, cells, seed):
@@ -204,23 +212,59 @@ class TestSigmaModel:
         [
             (Example48(3, np.eye(2), np.eye(2)), [0.2, 0.1, 0.0, 0.3, 0.7, 0.5, 0.9]),
             (DiagonalScalar(np.kron(np.ones((2, 1)), np.eye(3))), [0.2, 0.7]),
+            (DiagonalScalar(np.kron(np.ones((50, 1)), np.eye(3))), [0.2, 0.7]),
         ],
-        ids=["example48_identity", "diagonal_scalar"],
+        ids=["example48_identity", "diagonal_scalar", "diagonal_scalar_above_two_leaves"],
     )
     def test_solve_and_logdet_match_dense_in_either_form(self, structure, omega):
         # identity Example48 factors through its 3 x 3 array side, and
-        # DiagonalScalar through the dense Sigma
+        # DiagonalScalar through the dense Sigma, inverted in blocks once n
+        # exceeds the leaf size; chol(G kron I) = chol(G) kron I, so whitening
+        # is the dense lower factor's inverse in both frames
         model = cs.SigmaModel(structure, omega)
-        rhs = np.arange(6.0)
-        np.testing.assert_allclose(
-            model.solve(rhs), np.linalg.solve(model.sigma, rhs), atol=1e-12
-        )
-        assert model.logdet() == pytest.approx(np.linalg.slogdet(model.sigma)[1])
+        sigma = model.sigma
+        rng = np.random.default_rng(1)
+        factor = np.linalg.cholesky(sigma)
+        for rhs in (np.arange(model.n, dtype=float), rng.normal(size=(model.n, 3))):
+            np.testing.assert_allclose(model.solve(rhs), np.linalg.solve(sigma, rhs), atol=1e-12)
+            np.testing.assert_allclose(
+                model.whiten(rhs), np.linalg.solve(factor, rhs), rtol=1e-12, atol=1e-12
+            )
+        assert model.logdet() == pytest.approx(np.linalg.slogdet(sigma)[1], rel=1e-12)
 
     def test_nonconforming_dimensions_rejected(self):
         structure = CellwiseTwoLevel(2, 3)
         with pytest.raises(cs.ConfigError):
             cs.sigma_from_gamma(np.eye(5), structure, [0.1, 0.2])
+
+
+class TestTrilInverse:
+    @staticmethod
+    def factor(n, seed=0):
+        # the Cholesky factor of a well-conditioned SPD matrix
+        A = np.random.default_rng(seed).normal(size=(n, n))
+        return np.linalg.cholesky(A @ A.T / n + np.eye(n))
+
+    def test_every_size_through_two_leaves(self):
+        # sizes 1 to above 2 x the leaf size take one and two levels of
+        # recursion, with odd splits of uneven halves; 4 x the leaf size + 3
+        # takes three
+        for n in [*range(1, 2 * TRIL_LEAF + 4), 4 * TRIL_LEAF + 3]:
+            L = self.factor(n, seed=n)
+            inv = _tril_inverse(L)
+            np.testing.assert_allclose(L @ inv, np.eye(n), atol=1e-12, err_msg=str(n))
+            np.testing.assert_allclose(inv @ L, np.eye(n), atol=1e-12, err_msg=str(n))
+            np.testing.assert_allclose(inv, np.linalg.inv(L), rtol=1e-10, atol=1e-13)
+            assert not np.triu(inv, 1).any(), n
+
+    def test_upper_factor_inverts_through_the_transpose(self):
+        # R^-1 of a thin QR factor, as the GLS fit takes it
+        rng = np.random.default_rng(2)
+        for m in (1, 5, 2 * TRIL_LEAF + 1):
+            r = np.linalg.qr(rng.normal(size=(m + 20, m)))[1]
+            r_inv = _tril_inverse(r.T).T
+            np.testing.assert_allclose(r @ r_inv, np.eye(m), atol=1e-11)
+            assert not np.tril(r_inv, -1).any()
 
 
 def identity_side_structure(n_arrays, cells, example48):

@@ -49,18 +49,18 @@ class TestGlsFit:
             cs.gls_fit(rng.normal(size=8), M, cs.SigmaModel(structure, [0.0, 1.0]))
 
     def test_least_squares_keeps_the_factor_of_m(self, monkeypatch):
-        # at Sigma = I whitening leaves M as it is: no triangular solve on M,
-        # and the factor of M stays for the fixed-location test
+        # at Sigma = I whitening leaves M as it is: no product with L^-1 on
+        # M, and the factor of M stays for the fixed-location test
         rng = np.random.default_rng(3)
         y, M = rng.normal(size=12), rng.normal(size=(12, 3))
         solves = []
-        solve = covariance.solve_triangular
+        by_array = covariance.SigmaModel._by_array
 
-        def recorded(a, b, *args, **kwargs):
-            solves.append(np.shape(b))
-            return solve(a, b, *args, **kwargs)
+        def recorded(self, apply, x):
+            solves.append(np.shape(x))
+            return by_array(self, apply, x)
 
-        monkeypatch.setattr(covariance, "solve_triangular", recorded)
+        monkeypatch.setattr(covariance.SigmaModel, "_by_array", recorded)
         for structure in (CellwiseTwoLevel(2, 6), DiagonalScalar(rng.normal(size=(12, 2)))):
             fit = cs.gls_fit(y, M, cs.SigmaModel(structure, [0.0, 1.0]))
             assert solves == [] and fit._q is not None
