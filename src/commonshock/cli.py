@@ -334,8 +334,8 @@ def _fit_from_config(cfg):
         _get_choice(cfg, "covariance", STRUCTURE_KINDS, "cellwise_two_level"),
         layout.n_arrays,
         layout.cells_per_array,
-        design.A,
-        design.B,
+        lambda: design.A,
+        lambda: design.B,
     )
 
     values = []  # None for a component to estimate

@@ -304,16 +304,17 @@ def Example48(n_arrays: int, A0, R) -> GammaStructure:
 def structure_for(kind: str, n_arrays: int, cells: int, A, B) -> GammaStructure:
     """The structure named ``kind`` for N arrays of ``cells`` cells each.
 
-    A and B are the design's shock coefficient blocks over those cells; only
-    ``diagonal_scalar`` reads them (an empty B means no within shocks).
-    ``example48`` gets the identity development operator.
+    A and B are the design's shock coefficient blocks over those cells, or
+    functions of no arguments that return them; only ``diagonal_scalar``
+    reads them (an empty B means no within shocks), so only it calls a
+    function. ``example48`` gets the identity development operator.
     """
     if kind not in STRUCTURE_KINDS:
         raise ConfigError(f"unknown covariance structure {kind!r}")
     if kind == "cellwise_two_level":
         return CellwiseTwoLevel(n_arrays, cells)
     if kind == "diagonal_scalar":
-        return DiagonalScalar(A, B)
+        return DiagonalScalar(*(block() if callable(block) else block for block in (A, B)))
     eye = np.eye(cells)
     return Example48(n_arrays, eye, eye)
 

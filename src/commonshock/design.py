@@ -15,6 +15,7 @@ effect fixed at zero, so reported effects are directly interpretable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -141,33 +142,44 @@ class _CellRows:
         B = self.within(shock.beta) if shock.include_within else np.zeros((n, 0))
         return A, B
 
-    def design(self, shock: ShockSpec, variant: str, A=None, B=None):
-        """(C, M_full, labels) with M_full = [xi | eta | zeta].
+    def design(self, shock: ShockSpec, variant: str):
+        """(X, C0, labels) with M_full = [X | I_N (x) C0] = [xi | eta | zeta].
 
-        The xi block is A, or the one column of alpha when the across-array
-        shock means are tied; C is block diagonal with one block per array.
-        A and B, when not given, are built only if M_full holds them.
+        X holds the shock-mean columns: A, or the one column of alpha when
+        the across-array shock means are tied, then B. C0 is one array's
+        idiosyncratic block, and C = I_N (x) C0. A and B are built only
+        where X holds them.
         """
         N, P = self.layout.n_arrays, self.n_subsets
-        block, block_labels = self.idiosyncratic(variant)
-        k, q = block.shape
-        C = np.zeros((N, k, N, q))
-        C[np.arange(N), :, np.arange(N), :] = block
-        C = C.reshape(N * k, N * q)
+        C0, block_labels = self.idiosyncratic(variant)
         mean_blocks, labels = [], []
         if shock.include_across:
             if shock.shared_across_mean:
                 mean_blocks.append(self._coefficients(shock.alpha).reshape(-1, 1))
                 labels.append(("xi_shared",))
             else:
-                mean_blocks.append(self.across(shock.alpha) if A is None else A)
+                mean_blocks.append(self.across(shock.alpha))
                 labels.extend(("xi", p) for p in range(P))
         if shock.include_within:
-            mean_blocks.append(self.within(shock.beta) if B is None else B)
+            mean_blocks.append(self.within(shock.beta))
             labels.extend(("eta", n, p) for n in range(1, N + 1) for p in range(P))
-        mean_blocks.append(C)
+        X = np.hstack(mean_blocks) if mean_blocks else np.zeros((N * self.i.size, 0))
         labels.extend((lbl[0], n) + lbl[1:] for n in range(1, N + 1) for lbl in block_labels)
-        return C, np.hstack(mean_blocks), labels
+        return X, C0, labels
+
+
+def array_frame(X: np.ndarray, C0: np.ndarray, n_blocks: int) -> np.ndarray:
+    """The dense [X | I_N (x) C0] with N = ``n_blocks``.
+
+    Array n's rows hold C0 in the array's own column block, filled block by
+    block rather than by a Kronecker product.
+    """
+    (k, q), s, N = C0.shape, X.shape[1], n_blocks
+    out = np.zeros((N * k, s + N * q))
+    out[:, :s] = X
+    for n in range(N):
+        out[n * k : (n + 1) * k, s + n * q : s + (n + 1) * q] = C0
+    return out
 
 
 def build_A(partition: Partition, layout: ArrayLayout, alpha=None) -> np.ndarray:
@@ -296,15 +308,21 @@ def reduce_columns(M: np.ndarray, keep_priority=None, tol_factor: float = 1e-10)
 
 @dataclass(frozen=True)
 class ModelDesign:
-    """Assembled design: full blocks, reduced mean design, and bookkeeping."""
+    """Assembled design: the reduced mean design M and its bookkeeping.
+
+    M = [X | I_N (x) C0] (see ``array_frame``): X holds the kept shock-mean
+    columns, (N|cells|, s_x), and C0 the kept columns of one array's
+    idiosyncratic block, (|cells|, r0). M is built once from the two, and
+    the fit factors it by these blocks. The unreduced blocks are formed on
+    first read: A and B, which only the diagonal-scalar structure and an
+    unshared across-array mean need, the dense C and M_full.
+    """
 
     layout: ArrayLayout
     shock: ShockSpec
     idio_variant: str
-    A: np.ndarray  # (N|cells|, P)      across-array shock block
-    B: np.ndarray  # (N|cells|, N P)    within-array shock block (0 cols if absent)
-    C: np.ndarray  # (N|cells|, N q)    idiosyncratic block
-    M_full: np.ndarray
+    X: np.ndarray  # (N|cells|, s_x)   kept shock-mean columns
+    C0: np.ndarray  # (|cells|, r0)    kept idiosyncratic columns of one array
     full_labels: tuple
     kept: tuple
     dropped: tuple  # ((label, reason), ...)
@@ -313,14 +331,44 @@ class ModelDesign:
     labels: tuple = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "M", self.M_full[:, list(self.kept)])
+        object.__setattr__(self, "M", array_frame(self.X, self.C0, self.layout.n_arrays))
         object.__setattr__(
             self, "labels", tuple(self.full_labels[k] for k in self.kept)
         )
 
+    @cached_property
+    def _rows(self) -> _CellRows:
+        return _CellRows.stacked(self.layout, self.shock.partition)
+
+    @cached_property
+    def _shock_blocks(self) -> tuple:
+        return self._rows.shock_blocks(self.shock)
+
+    @property
+    def A(self) -> np.ndarray:
+        """(N|cells|, P) across-array shock block, no columns when absent."""
+        return self._shock_blocks[0]
+
+    @property
+    def B(self) -> np.ndarray:
+        """(N|cells|, N P) within-array shock block, no columns when absent."""
+        return self._shock_blocks[1]
+
+    @cached_property
+    def C(self) -> np.ndarray:
+        """(N|cells|, N q) idiosyncratic block, I_N (x) the unreduced C0."""
+        C0 = self._rows.idiosyncratic(self.idio_variant)[0]
+        return array_frame(np.zeros((self.n_obs, 0)), C0, self.layout.n_arrays)
+
+    @cached_property
+    def M_full(self) -> np.ndarray:
+        """The unreduced design [xi | eta | zeta]."""
+        X, C0, _ = self._rows.design(self.shock, self.idio_variant)
+        return array_frame(X, C0, self.layout.n_arrays)
+
     @property
     def n_obs(self) -> int:
-        return self.M_full.shape[0]
+        return self.M.shape[0]
 
     @property
     def n_params(self) -> int:
@@ -339,8 +387,10 @@ class ModelDesign:
                 "-array shock mean for a subset never observed; supply the future "
                 "values by hand (an AR(1) extrapolation plus forecast offsets)"
             )
-        rows = _CellRows(self.layout, i, j, labels, part.n_subsets)
-        return rows.design(shock, self.idio_variant)[1]
+        X, C0, _ = _CellRows(self.layout, i, j, labels, part.n_subsets).design(
+            shock, self.idio_variant
+        )
+        return array_frame(X, C0, self.layout.n_arrays)
 
     def rows_for_cells(self, cells) -> np.ndarray:
         """Reduced-design rows for arbitrary grid cells, array index outermost.
@@ -397,7 +447,8 @@ def assemble(
     shock: ShockSpec,
     idio_variant: str = "chain_ladder",
 ) -> ModelDesign:
-    """Build all design blocks and remove redundant mean columns.
+    """Build the shock-mean columns and one array's idiosyncratic block, and
+    remove redundant mean columns.
 
     The reduction sweep keeps idiosyncratic columns in preference to shock
     means (and within-array means in preference to across-array ones), which
@@ -406,7 +457,7 @@ def assemble(
     sweep visits one array's block C0 once and reuses its kept columns for
     every array, then sweeps the shock means against that span; the result
     is ``reduce_columns(M_full, priority)`` with the same priority, without
-    factoring the n-row M_full.
+    forming the n-row M_full.
     """
     if idio_variant not in IDIO_VARIANTS:
         raise ConfigError(
@@ -418,30 +469,21 @@ def assemble(
     if part.layout is not lay and part.layout.stacking_order != lay.stacking_order:
         raise ConfigError("partition was built for a different layout")
 
-    rows = _CellRows.stacked(lay, part)
-    A, B = rows.shock_blocks(shock)
-    C, M_full, labels = rows.design(shock, idio_variant, A, B)
-
+    X, C0, labels = _CellRows.stacked(lay, part).design(shock, idio_variant)
     # keep priority: zeta block first, then eta, then xi; M_full is
     # [xi | eta | I_N (x) C0], and the reduction works on those blocks
-    N = lay.n_arrays
-    C0 = C[: C.shape[0] // N, : C.shape[1] // N]
-    s = M_full.shape[1] - C.shape[1]
+    s, q, N = X.shape[1], C0.shape[1], lay.n_arrays
     rank = {"xi": 1, "xi_shared": 1, "eta": 0}
     x_order = sorted(range(s), key=lambda k: (rank[labels[k][0]], k))
-    kept, dropped, coef, reasons = _reduce_blocks(
-        M_full[:, :s], x_order, C0, range(C0.shape[1]), N, 1e-10
-    )
+    kept, dropped, coef, reasons = _reduce_blocks(X, x_order, C0, range(q), N, 1e-10)
     if not kept:
         raise DesignError("design reduced to zero columns")
     return ModelDesign(
         layout=lay,
         shock=shock,
         idio_variant=idio_variant,
-        A=A,
-        B=B,
-        C=C,
-        M_full=M_full,
+        X=X[:, [k for k in kept if k < s]],
+        C0=C0[:, [k - s for k in kept if s <= k < s + q]],
         full_labels=tuple(labels),
         kept=tuple(kept),
         dropped=tuple((labels[d], reasons[d]) for d in dropped),

@@ -2,15 +2,17 @@
 
 With the covariance known, the location estimate is the usual GLS solution,
 computed through Cholesky whitening and least squares: neither Sigma^-1 nor
-(M^T Sigma^-1 M)^-1 is formed, only the inverses of triangular factors. With the covariance unknown up to variance components omega, the
-profile score (the derivative of the log-likelihood in omega after
+(M^T Sigma^-1 M)^-1 is formed, only the inverses of triangular factors.
+With the covariance unknown up to variance components omega, the profile
+score (the derivative of the log-likelihood in omega after
 concentrating out the location parameters) is driven to zero by projected
 Fisher scoring on the profile likelihood.
 
 When span(M) is invariant under every term D_k = dSigma/domega_k, GLS equals
 ordinary least squares at every omega (Kruskal 1968): the location and its
-residual d are fitted once, from one QR factor M = Q R, and a trial point
-costs one factor of Sigma. For the cell-matched structure on N >= 2 arrays
+residual d are fitted once, from the factor of M in its array frame (one QR
+of one array's idiosyncratic block, one of the projected shock-mean
+columns), and a trial point costs one factor of Sigma. For the cell-matched structure on N >= 2 arrays
 the dispersion is then in closed form (Szatrowski 1980): the ML variances
 are means over the array pairs of d's cross products and squared
 differences.
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .covariance import CellwiseTwoLevel, GammaStructure, SigmaModel, _tril_inverse
-from .design import ModelDesign
+from .design import ModelDesign, array_frame
 from .errors import ConfigError, DesignError, NumericalError
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -42,9 +44,12 @@ class FitResult:
 
     ``M`` is the reduced mean design the fit used. ``r_inv`` is a matrix B
     with Var[kappa] = B B^T, the forecast writes its parameter error through
-    it: the inverse of the triangular factor of the whitened design after a
-    GLS fit, R^-1 chol(Q^T Sigma Q) after a fixed-location fit, so not
-    always triangular. ``var_kappa`` (B B^T) and ``omega_fit``, the
+    it, with rows in M's column order; it is not always triangular. After a
+    least-squares fit (GLS at Sigma = I) it is T^-1 of the array-frame
+    factor M = [Qx | I_N (x) Q0] T (see ``_least_squares``), block lower
+    triangular; after a GLS fit at any other Sigma, R^-1 of the QR factor
+    of the whitened design; after a fixed-location fit,
+    T^-1 chol(Q^T Sigma Q). ``var_kappa`` (B B^T) and ``omega_fit``, the
     covariance matrix of the fitted mean vector (M Var[kappa] M^T), are
     formed on first read. ``omega_hat`` is the vector of estimated variance
     components, None when the covariance was supplied as known.
@@ -62,8 +67,9 @@ class FitResult:
     n_iter: int = 0
     score: np.ndarray = None
     r_inv: np.ndarray = None
-    # the orthonormal factor of M, kept only by a least-squares fit (see gls_fit)
-    _q: np.ndarray = field(default=None, init=False, repr=False)
+    # (Q0, Qx), the orthonormal factor of M in its array frame, kept only by
+    # a least-squares fit (see gls_fit); no n x m matrix
+    _q: tuple = field(default=None, init=False, repr=False)
     _var_kappa: np.ndarray = field(default=None, init=False, repr=False)
     _omega_fit: np.ndarray = field(default=None, init=False, repr=False)
 
@@ -86,30 +92,25 @@ def _loglik(n: int, logdet: float, quad: float) -> float:
 
 
 def _design_parts(y, design):
-    """(y, M, labels, design or None) of a ModelDesign or a bare matrix M."""
+    """(y, M, labels, design or None, (X, C0)) of a ModelDesign or a bare matrix M.
+
+    (X, C0) is M's array frame, M = [X | I_N (x) C0] (see ``_least_squares``);
+    a bare matrix is its one-block case, C0 = M with no X.
+    """
     y = np.asarray(y, dtype=float).ravel()
     if isinstance(design, np.ndarray):
         M = design
         labels = tuple(f"column_{k}" for k in range(M.shape[1]))
         design_ref = None
+        frame = (np.zeros((M.shape[0], 0)), M)
     else:
         M = design.M
         labels = design.labels
         design_ref = design
+        frame = (design.X, design.C0)
     if y.size != M.shape[0]:
         raise DesignError(f"y has length {y.size}, design has {M.shape[0]} rows")
-    return y, M, labels, design_ref
-
-
-def _factor(W: np.ndarray, labels) -> tuple:
-    """(q, r) of the thin QR of a design; aliased columns raise DesignError."""
-    q, r = np.linalg.qr(W)
-    rdiag = np.abs(np.diag(r))
-    aliased = rdiag <= 1e-12 * rdiag.max(initial=1.0)
-    if aliased.any():
-        bad = [labels[k] for k in np.where(aliased)[0]]
-        raise DesignError(f"normal equations are singular; aliased columns: {bad}")
-    return q, r
+    return y, M, labels, design_ref, frame
 
 
 def gls_fit(y: np.ndarray, design: ModelDesign, sigma: SigmaModel) -> FitResult:
@@ -117,17 +118,22 @@ def gls_fit(y: np.ndarray, design: ModelDesign, sigma: SigmaModel) -> FitResult:
 
     kappa = (M^T Sigma^-1 M)^-1 M^T Sigma^-1 y with variance
     (M^T Sigma^-1 M)^-1 = R^-1 R^-T, computed from a Cholesky factor of
-    Sigma and a QR factor Q R of the whitened design. At Sigma = I whitening leaves y and M as
-    they are, so the fit is least squares, and it keeps the factor of M for
-    the fixed-location test.
+    Sigma and a QR factor Q R of the whitened design. At Sigma = I whitening
+    leaves y and M as they are, so the fit is least squares: M is factored
+    in its array frame, one QR of C0 and one of the projected shock-mean
+    columns (``_least_squares``), and the fit keeps that factor for the
+    fixed-location test. Any other Sigma whitens M into a dense matrix,
+    factored by one QR.
     """
-    y, M, labels, design_ref = _design_parts(y, design)
+    y, M, labels, design_ref, frame = _design_parts(y, design)
     if sigma.n != y.size:
         raise DesignError("covariance dimension does not match the data")
 
     wy = sigma.whiten(y)
     W = sigma.whiten(M)
-    q, rinv, kappa = _least_squares(wy, W, labels)
+    if not sigma.identity:
+        frame = (np.zeros((W.shape[0], 0)), W)
+    q, rinv, kappa = _least_squares(wy, *frame, labels)
     y_hat = M @ kappa
     d = y - y_hat
     wd = wy - W @ kappa
@@ -151,10 +157,11 @@ def gls_fit(y: np.ndarray, design: ModelDesign, sigma: SigmaModel) -> FitResult:
 class _FixedLocation:
     """The location fit of every omega, for a design whose span is Sigma-invariant.
 
-    The least-squares fit, M = Q R, gives kappa and the residual d, which
-    are the GLS ones at every omega. ``blocks`` holds S_k = Q^T D_k Q, so
-    that Q^T Sigma Q = S = sum_k omega_k S_k and
-    Var[kappa] = (R^T S^-1 R)^-1 = R^-1 S R^-T.
+    The least-squares fit, M = Q T with Q = [Qx | I_N (x) Q0] (see
+    ``_least_squares``), gives kappa and the residual d, which are the GLS
+    ones at every omega. ``blocks`` holds S_k = Q^T D_k Q, so that
+    Q^T Sigma Q = S = sum_k omega_k S_k and
+    Var[kappa] = (T^T S^-1 T)^-1 = T^-1 S T^-T.
     """
 
     M: np.ndarray
@@ -163,7 +170,7 @@ class _FixedLocation:
     kappa: np.ndarray
     y_hat: np.ndarray
     residual: np.ndarray
-    r_inv: np.ndarray  # R^-1
+    r_inv: np.ndarray  # T^-1
     blocks: tuple
 
     def fit(self, sigma: SigmaModel, variance: bool = False) -> FitResult:
@@ -190,42 +197,117 @@ class _FixedLocation:
 def _fixed_location(y, design, structure: GammaStructure, ols: FitResult = None):
     """The fixed location of (design, structure), or None where span(M) is not invariant.
 
-    span(M) is invariant under D_k when D_k Q = Q S_k with S_k = Q^T D_k Q,
-    both formed from the term's loadings; a term with D_k = I passes
-    untested. The equation is checked on four fixed Gaussian directions Z
-    (Freivalds' check): ||(D_k Q - Q S_k) Z|| at most ``INVARIANCE_TOL``
-    ||D_k Q Z||. That costs O(n m) per term where the full residual
-    (I - Q Q^T) D_k Q costs O(n m^2), more than the QR itself once a
-    structure has a few terms, and a residual that is not zero vanishes on
-    Z only for a set of directions of probability zero. ``ols`` is a gls_fit
-    at Sigma = I, whose factor is reused; without it M is factored here.
+    span(M) = span(Q), Q = [Qx | I_N (x) Q0] the least-squares factor, is
+    invariant under D_k when D_k Q = Q S_k with S_k = Q^T D_k Q. A term
+    with D_k = I passes untested. A term with an identity cell side, on a
+    structure whose arrays are M's blocks, maps I_N (x) Q0 into its own
+    span exactly (``_array_side_images``), so only D_k Qx is tested; any
+    other term is tested on the whole Q, formed once from its blocks. The
+    equation is checked on four fixed Gaussian directions Z (Freivalds'
+    check): ||(D_k Q - Q S_k) Z|| at most ``INVARIANCE_TOL`` ||D_k Q Z||.
+    That costs O(n m) per term where the full residual (I - Q Q^T) D_k Q
+    costs O(n m^2), and a residual that is not zero vanishes on Z only for
+    a set of directions of probability zero. ``ols`` is a gls_fit at
+    Sigma = I, whose factor is reused; without it M is factored here.
     """
-    y, M, labels, design_ref = _design_parts(y, design)
-    m = M.shape[1]
+    y, M, labels, design_ref, frame = _design_parts(y, design)
     if ols is not None and ols._q is not None:
         q, kappa, r_inv = ols._q, ols.kappa_hat, ols.r_inv
     else:
-        q, r_inv, kappa = _least_squares(y, M, labels)
+        q, r_inv, kappa = _least_squares(y, *frame, labels)
+    q0, qx = q
+    m, s, n_blocks = M.shape[1], qx.shape[1], y.size // q0.shape[0]
+    dense_q = None
     blocks = []
     Z = np.random.default_rng(0).standard_normal((m, 4))
     for k, identity in enumerate(structure.identity_terms):
         if identity:
             blocks.append(np.eye(m))
             continue
-        dq, gram = structure.term_images(k, q)
-        dqz = dq @ Z
-        if np.linalg.norm(dqz - q @ (gram @ Z)) > INVARIANCE_TOL * np.linalg.norm(dqz):
+        t = structure.terms[k]
+        if t.F is None and t.R is None and structure.cells == q0.shape[0]:
+            dq, S = _array_side_images(structure, k, q0, qx)
+            tested = slice(0, s)
+        else:
+            if dense_q is None:
+                dense_q = array_frame(qx, q0, n_blocks)
+            dq, S = structure.term_images(k, dense_q)
+            tested = slice(0, m)
+        dqz = dq @ Z[tested]
+        v = S[:, tested] @ Z[tested]
+        image = qx @ v[:s] + _by_block(q0, v[s:], n_blocks)  # Q S_k Z
+        if np.linalg.norm(dqz - image) > INVARIANCE_TOL * np.linalg.norm(dqz):
             return None
-        blocks.append(0.5 * (gram + gram.T))
+        blocks.append(0.5 * (S + S.T))
     y_hat = M @ kappa
     return _FixedLocation(M, labels, design_ref, kappa, y_hat, y - y_hat, r_inv, tuple(blocks))
 
 
-def _least_squares(y, M, labels) -> tuple:
-    """(q, r^-1, kappa) of the least-squares fit of y on M, with M = q r."""
-    q, r = _factor(M, labels)
-    r_inv = _tril_inverse(r.T).T
-    return q, r_inv, r_inv @ (q.T @ y)
+def _by_block(a: np.ndarray, v: np.ndarray, n_blocks: int) -> np.ndarray:
+    """(I_N (x) a) v with N = ``n_blocks``, for v of N a.shape[1] rows."""
+    cols = v.shape[1]
+    return np.matmul(a, v.reshape(n_blocks, a.shape[1], cols)).reshape(n_blocks * a.shape[0], cols)
+
+
+def _array_side_images(structure: GammaStructure, k: int, q0: np.ndarray, qx: np.ndarray):
+    """(D_k Qx, S_k = Q^T D_k Q) for a term with an identity cell side, Q = [Qx | I_N (x) Q0].
+
+    Such a term is D_k = G_k (x) I_cells with G_k = g_k g_k^T. Where the
+    structure's N arrays are M's blocks, D_k (I_N (x) Q0) is
+    (I_N (x) Q0)(G_k (x) I_r0), and so (I_N (x) Q0)^T D_k Qx vanishes with
+    (I_N (x) Q0)^T Qx: S_k is block diagonal, Qx^T D_k Qx and G_k (x) I_r0,
+    and only the image of Qx is formed, from the term's loadings.
+    """
+    n_blocks, r0, s = structure.n_arrays, q0.shape[1], qx.shape[1]
+    dqx, shock = structure.term_images(k, qx)
+    arrays = np.zeros((n_blocks, r0, n_blocks, r0))
+    diag = np.arange(r0)
+    arrays[:, diag, :, diag] = structure._array_sides[k]
+    S = np.zeros((s + n_blocks * r0,) * 2)
+    S[:s, :s] = shock
+    S[s:, s:] = arrays.reshape(n_blocks * r0, n_blocks * r0)
+    return dqx, S
+
+
+def _least_squares(y, X, C0, labels) -> tuple:
+    """((Q0, Qx), T^-1, kappa) of the least-squares fit of y on M = [X | I_N (x) C0].
+
+    M is factored in its array frame, N = len(y) / rows of C0. One QR,
+    C0 = Q0 R0, serves every array. The shock-mean columns X are projected
+    off I_N (x) Q0, with one re-orthogonalisation pass, and what is left is
+    factored by one QR: X - (I_N (x) Q0) Z = Qx Rx, Z = (I_N (x) Q0)^T X.
+    So M = [Qx | I_N (x) Q0] T with T = [[Rx, 0], [Z, I_N (x) R0]] in M's
+    column order, and
+    T^-1 = [[Rx^-1, 0], [-(I_N (x) R0^-1) Z Rx^-1, I_N (x) R0^-1]]
+    gives kappa = T^-1 Q^T y, formed block by block, and Var[kappa] =
+    T^-1 T^-T. A bare matrix is the one-block case, C0 = M with no X: one
+    QR of M. A column whose diagonal entry of T is at most 1e-12 times the
+    largest (or 1) is aliased, and DesignError names every such column.
+    """
+    (k, r0), s = C0.shape, X.shape[1]
+    n_blocks = y.size // k
+    q0, R0 = np.linalg.qr(C0)
+    Z = _by_block(q0.T, X, n_blocks)
+    left = X - _by_block(q0, Z, n_blocks)
+    again = _by_block(q0.T, left, n_blocks)  # one re-orthogonalisation pass
+    left -= _by_block(q0, again, n_blocks)
+    Z += again
+    qx, Rx = np.linalg.qr(left) if s else (left, np.zeros((0, 0)))
+    rdiag = np.abs(np.concatenate([np.diag(Rx), np.tile(np.diag(R0), n_blocks)]))
+    aliased = rdiag <= 1e-12 * rdiag.max(initial=1.0)
+    if aliased.any():
+        bad = [labels[j] for j in np.where(aliased)[0]]
+        raise DesignError(f"normal equations are singular; aliased columns: {bad}")
+    R0_inv = _tril_inverse(R0.T).T
+    Rx_inv = _tril_inverse(Rx.T).T
+    r_inv = np.zeros((s + n_blocks * r0,) * 2)
+    r_inv[:s, :s] = Rx_inv
+    r_inv[s:] = array_frame(-_by_block(R0_inv, Z @ Rx_inv, n_blocks), R0_inv, n_blocks)
+    # kappa by blocks, so that arrays with the same data get the same bits
+    kappa_x = Rx_inv @ (qx.T @ y)
+    qy = _by_block(q0.T, y[:, None], n_blocks)
+    kappa_c = _by_block(R0_inv, qy - Z @ kappa_x[:, None], n_blocks)
+    return (q0, qx), r_inv, np.concatenate([kappa_x, kappa_c.ravel()])
 
 
 def _fit_at(y, design, sigma: SigmaModel, location: _FixedLocation = None) -> FitResult:
@@ -254,8 +336,8 @@ def profile_score(
         fit = gls_fit(y, design, SigmaModel(structure, omega))
         traces = fit.sigma.term_traces()
         score = _score(fit.sigma, traces, fit.residual)
-        y, M, labels, _ = _design_parts(y, design)
-        kappa = _least_squares(y, M, labels)[2]
+        y, M, labels, _, frame = _design_parts(y, design)
+        kappa = _least_squares(y, *frame, labels)[2]
         ls = _score(fit.sigma, traces, y - M @ kappa)
         return ls if np.all(np.abs(ls - score) <= 1e-10 * np.abs(traces)) else score
     if not np.array_equal(fit.sigma.omega, np.ravel(omega)):

@@ -18,10 +18,12 @@ matrix. The dense Omega* and raw-scale covariance are formed only when
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .covariance import structure_for
+from .design import ModelDesign
 from .errors import DesignError, NumericalError
 from .estimation import FitResult
 
@@ -32,13 +34,30 @@ from .lognormal import LogNormalSummary, grouped_raw_moments, raw_cov, raw_mean 
 
 @dataclass(frozen=True)
 class ForecastDesign:
-    """Forecast rows and the process-error pieces over the future region."""
+    """Forecast rows and the process-error pieces over the future region.
+
+    The shock blocks A* and B* are formed on first read: only the
+    diagonal-scalar structure's process error reads them.
+    """
 
     m_star: np.ndarray  # (N * n_future, n_params) reduced-design rows
     cells: tuple  # future cells, one array's worth, stacking order
-    a_star: np.ndarray  # across-array shock block over the region
-    b_star: np.ndarray  # within-array shock block over the region
     n_arrays: int
+    design: ModelDesign = field(repr=False)
+
+    @cached_property
+    def _shock_blocks(self) -> tuple:
+        return self.design.shock_blocks_for_cells(self.cells)
+
+    @property
+    def a_star(self) -> np.ndarray:
+        """The across-array shock block over the region."""
+        return self._shock_blocks[0]
+
+    @property
+    def b_star(self) -> np.ndarray:
+        """The within-array shock block over the region."""
+        return self._shock_blocks[1]
 
 
 @dataclass(frozen=True)
@@ -108,14 +127,11 @@ def build_forecast_design(design, cells) -> ForecastDesign:
     offsets, with an AR(1) extrapolation where a calendar pattern is wanted.
     """
     cells = tuple(cells)
-    m_star = design.rows_for_cells(cells)
-    a_star, b_star = design.shock_blocks_for_cells(cells)
     return ForecastDesign(
-        m_star=m_star,
+        m_star=design.rows_for_cells(cells),
         cells=cells,
-        a_star=a_star,
-        b_star=b_star,
         n_arrays=design.layout.n_arrays,
+        design=design,
     )
 
 
@@ -133,7 +149,9 @@ def _process_error(fit: FitResult, fd: ForecastDesign, extra_offset_var=None):
             "forecasting under a non-identity development operator needs an "
             "explicit operator for the future region; none is defined"
         )
-    future = structure_for(structure.kind, fd.n_arrays, len(fd.cells), fd.a_star, fd.b_star)
+    future = structure_for(
+        structure.kind, fd.n_arrays, len(fd.cells), lambda: fd.a_star, lambda: fd.b_star
+    )
     if future.omega_names != structure.omega_names:
         raise NumericalError("future shock blocks do not match the fitted covariance structure")
     n = fd.n_arrays * len(fd.cells)

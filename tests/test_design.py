@@ -124,6 +124,31 @@ def test_assemble_block_dimension_contract():
     assert L.shape == (n_obs, P + 2 * P + n_obs)
 
 
+def test_shock_blocks_are_formed_on_first_read(bundled, monkeypatch):
+    # a tied across-array mean puts one alpha column in M, so fitting and
+    # forecasting under the cell-matched structure read neither A nor A*;
+    # both are formed, with the same values, when read
+    built = []
+    across = design_module._CellRows.across
+
+    def counted(self, alpha=None):
+        built.append(self.i.size)
+        return across(self, alpha)
+
+    monkeypatch.setattr(design_module._CellRows, "across", counted)
+    coll = bundled.restrict_to_diagonals(15)
+    design = toy_design(coll.layout)
+    fit = cs.ml_dispersion_cellwise(cs.stack_log(coll), design)
+    fd = cs.build_forecast_design(design, cs.future_cells(design.layout, 15))
+    cs.predict(fit, fd)
+    assert built == []
+    np.testing.assert_array_equal(design.A, cs.build_A(design.shock.partition, design.layout))
+    np.testing.assert_array_equal(design.M, design.M_full[:, list(design.kept)])
+    future = design.shock_blocks_for_cells(fd.cells)[0]
+    np.testing.assert_array_equal(fd.a_star, future)
+    assert len(built) == 4  # design.A, build_A, and A* twice
+
+
 def test_single_array_no_shock_is_cross_classified():
     lay = ArrayLayout.triangle(1, 5)
     part = cs.build_partition("cell", lay)

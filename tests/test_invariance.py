@@ -1,26 +1,29 @@
 """The fixed-location path: span(M) invariant under every D_k = dSigma/domega_k.
 
 Where the invariance test passes, least squares is the GLS fit at every
-omega, so one QR factor of M serves the whole solve; where it fails, the
-solver keeps a GLS fit per point.
+omega, so one factor of M, taken in its array frame, serves the whole
+solve; where it fails, the solver keeps a GLS fit per point.
 """
 
+import ast
 import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import commonshock as cs
 from commonshock import estimation
+from commonshock.arrays import ArrayLayout
 from commonshock.covariance import (
     CellwiseTwoLevel, DiagonalScalar, GammaStructure, Term, structure_for,
 )
+from commonshock.design import array_frame
 from commonshock.partitions import PARTITION_KINDS
 from conftest import toy_design
-from test_design_properties import layouts
+from test_design_properties import both_shock_means, designs, layouts
 
 STRUCTURES = ("cellwise_two_level", "diagonal_scalar", "example48", "raw")
 
@@ -112,6 +115,87 @@ def test_fixed_location_is_the_gls_fit(case):
         assert math.isclose(fixed.loglik, want.loglik, rel_tol=1e-10, abs_tol=1e-10)
 
 
+def dense_factor(y, M, order):
+    """(kappa, Var[kappa], aliased) from one Householder QR of M's columns in
+    ``order``, in M's order; aliased lists the columns whose diagonal entry
+    of R is at most 1e-12 times the largest (or 1), and then kappa is None."""
+    q, r = np.linalg.qr(M[:, order])
+    rdiag = np.abs(np.diag(r))
+    aliased = sorted(order[j] for j in np.where(rdiag <= 1e-12 * rdiag.max(initial=1.0))[0])
+    if aliased:
+        return None, None, aliased
+    r_inv = np.linalg.inv(r)
+    kappa, var = np.empty(len(order)), np.empty((len(order), len(order)))
+    kappa[order] = r_inv @ (q.T @ y)
+    var[np.ix_(order, order)] = r_inv @ r_inv.T
+    return kappa, var, []
+
+
+def calendar_means():
+    # unshared calendar means across and within three arrays: most are kept
+    lay = ArrayLayout.triangle(3, 5)
+    shock = cs.ShockSpec(partition=cs.build_partition("diagonal", lay), include_within=True)
+    return cs.assemble(lay, shock, "hoerl"), np.random.default_rng(1)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(designs())
+@example(both_shock_means())
+@example(calendar_means())
+def test_block_factor_is_the_dense_factor(case):
+    # _least_squares factors M = [X | I_N (x) C0] by blocks. Against one dense
+    # QR of M in the same column order (C0's arrays, then X), on the design
+    # and on two aliased variants of it: a shock column in span(M), and a
+    # column of C0 in span(C0), which is aliased in every array
+    design, rng = case
+    N, (k, r0) = design.layout.n_arrays, design.C0.shape
+    X, C0, M = design.X, design.C0, design.M
+    s = X.shape[1]
+    y = rng.normal(size=design.n_obs)
+    event("kept shock means" if s else "no shock means")
+    variants = (
+        (X, C0, []),
+        (np.hstack([X, M @ rng.normal(size=(M.shape[1], 1))]), C0, [s]),
+        (X, np.hstack([C0, C0 @ rng.normal(size=(r0, 1))]), list(s + r0 + (r0 + 1) * np.arange(N))),
+    )
+    for Xv, C0v, alias in variants:
+        Mv = array_frame(Xv, C0v, N)
+        if Mv.shape[1] > Mv.shape[0]:
+            continue  # more columns than rows: no square factor to compare
+        labels = tuple(f"column_{j}" for j in range(Mv.shape[1]))
+        sv = Xv.shape[1]
+        kappa, var, aliased = dense_factor(y, Mv, list(range(sv, Mv.shape[1])) + list(range(sv)))
+        assert set(alias) <= set(aliased) and bool(aliased) == bool(alias)
+        if aliased:
+            event(f"aliased {'shock' if sv > s else 'array'} column")
+            with pytest.raises(cs.DesignError, match="aliased columns: ") as raised:
+                estimation._least_squares(y, Xv, C0v, labels)
+            named = ast.literal_eval(str(raised.value).split("aliased columns: ")[1])
+            if sv > s:  # the last column in either order: the same columns named
+                assert named == [labels[j] for j in aliased]
+            else:
+                # an aliased C0 column leaves a rounding direction in Q0 (and
+                # in the dense Q), which the shock columns are projected off:
+                # only its copy in every array is sure to be named
+                assert {labels[j] for j in alias} <= set(named)
+            continue
+        (q0, qx), r_inv, got = estimation._least_squares(y, Xv, C0v, labels)
+        for got_, want in ((got, kappa), (r_inv @ r_inv.T, var)):
+            scale = np.abs(want).max(initial=0.0)
+            np.testing.assert_allclose(got_, want, rtol=1e-10, atol=1e-10 * scale)
+    # the array-side S_k are the Q^T D_k Q that term_images forms on the dense Q
+    Q = array_frame(qx, q0, N)
+    for structure in (CellwiseTwoLevel(N, k), raw_structure(rng, N, k, cell_side=False)):
+        for t, identity in enumerate(structure.identity_terms):
+            if identity:
+                continue
+            dqx, S = estimation._array_side_images(structure, t, q0, qx)
+            dq, want = structure.term_images(t, Q)
+            scale = max(np.abs(want).max(initial=0.0), 1.0)
+            np.testing.assert_allclose(S, want, rtol=0.0, atol=1e-12 * scale)
+            np.testing.assert_allclose(dqx, dq[:, : qx.shape[1]], rtol=0.0, atol=1e-12 * scale)
+
+
 def test_bundled_configurations(bundled):
     # 5 partitions x within shocks x shared mean x 3 structures: only these
     # three are not invariant
@@ -147,11 +231,30 @@ def qr_shapes(monkeypatch):
     return shapes
 
 
+def array_frame_shapes(design):
+    """The QRs of the least-squares fit in M's array frame: C0, and the n x s_x
+    projected shock-mean block when shock means are kept."""
+    return [design.C0.shape] + ([design.X.shape] if design.X.shape[1] else [])
+
+
 def test_closed_form_path_makes_one_qr(ref_fit, qr_shapes):
+    # one QR of C0 serves every array; the reference design keeps no shock mean
     design = ref_fit["design"]
     fit = cs.ml_dispersion_cellwise(ref_fit["y"], design)
-    assert qr_shapes == [design.M.shape]
+    assert design.X.shape[1] == 0
+    assert qr_shapes == [design.C0.shape]
     np.testing.assert_allclose(fit.omega_hat, ref_fit["fit"].omega_hat, rtol=1e-12)
+
+
+def test_closed_form_path_with_kept_shock_means(bundled, qr_shapes):
+    # unshared calendar means are partly kept: their columns, projected off
+    # I_N (x) Q0, add one n x s_x QR and nothing of N r0 columns
+    coll = bundled.restrict_to_diagonals(15)
+    design = toy_design(coll.layout, kind="diagonal", shared_mean=False)
+    fit = cs.ml_dispersion_cellwise(cs.stack_log(coll), design)
+    assert fit.n_iter == 1  # the fixed location, no solver steps
+    assert design.X.shape[1] > 0
+    assert qr_shapes == [design.C0.shape, design.X.shape]
 
 
 @pytest.mark.parametrize("name", ["cellwise_two_level", "diagonal_scalar"])
@@ -164,20 +267,20 @@ def test_generic_solver_on_an_invariant_design_makes_one_qr(ref_fit, qr_shapes, 
         structure = DiagonalScalar(design.A)
     fit = cs.ml_dispersion_generic(ref_fit["y"], design, structure, [0.01] * structure.n_params)
     assert fit.n_iter >= 1  # this start steps; a start that does not is the next test
-    assert qr_shapes == [design.M.shape]
+    assert qr_shapes == [design.C0.shape]  # the reference design keeps no shock mean
     want = cs.gls_fit(ref_fit["y"], design, fit.sigma)
     np.testing.assert_allclose(fit.var_kappa, want.var_kappa, rtol=1e-10, atol=1e-14)
     assert fit.loglik == pytest.approx(want.loglik, rel=1e-12)
 
 
 def test_generic_solver_start_that_needs_no_step_is_its_gls_fit(ref_fit, qr_shapes):
-    # the invariance test's factor of M, then gls_fit's whitened factor: a
-    # start that needs no step costs two QRs, not one
+    # the invariance test's factor of C0, then gls_fit's factor of the
+    # whitened design: a start that needs no step costs a dense QR of M
     y, design = ref_fit["y"], ref_fit["design"]
     structure = CellwiseTwoLevel(2, design.layout.cells_per_array)
     fit = cs.ml_dispersion_generic(y, design, structure, [0.01, 0.01], free_mask=[False, False])
     assert fit.n_iter == 0
-    assert qr_shapes == [design.M.shape, design.M.shape]
+    assert qr_shapes == [design.C0.shape, design.M.shape]
     assert fit.loglik == cs.gls_fit(y, design, fit.sigma).loglik
 
 
@@ -214,10 +317,13 @@ def test_generic_solver_on_a_moving_design_fits_each_point(bundled, qr_shapes):
     design = toy_design(coll.layout, kind="diagonal")
     structure = DiagonalScalar(design.A)
     fit = cs.ml_dispersion_generic(cs.stack_log(coll), design, structure, [0.01, 0.01])
-    # the invariance test's factor, then one whitened factor per point visited
-    assert len(qr_shapes) >= fit.n_iter + 2
-    assert qr_shapes[0] == design.M.shape
-    assert fit._q is None  # no n x m factor outlives the solve
+    # the invariance test's factor in the array frame, then one whitened
+    # factor per point visited
+    frame = array_frame_shapes(design)
+    assert qr_shapes[: len(frame)] == frame
+    assert len(qr_shapes) >= len(frame) + fit.n_iter + 1
+    assert qr_shapes[len(frame):] == [design.M.shape] * (len(qr_shapes) - len(frame))
+    assert fit._q is None  # no factor outlives the solve
 
 
 def test_closed_form_path_on_a_moving_design(bundled):
