@@ -21,8 +21,6 @@ from .covariance import (
     Example48,
     SigmaModel,
     dsigma_domega,
-    sigma_example48,
-    sigma_from_gamma,
     sigma_inverse_cellwise,
 )
 from .design import (
@@ -84,7 +82,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ArrayLayout", "ClaimCollection", "diagonal_of", "future_cells", "stack_log", "unstack",
     "CellwiseTwoLevel", "DiagonalScalar", "Example48", "SigmaModel",
-    "dsigma_domega", "sigma_example48", "sigma_from_gamma", "sigma_inverse_cellwise",
+    "dsigma_domega", "sigma_inverse_cellwise",
     "ModelDesign", "ShockSpec", "assemble", "build_A", "build_B",
     "build_C_chain_ladder", "build_C_hoerl", "reduce_columns",
     "CommonShockError", "ConfigError", "DataError", "DesignError", "NumericalError",

@@ -547,26 +547,28 @@ def cmd_simulate(cfg, out_path, seed=None) -> str:
 
 
 def cmd_inspect(cfg) -> str:
+    """Print the model's dimensions, counted from the design without forming
+    its unreduced blocks A, B, C or M_full."""
     _, _, _, design = _build_model(cfg)
-    lay = design.layout
-    partition = design.shock.partition
-    n_obs = lay.n_observations
-    P = partition.n_subsets
-    q = design.C.shape[1] // lay.n_arrays
+    lay, shock = design.layout, design.shock
+    N, n_obs, P = lay.n_arrays, lay.n_observations, shock.partition.n_subsets
+    q = design._rows.idiosyncratic(design.idio_variant)[0].shape[1]
+    a_cols = P if shock.include_across else 0
+    b_cols = N * P if shock.include_within else 0
     lines = [
         "Model dimensions",
         "================",
-        f"arrays (N):                {lay.n_arrays}",
+        f"arrays (N):                {N}",
         f"grid (I* x J):             {lay.n_rows} x {lay.n_cols}",
         f"cells per array |A|:       {lay.cells_per_array}",
         f"observations N|A|:         {n_obs}",
-        f"partition '{partition.kind}' subsets P: {P}",
+        f"partition '{shock.partition.kind}' subsets P: {P}",
         f"idiosyncratic params q:    {q}",
-        f"A block:                   {n_obs} x {design.A.shape[1]}",
-        f"B block:                   {n_obs} x {design.B.shape[1]}",
-        f"C block:                   {n_obs} x {design.C.shape[1]}",
-        f"L = [A B I]:               {n_obs} x {design.A.shape[1] + design.B.shape[1] + n_obs}",
-        f"M before reduction:        {n_obs} x {design.M_full.shape[1]}",
+        f"A block:                   {n_obs} x {a_cols}",
+        f"B block:                   {n_obs} x {b_cols}",
+        f"C block:                   {n_obs} x {N * q}",
+        f"L = [A B I]:               {n_obs} x {a_cols + b_cols + n_obs}",
+        f"M before reduction:        {n_obs} x {len(design.full_labels)}",
         f"M after reduction:         {n_obs} x {design.M.shape[1]}",
     ]
     if design.dropped:

@@ -6,19 +6,21 @@ Every structure is one list of terms, linear in its variance components:
 
 with an array-side loading g_k (N x r_k), a cell-side loading F_k and a
 Gamma block R_k, where None stands for the identity in F_k and R_k. The
-analytic derivatives are the D_k themselves, and the same terms give the
-Gamma-and-L factorization Sigma = L Gamma L^T: L = [g_1 kron F_1, ...] and
-Gamma block diagonal with blocks omega_k (I_{r_k} kron R_k), the covariance
-of the stacked shock and idiosyncratic vectors. ``CellwiseTwoLevel``,
-``DiagonalScalar`` and ``Example48`` are constructors of this one form.
+analytic derivatives are the D_k themselves. The terms are the model's
+Sigma = L Gamma L^T written term by term, L = [g_1 kron F_1, ...] and Gamma
+block diagonal with blocks omega_k (I_{r_k} kron R_k), the covariance of the
+stacked shock and idiosyncratic vectors; neither L nor Gamma is formed.
+``CellwiseTwoLevel``, ``DiagonalScalar`` and ``Example48`` are constructors
+of this one form, and every covariance is built from a structure's terms.
 
-``SigmaModel`` factors Sigma as C kron I_c (``GammaStructure.kron_form``):
-when every cell side is the identity, C is the N x N array side
-G(omega) = sum_k omega_k g_k g_k^T and c = cells, so no n x n matrix is
-formed or factored; otherwise C is the dense Sigma and c = 1. The traces the
-ML solver needs, tr(Sigma^-1 D_k) and tr(Sigma^-1 D_k Sigma^-1 D_l), come
-from each term's loading in that frame (g_k on the array side, g_k kron F_k
-against the dense Sigma), so no D_k is formed on the way.
+``SigmaModel(structure, omega)`` factors Sigma as C kron I_c
+(``GammaStructure.kron_form``): when every cell side is the identity, C is
+the N x N array side G(omega) = sum_k omega_k g_k g_k^T and c = cells, so no
+n x n matrix is formed or factored; otherwise C is the dense Sigma and
+c = 1. The traces the ML solver needs, tr(Sigma^-1 D_k) and
+tr(Sigma^-1 D_k Sigma^-1 D_l), come from each term's loading in that frame
+(g_k on the array side, g_k kron F_k against the dense Sigma), so no D_k is
+formed on the way.
 """
 
 from __future__ import annotations
@@ -108,9 +110,9 @@ class GammaStructure:
         """F R F^T of every term, None for the identity; cells x cells each.
 
         Neither depends on omega, so they are formed once per structure and
-        kept read-only, for the all-rows ``sigma_rows`` call only. The cell
-        side is symmetrized here, on the small factor, so that every D_k and
-        Sigma come out exactly symmetric.
+        kept read-only, for the all-rows ``sigma_rows`` call and for
+        ``dsigma_domega``. The cell side is symmetrized here, on the small
+        factor, so that every D_k and Sigma come out exactly symmetric.
         """
         out = []
         for term in self.terms:
@@ -178,8 +180,7 @@ class GammaStructure:
         if not self.identity_cell_side:
             return self.sigma(omega), 1
         omega = self._check(omega)
-        C = sum(w * (t.g @ t.g.T) for w, t in zip(omega, self.terms))
-        return C, self.cells
+        return sum(w * G for w, G in zip(omega, self._array_sides)), self.cells
 
     def quadratic_forms(self, x) -> np.ndarray:
         """x^T D_k x for every term k, from the loadings.
@@ -198,8 +199,8 @@ class GammaStructure:
     def identity_terms(self) -> tuple:
         """Whether each term's D_k is the n x n identity (g g^T = I, no cell side)."""
         return tuple(
-            t.F is None and t.R is None and np.array_equal(t.g @ t.g.T, np.eye(t.g.shape[0]))
-            for t in self.terms
+            t.F is None and t.R is None and np.array_equal(G, np.eye(len(G)))
+            for t, G in zip(self.terms, self._array_sides)
         )
 
     def term_images(self, k: int, X):
@@ -220,26 +221,6 @@ class GammaStructure:
         gram = V.reshape(rows, m).T @ RV.reshape(rows, m)
         Y = RV if t.F is None else np.matmul(t.F, RV)
         return (t.g @ Y.reshape(r, c * m)).reshape(X.shape), gram
-
-    def gamma_matrix(self, omega) -> np.ndarray:
-        """Gamma(omega), block diagonal with blocks omega_k (I_{r_k} kron R_k)."""
-        omega = self._check(omega)
-        blocks = []
-        for w, t in zip(omega, self.terms):
-            p = self.cells if t.F is None else t.F.shape[1]
-            blocks.append(w * kron(np.eye(t.g.shape[1]), np.eye(p) if t.R is None else t.R))
-        size = sum(len(b) for b in blocks)
-        out = np.zeros((size, size))
-        at = 0
-        for b in blocks:
-            out[at : at + len(b), at : at + len(b)] = b
-            at += len(b)
-        return out
-
-    def l_matrix(self) -> np.ndarray:
-        return np.hstack(
-            [kron(t.g, np.eye(self.cells) if t.F is None else t.F) for t in self.terms]
-        )
 
 
 def CellwiseTwoLevel(n_arrays: int, cells: int) -> GammaStructure:
@@ -319,16 +300,6 @@ def structure_for(kind: str, n_arrays: int, cells: int, A, B) -> GammaStructure:
     return Example48(n_arrays, eye, eye)
 
 
-def sigma_example48(n_arrays, sigma2, tau2, v2, A0, R) -> "SigmaModel":
-    """Materialize the shared-operator structure directly from its pieces.
-
-    tau2 and v2 are per-array vectors (length n_arrays).
-    """
-    structure = Example48(n_arrays, A0, R)
-    omega = np.concatenate([[sigma2], np.asarray(tau2, float).ravel(), np.asarray(v2, float).ravel()])
-    return SigmaModel(structure, omega)
-
-
 def sigma_inverse_cellwise(sigma2: float, v2: float, cells: int, n_arrays: int = 2) -> np.ndarray:
     """Closed-form inverse of the cell-matched structure on N arrays.
 
@@ -340,18 +311,6 @@ def sigma_inverse_cellwise(sigma2: float, v2: float, cells: int, n_arrays: int =
     return kron((np.eye(n_arrays) - sigma2 / (v2 + n_arrays * sigma2)) / v2, np.eye(cells))
 
 
-def sigma_from_gamma(L: np.ndarray, structure: GammaStructure, omega) -> "SigmaModel":
-    """Sigma = L Gamma(omega) L^T, symmetrized to machine precision."""
-    L = np.asarray(L, dtype=float)
-    gamma = structure.gamma_matrix(omega)
-    if L.shape[1] != gamma.shape[0]:
-        raise ConfigError(
-            f"L has {L.shape[1]} columns but Gamma is {gamma.shape[0]} x {gamma.shape[0]}"
-        )
-    sig = L @ gamma @ L.T
-    return SigmaModel(structure, omega, sigma=0.5 * (sig + sig.T))
-
-
 def dsigma_domega(structure: GammaStructure, k: int) -> np.ndarray:
     """Analytic derivative of Sigma with respect to component k of omega.
 
@@ -361,10 +320,8 @@ def dsigma_domega(structure: GammaStructure, k: int) -> np.ndarray:
         raise ConfigError(
             f"component index {k} out of range for {structure.omega_names}"
         )
-    G, K = structure._array_sides[k], structure._cell_sides[k]
-    K = np.eye(structure.cells) if K is None else K
-    # a unit 1 x 1 array side leaves the cell side as it is
-    return K.copy() if np.array_equal(G, [[1.0]]) else kron(G, K)
+    K = structure._cell_sides[k]
+    return kron(structure._array_sides[k], np.eye(structure.cells) if K is None else K)
 
 
 def _sym(R: np.ndarray) -> np.ndarray:
@@ -427,14 +384,10 @@ class SigmaModel:
     side goes through L^-1 itself.
     """
 
-    def __init__(self, structure: GammaStructure, omega, sigma: np.ndarray | None = None):
+    def __init__(self, structure: GammaStructure, omega):
         self.structure = structure
         self.omega = np.asarray(omega, dtype=float).ravel()
-        if sigma is None:
-            self._C, self._c = structure.kron_form(self.omega)
-        else:
-            self._C, self._c = np.asarray(sigma, float), 1
-        self._array_side = sigma is None and structure.identity_cell_side
+        self._C, self._c = structure.kron_form(self.omega)
         # Sigma = I: a unit diagonal and nothing off it
         C = self._C
         self.identity = bool(np.all(np.diagonal(C) == 1.0)) and np.count_nonzero(C) == len(C)
@@ -484,7 +437,7 @@ class SigmaModel:
         """(W_k, Y_k) with W_k = L^-1 (loading of term k) and Y_k = W_k (I kron R_k)."""
         if self._whitened_terms[k] is None:
             t = self.structure.terms[k]
-            if self._array_side:
+            if self.structure.identity_cell_side:
                 W = self._factor_inverse() @ t.g
             elif t.F is None:
                 W = _times_array_side(self._factor_inverse(), t.g)

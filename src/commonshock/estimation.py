@@ -282,7 +282,8 @@ def _least_squares(y, X, C0, labels) -> tuple:
     gives kappa = T^-1 Q^T y, formed block by block, and Var[kappa] =
     T^-1 T^-T. A bare matrix is the one-block case, C0 = M with no X: one
     QR of M. A column whose diagonal entry of T is at most 1e-12 times the
-    largest (or 1) is aliased, and DesignError names every such column.
+    largest (or 1) is aliased, and so is a column past a factor's rows,
+    which has no diagonal entry; DesignError names every such column.
     """
     (k, r0), s = C0.shape, X.shape[1]
     n_blocks = y.size // k
@@ -293,7 +294,7 @@ def _least_squares(y, X, C0, labels) -> tuple:
     left -= _by_block(q0, again, n_blocks)
     Z += again
     qx, Rx = np.linalg.qr(left) if s else (left, np.zeros((0, 0)))
-    rdiag = np.abs(np.concatenate([np.diag(Rx), np.tile(np.diag(R0), n_blocks)]))
+    rdiag = np.abs(np.concatenate([_pivots(Rx), np.tile(_pivots(R0), n_blocks)]))
     aliased = rdiag <= 1e-12 * rdiag.max(initial=1.0)
     if aliased.any():
         bad = [labels[j] for j in np.where(aliased)[0]]
@@ -308,6 +309,11 @@ def _least_squares(y, X, C0, labels) -> tuple:
     qy = _by_block(q0.T, y[:, None], n_blocks)
     kappa_c = _by_block(R0_inv, qy - Z @ kappa_x[:, None], n_blocks)
     return (q0, qx), r_inv, np.concatenate([kappa_x, kappa_c.ravel()])
+
+
+def _pivots(R: np.ndarray) -> np.ndarray:
+    """R's diagonal, one entry per column: 0 for a column past R's last row."""
+    return np.pad(np.diagonal(R), (0, R.shape[1] - min(R.shape)))
 
 
 def _fit_at(y, design, sigma: SigmaModel, location: _FixedLocation = None) -> FitResult:

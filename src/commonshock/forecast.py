@@ -9,9 +9,10 @@ covariances between observed and future cells are not carried). Raw-scale
 forecasts and reserve moments then follow from the log-normal moment maps.
 
 ``predict`` needs only per-array sums of the raw-scale covariance, so it
-reads Omega* in row blocks (``lognormal.grouped_raw_moments``), with Sigma*'s
+reads Omega* in row panels (``lognormal.grouped_raw_moments``), with Sigma*'s
 rows from ``GammaStructure.sigma_rows``, and forms no n_future x n_future
-matrix. The dense Omega* and raw-scale covariance are formed only when
+matrix. One closure forms those panels, and the dense Omega* is its panel
+over every row; it and the raw-scale covariance are formed only when
 ``ForecastResult.omega_star`` or ``xi_star`` is read.
 """
 
@@ -79,8 +80,7 @@ class ForecastResult:
     reserves: np.ndarray  # per-array
     reserve_total: float
     reserve_cov: np.ndarray  # per-array reserves, N x N
-    _b: np.ndarray = field(repr=False)  # B = M* r_inv, the parameter error B B^T
-    _sigma_star_rows: object = field(repr=False)  # rows of Sigma*, see _process_error
+    _omega_star_panel: object = field(repr=False)  # (start, stop) -> rows of Omega*, see predict
     std_errors: np.ndarray = field(init=False)  # per-array
     std_error_total: float = field(init=False)
     covs: np.ndarray = field(init=False)  # per-array CoV
@@ -103,10 +103,12 @@ class ForecastResult:
     def omega_star(self) -> np.ndarray:
         """Omega* = B B^T + Sigma*, the log-scale predictive covariance.
 
-        B B^T is a symmetric product, so Omega* needs no symmetrizing pass.
+        It is ``predict``'s panel over every row. B B^T is a symmetric
+        product, so Omega* needs no symmetrizing pass.
         """
         if self._omega_star is None:
-            object.__setattr__(self, "_omega_star", self._b @ self._b.T + self._sigma_star_rows())
+            n = self.y_star.size
+            object.__setattr__(self, "_omega_star", self._omega_star_panel(0, n))
         return self._omega_star
 
     @property
@@ -136,11 +138,11 @@ def build_forecast_design(design, cells) -> ForecastDesign:
 
 
 def _process_error(fit: FitResult, fd: ForecastDesign, extra_offset_var=None):
-    """Rows of Sigma* over the forecast region, as ``rows(start=0, stop=n)``.
+    """Rows of Sigma* over the forecast region, as ``rows(start, stop)``.
 
     Sigma* is the fitted structure rebuilt over the future cells at the
     fitted omega, with ``extra_offset_var`` added to its diagonal. Rows come
-    from ``GammaStructure.sigma_rows``; ``rows()`` is the whole n x n Sigma*.
+    from ``GammaStructure.sigma_rows``.
     """
     structure = fit.sigma.structure
     omega = fit.omega_hat if fit.omega_hat is not None else fit.sigma.omega
@@ -163,7 +165,7 @@ def _process_error(fit: FitResult, fd: ForecastDesign, extra_offset_var=None):
         if var.size != n or np.any(var < 0):
             raise DesignError("extra offset variances must be non-negative, length N * n_future")
 
-    def rows(start: int = 0, stop: int = n) -> np.ndarray:
+    def rows(start: int, stop: int) -> np.ndarray:
         out = future.sigma_rows(omega, start, stop)
         if var is not None:
             i = np.arange(start, stop)
@@ -199,8 +201,7 @@ def predict(
             reserves=np.zeros(fd.n_arrays),
             reserve_total=0.0,
             reserve_cov=np.zeros((fd.n_arrays, fd.n_arrays)),
-            _b=np.zeros((0, 0)),
-            _sigma_star_rows=lambda: np.zeros((0, 0)),
+            _omega_star_panel=lambda start, stop: np.zeros((0, 0)),
         )
 
     y_star = fd.m_star @ fit.kappa_hat
@@ -238,8 +239,7 @@ def predict(
         reserves=reserves,
         reserve_total=float(reserves.sum()),
         reserve_cov=reserve_cov,
-        _b=b,
-        _sigma_star_rows=sigma_star_rows,
+        _omega_star_panel=omega_star_panel,
     )
 
 

@@ -7,15 +7,19 @@ and convolution act on (theta, lambda) in closed form, which is what makes
 the common-shock decomposition of logged observations tractable: each scaled
 shock component stays in the family with the same theta as the idiosyncratic
 term, so means, variances, and correlations of the logged cells reduce to
-coefficient-of-variation ratios.
+coefficient-of-variation ratios. The correlation of the stacked cells is a
+covariance structure like the model's: the diagonal-scalar structure over
+the design's shock blocks, scaled by those ratios, at unit components.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .covariance import DiagonalScalar
+from .design import _CellRows
 from .errors import ConfigError, NumericalError
 from .partitions import Partition
 
@@ -177,18 +181,6 @@ def scaled_observation_params(cell: TweedieParams, ratios: ShockRatios) -> Tweed
     return TweedieParams(cell.p, cell.theta * psi, cell.lam * psi ** (1.0 - alpha))
 
 
-def _ratio_tables(ratios, n_arrays: int, cells: int):
-    flat = list(ratios)
-    if len(flat) != n_arrays * cells:
-        raise ConfigError(
-            f"need one ShockRatios per (array, cell): {n_arrays * cells}, got {len(flat)}"
-        )
-    u = np.array([r.u for r in flat]).reshape(n_arrays, cells)
-    w = np.array([r.w for r in flat]).reshape(n_arrays, cells)
-    psi = 1.0 + u**2 + w**2
-    return u, w, psi
-
-
 def log_tweedie_correlation(partition: Partition, ratios, n_arrays: int) -> np.ndarray:
     """Correlation matrix of the stacked logged observations.
 
@@ -196,23 +188,19 @@ def log_tweedie_correlation(partition: Partition, ratios, n_arrays: int) -> np.n
     (delta_subset u u' + delta_nm delta_subset w w' + delta_nm delta_cell)
     / sqrt(psi psi'), with the deltas over shared subset, shared array, and
     identical cell. ``ratios`` is a flat sequence of ShockRatios, array index
-    outermost in stacking order.
+    outermost in stacking order. The numerator is the diagonal-scalar
+    structure at unit components, with the across and within shock blocks
+    of the ``n_arrays`` arrays scaled row by row by u and by w.
     """
-    cells = partition.layout.cells_per_array
-    u, w, psi = _ratio_tables(ratios, n_arrays, cells)
-    labels = partition.labels
-    same_subset = labels[:, None] == labels[None, :]
-    same_cell = np.eye(cells, dtype=bool)
-    n_tot = n_arrays * cells
-    corr = np.empty((n_tot, n_tot))
-    for n in range(n_arrays):
-        for m in range(n_arrays):
-            block = same_subset * np.outer(u[n], u[m])
-            if n == m:
-                block = block + same_subset * np.outer(w[n], w[m]) + same_cell
-            denom = np.sqrt(np.outer(psi[n], psi[m]))
-            corr[n * cells : (n + 1) * cells, m * cells : (m + 1) * cells] = block / denom
-    return corr
+    flat = list(ratios)
+    n = n_arrays * partition.layout.cells_per_array
+    if len(flat) != n:
+        raise ConfigError(f"need one ShockRatios per (array, cell): {n}, got {len(flat)}")
+    u, w = np.array([[r.u, r.w] for r in flat]).T
+    psi = 1.0 + u**2 + w**2
+    rows = _CellRows.stacked(replace(partition.layout, n_arrays=n_arrays), partition)
+    shocks = DiagonalScalar(u[:, None] * rows.across(), w[:, None] * rows.within())
+    return shocks.sigma([1.0, 1.0, 1.0]) / np.sqrt(np.outer(psi, psi))
 
 
 def gee_weights(y, cell_params, ratios, partition: Partition, n_arrays: int):

@@ -270,36 +270,67 @@ class TestInspectCommand:
         assert "M after reduction:         240 x 58" in out
         assert "xi_shared" in out
 
+    @pytest.mark.parametrize("design", ["chain_ladder", "hoerl"])
+    def test_counts_without_the_unreduced_blocks(self, tmp_path, capsys, monkeypatch, design):
+        # inspect counts the columns of A, B, C and M_full from what the
+        # design holds; the counts must still be those of the blocks
+        cfg = write_config(
+            tmp_path / "c.cfg",
+            data=", ".join(bundled_paths()),
+            t_max=15,
+            partition="row",
+            design=design,
+            include_within_shock="true",
+            shared_shock_mean="false",
+        )
+
+        def unread(self):
+            raise AssertionError("an unreduced block was formed")
+
+        with monkeypatch.context() as m:
+            for name in ("A", "B", "C", "M_full"):
+                m.setattr(cs.ModelDesign, name, property(unread))
+            assert main(["inspect", "--config", cfg]) == 0
+        out = capsys.readouterr().out
+        built = cli._build_model(parse_config(cfg))[3]
+        n, N = built.n_obs, built.layout.n_arrays
+        assert f"idiosyncratic params q:    {built.C.shape[1] // N}\n" in out
+        assert f"A block:                   {n} x {built.A.shape[1]}\n" in out
+        assert f"B block:                   {n} x {built.B.shape[1]}\n" in out
+        assert f"C block:                   {n} x {built.C.shape[1]}\n" in out
+        assert f"L = [A B I]:               {n} x {built.A.shape[1] + built.B.shape[1] + n}\n" in out
+        assert f"M before reduction:        {n} x {built.M_full.shape[1]}\n" in out
+
 
 class TestErrorPaths:
     def test_missing_data_file_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", data="nowhere.csv")
-        assert main(["fit", "--config", cfg]) == 2
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "report")]) == 2
 
     def test_unknown_partition_lists_choices(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "c.cfg", data=", ".join(bundled_paths()), partition="rows"
         )
-        assert main(["fit", "--config", cfg]) == 2
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "report")]) == 2
         assert "array, cell, row, column, diagonal" in capsys.readouterr().err
 
     def test_empty_data_file_rejected(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("array,accident,development,value\n")
         cfg = write_config(tmp_path / "c.cfg", data=str(empty))
-        assert main(["fit", "--config", cfg]) == 3
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "report")]) == 3
 
     def test_parse_error_names_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("array,accident,development,value\n1,1,1,10\n1,1,x,20\n")
         cfg = write_config(tmp_path / "c.cfg", data=str(bad))
-        assert main(["fit", "--config", cfg]) == 3
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "report")]) == 3
         assert "bad.csv:3" in capsys.readouterr().err
 
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("dta = file.csv\n")
-        assert main(["fit", "--config", str(cfg)]) == 2
+        assert main(["fit", "--config", str(cfg), "--out", str(tmp_path / "report")]) == 2
 
     def test_per_array_keys_follow_a_pattern(self, tmp_path):
         cfg = tmp_path / "c.cfg"
@@ -320,7 +351,7 @@ class TestErrorPaths:
             f"1,1,1,10\n1,1,2,20\n1,2,1,30\n1,2,2,40\n{row}\n"
         )
         cfg = write_config(tmp_path / "c.cfg", data=str(f))
-        assert main(["fit", "--config", cfg]) == 3
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "report")]) == 3
         assert "d.csv:6" in capsys.readouterr().err
 
     def test_non_congruent_arrays_rejected(self, tmp_path):
@@ -329,7 +360,7 @@ class TestErrorPaths:
             "array,accident,development,value\n1,1,1,10\n1,1,2,20\n2,1,1,30\n"
         )
         cfg = write_config(tmp_path / "c.cfg", data=str(f))
-        assert main(["fit", "--config", cfg]) == 3
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "report")]) == 3
 
     def test_numerical_failure_exit_code(self, tmp_path):
         # duplicated arrays make the closed form degenerate
@@ -339,7 +370,7 @@ class TestErrorPaths:
         data = tmp_path / "dup.csv"
         write_claims_csv(data, dup)
         cfg = write_config(tmp_path / "c.cfg", data=str(data), t_max=15)
-        assert main(["fit", "--config", cfg]) == 4
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "report")]) == 4
 
     @pytest.mark.parametrize("covariance", ["cellwise_two_level", "diagonal_scalar"])
     def test_failed_factor_exit_code(self, tmp_path, capsys, covariance):
@@ -352,7 +383,7 @@ class TestErrorPaths:
             sigma2=0.008,
             v2=0,
         )
-        assert main(["fit", "--config", cfg]) == 4
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "report")]) == 4
         assert "not positive definite" in capsys.readouterr().err
 
 

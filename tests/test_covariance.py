@@ -34,6 +34,21 @@ def random_terms(seed):
     return GammaStructure(terms, 3)
 
 
+def l_gamma_l(structure, omega):
+    """(L, Gamma, L Gamma L^T) from the terms with np.kron: L = [g_k kron F_k, ...]
+    and Gamma block diagonal with blocks omega_k (I_{r_k} kron R_k)."""
+    eye = np.eye(structure.cells)
+    L = np.hstack([np.kron(t.g, eye if t.F is None else t.F) for t in structure.terms])
+    gamma = np.zeros((L.shape[1],) * 2)
+    at = 0
+    for w, t in zip(omega, structure.terms):
+        p = structure.cells if t.F is None else t.F.shape[1]
+        block = w * np.kron(np.eye(t.g.shape[1]), np.eye(p) if t.R is None else t.R)
+        gamma[at : at + len(block), at : at + len(block)] = block
+        at += len(block)
+    return L, gamma, L @ gamma @ L.T
+
+
 def central_difference(structure, omega, k, h=1e-5):
     hi = np.array(omega, dtype=float)
     lo = hi.copy()
@@ -43,12 +58,20 @@ def central_difference(structure, omega, k, h=1e-5):
 
 
 class TestSigmaFromGamma:
+    """Sigma(omega) from the terms against L Gamma(omega) L^T (``l_gamma_l``)."""
+
     def test_identity_gamma_identity_l(self):
-        # Gamma(1, 1) = I for a one-subset structure on two cells; L = I
+        # one white term on three cells: L = I and Gamma(1) = I give Sigma = I
+        white = GammaStructure((Term("v2", False, np.eye(1)),), 3)
+        L, gamma, _ = l_gamma_l(white, [1.0])
+        np.testing.assert_array_equal(L, np.eye(3))
+        np.testing.assert_array_equal(gamma, np.eye(3))
+        np.testing.assert_array_equal(cs.SigmaModel(white, [1.0]).sigma, np.eye(3))
+        # Gamma(1, 1) = I for a one-subset structure on two cells, L = [1 | I]
         structure = DiagonalScalar(np.ones((2, 1)))
-        np.testing.assert_array_equal(structure.gamma_matrix([1.0, 1.0]), np.eye(3))
-        model = cs.sigma_from_gamma(np.eye(3), structure, [1.0, 1.0])
-        np.testing.assert_array_equal(model.sigma, np.eye(3))
+        L, gamma, via_lgl = l_gamma_l(structure, [1.0, 1.0])
+        np.testing.assert_array_equal(gamma, np.eye(3))
+        np.testing.assert_array_equal(cs.SigmaModel(structure, [1.0, 1.0]).sigma, via_lgl)
 
     def test_cell_matched_two_array_formula(self):
         s2, v2, cells = 0.31, 0.17, 4
@@ -57,8 +80,7 @@ class TestSigmaFromGamma:
         expected = s2 * np.kron(np.ones((2, 2)), np.eye(cells)) + v2 * np.eye(2 * cells)
         np.testing.assert_allclose(direct, expected, atol=1e-14)
         # and through L Gamma L^T
-        via_lgl = cs.sigma_from_gamma(structure.l_matrix(), structure, [s2, v2])
-        np.testing.assert_allclose(via_lgl.sigma, expected, atol=1e-12)
+        np.testing.assert_allclose(l_gamma_l(structure, [s2, v2])[2], expected, atol=1e-12)
 
     def test_shared_operator_reduces_to_cell_matched(self):
         # Phi = 0, A0 = R = I, equal noise scales
@@ -85,21 +107,21 @@ class TestExample48:
         R = R0 @ R0.T  # a covariance, symmetric psd
         ex = Example48(2, A0, R)
         omega = [0.4, 0.2, 0.6, 0.9, 1.1]
-        via_lgl = cs.sigma_from_gamma(ex.l_matrix(), ex, omega)
-        np.testing.assert_allclose(via_lgl.sigma, ex.sigma(omega), atol=1e-12)
+        np.testing.assert_allclose(l_gamma_l(ex, omega)[2], ex.sigma(omega), atol=1e-12)
         # three arrays: per-array blocks of Gamma and L in array order
         ex3 = random_example48(3, cells, seed=6)
         omega3 = [0.4, 0.1, 0.2, 0.3, 0.8, 0.9, 1.1]
-        via_lgl = cs.sigma_from_gamma(ex3.l_matrix(), ex3, omega3)
-        np.testing.assert_allclose(via_lgl.sigma, ex3.sigma(omega3), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(
+            l_gamma_l(ex3, omega3)[2], ex3.sigma(omega3), rtol=1e-12, atol=1e-12
+        )
 
     def test_two_array_scalar_cell_values(self):
-        model = cs.sigma_example48(
-            2, 0.1**2, [0.0, 0.0], [0.15**2, 0.15**2], np.eye(1), np.eye(1)
-        )
-        np.testing.assert_allclose(
-            model.sigma, [[0.0325, 0.01], [0.01, 0.0325]], atol=1e-15
-        )
+        # omega = (sigma2, tau2_1, tau2_2, v2_1, v2_2)
+        omega = [0.1**2, 0.0, 0.0, 0.15**2, 0.15**2]
+        expected = [[0.0325, 0.01], [0.01, 0.0325]]
+        model = cs.SigmaModel(Example48(2, np.eye(1), np.eye(1)), omega)
+        np.testing.assert_allclose(model.sigma, expected, atol=1e-15)
+        np.testing.assert_allclose(l_gamma_l(model.structure, omega)[2], expected, atol=1e-15)
 
 
 class TestClosedFormInverse:
@@ -173,8 +195,11 @@ class TestDerivatives:
             analytic = cs.dsigma_domega(structure, k)
             np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-9)
         # Sigma assembled from the D_k equals L Gamma L^T
-        via_lgl = cs.sigma_from_gamma(structure.l_matrix(), structure, omega)
-        np.testing.assert_allclose(via_lgl.sigma, structure.sigma(omega), rtol=1e-12, atol=1e-12)
+        via_lgl = l_gamma_l(structure, omega)[2]
+        np.testing.assert_allclose(via_lgl, structure.sigma(omega), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(
+            cs.SigmaModel(structure, omega).sigma, via_lgl, rtol=1e-12, atol=1e-12
+        )
 
     def test_shared_operator_derivative_forms(self):
         A0 = np.array([[1.0, 0.0], [0.3, 1.0]])
@@ -231,11 +256,6 @@ class TestSigmaModel:
                 model.whiten(rhs), np.linalg.solve(factor, rhs), rtol=1e-12, atol=1e-12
             )
         assert model.logdet() == pytest.approx(np.linalg.slogdet(sigma)[1], rel=1e-12)
-
-    def test_nonconforming_dimensions_rejected(self):
-        structure = CellwiseTwoLevel(2, 3)
-        with pytest.raises(cs.ConfigError):
-            cs.sigma_from_gamma(np.eye(5), structure, [0.1, 0.2])
 
 
 class TestTrilInverse:

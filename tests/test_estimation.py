@@ -48,6 +48,16 @@ class TestGlsFit:
         with pytest.raises(cs.DesignError, match=r"aliased columns: \['column_2'\]"):
             cs.gls_fit(rng.normal(size=8), M, cs.SigmaModel(structure, [0.0, 1.0]))
 
+    def test_columns_past_the_rows_are_aliased(self):
+        # a wide matrix: R has no diagonal entry for columns 4 and 5, in the
+        # least-squares frame and after whitening
+        rng = np.random.default_rng(6)
+        y, M = rng.normal(size=4), rng.normal(size=(4, 6))
+        for omega in ([0.0, 1.0], [0.5, 1.0]):
+            model = cs.SigmaModel(CellwiseTwoLevel(1, 4), omega)
+            with pytest.raises(cs.DesignError, match=r"aliased columns: \['column_4', 'column_5'\]"):
+                cs.gls_fit(y, M, model)
+
     def test_least_squares_keeps_the_factor_of_m(self, monkeypatch):
         # at Sigma = I whitening leaves M as it is: no product with L^-1 on
         # M, and the factor of M stays for the fixed-location test
@@ -517,7 +527,9 @@ def dense_score_reference(y, M, structure, omega):
 )
 def test_score_and_information_match_dense_reference(family, n_arrays, cells, dense_frame, data):
     # the loading traces against the dense D_k, in the array-side frame and
-    # in the dense frame (identity cell sides reach it through an explicit Sigma)
+    # in the dense frame: identity cell sides reach it through an explicit
+    # F = I on their first term, and their other terms still take the
+    # identity-cell-side route (_times_array_side) there
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     n = n_arrays * cells
     eye = np.eye(cells)
@@ -533,6 +545,9 @@ def test_score_and_information_match_dense_reference(family, n_arrays, cells, de
         structure = DiagonalScalar(rng.normal(size=(n, 3)), B)
     else:
         structure = raw_structure(rng, n_arrays, cells)
+    if dense_frame and structure.identity_cell_side:
+        first = structure.terms[0]._replace(F=eye)
+        structure = GammaStructure((first, *structure.terms[1:]), cells)
     omega = [
         data.draw(
             st.one_of(st.just(0.0), st.floats(1e-3, 2.0)) if zero_allowed else st.floats(0.05, 2.0)
@@ -542,8 +557,8 @@ def test_score_and_information_match_dense_reference(family, n_arrays, cells, de
     M = rng.normal(size=(n, data.draw(st.integers(0, min(3, n - 1)))))
     y = rng.normal(size=n)
 
-    sigma = structure.sigma(omega) if dense_frame and structure.identity_cell_side else None
-    model = cs.SigmaModel(structure, omega, sigma=sigma)
+    model = cs.SigmaModel(structure, omega)
+    assert model._c == (cells if structure.identity_cell_side else 1)
     fit = cs.gls_fit(y, M, model)
     score = cs.profile_score(y, M, structure, omega, fit=fit)
     traces, quads, info = dense_score_reference(y, M, structure, omega)

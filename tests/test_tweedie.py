@@ -219,6 +219,26 @@ class TestCorrelation:
             np.testing.assert_allclose(corr, corr.T, atol=1e-12)
             assert np.linalg.eigvalsh(corr).min() > -1e-10
 
+    @pytest.mark.parametrize("kind", ["array", "cell", "row", "column", "diagonal"])
+    def test_every_entry_matches_the_formula(self, kind):
+        # (delta_subset u u' + delta_nm (delta_subset w w' + delta_cell))
+        # / sqrt(psi psi'), entry by entry; the array count is the argument,
+        # not the layout's
+        rng = np.random.default_rng(9)
+        for lay, n_arrays in ((ArrayLayout.triangle(2, 4), 2), (ArrayLayout.full(1, 3, 4), 3)):
+            part = cs.build_partition(kind, lay)
+            cells = lay.cells_per_array
+            ratios = [ShockRatios(*map(float, rng.uniform(0, 2, 2))) for _ in range(n_arrays * cells)]
+            corr = cs.log_tweedie_correlation(part, ratios, n_arrays)
+            assert corr.shape == (n_arrays * cells,) * 2
+            for a, b in np.ndindex(corr.shape):
+                (n, c), (m, d) = divmod(a, cells), divmod(b, cells)
+                ra, rb = ratios[a], ratios[b]
+                subset = part.labels[c] == part.labels[d]
+                numerator = subset * ra.u * rb.u + (n == m) * (subset * ra.w * rb.w + (c == d))
+                want = numerator / np.sqrt(ra.psi * rb.psi)
+                assert corr[a, b] == pytest.approx(want, rel=1e-14, abs=1e-15), (a, b)
+
 
 class TestGeeWeights:
     def test_no_shocks_unit_dispersion(self):
