@@ -23,6 +23,8 @@ from .covariance import STRUCTURE_KINDS, SigmaModel, structure_for
 from .design import IDIO_VARIANTS, ShockSpec, assemble
 from .errors import CommonShockError, ConfigError, DataError, DesignError, NumericalError
 from .estimation import (
+    MAX_ITER,
+    SCORE_TOL,
     chain_ladder_effect_table,
     dependence_stats,
     gls_fit,
@@ -348,8 +350,8 @@ def _fit_from_config(cfg):
             raise ConfigError(f"{name} must be 'estimate' or a number") from None
     free = [v is None for v in values]
 
-    tol = _get_float(cfg, "tol", 1e-9)
-    max_iter = _get_int(cfg, "max_iter", 200)
+    tol = _get_float(cfg, "tol", SCORE_TOL)
+    max_iter = _get_int(cfg, "max_iter", MAX_ITER)
 
     if not any(free):
         fit = gls_fit(y, design, SigmaModel(structure, values))

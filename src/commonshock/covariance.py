@@ -2,25 +2,26 @@
 
 Every structure is one list of terms, linear in its variance components:
 
-    Sigma(omega) = sum_k omega_k D_k,   D_k = (g_k g_k^T) kron (F_k R_k F_k^T),
+    Sigma(omega) = sum_k omega_k D_k,   D_k = (g_k g_k^T) kron (F_k F_k^T),
 
-with an array-side loading g_k (N x r_k), a cell-side loading F_k and a
-Gamma block R_k, where None stands for the identity in F_k and R_k. The
-analytic derivatives are the D_k themselves. The terms are the model's
-Sigma = L Gamma L^T written term by term, L = [g_1 kron F_1, ...] and Gamma
-block diagonal with blocks omega_k (I_{r_k} kron R_k), the covariance of the
-stacked shock and idiosyncratic vectors; neither L nor Gamma is formed.
-``CellwiseTwoLevel``, ``DiagonalScalar`` and ``Example48`` are constructors
-of this one form, and every covariance is built from a structure's terms.
+with an array-side loading g_k (N x r_k) and a cell-side loading F_k, where
+None stands for the identity in F_k. The analytic derivatives are the D_k
+themselves. The terms are the model's Sigma = L Gamma L^T written term by
+term, L = [g_1 kron F_1, ...] and Gamma = diag(omega_k I), the covariance of
+the stacked shock and idiosyncratic vectors; neither L nor Gamma is formed.
+A model whose Gamma has a non-scalar block R (``Example48``) folds R's
+square root into the loading. ``CellwiseTwoLevel``, ``DiagonalScalar`` and
+``Example48`` are constructors of this one form, and every covariance is
+built from a structure's terms.
 
 ``SigmaModel(structure, omega)`` factors Sigma as C kron I_c
 (``GammaStructure.kron_form``): when every cell side is the identity, C is
 the N x N array side G(omega) = sum_k omega_k g_k g_k^T and c = cells, so no
 n x n matrix is formed or factored; otherwise C is the dense Sigma and
-c = 1. The traces the ML solver needs, tr(Sigma^-1 D_k) and
-tr(Sigma^-1 D_k Sigma^-1 D_l), come from each term's loading in that frame
-(g_k on the array side, g_k kron F_k against the dense Sigma), so no D_k is
-formed on the way.
+c = 1. Everything the ML solver needs of a term, tr(Sigma^-1 D_k),
+tr(Sigma^-1 D_k Sigma^-1 D_l) and d^T Sigma^-1 D_k Sigma^-1 d, comes from
+its whitened loading in that frame (L^-1 g_k on the array side,
+L^-1 (g_k kron F_k) against the dense Sigma), so no D_k is formed on the way.
 """
 
 from __future__ import annotations
@@ -41,27 +42,39 @@ TRIL_LEAF = 64
 
 
 class Term(NamedTuple):
-    """One variance component: omega_k (g g^T) kron (F R F^T)."""
+    """One variance component: omega_k (g g^T) kron (F F^T)."""
 
     name: str
     zero_allowed: bool  # Sigma stays positive definite with this component at 0
     g: np.ndarray  # array-side loading, N x r
     F: np.ndarray | None = None  # cell-side loading, cells x p; None for I
-    R: np.ndarray | None = None  # Gamma block, p x p; None for I
 
 
 @dataclass(frozen=True)
 class GammaStructure:
-    """A covariance structure Sigma(omega) = sum_k omega_k (g_k g_k^T) kron (F_k R_k F_k^T).
+    """A covariance structure Sigma(omega) = sum_k omega_k (g_k g_k^T) kron (F_k F_k^T).
 
-    ``cells`` is the cell-side dimension, the rows of every F_k. ``kind``
-    names the constructor that rebuilds the structure over another region
-    of cells (see ``structure_for``); it is None where no such rule exists.
+    This is L Gamma(omega) L^T with Gamma(omega) = diag(omega_k I). ``cells``
+    is the cell-side dimension, the rows of every F_k. ``kind`` names the
+    constructor that rebuilds the structure over another region of cells
+    (see ``structure_for``); it is None where no such rule exists. A
+    structure has at least one term, every g_k is N x r_k with one N and
+    every F_k is cells x p_k; ConfigError names a term that is not.
     """
 
     terms: tuple
     cells: int
     kind: str | None = None
+
+    def __post_init__(self):
+        if not self.terms:
+            raise ConfigError("a covariance structure needs at least one term")
+        n_arrays = (np.shape(self.terms[0].g) or (None,))[0]
+        for t in self.terms:
+            if np.ndim(t.g) != 2 or len(t.g) != n_arrays:
+                raise ConfigError(f"term {t.name!r}: g is {np.shape(t.g)}, not {n_arrays} x r")
+            if t.F is not None and (np.ndim(t.F) != 2 or len(t.F) != self.cells):
+                raise ConfigError(f"term {t.name!r}: F is {np.shape(t.F)}, not {self.cells} x p")
 
     @property
     def n_arrays(self) -> int:
@@ -82,7 +95,7 @@ class GammaStructure:
     @property
     def identity_cell_side(self) -> bool:
         """Every term's cell side is the identity, so Sigma = G(omega) kron I_cells."""
-        return all(t.F is None and t.R is None for t in self.terms)
+        return all(t.F is None for t in self.terms)
 
     def _check(self, omega) -> np.ndarray:
         omega = np.asarray(omega, dtype=float).ravel()
@@ -91,8 +104,10 @@ class GammaStructure:
                 f"expected {self.n_params} variance components "
                 f"{self.omega_names}, got {omega.size}"
             )
-        if np.any(omega < 0):
-            raise ConfigError("variance components must be non-negative")
+        if not np.all(np.isfinite(omega) & (omega >= 0)):
+            raise ConfigError(
+                f"variance components must be finite and non-negative, got {omega.tolist()}"
+            )
         return omega
 
     @cached_property
@@ -107,30 +122,21 @@ class GammaStructure:
 
     @cached_property
     def _cell_sides(self) -> tuple:
-        """F R F^T of every term, None for the identity; cells x cells each.
+        """F F^T of every term, None for the identity; cells x cells each.
 
         Neither depends on omega, so they are formed once per structure and
         kept read-only, for the all-rows ``sigma_rows`` call and for
-        ``dsigma_domega``. The cell side is symmetrized here, on the small
-        factor, so that every D_k and Sigma come out exactly symmetric.
+        ``dsigma_domega``. BLAS forms F F^T as a symmetric rank-k update, so
+        every D_k and Sigma come out exactly symmetric.
         """
         out = []
         for term in self.terms:
             K = None
-            if term.F is not None or term.R is not None:
-                F = np.eye(self.cells) if term.F is None else term.F
-                K = F @ F.T if term.R is None else _sym(F @ term.R @ F.T)
+            if term.F is not None:
+                K = term.F @ term.F.T
                 K.setflags(write=False)
             out.append(K)
         return tuple(out)
-
-    def _cell_side_rows(self, k: int, p0: int, p1: int) -> np.ndarray:
-        """Rows p0:p1 of term k's cell side F R F^T, formed from its loadings."""
-        t = self.terms[k]
-        if t.F is None:
-            return 0.5 * (t.R[p0:p1] + t.R[:, p0:p1].T)
-        right = t.F.T if t.R is None else _sym(t.R) @ t.F.T
-        return t.F[p0:p1] @ right
 
     def sigma_rows(self, omega, start: int = 0, stop: int | None = None) -> np.ndarray:
         """Rows start:stop of Sigma(omega), all n columns; every row by default.
@@ -138,8 +144,8 @@ class GammaStructure:
         Row a * cells + p is sum_k omega_k G_k[a] kron K_k[p], added term by
         term. An identity cell side puts omega_k G_k[a, b] at column
         b * cells + p. Any other cell side adds K_k's rows p: the cached
-        ``_cell_sides`` when every row is asked for, and otherwise rows formed
-        from the loadings, so that a few rows cost no cells x cells matrix.
+        ``_cell_sides`` when every row is asked for, and otherwise F_k[p] F_k^T,
+        so that a few rows cost no cells x cells matrix.
         ``sigma`` is the all-rows call.
         """
         omega = self._check(omega)
@@ -149,19 +155,19 @@ class GammaStructure:
         every = start == 0 and stop == n
         out = np.zeros((stop - start, n))
         for k, (w, G) in enumerate(zip(omega, self._array_sides)):
-            identity = self.terms[k].F is None and self.terms[k].R is None
+            F = self.terms[k].F
             for a in range(self.n_arrays):
                 # the rows of array a inside start:stop are its cells p0:p1
                 p0, p1 = max(start - a * c, 0), min(stop - a * c, c)
                 if p0 >= p1 or not G[a].any():
                     continue
                 rows = slice(a * c + p0 - start, a * c + p1 - start)
-                if identity:
+                if F is None:
                     diag = np.arange(p0, p1)
                     for b in np.flatnonzero(G[a]):
                         out[diag + (a * c - start), b * c + diag] += w * G[a, b]
                     continue
-                K = self._cell_sides[k][p0:p1] if every else self._cell_side_rows(k, p0, p1)
+                K = self._cell_sides[k][p0:p1] if every else F[p0:p1] @ F.T
                 for b in np.flatnonzero(G[a]):
                     out[rows, b * c : (b + 1) * c] += (w * G[a, b]) * K
         return out
@@ -174,7 +180,7 @@ class GammaStructure:
         """(C, c) with Sigma(omega) = C kron I_c.
 
         C is the array side sum_k omega_k g_k g_k^T and c = ``cells`` when
-        every term's cell side is the identity (F and R None); otherwise C is
+        every term's cell side is the identity (F None); otherwise C is
         the dense Sigma and c = 1.
         """
         if not self.identity_cell_side:
@@ -182,24 +188,11 @@ class GammaStructure:
         omega = self._check(omega)
         return sum(w * G for w, G in zip(omega, self._array_sides)), self.cells
 
-    def quadratic_forms(self, x) -> np.ndarray:
-        """x^T D_k x for every term k, from the loadings.
-
-        With X the stacked vector reshaped to N x cells, L_k^T x is
-        U = g_k^T X F_k, and x^T D_k x = tr(U R_k U^T).
-        """
-        X = np.asarray(x, dtype=float).reshape(self.n_arrays, self.cells)
-        out = np.empty(self.n_params)
-        for k, t in enumerate(self.terms):
-            U = t.g.T @ X if t.F is None else t.g.T @ X @ t.F
-            out[k] = _inner(U, U if t.R is None else U @ _sym(t.R))
-        return out
-
     @cached_property
     def identity_terms(self) -> tuple:
         """Whether each term's D_k is the n x n identity (g g^T = I, no cell side)."""
         return tuple(
-            t.F is None and t.R is None and np.array_equal(G, np.eye(len(G)))
+            t.F is None and np.array_equal(G, np.eye(len(G)))
             for t, G in zip(self.terms, self._array_sides)
         )
 
@@ -207,8 +200,8 @@ class GammaStructure:
         """(D_k X, X^T D_k X) for X with n rows in stacking order, from term k's loadings.
 
         With X reshaped to N x cells x m, V = L_k^T X is g_k^T along the
-        arrays and F_k^T along the cells; then D_k X = L_k R_k V and
-        X^T D_k X = V^T R_k V, so neither D_k nor L_k is formed.
+        arrays and F_k^T along the cells, L_k = g_k kron F_k; then
+        D_k X = L_k V and X^T D_k X = V^T V, so neither D_k nor L_k is formed.
         """
         t = self.terms[k]
         X = np.asarray(X, dtype=float)
@@ -216,10 +209,9 @@ class GammaStructure:
         V = (t.g.T @ X.reshape(self.n_arrays, c * m)).reshape(r, c, m)
         if t.F is not None:
             V = np.matmul(t.F.T, V)
-        RV = V if t.R is None else np.matmul(_sym(t.R), V)
         rows = r * V.shape[1]
-        gram = V.reshape(rows, m).T @ RV.reshape(rows, m)
-        Y = RV if t.F is None else np.matmul(t.F, RV)
+        gram = V.reshape(rows, m).T @ V.reshape(rows, m)
+        Y = V if t.F is None else np.matmul(t.F, V)
         return (t.g @ Y.reshape(r, c * m)).reshape(X.shape), gram
 
 
@@ -260,9 +252,12 @@ def Example48(n_arrays: int, A0, R) -> GammaStructure:
 
     Sigma = (sigma2 1_N 1_N^T + Phi) kron (A0 R A0^T) + Psi kron I_cells with
     Phi = diag(tau2_1..tau2_N) and Psi = diag(v2_1..v2_N).
-    omega = (sigma2, tau2_1..tau2_N, v2_1..v2_N), in that order. Only the
-    identity operator (A0 = R = I) has a rule for the future region, so any
-    other operator gives a structure of kind None.
+    omega = (sigma2, tau2_1..tau2_N, v2_1..v2_N), in that order. The
+    covariance block R enters through its square root, as the shocks'
+    loading F = A0 V Lambda^(1/2) with V Lambda V^T = (R + R^T) / 2; Lambda
+    is clipped at 0, and below -1e-12 max |lambda| it raises ConfigError.
+    Only the identity operator (A0 = R = I) keeps F None and has a rule for
+    the future region, so any other gives a structure of kind None.
     """
     A0 = np.asarray(A0, dtype=float)
     R = np.asarray(R, dtype=float)
@@ -272,11 +267,16 @@ def Example48(n_arrays: int, A0, R) -> GammaStructure:
         raise ConfigError("R must match the shape of A0")
     eye = np.eye(A0.shape[0])
     identity = np.array_equal(A0, eye) and np.array_equal(R, eye)
-    F, Rk = (None, None) if identity else (A0, R)
+    F = None
+    if not identity:
+        lam, V = np.linalg.eigh(0.5 * (R + R.T))
+        if not np.all(lam >= -1e-12 * np.abs(lam).max(initial=0.0)):
+            raise ConfigError(f"R must be positive semidefinite, its eigenvalues are {lam}")
+        F = A0 @ (V * np.sqrt(np.clip(lam, 0.0, None)))
     arrays = np.eye(n_arrays)
     terms = (
-        (Term("sigma2", True, np.ones((n_arrays, 1)), F, Rk),)
-        + tuple(Term(f"tau2_{n + 1}", True, arrays[:, [n]], F, Rk) for n in range(n_arrays))
+        (Term("sigma2", True, np.ones((n_arrays, 1)), F),)
+        + tuple(Term(f"tau2_{n + 1}", True, arrays[:, [n]], F) for n in range(n_arrays))
         + tuple(Term(f"v2_{n + 1}", False, arrays[:, [n]]) for n in range(n_arrays))
     )
     return GammaStructure(terms, A0.shape[0], "example48" if identity else None)
@@ -322,10 +322,6 @@ def dsigma_domega(structure: GammaStructure, k: int) -> np.ndarray:
         )
     K = structure._cell_sides[k]
     return kron(structure._array_sides[k], np.eye(structure.cells) if K is None else K)
-
-
-def _sym(R: np.ndarray) -> np.ndarray:
-    return 0.5 * (R + R.T)
 
 
 def _tril_inverse(L: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -377,11 +373,12 @@ class SigmaModel:
     read. ``identity`` records whether the factored matrix is the identity,
     in which case whitening returns its input.
 
-    ``term_traces`` and ``information`` work in the same frame. Each term's
-    loading there is g_k when C is the array side and g_k kron F_k when C is
-    the dense Sigma, and its whitened loading W_k = L^-1 (loading) is built
-    once, on first use, and shared by both. A loading with an identity cell
-    side goes through L^-1 itself.
+    ``term_traces``, ``information`` and ``term_forms`` work in the same
+    frame. Each term's loading there is g_k when C is the array side and
+    g_k kron F_k when C is the dense Sigma, and its whitened loading
+    W_k = L^-1 (loading) is built once, on first use, and is all three read
+    of the term. A loading with an identity cell side goes through L^-1
+    itself.
     """
 
     def __init__(self, structure: GammaStructure, omega):
@@ -433,8 +430,8 @@ class SigmaModel:
             self._l_inv = _tril_inverse(self._L)
         return self._l_inv
 
-    def _whitened(self, k: int):
-        """(W_k, Y_k) with W_k = L^-1 (loading of term k) and Y_k = W_k (I kron R_k)."""
+    def _whitened(self, k: int) -> np.ndarray:
+        """W_k = L^-1 (loading of term k), formed once."""
         if self._whitened_terms[k] is None:
             t = self.structure.terms[k]
             if self.structure.identity_cell_side:
@@ -443,39 +440,39 @@ class SigmaModel:
                 W = _times_array_side(self._factor_inverse(), t.g)
             else:
                 W = self._factor_inverse() @ kron(t.g, t.F)
-            if t.R is None:
-                Y = W
-            else:
-                blocks = W.reshape(W.shape[0], -1, t.R.shape[0])
-                Y = (blocks @ _sym(t.R)).reshape(W.shape)
-            self._whitened_terms[k] = W, Y
+            self._whitened_terms[k] = W
         return self._whitened_terms[k]
 
     def term_traces(self) -> np.ndarray:
-        """tr(Sigma^-1 D_k) = c tr(W_k^T W_k R_k) for every term k."""
-        return np.array(
-            [self._c * _inner(*self._whitened(k)) for k in range(self.structure.n_params)]
-        )
+        """tr(Sigma^-1 D_k) = c ||W_k||_F^2 for every term k."""
+        W = [self._whitened(k) for k in range(self.structure.n_params)]
+        return np.array([self._c * _inner(w, w) for w in W])
 
     def information(self, idx=None) -> np.ndarray:
         """tr(Sigma^-1 D_k Sigma^-1 D_l) over the terms ``idx`` (default all).
 
-        With P = W_k^T W_l this is c tr(R_k P R_l P^T), summed as the
-        elementwise product of W_k^T W_l and Y_k^T Y_l. Where both loadings
-        are the identity, W_k = W_l = L^-1 and the entry is
-        ||L^-T L^-1||_F^2, from one product W_k^T W_k, which BLAS forms as a
-        symmetric rank-k update.
+        Each entry is c ||W_k^T W_l||_F^2. On the diagonal the product is one
+        W_k^T W_k, which BLAS forms as a symmetric rank-k update; where the
+        loading is the identity, W_k = L^-1 and the entry is ||L^-T L^-1||_F^2.
         """
         idx = range(self.structure.n_params) if idx is None else list(idx)
-        terms = [self._whitened(k) for k in idx]
-        out = np.empty((len(terms), len(terms)))
-        for a, (Wa, Ya) in enumerate(terms):
-            for b in range(a, len(terms)):
-                Wb, Yb = terms[b]
-                P = Wa.T @ Wb
-                value = _inner(P, P if (Ya is Wa and Yb is Wb) else Ya.T @ Yb)
-                out[a, b] = out[b, a] = self._c * value
+        W = [self._whitened(k) for k in idx]
+        out = np.empty((len(W), len(W)))
+        for a in range(len(W)):
+            for b in range(a, len(W)):
+                P = W[a].T @ W[b]
+                out[a, b] = out[b, a] = self._c * _inner(P, P)
         return out
+
+    def term_forms(self, d) -> np.ndarray:
+        """d^T Sigma^-1 D_k Sigma^-1 d = ||W_k^T L^-1 d||_F^2 for every term k.
+
+        L^-1 d is d whitened and reshaped to C's rows (N x cells in the array
+        frame, n x 1 against the dense Sigma).
+        """
+        z = self.whiten(d).reshape(self._C.shape[0], -1)
+        U = [self._whitened(k).T @ z for k in range(self.structure.n_params)]
+        return np.array([_inner(u, u) for u in U])
 
 
 def _inner(a: np.ndarray, b: np.ndarray) -> float:

@@ -225,7 +225,7 @@ def _fixed_location(y, design, structure: GammaStructure, ols: FitResult = None)
             blocks.append(np.eye(m))
             continue
         t = structure.terms[k]
-        if t.F is None and t.R is None and structure.cells == q0.shape[0]:
+        if t.F is None and structure.cells == q0.shape[0]:
             dq, S = _array_side_images(structure, k, q0, qx)
             tested = slice(0, s)
         else:
@@ -356,7 +356,7 @@ def profile_score(
 
 def _score(sigma: SigmaModel, traces: np.ndarray, d: np.ndarray) -> np.ndarray:
     """-tr(Sigma^-1 D_k)/2 + (Sigma^-1 d)^T D_k (Sigma^-1 d)/2 for every k."""
-    return -0.5 * traces + 0.5 * sigma.structure.quadratic_forms(sigma.solve(d))
+    return -0.5 * traces + 0.5 * sigma.term_forms(d)
 
 
 def ml_dispersion_generic(

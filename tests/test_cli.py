@@ -386,6 +386,23 @@ class TestErrorPaths:
         assert main(["fit", "--config", cfg, "--out", str(tmp_path / "report")]) == 4
         assert "not positive definite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            {"sigma2": "nan", "v2": 0.01},
+            {"sigma2": "inf", "v2": 0.01},
+            {"covariance": "diagonal_scalar", "init_omega": "nan, 0.01"},
+        ],
+        ids=["fixed_nan", "fixed_inf", "init_nan"],
+    )
+    def test_non_finite_components_are_config_errors(self, tmp_path, capsys, keys):
+        # unchecked, a NaN fixed component fitted with exit 0 and a NaN
+        # log-likelihood, and the other two exited 4 with unrelated messages
+        cfg = write_config(tmp_path / "c.cfg", data=", ".join(bundled_paths()), t_max=15, **keys)
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "report")]) == 2
+        assert "variance components must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "report.txt").exists()
+
 
 HEADER = "array,accident,development,value\n"
 

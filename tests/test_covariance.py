@@ -22,12 +22,13 @@ def random_example48(n_arrays, cells, seed):
 
 
 def random_terms(seed):
-    # general loadings: a 2 x 2 array side, a non-square cell side, and a
-    # non-unit array side on an identity cell side
+    # general loadings: a 2 x 2 array side, a non-square cell side, a
+    # square diagonal cell side, and a non-unit array side on an identity
+    # cell side
     rng = np.random.default_rng(seed)
     terms = (
         Term("a", True, rng.normal(size=(2, 2)), rng.normal(size=(3, 2))),
-        Term("b", True, rng.normal(size=(2, 1)), None, np.diag([0.5, 2.0, 1.0])),
+        Term("b", True, rng.normal(size=(2, 1)), np.diag(np.sqrt([0.5, 2.0, 1.0]))),
         Term("c", False, rng.normal(size=(2, 1))),
         Term("v2", False, np.eye(2)),
     )
@@ -36,16 +37,11 @@ def random_terms(seed):
 
 def l_gamma_l(structure, omega):
     """(L, Gamma, L Gamma L^T) from the terms with np.kron: L = [g_k kron F_k, ...]
-    and Gamma block diagonal with blocks omega_k (I_{r_k} kron R_k)."""
+    and Gamma diagonal with a block omega_k I per term."""
     eye = np.eye(structure.cells)
-    L = np.hstack([np.kron(t.g, eye if t.F is None else t.F) for t in structure.terms])
-    gamma = np.zeros((L.shape[1],) * 2)
-    at = 0
-    for w, t in zip(omega, structure.terms):
-        p = structure.cells if t.F is None else t.F.shape[1]
-        block = w * np.kron(np.eye(t.g.shape[1]), np.eye(p) if t.R is None else t.R)
-        gamma[at : at + len(block), at : at + len(block)] = block
-        at += len(block)
+    blocks = [np.kron(t.g, eye if t.F is None else t.F) for t in structure.terms]
+    L = np.hstack(blocks)
+    gamma = np.diag(np.concatenate([np.full(b.shape[1], w) for w, b in zip(omega, blocks)]))
     return L, gamma, L @ gamma @ L.T
 
 
@@ -92,6 +88,14 @@ class TestSigmaFromGamma:
         )
 
 
+def explicit_example48(A0, R, omega):
+    """(sigma2 J + Phi) kron (A0 R A0^T) + Psi kron I, from Example48's arguments."""
+    n_arrays = (len(omega) - 1) // 2
+    sigma2, tau2, v2 = omega[0], omega[1 : n_arrays + 1], omega[n_arrays + 1 :]
+    shocks = sigma2 * np.ones((n_arrays, n_arrays)) + np.diag(tau2)
+    return np.kron(shocks, A0 @ R @ A0.T) + np.kron(np.diag(v2), np.eye(len(A0)))
+
+
 class TestExample48:
     def test_single_array_white_case(self):
         ex = Example48(1, np.eye(2), np.eye(2))
@@ -114,6 +118,31 @@ class TestExample48:
         np.testing.assert_allclose(
             l_gamma_l(ex3, omega3)[2], ex3.sigma(omega3), rtol=1e-12, atol=1e-12
         )
+
+    @pytest.mark.parametrize("kind", ["positive_definite", "singular", "non_symmetric"])
+    def test_matches_explicit_formula(self, kind):
+        # R enters through its square root; the formula uses R itself, and a
+        # non-symmetric R through its symmetric part
+        rng = np.random.default_rng(11)
+        cells = 4
+        R0 = rng.normal(size=(cells, cells))
+        if kind == "singular":
+            R0[:, 1:3] = 0.0  # rank 2
+        R = R0 @ R0.T
+        if kind == "non_symmetric":
+            skew = rng.normal(size=(cells, cells))
+            R = R + skew - skew.T
+        A0 = rng.normal(size=(cells, cells))
+        omega = [0.4, 0.2, 0.6, 0.1, 0.9, 1.1, 0.3]
+        ex = Example48(3, A0, R)
+        assert ex.kind is None
+        want = explicit_example48(A0, 0.5 * (R + R.T), omega)
+        scale = np.abs(want).max()
+        np.testing.assert_allclose(ex.sigma(omega), want, rtol=1e-12, atol=1e-12 * scale)
+
+    def test_indefinite_block_rejected(self):
+        with pytest.raises(cs.ConfigError, match="positive semidefinite"):
+            Example48(2, np.eye(2), np.diag([1.0, -0.5]))
 
     def test_two_array_scalar_cell_values(self):
         # omega = (sigma2, tau2_1, tau2_2, v2_1, v2_2)
@@ -215,6 +244,31 @@ class TestDerivatives:
         np.testing.assert_allclose(
             cs.dsigma_domega(ex, 4), np.kron(e2, np.eye(2)), atol=1e-14
         )
+
+
+class TestStructureChecks:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_components_rejected(self, bad):
+        with pytest.raises(cs.ConfigError, match="finite"):
+            cs.SigmaModel(CellwiseTwoLevel(2, 3), [bad, 1.0])
+        with pytest.raises(cs.ConfigError, match="finite"):
+            random_terms(seed=1).sigma_rows([0.3, 0.2, bad, 0.7], 0, 2)
+
+    @pytest.mark.parametrize(
+        "terms, match",
+        [
+            ((), "at least one term"),
+            ([("a", np.ones((2, 1)), np.ones((4, 2)))], r"term 'a': F is \(4, 2\), not 3 x p"),
+            ([("a", np.ones((2, 1)), np.ones(3))], r"term 'a': F is \(3,\), not 3 x p"),
+            ([("a", np.ones((3, 1)), None), ("b", np.eye(2), None)], r"term 'b': g is \(2, 2\)"),
+            ([("a", np.ones(2), None)], r"term 'a': g is \(2,\), not 2 x r"),
+        ],
+        ids=["no_terms", "F_rows", "F_1d", "g_rows", "g_1d"],
+    )
+    def test_malformed_terms_rejected(self, terms, match):
+        # on 3 cells; unchecked, each fails inside NumPy on first use
+        with pytest.raises(cs.ConfigError, match=match):
+            GammaStructure(tuple(Term(name, True, g, F) for name, g, F in terms), 3)
 
 
 class TestSigmaModel:

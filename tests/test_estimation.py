@@ -487,13 +487,13 @@ class TestArraySideFactor:
 
 def raw_structure(rng, n_arrays, cells):
     """A term list with general loadings: 2-column array sides on a cell side
-    and on an identity cell side with an R block, an R block on a wide cell
-    side, and a per-array identity noise term."""
+    and on a square diagonal cell side, a wide cell side F R0 (a Gamma block
+    R0 R0^T folded into its loading), and a per-array identity noise term."""
     R0 = rng.normal(size=(3, 3))
     terms = (
         Term("a", True, rng.normal(size=(n_arrays, 2)), rng.normal(size=(cells, 2))),
-        Term("b", True, rng.normal(size=(n_arrays, 2)), None, np.diag(rng.uniform(0.5, 2.0, cells))),
-        Term("c", True, rng.normal(size=(n_arrays, 1)), rng.normal(size=(cells, 3)), R0 @ R0.T),
+        Term("b", True, rng.normal(size=(n_arrays, 2)), np.diag(np.sqrt(rng.uniform(0.5, 2.0, cells)))),
+        Term("c", True, rng.normal(size=(n_arrays, 1)), rng.normal(size=(cells, 3)) @ R0),
         Term("v2", False, np.eye(n_arrays)),
     )
     return GammaStructure(terms, cells)
