@@ -310,6 +310,10 @@ def _build_model(cfg):
     rows, cols = np.nonzero(full.layout.mask)
     observed_tmax = int(diagonal_of(rows + 1, cols + 1).max())
     t_max = _get_int(cfg, "t_max", observed_tmax)
+    if not 1 <= t_max <= observed_tmax:
+        # past the last observed diagonal, the cells between it and t_max
+        # would be neither fitted nor forecast
+        raise ConfigError(f"t_max must be between 1 and {observed_tmax}, got {t_max}")
     fit_coll = full.restrict_to_diagonals(t_max) if t_max < observed_tmax else full
 
     kind = _get_choice(cfg, "partition", PARTITION_KINDS, "cell")

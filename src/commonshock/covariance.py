@@ -188,31 +188,20 @@ class GammaStructure:
         omega = self._check(omega)
         return sum(w * G for w, G in zip(omega, self._array_sides)), self.cells
 
-    @cached_property
-    def identity_terms(self) -> tuple:
-        """Whether each term's D_k is the n x n identity (g g^T = I, no cell side)."""
-        return tuple(
-            t.F is None and np.array_equal(G, np.eye(len(G)))
-            for t, G in zip(self.terms, self._array_sides)
-        )
-
-    def term_images(self, k: int, X):
-        """(D_k X, X^T D_k X) for X with n rows in stacking order, from term k's loadings.
+    def term_product(self, k: int, X) -> np.ndarray:
+        """D_k X for X with n rows in stacking order, from term k's loadings.
 
         With X reshaped to N x cells x m, V = L_k^T X is g_k^T along the
         arrays and F_k^T along the cells, L_k = g_k kron F_k; then
-        D_k X = L_k V and X^T D_k X = V^T V, so neither D_k nor L_k is formed.
+        D_k X = L_k V, so neither D_k nor L_k is formed.
         """
         t = self.terms[k]
         X = np.asarray(X, dtype=float)
         r, c, m = t.g.shape[1], self.cells, X.shape[1]
         V = (t.g.T @ X.reshape(self.n_arrays, c * m)).reshape(r, c, m)
         if t.F is not None:
-            V = np.matmul(t.F.T, V)
-        rows = r * V.shape[1]
-        gram = V.reshape(rows, m).T @ V.reshape(rows, m)
-        Y = V if t.F is None else np.matmul(t.F, V)
-        return (t.g @ Y.reshape(r, c * m)).reshape(X.shape), gram
+            V = np.matmul(t.F, np.matmul(t.F.T, V))
+        return (t.g @ V.reshape(r, c * m)).reshape(X.shape)
 
 
 def CellwiseTwoLevel(n_arrays: int, cells: int) -> GammaStructure:

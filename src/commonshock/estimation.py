@@ -31,7 +31,7 @@ from .errors import ConfigError, DesignError, NumericalError
 LOG_2PI = float(np.log(2.0 * np.pi))
 # a relative invariance residual at or below this counts as invariant (see
 # _fixed_location): on the bundled data the 57 invariant configurations give
-# at most 5e-15, the other three 0.27 or more
+# at most 4e-15, the other three 0.28 or more
 INVARIANCE_TOL = 1e-8
 # the generic solver stops once every free score is below this
 SCORE_TOL = 1e-9
@@ -159,9 +159,11 @@ class _FixedLocation:
 
     The least-squares fit, M = Q T with Q = [Qx | I_N (x) Q0] (see
     ``_least_squares``), gives kappa and the residual d, which are the GLS
-    ones at every omega. ``blocks`` holds S_k = Q^T D_k Q, so that
-    Q^T Sigma Q = S = sum_k omega_k S_k and
-    Var[kappa] = (T^T S^-1 T)^-1 = T^-1 S T^-T.
+    ones at every omega. Only the factor is kept: ``q`` = (Q0, Qx) and
+    ``r_inv`` = T^-1. Invariance makes Q^T Sigma^-1 Q the inverse of
+    Q^T Sigma Q, so Var[kappa] = (T^T Q^T Sigma^-1 Q T)^-1
+    = T^-1 (Q^T Sigma Q) T^-T, formed at the omega asked for
+    (``_q_sigma_q``).
     """
 
     M: np.ndarray
@@ -171,7 +173,7 @@ class _FixedLocation:
     y_hat: np.ndarray
     residual: np.ndarray
     r_inv: np.ndarray  # T^-1
-    blocks: tuple
+    q: tuple  # (Q0, Qx)
 
     def fit(self, sigma: SigmaModel, variance: bool = False) -> FitResult:
         """The fit at ``sigma``'s omega; r_inv, and so Var[kappa], only with ``variance``."""
@@ -179,8 +181,7 @@ class _FixedLocation:
         wd = sigma.whiten(d)
         r_inv = None
         if variance:
-            S = sum(w * b for w, b in zip(sigma.omega, self.blocks))
-            r_inv = self.r_inv @ np.linalg.cholesky(S)
+            r_inv = self.r_inv @ np.linalg.cholesky(_q_sigma_q(self.q, sigma))
         return FitResult(
             kappa_hat=self.kappa,
             r_inv=r_inv,
@@ -194,21 +195,47 @@ class _FixedLocation:
         )
 
 
+def _q_sigma_q(q: tuple, sigma: SigmaModel) -> np.ndarray:
+    """Q^T Sigma Q in M's column order, for Q = [Qx | I_N (x) Q0] and q = (Q0, Qx).
+
+    Sigma X is sum_k omega_k D_k X, each D_k X from term k's loadings. Where
+    every cell side is the identity and the structure's cells are the rows
+    of Q0, Sigma = C (x) I_cells over M's own arrays, so
+    Q^T Sigma Q = blockdiag(Qx^T Sigma Qx, C (x) I_r0): the cross block
+    (I_N (x) Q0)^T Sigma Qx = (C (x) I_r0)(I_N (x) Q0)^T Qx vanishes with
+    (I_N (x) Q0)^T Qx, and no n x m matrix is formed. Otherwise Q is formed
+    from its blocks and the product is Q^T (Sigma Q).
+    """
+    structure, omega = sigma.structure, sigma.omega
+    q0, qx = q
+
+    def times_sigma(x):
+        return sum(w * structure.term_product(k, x) for k, w in enumerate(omega))
+
+    if structure.identity_cell_side and structure.cells == q0.shape[0]:
+        s, r0 = qx.shape[1], q0.shape[1]
+        C = structure.kron_form(omega)[0]
+        S = np.zeros((s + len(C) * r0,) * 2)
+        S[:s, :s] = qx.T @ times_sigma(qx)
+        S[s:, s:] = (C[:, None, :, None] * np.eye(r0)[:, None]).reshape(len(C) * r0, -1)
+        return S
+    Q = array_frame(qx, q0, qx.shape[0] // q0.shape[0])
+    return Q.T @ times_sigma(Q)
+
+
 def _fixed_location(y, design, structure: GammaStructure, ols: FitResult = None):
     """The fixed location of (design, structure), or None where span(M) is not invariant.
 
     span(M) = span(Q), Q = [Qx | I_N (x) Q0] the least-squares factor, is
-    invariant under D_k when D_k Q = Q S_k with S_k = Q^T D_k Q. A term
-    with D_k = I passes untested. A term with an identity cell side, on a
-    structure whose arrays are M's blocks, maps I_N (x) Q0 into its own
-    span exactly (``_array_side_images``), so only D_k Qx is tested; any
-    other term is tested on the whole Q, formed once from its blocks. The
-    equation is checked on four fixed Gaussian directions Z (Freivalds'
-    check): ||(D_k Q - Q S_k) Z|| at most ``INVARIANCE_TOL`` ||D_k Q Z||.
-    That costs O(n m) per term where the full residual (I - Q Q^T) D_k Q
-    costs O(n m^2), and a residual that is not zero vanishes on Z only for
-    a set of directions of probability zero. ``ols`` is a gls_fit at
-    Sigma = I, whose factor is reused; without it M is factored here.
+    invariant under D_k when D_k Q = Q Q^T D_k Q. Every term is tested by
+    the same check on four fixed Gaussian directions Z (Freivalds' check):
+    with u = Q Z, formed from Q's blocks, and D_k u from the term's
+    loadings (``GammaStructure.term_product``), ||D_k u - Q Q^T D_k u|| is
+    at most ``INVARIANCE_TOL`` ||D_k u||. That costs O(n m) per term where
+    the full residual (I - Q Q^T) D_k Q costs O(n m^2), and a residual that
+    is not zero vanishes on Z only for a set of directions of probability
+    zero. ``ols`` is a gls_fit at Sigma = I, whose factor is reused;
+    without it M is factored here.
     """
     y, M, labels, design_ref, frame = _design_parts(y, design)
     if ols is not None and ols._q is not None:
@@ -216,57 +243,22 @@ def _fixed_location(y, design, structure: GammaStructure, ols: FitResult = None)
     else:
         q, r_inv, kappa = _least_squares(y, *frame, labels)
     q0, qx = q
-    m, s, n_blocks = M.shape[1], qx.shape[1], y.size // q0.shape[0]
-    dense_q = None
-    blocks = []
-    Z = np.random.default_rng(0).standard_normal((m, 4))
-    for k, identity in enumerate(structure.identity_terms):
-        if identity:
-            blocks.append(np.eye(m))
-            continue
-        t = structure.terms[k]
-        if t.F is None and structure.cells == q0.shape[0]:
-            dq, S = _array_side_images(structure, k, q0, qx)
-            tested = slice(0, s)
-        else:
-            if dense_q is None:
-                dense_q = array_frame(qx, q0, n_blocks)
-            dq, S = structure.term_images(k, dense_q)
-            tested = slice(0, m)
-        dqz = dq @ Z[tested]
-        v = S[:, tested] @ Z[tested]
-        image = qx @ v[:s] + _by_block(q0, v[s:], n_blocks)  # Q S_k Z
-        if np.linalg.norm(dqz - image) > INVARIANCE_TOL * np.linalg.norm(dqz):
+    s, n_blocks = qx.shape[1], y.size // q0.shape[0]
+    Z = np.random.default_rng(0).standard_normal((M.shape[1], 4))
+    u = qx @ Z[:s] + _by_block(q0, Z[s:], n_blocks)
+    for k in range(structure.n_params):
+        du = structure.term_product(k, u)
+        image = qx @ (qx.T @ du) + _by_block(q0, _by_block(q0.T, du, n_blocks), n_blocks)
+        if np.linalg.norm(du - image) > INVARIANCE_TOL * np.linalg.norm(du):
             return None
-        blocks.append(0.5 * (S + S.T))
     y_hat = M @ kappa
-    return _FixedLocation(M, labels, design_ref, kappa, y_hat, y - y_hat, r_inv, tuple(blocks))
+    return _FixedLocation(M, labels, design_ref, kappa, y_hat, y - y_hat, r_inv, q)
 
 
 def _by_block(a: np.ndarray, v: np.ndarray, n_blocks: int) -> np.ndarray:
     """(I_N (x) a) v with N = ``n_blocks``, for v of N a.shape[1] rows."""
     cols = v.shape[1]
     return np.matmul(a, v.reshape(n_blocks, a.shape[1], cols)).reshape(n_blocks * a.shape[0], cols)
-
-
-def _array_side_images(structure: GammaStructure, k: int, q0: np.ndarray, qx: np.ndarray):
-    """(D_k Qx, S_k = Q^T D_k Q) for a term with an identity cell side, Q = [Qx | I_N (x) Q0].
-
-    Such a term is D_k = G_k (x) I_cells with G_k = g_k g_k^T. Where the
-    structure's N arrays are M's blocks, D_k (I_N (x) Q0) is
-    (I_N (x) Q0)(G_k (x) I_r0), and so (I_N (x) Q0)^T D_k Qx vanishes with
-    (I_N (x) Q0)^T Qx: S_k is block diagonal, Qx^T D_k Qx and G_k (x) I_r0,
-    and only the image of Qx is formed, from the term's loadings.
-    """
-    n_blocks, r0, s = structure.n_arrays, q0.shape[1], qx.shape[1]
-    dqx, shock = structure.term_images(k, qx)
-    arrays = np.zeros((n_blocks, r0, n_blocks, r0))
-    diag = np.arange(r0)
-    arrays[:, diag, :, diag] = structure._array_sides[k]
-    S = np.zeros((s + n_blocks * r0,) * 2)
-    S[:s, :s] = shock
-    S[s:, s:] = arrays.reshape(n_blocks * r0, n_blocks * r0)
-    return dqx, S
 
 
 def _least_squares(y, X, C0, labels) -> tuple:
@@ -379,20 +371,30 @@ def ml_dispersion_generic(
     not drop by more than its rounding. Iteration stops once every free
     component has a score below ``tol`` in absolute value, or sits at zero
     with a negative score. ``free_mask`` fixes selected components at their
-    initial values.
+    initial values. ConfigError rejects a ``tol`` that is not a finite
+    positive number, a ``max_iter`` that is not a non-negative integer, an
+    ``init_omega`` of the wrong size, and a start at or below zero on a
+    component that must stay positive.
 
     When span(M) is invariant under every D_k the location is fitted once
     and a trial point costs one factor of Sigma, with no QR; otherwise each
     trial point is a GLS fit. A start that needs no step is returned as its
     GLS fit either way, which on an invariant design is a second QR.
     """
+    if not (np.isfinite(tol) and tol > 0):
+        raise ConfigError(f"tol must be a positive number, got {tol!r}")
+    if not (isinstance(max_iter, (int, np.integer)) and max_iter >= 0):
+        raise ConfigError(f"max_iter must be a non-negative integer, got {max_iter!r}")
     omega = np.asarray(init_omega, dtype=float).ravel().copy()
     if omega.size != structure.n_params:
-        raise NumericalError(
+        raise ConfigError(
             f"init_omega needs {structure.n_params} components {structure.omega_names}"
         )
     if np.any(omega[~np.asarray(structure.zero_allowed, dtype=bool)] <= 0):
-        raise NumericalError("initial values must be strictly positive")
+        raise ConfigError(
+            "initial values must be strictly positive for "
+            f"{[n for n, z in zip(structure.omega_names, structure.zero_allowed) if not z]}"
+        )
     location = _fixed_location(y, design, structure)
     return _scoring(y, design, structure, omega, location, tol, max_iter, free_mask)
 

@@ -403,6 +403,44 @@ class TestErrorPaths:
         assert "variance components must be finite" in capsys.readouterr().err
         assert not (tmp_path / "report.txt").exists()
 
+    @pytest.mark.parametrize("t_max", [0, -2, 18])
+    def test_t_max_outside_the_observed_diagonals(self, tmp_path, capsys, t_max):
+        # unchecked, 0 and -2 exited 3 (every cell masked out), and a t_max
+        # past a 15-diagonal triangle's last diagonal fitted diagonals up to
+        # 15 and forecast only those from 19 on, with exit 0
+        data = tmp_path / "triangle.csv"
+        write_claims_csv(data, read_claims_csv(bundled_paths()).restrict_to_diagonals(15))
+        cfg = write_config(tmp_path / "c.cfg", data=str(data), t_max=t_max)
+        assert main(["forecast", "--config", cfg, "--out", str(tmp_path / "report")]) == 2
+        assert "t_max must be between 1 and 15" in capsys.readouterr().err
+        assert not (tmp_path / "report.txt").exists()
+
+    @pytest.mark.parametrize(
+        "keys, message",
+        [
+            ({"tol": "nan"}, "tol must be a positive number"),
+            ({"tol": -1}, "tol must be a positive number"),
+            ({"tol": 0}, "tol must be a positive number"),
+            ({"max_iter": -3}, "max_iter must be a non-negative integer"),
+            ({"init_omega": "0, 0"}, "initial values must be strictly positive"),
+            ({"init_omega": "0.01"}, "init_omega needs 2 values"),
+        ],
+        ids=["tol_nan", "tol_negative", "tol_zero", "max_iter_negative", "init_zero", "init_size"],
+    )
+    def test_solver_settings_are_config_errors(self, tmp_path, capsys, keys, message):
+        # unchecked, the tol cases and the zero start exited 4, and a negative
+        # max_iter never capped the iterations
+        cfg = write_config(
+            tmp_path / "c.cfg",
+            data=", ".join(bundled_paths()),
+            t_max=15,
+            covariance="diagonal_scalar",
+            **keys,
+        )
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "report")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "report.txt").exists()
+
 
 HEADER = "array,accident,development,value\n"
 

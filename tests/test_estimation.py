@@ -357,6 +357,21 @@ class TestGenericSolver:
         assert err.value.last_omega is not None
         assert err.value.score_norm is not None
 
+    @pytest.mark.parametrize(
+        "init, kwargs",
+        [
+            ([0.01, 0.01], {"max_iter": 2.5}),  # never equal to an iteration count
+            ([0.01, 0.01], {"tol": float("inf")}),
+            ([0.01, 0.01, 0.01], {}),
+            ([0.01, 0.0], {}),  # v2 must stay positive
+        ],
+    )
+    def test_bad_settings_are_config_errors(self, init, kwargs):
+        y, design, _ = small_fit_inputs(seed=13, size=3)
+        structure = CellwiseTwoLevel(2, 9)
+        with pytest.raises(cs.ConfigError):
+            cs.ml_dispersion_generic(y, design, structure, init, **kwargs)
+
     def test_free_mask_holds_fixed_components(self):
         y, design, _ = small_fit_inputs(seed=17, size=4)
         structure = CellwiseTwoLevel(2, 16)

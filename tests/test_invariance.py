@@ -8,6 +8,7 @@ solve; where it fails, the solver keeps a GLS fit per point.
 import ast
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ import commonshock as cs
 from commonshock import estimation
 from commonshock.arrays import ArrayLayout
 from commonshock.covariance import (
-    CellwiseTwoLevel, DiagonalScalar, GammaStructure, Term, structure_for,
+    CellwiseTwoLevel, DiagonalScalar, Example48, GammaStructure, Term, structure_for,
 )
 from commonshock.design import array_frame
 from commonshock.partitions import PARTITION_KINDS
@@ -183,17 +184,19 @@ def test_block_factor_is_the_dense_factor(case):
         for got_, want in ((got, kappa), (r_inv @ r_inv.T, var)):
             scale = np.abs(want).max(initial=0.0)
             np.testing.assert_allclose(got_, want, rtol=1e-10, atol=1e-10 * scale)
-    # the array-side S_k are the Q^T D_k Q that term_images forms on the dense Q
+    # Q^T Sigma Q by blocks (identity cell sides on M's arrays) and from the
+    # terms' loadings (a cell-side term) is the dense product on the dense Q
     Q = array_frame(qx, q0, N)
-    for structure in (CellwiseTwoLevel(N, k), raw_structure(rng, N, k, cell_side=False)):
-        for t, identity in enumerate(structure.identity_terms):
-            if identity:
-                continue
-            dqx, S = estimation._array_side_images(structure, t, q0, qx)
-            dq, want = structure.term_images(t, Q)
-            scale = max(np.abs(want).max(initial=0.0), 1.0)
-            np.testing.assert_allclose(S, want, rtol=0.0, atol=1e-12 * scale)
-            np.testing.assert_allclose(dqx, dq[:, : qx.shape[1]], rtol=0.0, atol=1e-12 * scale)
+    for structure in (
+        CellwiseTwoLevel(N, k),
+        raw_structure(rng, N, k, cell_side=False),
+        raw_structure(rng, N, k, cell_side=True),
+    ):
+        sigma = cs.SigmaModel(structure, random_omega(rng, structure))
+        want = Q.T @ structure.sigma(sigma.omega) @ Q
+        scale = max(np.abs(want).max(initial=0.0), 1.0)
+        got = estimation._q_sigma_q((q0, qx), sigma)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * scale)
 
 
 def test_bundled_configurations(bundled):
@@ -216,6 +219,27 @@ def test_bundled_configurations(bundled):
         ("diagonal", False, False, "example48"),
         ("cell", False, False, "example48"),
     }
+
+
+def test_fixed_location_forms_no_n_by_m_matrix():
+    # identity Example48, N = 8 on a 12 x 12 triangle: 17 terms, n = 624 and
+    # m = 184; testing every term and forming Var[kappa] may not hold two
+    # n x m float64 matrices, let alone an m x m block per term
+    lay = ArrayLayout.triangle(8, 12)
+    design = toy_design(lay)
+    structure = Example48(8, np.eye(lay.cells_per_array), np.eye(lay.cells_per_array))
+    y = np.random.default_rng(4).normal(size=design.n_obs)
+    sigma = cs.SigmaModel(structure, random_omega(np.random.default_rng(5), structure))
+    n, m = design.M.shape
+    tracemalloc.start()
+    try:
+        fit = estimation._fixed_location(y, design, structure).fit(sigma, variance=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n * m * 8
+    want = cs.gls_fit(y, design, sigma).var_kappa
+    np.testing.assert_allclose(fit.var_kappa, want, rtol=0.0, atol=1e-10 * np.abs(want).max())
 
 
 @pytest.fixture
