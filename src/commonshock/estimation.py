@@ -43,16 +43,23 @@ class FitResult:
     """Outcome of a location (and optionally dispersion) fit.
 
     ``M`` is the reduced mean design the fit used. ``r_inv`` is a matrix B
-    with Var[kappa] = B B^T, the forecast writes its parameter error through
-    it, with rows in M's column order; it is not always triangular. After a
-    least-squares fit (GLS at Sigma = I) it is T^-1 of the array-frame
-    factor M = [Qx | I_N (x) Q0] T (see ``_least_squares``), block lower
-    triangular; after a GLS fit at any other Sigma, R^-1 of the QR factor
-    of the whitened design; after a fixed-location fit,
+    with Var[kappa] = B B^T, with rows in M's column order; it is not always
+    triangular. After a least-squares fit (GLS at Sigma = I) it is T^-1 of
+    the array-frame factor M = [Qx | I_N (x) Q0] T (see ``_least_squares``),
+    block lower triangular; after a GLS fit at any other Sigma, R^-1 of the
+    QR factor of the whitened design; after a fixed-location fit,
     T^-1 chol(Q^T Sigma Q). ``var_kappa`` (B B^T) and ``omega_fit``, the
     covariance matrix of the fitted mean vector (M Var[kappa] M^T), are
     formed on first read. ``omega_hat`` is the vector of estimated variance
     components, None when the covariance was supplied as known.
+
+    ``frame`` is (C, R0^-1) where Var[kappa]'s idiosyncratic block is
+    C (x) R0^-1 R0^-T: C the N x N array side of Sigma = C (x) I over M's
+    own arrays, R0 the triangular factor of C0 (see ``_least_squares``).
+    Only a fixed-location fit with ``variance`` at such a Sigma keeps it
+    (see ``_FixedLocation.fit``), and the forecast then writes its
+    parameter error in the array frame. Every other fit has None, and the
+    forecast writes it through r_inv.
     """
 
     kappa_hat: np.ndarray
@@ -67,6 +74,7 @@ class FitResult:
     n_iter: int = 0
     score: np.ndarray = None
     r_inv: np.ndarray = None
+    frame: tuple = None  # (C, R0^-1), see above
     # (Q0, Qx), the orthonormal factor of M in its array frame, kept only by
     # a least-squares fit (see gls_fit); no n x m matrix
     _q: tuple = field(default=None, init=False, repr=False)
@@ -163,7 +171,11 @@ class _FixedLocation:
     ``r_inv`` = T^-1. Invariance makes Q^T Sigma^-1 Q the inverse of
     Q^T Sigma Q, so Var[kappa] = (T^T Q^T Sigma^-1 Q T)^-1
     = T^-1 (Q^T Sigma Q) T^-T, formed at the omega asked for
-    (``_q_sigma_q``).
+    (``_q_sigma_q``). Where Sigma = C (x) I over M's own arrays
+    (``_array_side_only``), Q^T Sigma Q = blockdiag(Qx^T Sigma Qx, C (x) I_r0)
+    and T^-1's idiosyncratic block is I_N (x) R0^-1, so Var[kappa]'s
+    idiosyncratic block is C (x) R0^-1 R0^-T, and the fit keeps
+    ``frame`` = (C, R0^-1).
     """
 
     M: np.ndarray
@@ -179,12 +191,18 @@ class _FixedLocation:
         """The fit at ``sigma``'s omega; r_inv, and so Var[kappa], only with ``variance``."""
         d = self.residual
         wd = sigma.whiten(d)
-        r_inv = None
+        r_inv = frame = None
         if variance:
             r_inv = self.r_inv @ np.linalg.cholesky(_q_sigma_q(self.q, sigma))
+            q0, qx = self.q
+            if _array_side_only(sigma.structure, q0):
+                s, r0 = qx.shape[1], q0.shape[1]
+                C = sigma.structure.kron_form(sigma.omega)[0]
+                frame = (C, self.r_inv[s : s + r0, s : s + r0])
         return FitResult(
             kappa_hat=self.kappa,
             r_inv=r_inv,
+            frame=frame,
             y_hat=self.y_hat,
             M=self.M,
             residual=d,
@@ -199,8 +217,7 @@ def _q_sigma_q(q: tuple, sigma: SigmaModel) -> np.ndarray:
     """Q^T Sigma Q in M's column order, for Q = [Qx | I_N (x) Q0] and q = (Q0, Qx).
 
     Sigma X is sum_k omega_k D_k X, each D_k X from term k's loadings. Where
-    every cell side is the identity and the structure's cells are the rows
-    of Q0, Sigma = C (x) I_cells over M's own arrays, so
+    Sigma = C (x) I_cells over M's own arrays (``_array_side_only``),
     Q^T Sigma Q = blockdiag(Qx^T Sigma Qx, C (x) I_r0): the cross block
     (I_N (x) Q0)^T Sigma Qx = (C (x) I_r0)(I_N (x) Q0)^T Qx vanishes with
     (I_N (x) Q0)^T Qx, and no n x m matrix is formed. Otherwise Q is formed
@@ -212,7 +229,7 @@ def _q_sigma_q(q: tuple, sigma: SigmaModel) -> np.ndarray:
     def times_sigma(x):
         return sum(w * structure.term_product(k, x) for k, w in enumerate(omega))
 
-    if structure.identity_cell_side and structure.cells == q0.shape[0]:
+    if _array_side_only(structure, q0):
         s, r0 = qx.shape[1], q0.shape[1]
         C = structure.kron_form(omega)[0]
         S = np.zeros((s + len(C) * r0,) * 2)
@@ -221,6 +238,12 @@ def _q_sigma_q(q: tuple, sigma: SigmaModel) -> np.ndarray:
         return S
     Q = array_frame(qx, q0, qx.shape[0] // q0.shape[0])
     return Q.T @ times_sigma(Q)
+
+
+def _array_side_only(structure: GammaStructure, q0: np.ndarray) -> bool:
+    """Whether Sigma = C (x) I_cells over M's own arrays: every cell side is
+    the identity and the structure's cells are one array's rows, those of Q0."""
+    return structure.identity_cell_side and structure.cells == q0.shape[0]
 
 
 def _fixed_location(y, design, structure: GammaStructure, ols: FitResult = None):
@@ -234,8 +257,11 @@ def _fixed_location(y, design, structure: GammaStructure, ols: FitResult = None)
     at most ``INVARIANCE_TOL`` ||D_k u||. That costs O(n m) per term where
     the full residual (I - Q Q^T) D_k Q costs O(n m^2), and a residual that
     is not zero vanishes on Z only for a set of directions of probability
-    zero. ``ols`` is a gls_fit at Sigma = I, whose factor is reused;
-    without it M is factored here.
+    zero. Where Sigma = C (x) I over M's own arrays (``_array_side_only``),
+    D_k (I_N (x) Q0) = (I_N (x) Q0)(G_k (x) I_r0) lies in span(Q) exactly,
+    so only u = Qx Z is tested, and nothing when there are no Qx columns.
+    ``ols`` is a gls_fit at Sigma = I, whose factor is reused; without it
+    M is factored here.
     """
     y, M, labels, design_ref, frame = _design_parts(y, design)
     if ols is not None and ols._q is not None:
@@ -245,8 +271,11 @@ def _fixed_location(y, design, structure: GammaStructure, ols: FitResult = None)
     q0, qx = q
     s, n_blocks = qx.shape[1], y.size // q0.shape[0]
     Z = np.random.default_rng(0).standard_normal((M.shape[1], 4))
-    u = qx @ Z[:s] + _by_block(q0, Z[s:], n_blocks)
-    for k in range(structure.n_params):
+    on_arrays = _array_side_only(structure, q0)
+    u = qx @ Z[:s]
+    if not on_arrays:
+        u += _by_block(q0, Z[s:], n_blocks)
+    for k in range(0 if on_arrays and not s else structure.n_params):
         du = structure.term_product(k, u)
         image = qx @ (qx.T @ du) + _by_block(q0, _by_block(q0.T, du, n_blocks), n_blocks)
         if np.linalg.norm(du - image) > INVARIANCE_TOL * np.linalg.norm(du):

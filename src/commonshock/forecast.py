@@ -1,19 +1,25 @@
 """Forecasting future cells and aggregating loss reserves.
 
 The forecast mean is M* kappa with M* built by the same design rules as the
-fitted rows. Its covariance Omega* adds parameter error, written B B^T with
-B = M* r_inv, and process error Sigma*, the same shock structure evaluated
-over the forecast region (future shocks are fresh draws, shared within
-subsets of the region and across arrays for the across-array shock;
-covariances between observed and future cells are not carried). Raw-scale
-forecasts and reserve moments then follow from the log-normal moment maps.
+fitted rows. Its covariance Omega* adds parameter error M* Var[kappa] M*^T
+and process error Sigma*, the same shock structure evaluated over the
+forecast region (future shocks are fresh draws, shared within subsets of
+the region and across arrays for the across-array shock; covariances
+between observed and future cells are not carried). Raw-scale forecasts
+and reserve moments then follow from the log-normal moment maps.
 
 ``predict`` needs only per-array sums of the raw-scale covariance, so it
-reads Omega* in row panels (``lognormal.grouped_raw_moments``), with Sigma*'s
-rows from ``GammaStructure.sigma_rows``, and forms no n_future x n_future
-matrix. One closure forms those panels, and the dense Omega* is its panel
-over every row; it and the raw-scale covariance are formed only when
-``ForecastResult.omega_star`` or ``xi_star`` is read.
+reads Omega* in row panels (``lognormal.grouped_raw_moments``) and forms no
+n x n matrix, n = N * n_future. Where the fit keeps its array frame
+(``FitResult.frame``), both terms are Kronecker products there: the
+parameter error is C (x) E E^T plus the rank-s_x part of the shock-mean
+columns, Sigma* is C* (x) I, and a panel is written block by block from
+E's rows (``_frame_panel``), with no n x m matrix and no row of Sigma*.
+Every other fit writes the parameter error as B B^T with B = M* r_inv and
+reads Sigma*'s rows from ``GammaStructure.sigma_rows`` (``_dense_panel``).
+Either closure is the one source of Omega*'s panels: the dense Omega* is
+its panel over every row, and it and the raw-scale covariance are formed
+only when ``ForecastResult.omega_star`` or ``xi_star`` is read.
 """
 
 from __future__ import annotations
@@ -101,10 +107,12 @@ class ForecastResult:
 
     @property
     def omega_star(self) -> np.ndarray:
-        """Omega* = B B^T + Sigma*, the log-scale predictive covariance.
+        """Omega* = M* Var[kappa] M*^T + Sigma*, the log-scale predictive covariance.
 
-        It is ``predict``'s panel over every row. B B^T is a symmetric
-        product, so Omega* needs no symmetrizing pass.
+        It is ``predict``'s panel over every row. Over every row each
+        product in the panel is a matrix times its own transpose (E E^T, or
+        B B^T, and the rank-s_x part), which BLAS forms exactly symmetric,
+        so Omega* needs no symmetrizing pass.
         """
         if self._omega_star is None:
             n = self.y_star.size
@@ -138,11 +146,11 @@ def build_forecast_design(design, cells) -> ForecastDesign:
 
 
 def _process_error(fit: FitResult, fd: ForecastDesign, extra_offset_var=None):
-    """Rows of Sigma* over the forecast region, as ``rows(start, stop)``.
+    """(future, omega, var): Sigma* over the forecast region and its extra diagonal.
 
-    Sigma* is the fitted structure rebuilt over the future cells at the
-    fitted omega, with ``extra_offset_var`` added to its diagonal. Rows come
-    from ``GammaStructure.sigma_rows``.
+    Sigma* is the fitted structure rebuilt over the future cells, ``future``,
+    at the fitted ``omega``, with ``extra_offset_var`` added to its diagonal:
+    ``var``, one entry per future row, or None.
     """
     structure = fit.sigma.structure
     omega = fit.omega_hat if fit.omega_hat is not None else fit.sigma.omega
@@ -162,17 +170,72 @@ def _process_error(fit: FitResult, fd: ForecastDesign, extra_offset_var=None):
         var = np.asarray(extra_offset_var, dtype=float).ravel()
         if var.size == 1:
             var = np.full(n, float(var[0]))
-        if var.size != n or np.any(var < 0):
-            raise DesignError("extra offset variances must be non-negative, length N * n_future")
+        if var.size != n or not np.all(np.isfinite(var) & (var >= 0)):
+            raise DesignError(
+                "extra offset variances must be finite and non-negative, length N * n_future"
+            )
+    return future, omega, var
 
-    def rows(start: int, stop: int) -> np.ndarray:
-        out = future.sigma_rows(omega, start, stop)
-        if var is not None:
-            i = np.arange(start, stop)
-            out[i - start, i] += var[start:stop]
+
+def _add_diagonal(out: np.ndarray, var, start: int, stop: int) -> None:
+    """Add var[start:stop] on the diagonal of rows start:stop, columns from start on."""
+    if var is not None:
+        i = np.arange(stop - start)
+        out[i, i] += var[start:stop]
+
+
+def _dense_panel(fit: FitResult, fd: ForecastDesign, future, omega, var):
+    """Rows of Omega* = B B^T + Sigma*, with B = M* r_inv and Sigma*'s rows
+    from ``GammaStructure.sigma_rows``."""
+    b = fd.m_star @ fit.r_inv
+
+    def panel(start, stop):
+        out = future.sigma_rows(omega, start, stop)[:, start:]
+        _add_diagonal(out, var, start, stop)
+        out += b[start:stop] @ b[start:].T
         return out
 
-    return rows
+    return panel
+
+
+def _frame_panel(fit: FitResult, fd: ForecastDesign, c_star: np.ndarray, var):
+    """Rows of Omega* in the array frame, for a fit that keeps ``frame``.
+
+    With M* = [X* | I_N (x) C0*] and Var[kappa] = r_inv r_inv^T, whose
+    idiosyncratic block is C (x) R0^-1 R0^-T (``FitResult.frame``),
+    Omega* = (P Lx)(P Lx)^T + C (x) E E^T + C* (x) I, with E = C0* R0^-1,
+    P Lx = M* r_inv[:, :s_x] and Sigma* = C* (x) I. A panel's block (a, b) is
+    C[a, b] h + C*[a, b] I with h = E[p0:p1] E^T formed once per array, so
+    neither B nor any row of Sigma* is formed.
+    """
+    C, r0_inv = fit.frame
+    n_arrays, n_fut = fd.n_arrays, len(fd.cells)
+    s = fd.m_star.shape[1] - n_arrays * r0_inv.shape[0]
+    E = fd.m_star[:n_fut, s : s + r0_inv.shape[0]] @ r0_inv
+    pl = fd.m_star @ fit.r_inv[:, :s] if s else None
+
+    def panel(start, stop):
+        out = np.empty((stop - start, n_arrays * n_fut - start))
+        # every array but the last reads all of h's columns, the last its cells c0:
+        c0 = max(start - (n_arrays - 1) * n_fut, 0)
+        for a in range(start // n_fut, (stop - 1) // n_fut + 1):
+            # the rows of array a inside start:stop are its cells p0:p1
+            p0, p1 = max(start - a * n_fut, 0), min(stop - a * n_fut, n_fut)
+            h = E[p0:p1] @ E[c0:].T
+            rows = slice(a * n_fut + p0 - start, a * n_fut + p1 - start)
+            for b in range(start // n_fut, n_arrays):
+                # the columns of array b from start on are its cells q0:
+                q0 = max(start - b * n_fut, 0)
+                col = b * n_fut - start
+                np.multiply(h[:, q0 - c0 :], C[a, b], out=out[rows, col + q0 : col + n_fut])
+                diag = np.arange(max(p0, q0), p1)
+                out[diag + (a * n_fut - start), diag + col] += c_star[a, b]
+        _add_diagonal(out, var, start, stop)
+        if pl is not None:
+            out += pl[start:stop] @ pl[start:].T
+        return out
+
+    return panel
 
 
 def predict(
@@ -186,7 +249,8 @@ def predict(
     ``extra_offsets`` (length N * n_future) is added to the log-scale
     forecast means, the hook for hand-supplied future effects such as an
     AR(1) calendar extrapolation; ``extra_offset_var`` adds to the
-    process-error diagonal.
+    process-error diagonal. DesignError rejects either when it has the
+    wrong length or an entry that is not finite, and a negative variance.
     """
     lay = fit.design.layout
     n_fut = len(fd.cells)
@@ -207,18 +271,15 @@ def predict(
     y_star = fd.m_star @ fit.kappa_hat
     if extra_offsets is not None:
         offs = np.asarray(extra_offsets, dtype=float).ravel()
-        if offs.size != n:
-            raise DesignError(f"extra offsets must have length {n}")
+        if offs.size != n or not np.all(np.isfinite(offs)):
+            raise DesignError(f"extra offsets must be finite, length {n}")
         y_star = y_star + offs
 
-    sigma_star_rows = _process_error(fit, fd, extra_offset_var)
-    b = fd.m_star @ fit.r_inv
-
-    def omega_star_panel(start, stop):
-        # rows start:stop of Omega* = B B^T + Sigma*, from column start on
-        out = sigma_star_rows(start, stop)[:, start:]
-        out += b[start:stop] @ b[start:].T
-        return out
+    future, omega, var = _process_error(fit, fd, extra_offset_var)
+    if fit.frame is not None and future.identity_cell_side:
+        omega_star_panel = _frame_panel(fit, fd, future.kron_form(omega)[0], var)
+    else:
+        omega_star_panel = _dense_panel(fit, fd, future, omega, var)
 
     x_vec, reserve_cov = grouped_raw_moments(
         y_star, omega_star_panel, np.repeat(np.arange(fd.n_arrays), n_fut), fd.n_arrays

@@ -45,10 +45,11 @@ def raw_mean(summary: LogNormalSummary, k: int = None):
 
 
 def _exp_guarded(exponent: np.ndarray) -> np.ndarray:
-    if np.any(exponent > _EXP_GUARD):
+    """exp(exponent); NumericalError for an entry above ``_EXP_GUARD`` or NaN."""
+    if not np.all(exponent <= _EXP_GUARD):
         raise NumericalError(
-            "raw-scale mean would overflow (log-scale mean plus half variance "
-            f"exceeds {_EXP_GUARD})"
+            "raw-scale mean would overflow or is undefined (log-scale mean plus "
+            f"half variance exceeds {_EXP_GUARD} or is NaN)"
         )
     return np.exp(exponent)
 
@@ -91,6 +92,7 @@ def grouped_raw_moments(location, cov_panel, groups, n_groups: int):
         w = weights[start:stop]
         upper = w.T @ (panel[:, r:] @ weights[stop:])
         S += w.T @ (panel[:, :r] @ w) + upper + upper.T
+        del panel  # the next block is formed without this one held
     return means, 0.5 * (S + S.T)
 
 

@@ -2,11 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import commonshock as cs
 import commonshock.forecast as forecast_module
+from commonshock import estimation
 from commonshock.arrays import ArrayLayout
 from commonshock.covariance import (
     STRUCTURE_KINDS,
@@ -14,7 +15,7 @@ from commonshock.covariance import (
     GammaStructure,
     structure_for,
 )
-from commonshock.lognormal import ROW_BLOCK, LogNormalSummary, raw_mean
+from commonshock.lognormal import ROW_BLOCK, LogNormalSummary, raw_cov, raw_mean
 from commonshock.partitions import PARTITION_KINDS
 from conftest import simulate_two_level, toy_design
 
@@ -293,8 +294,9 @@ def _within_shock_forecast_inputs():
 
 
 def assert_predictive_covariance_is_symmetric_and_psd(fit, fd):
-    # the parameter error is written as B B^T with B = M* r_inv, so Omega*
-    # needs no symmetrizing pass to come out exactly symmetric
+    # over every row each product in the panel is a matrix times its own
+    # transpose (E E^T or B B^T, and the shock-mean part), so Omega* needs
+    # no symmetrizing pass to come out exactly symmetric
     omega_star = cs.predict(fit, fd).omega_star
     assert np.array_equal(omega_star, omega_star.T)
 
@@ -316,16 +318,37 @@ def test_predictive_covariance_is_symmetric_and_psd(ref_fit, case):
     assert_predictive_covariance_is_symmetric_and_psd(fit, fd)
 
 
+def forecast_case(lay, region, kind, partition, seed, within=False, fixed=False):
+    """A fit at a random omega and the forecast design of ``region``.
+
+    The fit is the GLS fit, or with ``fixed`` the fixed-location fit with
+    its variance where the design has one. Raises DesignError where the
+    region needs a parameter the data never identified.
+    """
+    design = toy_design(lay, partition, include_within=within)
+    fd = cs.build_forecast_design(design, region)
+    rng = np.random.default_rng(seed)
+    structure = structure_for(kind, lay.n_arrays, lay.cells_per_array, design.A, design.B)
+    omega = rng.uniform(0.005, 0.05, structure.n_params)
+    y = rng.normal(5.0, 1.0, design.n_obs)
+    sigma = cs.SigmaModel(structure, omega)
+    location = estimation._fixed_location(y, design, structure) if fixed else None
+    fit = cs.gls_fit(y, design, sigma) if location is None else location.fit(sigma, variance=True)
+    return fit, fd, rng
+
+
 @st.composite
 def forecast_inputs(draw):
-    """A GLS fit at a random omega and the forecast design of its unobserved cells.
+    """A fit at a random omega and the forecast design of its unobserved cells.
 
     Layouts are triangles (forecast region: the lower triangle) or random
     masks whose first row and column are observed (region: every cell off
     the mask), for 1 to 4 arrays, every partition and the three structures
     the CLI builds. Grids are up to 6 x 6 or from 12 x 12 to 16 x 16, so
     that the region (up to 4 x 225 future rows) is sometimes smaller and
-    sometimes larger than one row block of the moment map.
+    sometimes larger than one row block of the moment map. The fit is a
+    GLS fit, or for the structures whose Sigma is C (x) I a fixed-location
+    fit, which keeps the array frame wherever the design is invariant.
     """
     sides = st.one_of(st.integers(2, 6), st.integers(12, 16))
     n_arrays, rows = draw(st.integers(1, 4)), draw(sides)
@@ -341,17 +364,52 @@ def forecast_inputs(draw):
         region = [(i + 1, j + 1) for i, j in zip(*np.nonzero(~mask))]
     kind = draw(st.sampled_from(STRUCTURE_KINDS))
     within = kind == "diagonal_scalar" and draw(st.booleans())
-    design = toy_design(lay, draw(st.sampled_from(PARTITION_KINDS)), include_within=within)
+    partition = draw(st.sampled_from(PARTITION_KINDS))
+    seed = draw(st.integers(0, 2**16))
+    fixed = kind != "diagonal_scalar" and draw(st.booleans())
     try:
-        fd = cs.build_forecast_design(design, region)
+        return forecast_case(lay, region, kind, partition, seed, within, fixed)
     except cs.DesignError:
         assume(False)
-    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    structure = structure_for(kind, n_arrays, lay.cells_per_array, design.A, design.B)
-    omega = rng.uniform(0.005, 0.05, structure.n_params)
-    y = rng.normal(5.0, 1.0, design.n_obs)
-    fit = cs.gls_fit(y, design, cs.SigmaModel(structure, omega))
-    return fit, fd, rng
+
+
+def _triangle(n_arrays, size):
+    """A size x size triangle layout, and its lower triangle as region."""
+    lay = ArrayLayout.triangle(n_arrays, size)
+    return lay, cs.future_cells(lay, size)
+
+
+def _with_holes(n_arrays, size, holes):
+    """A size x size layout observed everywhere but ``holes``, and the holes as region."""
+    mask = np.ones((size, size), dtype=bool)
+    for i, j in holes:
+        mask[i - 1, j - 1] = False
+    return ArrayLayout(n_arrays, size, size, mask), holes
+
+
+# fixed-location fits that keep the array frame, pinned as examples of the
+# random-layout tests: with no shock-mean column, with kept within-array
+# calendar means (the holes lie on observed diagonals), and over a region of
+# more than one row block
+FRAME_CASES = {
+    "no_shock_means": forecast_case(
+        *_triangle(2, 6), "cellwise_two_level", "cell", 1, fixed=True
+    ),
+    "kept_shock_means": forecast_case(
+        *_with_holes(3, 6, [(3, 4), (4, 3), (4, 4), (2, 6)]),
+        "example48", "diagonal", 2, within=True, fixed=True,
+    ),
+    "several_row_blocks": forecast_case(*_triangle(3, 12), "example48", "row", 3, fixed=True),
+}
+
+
+@pytest.mark.parametrize("name", FRAME_CASES)
+def test_pinned_cases_keep_the_frame(name):
+    fit, fd, _ = FRAME_CASES[name]
+    assert fit.frame is not None
+    s_x = fd.m_star.shape[1] - fd.n_arrays * fit.frame[1].shape[0]
+    assert (s_x > 0) == (name == "kept_shock_means")
+    assert (fd.m_star.shape[0] > ROW_BLOCK) == (name == "several_row_blocks")
 
 
 def assert_reserve_moments_match_the_dense_covariance(fit, fd, var):
@@ -371,6 +429,9 @@ def assert_reserve_moments_match_the_dense_covariance(fit, fd, var):
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(forecast_inputs(), st.sampled_from([None, "scalar", "per_cell"]))
+@example(FRAME_CASES["no_shock_means"], "scalar")
+@example(FRAME_CASES["kept_shock_means"], "per_cell")
+@example(FRAME_CASES["several_row_blocks"], "per_cell")
 def test_reserve_moments_match_the_dense_covariance(case, extra):
     fit, fd, rng = case
     n = fd.m_star.shape[0]
@@ -399,6 +460,9 @@ def test_reserve_moments_over_several_row_blocks(kind, within):
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(forecast_inputs())
+@example(FRAME_CASES["no_shock_means"])
+@example(FRAME_CASES["kept_shock_means"])
+@example(FRAME_CASES["several_row_blocks"])
 def test_predictive_covariance_is_symmetric_and_psd_over_random_layouts(case):
     fit, fd, _ = case
     assume(len(fd.cells) > 0)  # a full mask leaves nothing to forecast
@@ -440,3 +504,89 @@ def test_predict_builds_neither_the_dense_process_error_nor_the_raw_covariance(
     # both are formed on first read, by the formulas the reference used
     np.testing.assert_array_equal(res.omega_star, ref_forecast.omega_star)
     np.testing.assert_array_equal(res.xi_star, ref_forecast.xi_star)
+
+
+def _dense_reserve_moments(fit, fd, var):
+    """(Omega*, reserve_cov) from the dense M* Var[kappa] M*^T + Sigma* + diag(var)."""
+    structure = fit.sigma.structure
+    future = structure_for(structure.kind, fd.n_arrays, len(fd.cells), fd.a_star, fd.b_star)
+    omega_star = fd.m_star @ fit.var_kappa @ fd.m_star.T + future.sigma(fit.sigma.omega)
+    omega_star += np.diag(np.broadcast_to(var, len(omega_star)))
+    xi = raw_cov(LogNormalSummary(fd.m_star @ fit.kappa_hat, omega_star))
+    by_array = np.kron(np.eye(fd.n_arrays), np.ones((len(fd.cells), 1)))
+    return omega_star, by_array.T @ xi @ by_array
+
+
+def test_frame_fit_forecasts_without_the_rows_of_sigma_star(ref_fit, monkeypatch):
+    # the reference fit is a fixed-location fit at Sigma = C (x) I: its
+    # forecast reads Omega* from the array frame, never from sigma_rows
+    def refuse(*args, **kwargs):
+        raise AssertionError("predict read rows of Sigma*")
+
+    fit, design = ref_fit["fit"], ref_fit["design"]
+    assert fit.frame is not None
+    fd = cs.build_forecast_design(design, cs.future_cells(design.layout, 15))
+    with monkeypatch.context() as m:
+        m.setattr(GammaStructure, "sigma_rows", refuse)
+        res = cs.predict(fit, fd, extra_offset_var=0.01)
+        omega_star = res.omega_star
+    want, reserve_cov = _dense_reserve_moments(fit, fd, 0.01)
+    assert np.array_equal(omega_star, omega_star.T)
+    assert np.max(np.abs(omega_star - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.max(np.abs(res.reserve_cov - reserve_cov)) <= 1e-12 * np.max(np.abs(reserve_cov))
+
+
+def test_frame_forecast_holds_less_than_one_n_by_m_matrix():
+    # N = 4 on a 30 x 30 triangle: n = 1740 future rows and m = 236, so
+    # B = M* r_inv alone would take 3.3 MB; predict holds one 128-row panel
+    lay = ArrayLayout.triangle(4, 30)
+    coll = simulate_two_level(lay, 0.1, 0.15, seed=3)
+    design = toy_design(lay)
+    fit = cs.ml_dispersion_cellwise(cs.stack_log(coll), design)
+    assert fit.frame is not None
+    fd = cs.build_forecast_design(design, cs.future_cells(lay, 30))
+    n, m = fd.m_star.shape
+    assert (n, m) == (1740, 236)
+    tracemalloc.start()
+    try:
+        res = cs.predict(fit, fd)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * m * 8
+    assert res.reserve_cov.shape == (4, 4)
+
+
+def test_diagonal_scalar_fit_keeps_no_frame(ref_fit):
+    # a fixed-location fit whose Sigma is not C (x) I over the arrays keeps
+    # no frame, and its forecast writes the parameter error as B B^T
+    design, y = ref_fit["design"], ref_fit["y"]
+    structure = cs.DiagonalScalar(design.A)
+    fit = cs.ml_dispersion_generic(y, design, structure, [0.01, 0.01])
+    assert fit.n_iter >= 1 and fit.frame is None
+    fd = cs.build_forecast_design(design, cs.future_cells(design.layout, 15))
+    res = cs.predict(fit, fd)
+    reserve_cov = _dense_reserve_moments(fit, fd, 0.0)[1]
+    assert np.max(np.abs(res.reserve_cov - reserve_cov)) <= 1e-12 * np.max(np.abs(reserve_cov))
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {"extra_offset_var": np.nan},
+        {"extra_offset_var": np.inf},
+        {"extra_offset_var": [0.01, np.nan] * 15},
+        {"extra_offsets": [0.0, np.nan] * 15},
+        {"extra_offsets": [0.0, np.inf] * 15},
+    ],
+    ids=["nan_variance", "inf_variance", "nan_variance_per_cell", "nan_offset", "inf_offset"],
+)
+def test_non_finite_forecast_inputs_are_design_errors(extra):
+    lay = ArrayLayout.triangle(2, 6)
+    coll = simulate_two_level(lay, 0.1, 0.15, seed=5)
+    design = toy_design(lay)
+    fit = cs.ml_dispersion_cellwise(cs.stack_log(coll), design)
+    fd = cs.build_forecast_design(design, cs.future_cells(lay, 6))
+    assert fd.m_star.shape[0] == 30
+    with pytest.raises(cs.DesignError, match="finite"):
+        cs.predict(fit, fd, **extra)

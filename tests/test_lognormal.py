@@ -105,3 +105,10 @@ def test_fitted_raw_reference_shapes(ref_fit):
     assert np.isnan(cells[0, 14, 14])  # outside the fitted triangle
     assert cov.shape == (240, 240)
     assert np.isfinite(cells[0][lay.mask]).all()
+
+
+def test_nan_exponent_guard():
+    # NaN compares false with every bound, so the guard asks for <= on all
+    s = LogNormalSummary([np.nan, 0.0], np.eye(2))
+    with pytest.raises(cs.NumericalError, match="NaN"):
+        cs.raw_mean(s)
