@@ -374,8 +374,8 @@ class ModelDesign:
     def n_params(self) -> int:
         return self.M.shape[1]
 
-    def full_rows_for_cells(self, cells) -> np.ndarray:
-        """Unreduced design rows for arbitrary grid cells, array index outermost."""
+    def _cell_blocks(self, cells):
+        """The unreduced (X, C0) of arbitrary grid cells (see ``_CellRows.design``)."""
         i, j = _grid_cells(self.layout, cells)
         shock, part = self.shock, self.shock.partition
         labels = part._grid[i - 1, j - 1]
@@ -390,7 +390,11 @@ class ModelDesign:
         X, C0, _ = _CellRows(self.layout, i, j, labels, part.n_subsets).design(
             shock, self.idio_variant
         )
-        return array_frame(X, C0, self.layout.n_arrays)
+        return X, C0
+
+    def full_rows_for_cells(self, cells) -> np.ndarray:
+        """Unreduced design rows for arbitrary grid cells, array index outermost."""
+        return array_frame(*self._cell_blocks(cells), self.layout.n_arrays)
 
     def rows_for_cells(self, cells) -> np.ndarray:
         """Reduced-design rows for arbitrary grid cells, array index outermost.
@@ -398,16 +402,24 @@ class ModelDesign:
         Rows are checked for estimability: any weight a row places on a
         dropped column must be reproduced by the kept columns through the
         alias relation observed in the data, otherwise the cell's mean is not
-        identified and a DesignError is raised.
+        identified and a DesignError is raised. Both the rows and the dropped
+        columns are gathered from the cells' (X, C0) blocks, so the unreduced
+        rows are never formed.
         """
         cells = tuple(cells)
-        kept = list(self.kept)
-        kept_set = set(kept)
+        X, C0 = self._cell_blocks(cells)
+        s, q, N = X.shape[1], C0.shape[1], self.layout.n_arrays
+        kept_set = set(self.kept)
         drop_idx = [k for k in range(len(self.full_labels)) if k not in kept_set]
-        full = self.full_rows_for_cells(cells)
-        rows = full[:, kept]
-        if drop_idx and full.shape[0]:
-            mismatch = np.abs(full[:, drop_idx] - rows @ self.coef)
+
+        def blocks(ids):
+            # the columns ids of [X | I_N (x) C0], for ids sorted as
+            # assemble sorts them: shock means, then array 1's block
+            return X[:, [k for k in ids if k < s]], C0[:, [k - s for k in ids if s <= k < s + q]]
+
+        rows = array_frame(*blocks(self.kept), N)
+        if drop_idx and rows.shape[0]:
+            mismatch = np.abs(array_frame(*blocks(drop_idx), N) - rows @ self.coef)
             row_max = mismatch.max(axis=1)
             worst = int(np.argmax(row_max))
             if row_max[worst] > 1e-8:

@@ -3,10 +3,13 @@
 With the covariance known, the location estimate is the usual GLS solution,
 computed through Cholesky whitening and least squares: neither Sigma^-1 nor
 (M^T Sigma^-1 M)^-1 is formed, only the inverses of triangular factors.
-With the covariance unknown up to variance components omega, the profile
-score (the derivative of the log-likelihood in omega after
-concentrating out the location parameters) is driven to zero by projected
-Fisher scoring on the profile likelihood.
+Where Sigma = C (x) I over M's own arrays, the whitened design keeps M's
+array frame, and a fit costs one QR of one array's idiosyncratic block and
+one of the whitened shock-mean columns (``gls_fit``). With the covariance
+unknown up to variance components omega, the profile score (the derivative
+of the log-likelihood in omega after concentrating out the location
+parameters) is driven to zero by projected Fisher scoring on the profile
+likelihood.
 
 When span(M) is invariant under every term D_k = dSigma/domega_k, GLS equals
 ordinary least squares at every omega (Kruskal 1968): the location and its
@@ -44,22 +47,27 @@ class FitResult:
 
     ``M`` is the reduced mean design the fit used. ``r_inv`` is a matrix B
     with Var[kappa] = B B^T, with rows in M's column order; it is not always
-    triangular. After a least-squares fit (GLS at Sigma = I) it is T^-1 of
-    the array-frame factor M = [Qx | I_N (x) Q0] T (see ``_least_squares``),
-    block lower triangular; after a GLS fit at any other Sigma, R^-1 of the
-    QR factor of the whitened design; after a fixed-location fit,
+    triangular. After a GLS fit in the array frame (Sigma = C (x) I over M's
+    arrays, or Sigma = I) it is T^-1 of the factor
+    [L^-1 X | I_N (x) C0] = [Qx | I_N (x) Q0] T (see ``_least_squares``)
+    with its idiosyncratic rows mapped by L (x) I_r0, C = L L^T (see
+    ``gls_fit``); after a GLS fit at any other Sigma, R^-1 of the QR factor
+    of the dense whitened design; after a fixed-location fit,
     T^-1 chol(Q^T Sigma Q). ``var_kappa`` (B B^T) and ``omega_fit``, the
     covariance matrix of the fitted mean vector (M Var[kappa] M^T), are
     formed on first read. ``omega_hat`` is the vector of estimated variance
     components, None when the covariance was supplied as known.
 
-    ``frame`` is (C, R0^-1) where Var[kappa]'s idiosyncratic block is
-    C (x) R0^-1 R0^-T: C the N x N array side of Sigma = C (x) I over M's
-    own arrays, R0 the triangular factor of C0 (see ``_least_squares``).
-    Only a fixed-location fit with ``variance`` at such a Sigma keeps it
-    (see ``_FixedLocation.fit``), and the forecast then writes its
-    parameter error in the array frame. Every other fit has None, and the
-    forecast writes it through r_inv.
+    ``frame`` is (C, R0^-1), C the N x N array side of Sigma = C (x) I over
+    M's own arrays and R0 the triangular factor of C0 (see
+    ``_least_squares``): B's idiosyncratic columns are then
+    [0; L (x) R0^-1], so they add C (x) R0^-1 R0^-T to Var[kappa]. Every
+    fit at such a Sigma keeps it, whichever path made the fit: GLS, the
+    fixed location with ``variance`` (see ``_FixedLocation.fit``), and so
+    the generic solver and the closed form. The forecast then writes its
+    parameter error in the array frame. A fit whose Sigma has a cell side
+    other than the identity has None, and the forecast writes it through
+    r_inv.
     """
 
     kappa_hat: np.ndarray
@@ -125,29 +133,51 @@ def gls_fit(y: np.ndarray, design: ModelDesign, sigma: SigmaModel) -> FitResult:
     """Generalized least squares for the reduced design.
 
     kappa = (M^T Sigma^-1 M)^-1 M^T Sigma^-1 y with variance
-    (M^T Sigma^-1 M)^-1 = R^-1 R^-T, computed from a Cholesky factor of
-    Sigma and a QR factor Q R of the whitened design. At Sigma = I whitening
-    leaves y and M as they are, so the fit is least squares: M is factored
-    in its array frame, one QR of C0 and one of the projected shock-mean
-    columns (``_least_squares``), and the fit keeps that factor for the
-    fixed-location test. Any other Sigma whitens M into a dense matrix,
-    factored by one QR.
+    (M^T Sigma^-1 M)^-1 = B B^T, computed from a Cholesky factor of Sigma
+    and a QR factor of the whitened design. Where Sigma = C (x) I over M's
+    own arrays (``_array_side_only``), and at Sigma = I for any structure,
+    the whitened design is factored in its array frame: with C = L L^T,
+
+        Sigma^-1/2 M = [L^-1 X | I_N (x) C0] (I (+) L^-1 (x) I_r0),
+
+    so ``_least_squares`` fits the whitened y on [L^-1 X | I_N (x) C0], one
+    QR of C0 and one of the projected whitened shock block, and the
+    idiosyncratic rows of kappa and of B are mapped back by L (x) I_r0. At
+    Sigma = I the map is skipped and the fit keeps the factor of M for the
+    fixed-location test. Every such fit on M's arrays keeps ``frame`` =
+    (C, R0^-1). Any other Sigma (a cell side that is not the identity)
+    whitens M into a dense matrix, factored by one QR.
     """
-    y, M, labels, design_ref, frame = _design_parts(y, design)
+    y, M, labels, design_ref, (X, C0) = _design_parts(y, design)
     if sigma.n != y.size:
         raise DesignError("covariance dimension does not match the data")
 
     wy = sigma.whiten(y)
-    W = sigma.whiten(M)
-    if not sigma.identity:
-        frame = (np.zeros((W.shape[0], 0)), W)
-    q, rinv, kappa = _least_squares(wy, *frame, labels)
-    y_hat = M @ kappa
-    d = y - y_hat
-    wd = wy - W @ kappa
+    on_arrays = _array_side_only(sigma.structure, C0)
+    q = frame = None
+    if on_arrays or sigma.identity:
+        scale = None if sigma.identity else _pivot_scale(sigma)
+        q, r_inv, kappa = _least_squares(wy, sigma.whiten(X), C0, labels, scale)
+        s, r0 = X.shape[1], C0.shape[1]
+        if on_arrays:
+            frame = (sigma._C, r_inv[s : s + r0, s : s + r0].copy())
+        if not sigma.identity:
+            q = None  # a factor of the whitened design, not of M
+            kappa[s:] = _times_l(sigma._L, kappa[s:])
+            r_inv[s:] = _times_l(sigma._L, r_inv[s:])
+        y_hat = M @ kappa
+        d = y - y_hat
+        wd = sigma.whiten(d)
+    else:
+        W = sigma.whiten(M)
+        _, r_inv, kappa = _least_squares(wy, np.zeros((W.shape[0], 0)), W, labels)
+        y_hat = M @ kappa
+        d = y - y_hat
+        wd = wy - W @ kappa
     fit = FitResult(
         kappa_hat=kappa,
-        r_inv=rinv,
+        r_inv=r_inv,
+        frame=frame,
         y_hat=y_hat,
         M=M,
         residual=d,
@@ -156,9 +186,25 @@ def gls_fit(y: np.ndarray, design: ModelDesign, sigma: SigmaModel) -> FitResult:
         design=design_ref,
         labels=labels,
     )
-    if sigma.identity:
-        fit._q = q
+    fit._q = q
     return fit
+
+
+def _times_l(L: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """(L (x) I) a, for a whose rows are stacked with the len(L) arrays outermost."""
+    return (L @ a.reshape(len(L), -1)).reshape(a.shape)
+
+
+def _pivot_scale(sigma: SigmaModel) -> np.ndarray:
+    """|diag R_L| for L^-1 = Q_L R_L, L the Cholesky factor of Sigma's array side C.
+
+    L^-1 (x) C0 = (Q_L (x) Q0)(R_L (x) R0), so the pivots of the whitened
+    idiosyncratic columns, factored before the shock block, are R_L[a, a]
+    times R0's. R_L^T R_L = C^-1, so R_L^T is the Cholesky factor of C^-1
+    and no QR is needed.
+    """
+    inv = sigma._factor_inverse()
+    return np.diagonal(np.linalg.cholesky(inv.T @ inv))
 
 
 @dataclass(frozen=True)
@@ -171,11 +217,7 @@ class _FixedLocation:
     ``r_inv`` = T^-1. Invariance makes Q^T Sigma^-1 Q the inverse of
     Q^T Sigma Q, so Var[kappa] = (T^T Q^T Sigma^-1 Q T)^-1
     = T^-1 (Q^T Sigma Q) T^-T, formed at the omega asked for
-    (``_q_sigma_q``). Where Sigma = C (x) I over M's own arrays
-    (``_array_side_only``), Q^T Sigma Q = blockdiag(Qx^T Sigma Qx, C (x) I_r0)
-    and T^-1's idiosyncratic block is I_N (x) R0^-1, so Var[kappa]'s
-    idiosyncratic block is C (x) R0^-1 R0^-T, and the fit keeps
-    ``frame`` = (C, R0^-1).
+    (``fit``).
     """
 
     M: np.ndarray
@@ -188,17 +230,30 @@ class _FixedLocation:
     q: tuple  # (Q0, Qx)
 
     def fit(self, sigma: SigmaModel, variance: bool = False) -> FitResult:
-        """The fit at ``sigma``'s omega; r_inv, and so Var[kappa], only with ``variance``."""
+        """The fit at ``sigma``'s omega; r_inv, and so Var[kappa], only with ``variance``.
+
+        Where Sigma = C (x) I over M's own arrays (``_array_side_only``),
+        Q^T Sigma Q = blockdiag(Qx^T Sigma Qx, C (x) I_r0): the cross block
+        (I_N (x) Q0)^T Sigma Qx = (C (x) I_r0)(I_N (x) Q0)^T Qx vanishes with
+        (I_N (x) Q0)^T Qx. With C = L L^T, r_inv is then
+        [T^-1[:, :s] chol(Qx^T Sigma Qx) | (L (x) I_r0) T^-1[:, s:]], the
+        map of ``gls_fit``, and the fit keeps ``frame`` = (C, R0^-1).
+        Otherwise r_inv is T^-1 chol(Q^T Sigma Q) with the dense Q.
+        """
         d = self.residual
         wd = sigma.whiten(d)
         r_inv = frame = None
         if variance:
-            r_inv = self.r_inv @ np.linalg.cholesky(_q_sigma_q(self.q, sigma))
             q0, qx = self.q
             if _array_side_only(sigma.structure, q0):
                 s, r0 = qx.shape[1], q0.shape[1]
-                C = sigma.structure.kron_form(sigma.omega)[0]
-                frame = (C, self.r_inv[s : s + r0, s : s + r0])
+                r_inv = self.r_inv.copy()
+                sx = _q_sigma_q((q0[:, :0], qx), sigma)  # Qx^T Sigma Qx
+                r_inv[:, :s] = r_inv[:, :s] @ np.linalg.cholesky(sx)
+                r_inv[s:, s:] = _times_l(sigma._L, r_inv[s:, s:])
+                frame = (sigma._C, self.r_inv[s : s + r0, s : s + r0])
+            else:
+                r_inv = self.r_inv @ np.linalg.cholesky(_q_sigma_q(self.q, sigma))
         return FitResult(
             kappa_hat=self.kappa,
             r_inv=r_inv,
@@ -216,34 +271,20 @@ class _FixedLocation:
 def _q_sigma_q(q: tuple, sigma: SigmaModel) -> np.ndarray:
     """Q^T Sigma Q in M's column order, for Q = [Qx | I_N (x) Q0] and q = (Q0, Qx).
 
-    Sigma X is sum_k omega_k D_k X, each D_k X from term k's loadings. Where
-    Sigma = C (x) I_cells over M's own arrays (``_array_side_only``),
-    Q^T Sigma Q = blockdiag(Qx^T Sigma Qx, C (x) I_r0): the cross block
-    (I_N (x) Q0)^T Sigma Qx = (C (x) I_r0)(I_N (x) Q0)^T Qx vanishes with
-    (I_N (x) Q0)^T Qx, and no n x m matrix is formed. Otherwise Q is formed
-    from its blocks and the product is Q^T (Sigma Q).
+    Q is formed from its blocks, and Sigma Q is sum_k omega_k D_k Q, each
+    D_k Q from term k's loadings. A Q0 with no columns gives Qx^T Sigma Qx.
     """
-    structure, omega = sigma.structure, sigma.omega
+    structure = sigma.structure
     q0, qx = q
-
-    def times_sigma(x):
-        return sum(w * structure.term_product(k, x) for k, w in enumerate(omega))
-
-    if _array_side_only(structure, q0):
-        s, r0 = qx.shape[1], q0.shape[1]
-        C = structure.kron_form(omega)[0]
-        S = np.zeros((s + len(C) * r0,) * 2)
-        S[:s, :s] = qx.T @ times_sigma(qx)
-        S[s:, s:] = (C[:, None, :, None] * np.eye(r0)[:, None]).reshape(len(C) * r0, -1)
-        return S
     Q = array_frame(qx, q0, qx.shape[0] // q0.shape[0])
-    return Q.T @ times_sigma(Q)
+    return Q.T @ sum(w * structure.term_product(k, Q) for k, w in enumerate(sigma.omega))
 
 
-def _array_side_only(structure: GammaStructure, q0: np.ndarray) -> bool:
+def _array_side_only(structure: GammaStructure, c0: np.ndarray) -> bool:
     """Whether Sigma = C (x) I_cells over M's own arrays: every cell side is
-    the identity and the structure's cells are one array's rows, those of Q0."""
-    return structure.identity_cell_side and structure.cells == q0.shape[0]
+    the identity and the structure's cells are one array's rows, those of
+    C0 (or of its factor Q0)."""
+    return structure.identity_cell_side and structure.cells == c0.shape[0]
 
 
 def _fixed_location(y, design, structure: GammaStructure, ols: FitResult = None):
@@ -290,7 +331,7 @@ def _by_block(a: np.ndarray, v: np.ndarray, n_blocks: int) -> np.ndarray:
     return np.matmul(a, v.reshape(n_blocks, a.shape[1], cols)).reshape(n_blocks * a.shape[0], cols)
 
 
-def _least_squares(y, X, C0, labels) -> tuple:
+def _least_squares(y, X, C0, labels, scale=None) -> tuple:
     """((Q0, Qx), T^-1, kappa) of the least-squares fit of y on M = [X | I_N (x) C0].
 
     M is factored in its array frame, N = len(y) / rows of C0. One QR,
@@ -305,6 +346,10 @@ def _least_squares(y, X, C0, labels) -> tuple:
     QR of M. A column whose diagonal entry of T is at most 1e-12 times the
     largest (or 1) is aliased, and so is a column past a factor's rows,
     which has no diagonal entry; DesignError names every such column.
+    ``scale`` (N entries, by default ones) multiplies array n's entries of
+    I_N (x) R0 in that test: ``gls_fit`` passes the pivot scale of its
+    whitening (``_pivot_scale``), so that the test reads the pivots of the
+    whitened design, on one scale with the whitened shock block's.
     """
     (k, r0), s = C0.shape, X.shape[1]
     n_blocks = y.size // k
@@ -315,7 +360,8 @@ def _least_squares(y, X, C0, labels) -> tuple:
     left -= _by_block(q0, again, n_blocks)
     Z += again
     qx, Rx = np.linalg.qr(left) if s else (left, np.zeros((0, 0)))
-    rdiag = np.abs(np.concatenate([_pivots(Rx), np.tile(_pivots(R0), n_blocks)]))
+    scale = np.ones(n_blocks) if scale is None else scale
+    rdiag = np.abs(np.concatenate([_pivots(Rx), np.outer(scale, _pivots(R0)).ravel()]))
     aliased = rdiag <= 1e-12 * rdiag.max(initial=1.0)
     if aliased.any():
         bad = [labels[j] for j in np.where(aliased)[0]]
@@ -408,7 +454,9 @@ def ml_dispersion_generic(
     When span(M) is invariant under every D_k the location is fitted once
     and a trial point costs one factor of Sigma, with no QR; otherwise each
     trial point is a GLS fit. A start that needs no step is returned as its
-    GLS fit either way, which on an invariant design is a second QR.
+    GLS fit either way, which on an invariant design is a second factor of
+    M: in the array frame where Sigma = C (x) I over M's arrays, else a QR
+    of the dense whitened M.
     """
     if not (np.isfinite(tol) and tol > 0):
         raise ConfigError(f"tol must be a positive number, got {tol!r}")

@@ -10,16 +10,20 @@ and reserve moments then follow from the log-normal moment maps.
 
 ``predict`` needs only per-array sums of the raw-scale covariance, so it
 reads Omega* in row panels (``lognormal.grouped_raw_moments``) and forms no
-n x n matrix, n = N * n_future. Where the fit keeps its array frame
-(``FitResult.frame``), both terms are Kronecker products there: the
-parameter error is C (x) E E^T plus the rank-s_x part of the shock-mean
-columns, Sigma* is C* (x) I, and a panel is written block by block from
-E's rows (``_frame_panel``), with no n x m matrix and no row of Sigma*.
-Every other fit writes the parameter error as B B^T with B = M* r_inv and
-reads Sigma*'s rows from ``GammaStructure.sigma_rows`` (``_dense_panel``).
-Either closure is the one source of Omega*'s panels: the dense Omega* is
-its panel over every row, and it and the raw-scale covariance are formed
-only when ``ForecastResult.omega_star`` or ``xi_star`` is read.
+n x n matrix, n = N * n_future. Its panel is chosen by ``FitResult.frame``
+alone. Every fit at Sigma = C (x) I over its arrays keeps that frame,
+whichever path made it, and both terms are then Kronecker products in it:
+the parameter error is C (x) E E^T plus the rank-s_x part of the
+shock-mean columns, and Sigma* is C (x) I, because an array side with an
+identity cell side does not depend on the cells. A panel is written block
+by block from E's rows (``_frame_panel``), with no n x m matrix and no row
+of Sigma*. A fit whose Sigma has a cell side other than the identity keeps
+no frame: it writes the parameter error as B B^T with B = M* r_inv and
+reads Sigma*'s rows from the structure rebuilt over the region
+(``_dense_panel``). Either closure is the one source of Omega*'s panels:
+the dense Omega* is its panel over every row, and it and the raw-scale
+covariance are formed only when ``ForecastResult.omega_star`` or
+``xi_star`` is read.
 """
 
 from __future__ import annotations
@@ -145,13 +149,27 @@ def build_forecast_design(design, cells) -> ForecastDesign:
     )
 
 
-def _process_error(fit: FitResult, fd: ForecastDesign, extra_offset_var=None):
-    """(future, omega, var): Sigma* over the forecast region and its extra diagonal.
+def _offset_variance(extra_offset_var, n: int):
+    """``extra_offset_var`` as one entry per future row, or None.
 
-    Sigma* is the fitted structure rebuilt over the future cells, ``future``,
-    at the fitted ``omega``, with ``extra_offset_var`` added to its diagonal:
-    ``var``, one entry per future row, or None.
+    A single value is repeated over the n rows; DesignError rejects any
+    other length and an entry that is not finite and non-negative.
     """
+    if extra_offset_var is None:
+        return None
+    var = np.asarray(extra_offset_var, dtype=float).ravel()
+    if var.size == 1:
+        var = np.full(n, float(var[0]))
+    if var.size != n or not np.all(np.isfinite(var) & (var >= 0)):
+        raise DesignError(
+            "extra offset variances must be finite and non-negative, length N * n_future"
+        )
+    return var
+
+
+def _future_structure(fit: FitResult, fd: ForecastDesign):
+    """(future, omega): the fitted structure rebuilt over the forecast region
+    and the fitted omega, at which Sigma* = future.sigma(omega)."""
     structure = fit.sigma.structure
     omega = fit.omega_hat if fit.omega_hat is not None else fit.sigma.omega
     if structure.kind is None:
@@ -164,17 +182,7 @@ def _process_error(fit: FitResult, fd: ForecastDesign, extra_offset_var=None):
     )
     if future.omega_names != structure.omega_names:
         raise NumericalError("future shock blocks do not match the fitted covariance structure")
-    n = fd.n_arrays * len(fd.cells)
-    var = None
-    if extra_offset_var is not None:
-        var = np.asarray(extra_offset_var, dtype=float).ravel()
-        if var.size == 1:
-            var = np.full(n, float(var[0]))
-        if var.size != n or not np.all(np.isfinite(var) & (var >= 0)):
-            raise DesignError(
-                "extra offset variances must be finite and non-negative, length N * n_future"
-            )
-    return future, omega, var
+    return future, omega
 
 
 def _add_diagonal(out: np.ndarray, var, start: int, stop: int) -> None:
@@ -184,9 +192,10 @@ def _add_diagonal(out: np.ndarray, var, start: int, stop: int) -> None:
         out[i, i] += var[start:stop]
 
 
-def _dense_panel(fit: FitResult, fd: ForecastDesign, future, omega, var):
+def _dense_panel(fit: FitResult, fd: ForecastDesign, var):
     """Rows of Omega* = B B^T + Sigma*, with B = M* r_inv and Sigma*'s rows
-    from ``GammaStructure.sigma_rows``."""
+    from ``GammaStructure.sigma_rows`` of the structure over the region."""
+    future, omega = _future_structure(fit, fd)
     b = fd.m_star @ fit.r_inv
 
     def panel(start, stop):
@@ -198,14 +207,14 @@ def _dense_panel(fit: FitResult, fd: ForecastDesign, future, omega, var):
     return panel
 
 
-def _frame_panel(fit: FitResult, fd: ForecastDesign, c_star: np.ndarray, var):
+def _frame_panel(fit: FitResult, fd: ForecastDesign, var):
     """Rows of Omega* in the array frame, for a fit that keeps ``frame``.
 
     With M* = [X* | I_N (x) C0*] and Var[kappa] = r_inv r_inv^T, whose
-    idiosyncratic block is C (x) R0^-1 R0^-T (``FitResult.frame``),
-    Omega* = (P Lx)(P Lx)^T + C (x) E E^T + C* (x) I, with E = C0* R0^-1,
-    P Lx = M* r_inv[:, :s_x] and Sigma* = C* (x) I. A panel's block (a, b) is
-    C[a, b] h + C*[a, b] I with h = E[p0:p1] E^T formed once per array, so
+    idiosyncratic columns add C (x) R0^-1 R0^-T (``FitResult.frame``),
+    Omega* = (P Lx)(P Lx)^T + C (x) E E^T + C (x) I, with E = C0* R0^-1,
+    P Lx = M* r_inv[:, :s_x] and Sigma* = C (x) I. A panel's block (a, b) is
+    C[a, b] h + C[a, b] I with h = E[p0:p1] E^T formed once per array, so
     neither B nor any row of Sigma* is formed.
     """
     C, r0_inv = fit.frame
@@ -229,7 +238,7 @@ def _frame_panel(fit: FitResult, fd: ForecastDesign, c_star: np.ndarray, var):
                 col = b * n_fut - start
                 np.multiply(h[:, q0 - c0 :], C[a, b], out=out[rows, col + q0 : col + n_fut])
                 diag = np.arange(max(p0, q0), p1)
-                out[diag + (a * n_fut - start), diag + col] += c_star[a, b]
+                out[diag + (a * n_fut - start), diag + col] += C[a, b]
         _add_diagonal(out, var, start, stop)
         if pl is not None:
             out += pl[start:stop] @ pl[start:].T
@@ -275,11 +284,9 @@ def predict(
             raise DesignError(f"extra offsets must be finite, length {n}")
         y_star = y_star + offs
 
-    future, omega, var = _process_error(fit, fd, extra_offset_var)
-    if fit.frame is not None and future.identity_cell_side:
-        omega_star_panel = _frame_panel(fit, fd, future.kron_form(omega)[0], var)
-    else:
-        omega_star_panel = _dense_panel(fit, fd, future, omega, var)
+    var = _offset_variance(extra_offset_var, n)
+    panel = _dense_panel if fit.frame is None else _frame_panel
+    omega_star_panel = panel(fit, fd, var)
 
     x_vec, reserve_cov = grouped_raw_moments(
         y_star, omega_star_panel, np.repeat(np.arange(fd.n_arrays), n_fut), fd.n_arrays

@@ -400,6 +400,9 @@ FRAME_CASES = {
         "example48", "diagonal", 2, within=True, fixed=True,
     ),
     "several_row_blocks": forecast_case(*_triangle(3, 12), "example48", "row", 3, fixed=True),
+    # GLS fits at a given omega keep the frame too
+    "gls_cellwise_two_level": forecast_case(*_triangle(2, 6), "cellwise_two_level", "cell", 4),
+    "gls_example48": forecast_case(*_triangle(3, 6), "example48", "row", 5),
 }
 
 
@@ -532,6 +535,31 @@ def test_frame_fit_forecasts_without_the_rows_of_sigma_star(ref_fit, monkeypatch
         omega_star = res.omega_star
     want, reserve_cov = _dense_reserve_moments(fit, fd, 0.01)
     assert np.array_equal(omega_star, omega_star.T)
+    assert np.max(np.abs(omega_star - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.max(np.abs(res.reserve_cov - reserve_cov)) <= 1e-12 * np.max(np.abs(reserve_cov))
+
+
+@pytest.mark.parametrize("case", [
+    FRAME_CASES["gls_cellwise_two_level"],
+    FRAME_CASES["gls_example48"],
+    forecast_case(
+        *_with_holes(3, 6, [(3, 4), (4, 3), (4, 4), (2, 6)]), "example48", "diagonal", 6,
+        within=True,
+    ),
+], ids=["cellwise_two_level", "example48", "example48_kept_shock_means"])
+def test_gls_fit_at_a_given_omega_forecasts_in_the_frame(case, monkeypatch):
+    # a GLS fit at Sigma = C (x) I keeps the frame, whatever made it, and
+    # its forecast never reads the rows of Sigma*
+    def refuse(*args, **kwargs):
+        raise AssertionError("predict read rows of Sigma*")
+
+    fit, fd, _ = case
+    assert fit.omega_hat is None and fit.frame is not None
+    with monkeypatch.context() as m:
+        m.setattr(GammaStructure, "sigma_rows", refuse)
+        res = cs.predict(fit, fd, extra_offset_var=0.01)
+        omega_star = res.omega_star
+    want, reserve_cov = _dense_reserve_moments(fit, fd, 0.01)
     assert np.max(np.abs(omega_star - want)) <= 1e-12 * np.max(np.abs(want))
     assert np.max(np.abs(res.reserve_cov - reserve_cov)) <= 1e-12 * np.max(np.abs(reserve_cov))
 

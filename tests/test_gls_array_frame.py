@@ -1,0 +1,201 @@
+"""GLS in the array frame: every fit at Sigma = C (x) I over M's own arrays.
+
+``gls_fit`` factors [L^-1 X | I_N (x) C0], C = L L^T, and maps the
+idiosyncratic rows of kappa and of r_inv back by L (x) I_r0. These tests
+compare it with a dense GLS reference written here, on random layouts,
+partitions and omega, and bound what it factors and what it holds.
+"""
+
+import ast
+import dataclasses
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
+
+import commonshock as cs
+from commonshock.arrays import ArrayLayout
+from commonshock.covariance import CellwiseTwoLevel, Example48, structure_for
+from conftest import toy_design
+from test_design_properties import designs
+from test_invariance import array_frame_shapes, calendar_means, qr_shapes  # noqa: F401
+
+
+def dense_gls(y, M, s, structure, omega):
+    """(kappa, residual, loglik, Var[kappa], aliased) of GLS from the dense Sigma.
+
+    Sigma = L L^T by one Cholesky factor, and L^-1 M by one Householder QR
+    with M's s shock-mean columns last, as the array frame orders them.
+    ``aliased`` lists, in M's order, the columns whose diagonal entry of R
+    is at most 1e-12 times the largest (or 1), or that have none; the other
+    entries are then None.
+    """
+    n, m = M.shape
+    order = list(range(s, m)) + list(range(s))
+    chol = np.linalg.cholesky(structure.sigma(omega))
+    q, r = np.linalg.qr(np.linalg.solve(chol, M[:, order]))
+    rdiag = np.abs(np.pad(np.diagonal(r), (0, m - min(n, m))))
+    aliased = sorted(order[j] for j in np.where(rdiag <= 1e-12 * rdiag.max(initial=1.0))[0])
+    if aliased:
+        return None, None, None, None, aliased
+    r_inv = np.linalg.inv(r)
+    kappa, var = np.empty(m), np.empty((m, m))
+    kappa[order] = r_inv @ (q.T @ np.linalg.solve(chol, y))
+    var[np.ix_(order, order)] = r_inv @ r_inv.T
+    d = y - M @ kappa
+    wd = np.linalg.solve(chol, d)
+    loglik = -0.5 * (n * np.log(2.0 * np.pi) + 2.0 * np.log(np.diagonal(chol)).sum() + wd @ wd)
+    return kappa, d, loglik, var, []
+
+
+def with_aliased_column(design, rng, where):
+    """The design with one more column, aliased: a shock column in span(M)
+    (``where`` = "shock"), or a column of C0 in span(C0), aliased in every
+    array. Columns are labelled by their index."""
+    X, C0 = design.X, design.C0
+    if where == "shock":
+        X = np.hstack([X, design.M @ rng.normal(size=(design.n_params, 1))])
+    else:
+        C0 = np.hstack([C0, C0 @ rng.normal(size=(C0.shape[1], 1))])
+    m = X.shape[1] + design.layout.n_arrays * C0.shape[1]
+    return dataclasses.replace(
+        design, X=X, C0=C0, full_labels=tuple(f"column_{j}" for j in range(m)),
+        kept=tuple(range(m)), dropped=(), coef=np.zeros((m, 0)),
+    )
+
+
+def gls_against_dense(y, design, structure, omega):
+    """(named, want): the columns gls_fit names as aliased and those the
+    dense reference finds, both None where there are none; where there are
+    none, gls_fit must be the dense fit and keep the frame."""
+    if isinstance(design, np.ndarray):
+        M, s, labels = design, 0, tuple(f"column_{j}" for j in range(design.shape[1]))
+    else:
+        M, s, labels = design.M, design.X.shape[1], design.labels
+    sigma = cs.SigmaModel(structure, omega)
+    kappa, d, loglik, var, aliased = dense_gls(y, M, s, structure, omega)
+    if aliased:
+        with pytest.raises(cs.DesignError, match="aliased columns: ") as raised:
+            cs.gls_fit(y, design, sigma)
+        named = ast.literal_eval(str(raised.value).split("aliased columns: ")[1])
+        return named, [labels[j] for j in aliased]
+    fit = cs.gls_fit(y, design, sigma)
+    assert fit.frame is not None
+    np.testing.assert_array_equal(fit.frame[0], structure.kron_form(omega)[0])
+    # the residual on the scale of y: a saturated fit leaves rounding only
+    for got, want, scale in (
+        (fit.kappa_hat, kappa, np.abs(kappa).max(initial=0.0)),
+        (fit.residual, d, np.abs(y).max(initial=0.0)),
+        (fit.var_kappa, var, np.abs(var).max(initial=0.0)),
+    ):
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * scale)
+    assert math.isclose(fit.loglik, loglik, rel_tol=1e-10, abs_tol=1e-10)
+    return None, None
+
+
+@st.composite
+def frame_cases(draw):
+    """(y, design, structure, omega): an assembled design, with or without
+    kept shock-mean columns, or a bare one-array matrix, under the
+    cell-matched structure or identity Example48, at a random omega whose
+    shared shock is sometimes 0."""
+    if draw(st.booleans()):
+        design, rng = draw(designs())
+        n_arrays, cells = design.layout.n_arrays, design.layout.cells_per_array
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        n_arrays, cells = 1, draw(st.integers(1, 12))
+        design = rng.normal(size=(cells, draw(st.integers(0, cells))))
+    kind = draw(st.sampled_from(["cellwise_two_level", "example48"]))
+    structure = structure_for(kind, n_arrays, cells, None, None)
+    omega = np.where(structure.zero_allowed, 0.01, 0.0) + rng.uniform(0.0, 0.2, structure.n_params)
+    if draw(st.booleans()):
+        omega[0] = 0.0  # no shared shock
+    return rng.normal(size=n_arrays * cells), design, structure, omega
+
+
+def kept_shock_means_case(kind):
+    # unshared calendar means across and within three arrays: most are kept
+    design, rng = calendar_means()
+    structure = structure_for(kind, 3, design.layout.cells_per_array, None, None)
+    omega = rng.uniform(0.01, 0.1, structure.n_params)
+    return rng.normal(size=design.n_obs), design, structure, omega
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(frame_cases())
+@example(kept_shock_means_case("cellwise_two_level"))
+@example(kept_shock_means_case("example48"))
+def test_gls_fit_is_the_dense_gls_fit(case):
+    y, design, structure, omega = case
+    bare = isinstance(design, np.ndarray)
+    event("bare matrix" if bare else "kept shock means" if design.X.shape[1] else "no shock means")
+    assert gls_against_dense(y, design, structure, omega) == (None, None)
+    if bare:
+        return
+    # an aliased column is named as the dense reference names it: a shock
+    # column in span(M) is the last column of either order; an aliased C0
+    # column leaves a rounding direction in Q0 (and in the dense Q), which
+    # the shock columns are projected off, so only its copy in every array
+    # is sure to be named
+    rng = np.random.default_rng(y.size)
+    for where in ("shock", "C0"):
+        variant = with_aliased_column(design, rng, where)
+        if variant.n_params > variant.n_obs:
+            continue  # more columns than rows: no square factor to compare
+        named, want = gls_against_dense(rng.normal(size=variant.n_obs), variant, structure, omega)
+        assert named is not None and want is not None
+        if where == "shock":
+            assert named == want
+        else:
+            s, r0 = variant.X.shape[1], variant.C0.shape[1]
+            copies = {f"column_{s + (a + 1) * r0 - 1}" for a in range(variant.layout.n_arrays)}
+            assert copies <= set(named) and copies <= set(want)
+
+
+@pytest.mark.parametrize("v2", [1e-40, 1e6])
+def test_whitening_does_not_change_which_columns_are_aliased(v2):
+    # at Sigma = v2 I whitening scales the shock block by 1 / sqrt(v2) and
+    # leaves C0 as it is; the aliasing test scales C0's pivots alike, so
+    # the fit is least squares, with no column named. (A v2 far above 1
+    # puts every whitened pivot under the test's floor of 1, as it does in
+    # the dense whitened QR.)
+    design = calendar_means()[0]
+    y = np.random.default_rng(2).normal(size=design.n_obs)
+    ols = cs.gls_fit(y, design, cs.SigmaModel(CellwiseTwoLevel(3, 15), [0.0, 1.0]))
+    fit = cs.gls_fit(y, design, cs.SigmaModel(CellwiseTwoLevel(3, 15), [0.0, v2]))
+    np.testing.assert_allclose(fit.kappa_hat, ols.kappa_hat, rtol=1e-10, atol=1e-10)
+    np.testing.assert_allclose(fit.var_kappa, v2 * ols.var_kappa, rtol=1e-10, atol=1e-10 * v2)
+
+
+def test_gls_fit_forms_no_n_by_m_matrix(qr_shapes):
+    # identity Example48, N = 8 on a 16 x 16 triangle with unshared calendar
+    # means, of which 14 are kept: n = 1088 and m = 262. The fit factors C0
+    # and the n x 14 whitened shock block, and holds less than one n x m
+    # float64 matrix, where the whitened M alone would take one
+    lay = ArrayLayout.triangle(8, 16)
+    design = toy_design(lay, kind="diagonal", shared_mean=False)
+    cells = lay.cells_per_array
+    structure = Example48(8, np.eye(cells), np.eye(cells))
+    rng = np.random.default_rng(5)
+    omega = rng.uniform(0.01, 0.1, structure.n_params)
+    y = rng.normal(size=design.n_obs)
+    sigma = cs.SigmaModel(structure, omega)
+    n, m = design.M.shape
+    assert design.X.shape[1] > 0
+    tracemalloc.start()
+    try:
+        fit = cs.gls_fit(y, design, sigma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * m * 8
+    assert qr_shapes == array_frame_shapes(design)
+    assert fit.frame is not None
+    kappa, _, loglik, var, _ = dense_gls(y, design.M, design.X.shape[1], structure, omega)
+    np.testing.assert_allclose(fit.kappa_hat, kappa, rtol=1e-10, atol=1e-10 * np.abs(kappa).max())
+    np.testing.assert_allclose(fit.var_kappa, var, rtol=1e-10, atol=1e-10 * np.abs(var).max())
+    assert math.isclose(fit.loglik, loglik, rel_tol=1e-10)

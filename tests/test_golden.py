@@ -49,6 +49,22 @@ CONFIGS = {
         "include_within_shock": "true",
         "shared_shock_mean": "false",
     },
+    # every variance component given: the fit is one GLS fit at that omega
+    "cellwise_two_level_cell_fixed": {
+        "covariance": "cellwise_two_level",
+        "partition": "cell",
+        "sigma2": 0.008,
+        "v2": 0.015,
+    },
+    "example48_diagonal_fixed": {
+        "covariance": "example48",
+        "partition": "diagonal",
+        "sigma2": 0.008,
+        "tau2_1": 0.012,
+        "tau2_2": 0.0034,
+        "v2_1": 0.012,
+        "v2_2": 0.0034,
+    },
 }
 
 

@@ -299,12 +299,13 @@ def test_generic_solver_on_an_invariant_design_makes_one_qr(ref_fit, qr_shapes, 
 
 def test_generic_solver_start_that_needs_no_step_is_its_gls_fit(ref_fit, qr_shapes):
     # the invariance test's factor of C0, then gls_fit's factor of the
-    # whitened design: a start that needs no step costs a dense QR of M
+    # whitened design in its array frame: a start that needs no step costs a
+    # second QR of C0 (the reference design keeps no shock mean)
     y, design = ref_fit["y"], ref_fit["design"]
     structure = CellwiseTwoLevel(2, design.layout.cells_per_array)
     fit = cs.ml_dispersion_generic(y, design, structure, [0.01, 0.01], free_mask=[False, False])
     assert fit.n_iter == 0
-    assert qr_shapes == [design.C0.shape, design.M.shape]
+    assert qr_shapes == [design.C0.shape, design.C0.shape]
     assert fit.loglik == cs.gls_fit(y, design, fit.sigma).loglik
 
 
