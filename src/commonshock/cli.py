@@ -26,6 +26,7 @@ from .estimation import (
     MAX_ITER,
     SCORE_TOL,
     chain_ladder_effect_table,
+    check_solver_settings,
     dependence_stats,
     gls_fit,
     ml_dispersion_cellwise,
@@ -354,19 +355,17 @@ def _fit_from_config(cfg):
             raise ConfigError(f"{name} must be 'estimate' or a number") from None
     free = [v is None for v in values]
 
+    # checked on every route, before one is chosen
     tol = _get_float(cfg, "tol", SCORE_TOL)
     max_iter = _get_int(cfg, "max_iter", MAX_ITER)
+    init = _get_list(cfg, "init_omega") if "init_omega" in cfg else [0.01] * len(values)
+    init = check_solver_settings(structure, init, tol, max_iter)
 
     if not any(free):
         fit = gls_fit(y, design, SigmaModel(structure, values))
     elif structure.kind == "cellwise_two_level" and all(free):
         fit = ml_dispersion_cellwise(y, design)
     else:
-        init = _get_list(cfg, "init_omega") if "init_omega" in cfg else [0.01] * len(values)
-        if len(init) != structure.n_params:
-            raise ConfigError(
-                f"init_omega needs {structure.n_params} values for {structure.omega_names}"
-            )
         init = [w if v is None else v for w, v in zip(init, values)]
         fit = ml_dispersion_generic(
             y, design, structure, init, tol=tol, max_iter=max_iter, free_mask=free

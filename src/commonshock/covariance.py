@@ -12,7 +12,9 @@ the stacked shock and idiosyncratic vectors; neither L nor Gamma is formed.
 A model whose Gamma has a non-scalar block R (``Example48``) folds R's
 square root into the loading. ``CellwiseTwoLevel``, ``DiagonalScalar`` and
 ``Example48`` are constructors of this one form, and every covariance is
-built from a structure's terms.
+built from a structure's terms. ``GammaStructure.loading_form`` writes
+Sigma as C kron I plus omega_k L_k L_k^T for each term with a cell side,
+L_k = g_k kron F_k: the form the forecast writes Sigma* in.
 
 ``SigmaModel(structure, omega)`` factors Sigma as C kron I_c
 (``GammaStructure.kron_form``): when every cell side is the identity, C is
@@ -125,9 +127,9 @@ class GammaStructure:
         """F F^T of every term, None for the identity; cells x cells each.
 
         Neither depends on omega, so they are formed once per structure and
-        kept read-only, for the all-rows ``sigma_rows`` call and for
-        ``dsigma_domega``. BLAS forms F F^T as a symmetric rank-k update, so
-        every D_k and Sigma come out exactly symmetric.
+        kept read-only, for ``sigma`` and ``dsigma_domega``. BLAS forms
+        F F^T as a symmetric rank-k update, so every D_k and Sigma come out
+        exactly symmetric.
         """
         out = []
         for term in self.terms:
@@ -138,43 +140,45 @@ class GammaStructure:
             out.append(K)
         return tuple(out)
 
-    def sigma_rows(self, omega, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """Rows start:stop of Sigma(omega), all n columns; every row by default.
+    def sigma(self, omega) -> np.ndarray:
+        """The dense n x n Sigma(omega), added term by term and block by block.
 
-        Row a * cells + p is sum_k omega_k G_k[a] kron K_k[p], added term by
-        term. An identity cell side puts omega_k G_k[a, b] at column
-        b * cells + p. Any other cell side adds K_k's rows p: the cached
-        ``_cell_sides`` when every row is asked for, and otherwise F_k[p] F_k^T,
-        so that a few rows cost no cells x cells matrix.
-        ``sigma`` is the all-rows call.
+        Block (a, b) of term k is omega_k G_k[a, b] K_k, from the cached
+        ``_array_sides`` and ``_cell_sides``; an identity cell side adds
+        omega_k G_k[a, b] on the block's diagonal.
         """
         omega = self._check(omega)
         c = self.cells
-        n = self.n_arrays * c
-        stop = n if stop is None else stop
-        every = start == 0 and stop == n
-        out = np.zeros((stop - start, n))
-        for k, (w, G) in enumerate(zip(omega, self._array_sides)):
-            F = self.terms[k].F
-            for a in range(self.n_arrays):
-                # the rows of array a inside start:stop are its cells p0:p1
-                p0, p1 = max(start - a * c, 0), min(stop - a * c, c)
-                if p0 >= p1 or not G[a].any():
-                    continue
-                rows = slice(a * c + p0 - start, a * c + p1 - start)
-                if F is None:
-                    diag = np.arange(p0, p1)
-                    for b in np.flatnonzero(G[a]):
-                        out[diag + (a * c - start), b * c + diag] += w * G[a, b]
-                    continue
-                K = self._cell_sides[k][p0:p1] if every else F[p0:p1] @ F.T
-                for b in np.flatnonzero(G[a]):
-                    out[rows, b * c : (b + 1) * c] += (w * G[a, b]) * K
+        out = np.zeros((self.n_arrays * c,) * 2)
+        diag = np.arange(c)
+        for w, G, K in zip(omega, self._array_sides, self._cell_sides):
+            for a, b in zip(*np.nonzero(G)):
+                block = out[a * c : (a + 1) * c, b * c : (b + 1) * c]
+                if K is None:
+                    block[diag, diag] += w * G[a, b]
+                else:
+                    block += (w * G[a, b]) * K
         return out
 
-    def sigma(self, omega) -> np.ndarray:
-        """The dense n x n Sigma(omega): ``sigma_rows`` over every row."""
-        return self.sigma_rows(omega)
+    def loading(self, k: int) -> np.ndarray:
+        """L_k = g_k kron F_k, so that D_k = L_k L_k^T, for a term whose F is not None.
+
+        A unit 1 x 1 array side gives F_k itself.
+        """
+        t = self.terms[k]
+        return t.F if np.array_equal(t.g, [[1.0]]) else kron(t.g, t.F)
+
+    def loading_form(self, omega):
+        """(C, ((omega_k, L_k), ...)) with Sigma(omega) = C kron I + sum_k omega_k L_k L_k^T.
+
+        C is the N x N array side of the terms whose cell side is the
+        identity, sum omega_k g_k g_k^T; every other term gives its ``loading``.
+        """
+        omega = self._check(omega)
+        eye = [t.F is None for t in self.terms]
+        C = np.zeros((self.n_arrays,) * 2)
+        C = sum((w * G for w, G, e in zip(omega, self._array_sides, eye) if e), C)
+        return C, tuple((w, self.loading(k)) for k, w in enumerate(omega) if not eye[k])
 
     def kron_form(self, omega):
         """(C, c) with Sigma(omega) = C kron I_c.
@@ -185,8 +189,7 @@ class GammaStructure:
         """
         if not self.identity_cell_side:
             return self.sigma(omega), 1
-        omega = self._check(omega)
-        return sum(w * G for w, G in zip(omega, self._array_sides)), self.cells
+        return self.loading_form(omega)[0], self.cells
 
     def term_product(self, k: int, X) -> np.ndarray:
         """D_k X for X with n rows in stacking order, from term k's loadings.
@@ -428,7 +431,7 @@ class SigmaModel:
             elif t.F is None:
                 W = _times_array_side(self._factor_inverse(), t.g)
             else:
-                W = self._factor_inverse() @ kron(t.g, t.F)
+                W = self._factor_inverse() @ self.structure.loading(k)
             self._whitened_terms[k] = W
         return self._whitened_terms[k]
 

@@ -24,6 +24,9 @@ from .errors import ConfigError, DesignError
 from .partitions import Partition, build_partition
 
 IDIO_VARIANTS = ("chain_ladder", "hoerl")
+# a column is dropped when its residual against the kept columns is at most
+# this times ||M||_2
+REDUCE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -239,7 +242,7 @@ def _sweep(columns: np.ndarray, order, tol: float, prior=lambda v: 0.0):
     return kept, dropped, basis[: len(kept)]
 
 
-def _reduce_blocks(X, x_order, C0, c0_order, n_blocks: int, tol_factor: float):
+def _reduce_blocks(X, x_order, C0, c0_order, n_blocks: int):
     """Rank-revealing column selection on M = [X | I_N (x) C0], by blocks.
 
     X holds the shock-mean columns, (N k, s), and C0 one array's idiosyncratic
@@ -257,7 +260,7 @@ def _reduce_blocks(X, x_order, C0, c0_order, n_blocks: int, tol_factor: float):
         XC = (C0.T @ X.reshape(N, k, s)).transpose(2, 0, 1).reshape(s, N * q)
         gram = np.block([[X.T @ X, XC], [XC.T, np.kron(np.eye(N), gram)]])
     smax = np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)) if gram.size else 0.0
-    tol = tol_factor * smax
+    tol = REDUCE_TOL * smax
 
     kept0, dropped0, Q0 = _sweep(C0, c0_order, tol)
     keptx, droppedx, Qx = _sweep(X, x_order, tol, lambda v: (v.reshape(N, k) @ Q0.T @ Q0).ravel())
@@ -288,12 +291,12 @@ def _reduce_blocks(X, x_order, C0, c0_order, n_blocks: int, tol_factor: float):
     return kept, dropped, coef, reasons
 
 
-def reduce_columns(M: np.ndarray, keep_priority=None, tol_factor: float = 1e-10):
+def reduce_columns(M: np.ndarray, keep_priority=None):
     """Rank-revealing column selection.
 
     Sweeps columns in ``keep_priority`` order (default: left to right),
     keeping a column only if its residual against the span of already-kept
-    columns exceeds tol_factor times the largest singular value of M, read
+    columns exceeds ``REDUCE_TOL`` times the largest singular value of M, read
     off the Gram matrix M'M. Returns (kept indices sorted, dropped indices,
     coef, reasons) where ``coef`` expresses each dropped column as the least
     squares combination of kept ones and ``reasons`` maps dropped index to
@@ -303,7 +306,7 @@ def reduce_columns(M: np.ndarray, keep_priority=None, tol_factor: float = 1e-10)
     M = np.asarray(M, dtype=float)
     n, m = M.shape
     order = list(range(m)) if keep_priority is None else list(keep_priority)
-    return _reduce_blocks(np.zeros((n, 0)), [], M, order, 1, tol_factor)
+    return _reduce_blocks(np.zeros((n, 0)), [], M, order, 1)
 
 
 @dataclass(frozen=True)
@@ -487,7 +490,7 @@ def assemble(
     s, q, N = X.shape[1], C0.shape[1], lay.n_arrays
     rank = {"xi": 1, "xi_shared": 1, "eta": 0}
     x_order = sorted(range(s), key=lambda k: (rank[labels[k][0]], k))
-    kept, dropped, coef, reasons = _reduce_blocks(X, x_order, C0, range(q), N, 1e-10)
+    kept, dropped, coef, reasons = _reduce_blocks(X, x_order, C0, range(q), N)
     if not kept:
         raise DesignError("design reduced to zero columns")
     return ModelDesign(

@@ -426,6 +426,25 @@ def _score(sigma: SigmaModel, traces: np.ndarray, d: np.ndarray) -> np.ndarray:
     return -0.5 * traces + 0.5 * sigma.term_forms(d)
 
 
+def check_solver_settings(structure: GammaStructure, init_omega, tol, max_iter) -> np.ndarray:
+    """``init_omega`` as a new float vector, once the solver settings pass.
+
+    ConfigError rejects a ``tol`` that is not a finite positive number, a
+    ``max_iter`` that is not a non-negative integer, and an ``init_omega``
+    without one value per component of ``structure``.
+    """
+    if not (np.isfinite(tol) and tol > 0):
+        raise ConfigError(f"tol must be a positive number, got {tol!r}")
+    if not (isinstance(max_iter, (int, np.integer)) and max_iter >= 0):
+        raise ConfigError(f"max_iter must be a non-negative integer, got {max_iter!r}")
+    omega = np.array(init_omega, dtype=float).ravel()
+    if omega.size != structure.n_params:
+        raise ConfigError(
+            f"init_omega needs {structure.n_params} values for {structure.omega_names}"
+        )
+    return omega
+
+
 def ml_dispersion_generic(
     y,
     design: ModelDesign,
@@ -446,9 +465,8 @@ def ml_dispersion_generic(
     not drop by more than its rounding. Iteration stops once every free
     component has a score below ``tol`` in absolute value, or sits at zero
     with a negative score. ``free_mask`` fixes selected components at their
-    initial values. ConfigError rejects a ``tol`` that is not a finite
-    positive number, a ``max_iter`` that is not a non-negative integer, an
-    ``init_omega`` of the wrong size, and a start at or below zero on a
+    initial values. ConfigError rejects the settings
+    ``check_solver_settings`` rejects, and a start at or below zero on a
     component that must stay positive.
 
     When span(M) is invariant under every D_k the location is fitted once
@@ -458,15 +476,7 @@ def ml_dispersion_generic(
     M: in the array frame where Sigma = C (x) I over M's arrays, else a QR
     of the dense whitened M.
     """
-    if not (np.isfinite(tol) and tol > 0):
-        raise ConfigError(f"tol must be a positive number, got {tol!r}")
-    if not (isinstance(max_iter, (int, np.integer)) and max_iter >= 0):
-        raise ConfigError(f"max_iter must be a non-negative integer, got {max_iter!r}")
-    omega = np.asarray(init_omega, dtype=float).ravel().copy()
-    if omega.size != structure.n_params:
-        raise ConfigError(
-            f"init_omega needs {structure.n_params} components {structure.omega_names}"
-        )
+    omega = check_solver_settings(structure, init_omega, tol, max_iter)
     if np.any(omega[~np.asarray(structure.zero_allowed, dtype=bool)] <= 0):
         raise ConfigError(
             "initial values must be strictly positive for "

@@ -10,26 +10,27 @@ and reserve moments then follow from the log-normal moment maps.
 
 ``predict`` needs only per-array sums of the raw-scale covariance, so it
 reads Omega* in row panels (``lognormal.grouped_raw_moments``) and forms no
-n x n matrix, n = N * n_future. Its panel is chosen by ``FitResult.frame``
-alone. Every fit at Sigma = C (x) I over its arrays keeps that frame,
-whichever path made it, and both terms are then Kronecker products in it:
-the parameter error is C (x) E E^T plus the rank-s_x part of the
-shock-mean columns, and Sigma* is C (x) I, because an array side with an
-identity cell side does not depend on the cells. A panel is written block
-by block from E's rows (``_frame_panel``), with no n x m matrix and no row
-of Sigma*. A fit whose Sigma has a cell side other than the identity keeps
-no frame: it writes the parameter error as B B^T with B = M* r_inv and
-reads Sigma*'s rows from the structure rebuilt over the region
-(``_dense_panel``). Either closure is the one source of Omega*'s panels:
-the dense Omega* is its panel over every row, and it and the raw-scale
-covariance are formed only when ``ForecastResult.omega_star`` or
-``xi_star`` is read.
+n x n matrix, n = N * n_future. Every fit's panels come from one closure,
+``_panel``, which writes Omega* from loadings alone:
+
+    Omega* = B B^T + C (x) E E^T + sum_k omega_k L_k L_k^T + C (x) I.
+
+The first two terms are the parameter error, the last two Sigma* in the
+form ``GammaStructure.loading_form`` gives. A fit that keeps
+``FitResult.frame`` (Sigma = C (x) I over its arrays) passes its C,
+E = C0* R0^-1 and the shock-mean part B = M* r_inv[:, :s_x], and no
+loadings: an array side with an identity cell side does not depend on the
+cells, so its forecast never rebuilds the structure over the region. Any
+other fit passes B = M* r_inv, an E with no columns, and C and the loadings
+of the structure rebuilt over the region. The dense Omega* is the panel
+over every row; it and the raw-scale covariance are formed only when
+``ForecastResult.omega_star`` or ``xi_star`` is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache
 
 import numpy as np
 
@@ -45,30 +46,11 @@ from .lognormal import LogNormalSummary, grouped_raw_moments, raw_cov, raw_mean 
 
 @dataclass(frozen=True)
 class ForecastDesign:
-    """Forecast rows and the process-error pieces over the future region.
-
-    The shock blocks A* and B* are formed on first read: only the
-    diagonal-scalar structure's process error reads them.
-    """
+    """Forecast rows over the future region."""
 
     m_star: np.ndarray  # (N * n_future, n_params) reduced-design rows
     cells: tuple  # future cells, one array's worth, stacking order
     n_arrays: int
-    design: ModelDesign = field(repr=False)
-
-    @cached_property
-    def _shock_blocks(self) -> tuple:
-        return self.design.shock_blocks_for_cells(self.cells)
-
-    @property
-    def a_star(self) -> np.ndarray:
-        """The across-array shock block over the region."""
-        return self._shock_blocks[0]
-
-    @property
-    def b_star(self) -> np.ndarray:
-        """The within-array shock block over the region."""
-        return self._shock_blocks[1]
 
 
 @dataclass(frozen=True)
@@ -114,9 +96,9 @@ class ForecastResult:
         """Omega* = M* Var[kappa] M*^T + Sigma*, the log-scale predictive covariance.
 
         It is ``predict``'s panel over every row. Over every row each
-        product in the panel is a matrix times its own transpose (E E^T, or
-        B B^T, and the rank-s_x part), which BLAS forms exactly symmetric,
-        so Omega* needs no symmetrizing pass.
+        product in the panel is a matrix times its own transpose (B B^T,
+        E E^T and every L_k L_k^T), which BLAS forms exactly symmetric, so
+        Omega* needs no symmetrizing pass.
         """
         if self._omega_star is None:
             n = self.y_star.size
@@ -133,7 +115,7 @@ class ForecastResult:
 
 
 def build_forecast_design(design, cells) -> ForecastDesign:
-    """Rows and shock blocks for the given future cells.
+    """Reduced-design rows for the given future cells.
 
     Raises DesignError when some cell's mean involves a parameter the
     observed data never identified (a shock mean of an unobserved subset,
@@ -145,7 +127,6 @@ def build_forecast_design(design, cells) -> ForecastDesign:
         m_star=design.rows_for_cells(cells),
         cells=cells,
         n_arrays=design.layout.n_arrays,
-        design=design,
     )
 
 
@@ -169,7 +150,9 @@ def _offset_variance(extra_offset_var, n: int):
 
 def _future_structure(fit: FitResult, fd: ForecastDesign):
     """(future, omega): the fitted structure rebuilt over the forecast region
-    and the fitted omega, at which Sigma* = future.sigma(omega)."""
+    and the fitted omega, at which Sigma* = future.sigma(omega). The shock
+    blocks over the region are formed once, and only where the structure
+    reads them."""
     structure = fit.sigma.structure
     omega = fit.omega_hat if fit.omega_hat is not None else fit.sigma.omega
     if structure.kind is None:
@@ -177,74 +160,78 @@ def _future_structure(fit: FitResult, fd: ForecastDesign):
             "forecasting under a non-identity development operator needs an "
             "explicit operator for the future region; none is defined"
         )
+    blocks = cache(lambda: fit.design.shock_blocks_for_cells(fd.cells))
     future = structure_for(
-        structure.kind, fd.n_arrays, len(fd.cells), lambda: fd.a_star, lambda: fd.b_star
+        structure.kind, fd.n_arrays, len(fd.cells), lambda: blocks()[0], lambda: blocks()[1]
     )
     if future.omega_names != structure.omega_names:
         raise NumericalError("future shock blocks do not match the fitted covariance structure")
     return future, omega
 
 
-def _add_diagonal(out: np.ndarray, var, start: int, stop: int) -> None:
-    """Add var[start:stop] on the diagonal of rows start:stop, columns from start on."""
-    if var is not None:
-        i = np.arange(stop - start)
-        out[i, i] += var[start:stop]
+def _panel(C, E, B, loadings, var):
+    """Rows start:stop of Omega* from column start on, as a closure of (start, stop).
 
-
-def _dense_panel(fit: FitResult, fd: ForecastDesign, var):
-    """Rows of Omega* = B B^T + Sigma*, with B = M* r_inv and Sigma*'s rows
-    from ``GammaStructure.sigma_rows`` of the structure over the region."""
-    future, omega = _future_structure(fit, fd)
-    b = fd.m_star @ fit.r_inv
-
-    def panel(start, stop):
-        out = future.sigma_rows(omega, start, stop)[:, start:]
-        _add_diagonal(out, var, start, stop)
-        out += b[start:stop] @ b[start:].T
-        return out
-
-    return panel
-
-
-def _frame_panel(fit: FitResult, fd: ForecastDesign, var):
-    """Rows of Omega* in the array frame, for a fit that keeps ``frame``.
-
-    With M* = [X* | I_N (x) C0*] and Var[kappa] = r_inv r_inv^T, whose
-    idiosyncratic columns add C (x) R0^-1 R0^-T (``FitResult.frame``),
-    Omega* = (P Lx)(P Lx)^T + C (x) E E^T + C (x) I, with E = C0* R0^-1,
-    P Lx = M* r_inv[:, :s_x] and Sigma* = C (x) I. A panel's block (a, b) is
-    C[a, b] h + C[a, b] I with h = E[p0:p1] E^T formed once per array, so
-    neither B nor any row of Sigma* is formed.
+    Omega* = B B^T + C (x) E E^T + sum_k w_k L_k L_k^T + C (x) I + diag(var),
+    for ``loadings`` ((w_k, L_k), ...), an N_C x N_C matrix C and E with one
+    block's rows, n / N_C. A panel's block (a, b) of C (x) E E^T is C[a, b] h
+    with h = E[p0:p1] E^T formed once per block row, and E with no columns
+    writes nothing there. Each w_k L_k L_k^T, and then B B^T, is formed in
+    one product panel. The terms go in in a fixed order: C (x) E E^T, the
+    loadings, C (x) I, var, and B B^T last.
     """
-    C, r0_inv = fit.frame
-    n_arrays, n_fut = fd.n_arrays, len(fd.cells)
-    s = fd.m_star.shape[1] - n_arrays * r0_inv.shape[0]
-    E = fd.m_star[:n_fut, s : s + r0_inv.shape[0]] @ r0_inv
-    pl = fd.m_star @ fit.r_inv[:, :s] if s else None
+    n_c, blk = len(C), E.shape[0]
+    n = n_c * blk
 
     def panel(start, stop):
-        out = np.empty((stop - start, n_arrays * n_fut - start))
-        # every array but the last reads all of h's columns, the last its cells c0:
-        c0 = max(start - (n_arrays - 1) * n_fut, 0)
-        for a in range(start // n_fut, (stop - 1) // n_fut + 1):
-            # the rows of array a inside start:stop are its cells p0:p1
-            p0, p1 = max(start - a * n_fut, 0), min(stop - a * n_fut, n_fut)
+        # C (x) E E^T writes every entry, unless E has no columns
+        out = (np.empty if E.shape[1] else np.zeros)((stop - start, n - start))
+        first = start // blk
+        # every block but the last reads all of h's columns, the last its cells c0:
+        c0 = max(start - (n_c - 1) * blk, 0)
+        for a in range(first, (stop - 1) // blk + 1) if E.shape[1] else ():
+            # the rows of block a inside start:stop are its cells p0:p1
+            p0, p1 = max(start - a * blk, 0), min(stop - a * blk, blk)
             h = E[p0:p1] @ E[c0:].T
-            rows = slice(a * n_fut + p0 - start, a * n_fut + p1 - start)
-            for b in range(start // n_fut, n_arrays):
-                # the columns of array b from start on are its cells q0:
-                q0 = max(start - b * n_fut, 0)
-                col = b * n_fut - start
-                np.multiply(h[:, q0 - c0 :], C[a, b], out=out[rows, col + q0 : col + n_fut])
-                diag = np.arange(max(p0, q0), p1)
-                out[diag + (a * n_fut - start), diag + col] += C[a, b]
-        _add_diagonal(out, var, start, stop)
-        if pl is not None:
-            out += pl[start:stop] @ pl[start:].T
+            rows = slice(a * blk + p0 - start, a * blk + p1 - start)
+            for b in range(first, n_c):
+                # the columns of block b from start on are its cells q0:
+                q0 = max(start - b * blk, 0)
+                col = b * blk - start
+                np.multiply(h[:, q0 - c0 :], C[a, b], out=out[rows, col + q0 : col + blk])
+        prod = np.empty_like(out) if loadings or B.shape[1] else None
+        for w, L in loadings:
+            np.matmul(L[start:stop], L[start:].T, out=prod)
+            prod *= w
+            out += prod
+        # C (x) I: row i meets block b's column of its own cell
+        i = np.arange(start, stop)
+        for b in range(first, n_c):
+            j = b * blk + i % blk
+            on = j >= start
+            out[i[on] - start, j[on] - start] += C[i[on] // blk, b]
+        if var is not None:
+            out[i - start, i - start] += var[start:stop]
+        if B.shape[1]:
+            np.matmul(B[start:stop], B[start:].T, out=prod)
+            out += prod
         return out
 
     return panel
+
+
+def _panel_for(fit: FitResult, fd: ForecastDesign, var):
+    """``_panel`` of Omega* for ``fit``: in its array frame where it keeps
+    one, else from the structure rebuilt over the region."""
+    if fit.frame is not None:
+        C, r0_inv = fit.frame
+        s = fd.m_star.shape[1] - fd.n_arrays * r0_inv.shape[0]
+        E = fd.m_star[: len(fd.cells), s : s + r0_inv.shape[0]] @ r0_inv
+        return _panel(C, E, fd.m_star @ fit.r_inv[:, :s], (), var)
+    future, omega = _future_structure(fit, fd)
+    C, loadings = future.loading_form(omega)
+    E = np.zeros((fd.m_star.shape[0] // len(C), 0))
+    return _panel(C, E, fd.m_star @ fit.r_inv, loadings, var)
 
 
 def predict(
@@ -260,7 +247,17 @@ def predict(
     AR(1) calendar extrapolation; ``extra_offset_var`` adds to the
     process-error diagonal. DesignError rejects either when it has the
     wrong length or an entry that is not finite, and a negative variance.
+    It also rejects a fit made on anything but a ``ModelDesign`` (a bare
+    matrix has no rule for the future cells) and forecast rows whose
+    columns are not the fit's parameters.
     """
+    if not isinstance(fit.design, ModelDesign):
+        raise DesignError("forecasting needs a fit on a ModelDesign, not on a bare matrix")
+    if fd.m_star.shape[1] != fit.kappa_hat.size:
+        raise DesignError(
+            f"forecast rows have {fd.m_star.shape[1]} columns, the fit has "
+            f"{fit.kappa_hat.size} parameters: build them from the fit's design"
+        )
     lay = fit.design.layout
     n_fut = len(fd.cells)
     n = fd.n_arrays * n_fut
@@ -285,8 +282,7 @@ def predict(
         y_star = y_star + offs
 
     var = _offset_variance(extra_offset_var, n)
-    panel = _dense_panel if fit.frame is None else _frame_panel
-    omega_star_panel = panel(fit, fd, var)
+    omega_star_panel = _panel_for(fit, fd, var)
 
     x_vec, reserve_cov = grouped_raw_moments(
         y_star, omega_star_panel, np.repeat(np.arange(fd.n_arrays), n_fut), fd.n_arrays

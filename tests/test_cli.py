@@ -302,6 +302,14 @@ class TestInspectCommand:
         assert f"M before reduction:        {n} x {built.M_full.shape[1]}\n" in out
 
 
+# config keys that send a fit down each of its three routes
+SOLVER_ROUTES = {
+    "closed_form": {"covariance": "cellwise_two_level"},
+    "given": {"covariance": "cellwise_two_level", "sigma2": 0.008, "v2": 0.015},
+    "generic": {"covariance": "diagonal_scalar"},
+}
+
+
 class TestErrorPaths:
     def test_missing_data_file_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path / "c.cfg", data="nowhere.csv")
@@ -415,26 +423,30 @@ class TestErrorPaths:
         assert "t_max must be between 1 and 15" in capsys.readouterr().err
         assert not (tmp_path / "report.txt").exists()
 
-    @pytest.mark.parametrize(
-        "keys, message",
-        [
-            ({"tol": "nan"}, "tol must be a positive number"),
-            ({"tol": -1}, "tol must be a positive number"),
-            ({"tol": 0}, "tol must be a positive number"),
-            ({"max_iter": -3}, "max_iter must be a non-negative integer"),
-            ({"init_omega": "0, 0"}, "initial values must be strictly positive"),
-            ({"init_omega": "0.01"}, "init_omega needs 2 values"),
-        ],
-        ids=["tol_nan", "tol_negative", "tol_zero", "max_iter_negative", "init_zero", "init_size"],
-    )
-    def test_solver_settings_are_config_errors(self, tmp_path, capsys, keys, message):
+    @pytest.mark.parametrize("route, keys, message", [
+        # the generic route keeps each case's bare name
+        pytest.param(route, keys, message, id=name if route == "generic" else f"{name}-{route}")
+        for name, keys, message in [
+            ("tol_nan", {"tol": "nan"}, "tol must be a positive number"),
+            ("tol_negative", {"tol": -1}, "tol must be a positive number"),
+            ("tol_zero", {"tol": 0}, "tol must be a positive number"),
+            ("max_iter_negative", {"max_iter": -3}, "max_iter must be a non-negative integer"),
+            ("init_zero", {"init_omega": "0, 0"}, "initial values must be strictly positive"),
+            ("init_size", {"init_omega": "0.01"}, "init_omega needs 2 values"),
+        ]
+        for route in SOLVER_ROUTES
+        # only the generic solver starts from init_omega's values
+        if name != "init_zero" or route == "generic"
+    ])
+    def test_solver_settings_are_config_errors(self, tmp_path, capsys, route, keys, message):
         # unchecked, the tol cases and the zero start exited 4, and a negative
-        # max_iter never capped the iterations
+        # max_iter never capped the iterations; the closed form and a fit
+        # with every component given exited 0 on any tol and init_omega size
         cfg = write_config(
             tmp_path / "c.cfg",
             data=", ".join(bundled_paths()),
             t_max=15,
-            covariance="diagonal_scalar",
+            **SOLVER_ROUTES[route],
             **keys,
         )
         assert main(["fit", "--config", cfg, "--out", str(tmp_path / "report")]) == 2

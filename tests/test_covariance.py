@@ -35,6 +35,19 @@ def random_terms(seed):
     return GammaStructure(terms, 3)
 
 
+# structures with every kind of term: identity and general cell sides,
+# unit and general array sides
+STRUCTURES = [
+    (CellwiseTwoLevel(2, 4), [0.3, 0.6]),
+    (DiagonalScalar(np.kron(np.ones((2, 1)), np.eye(3))), [0.2, 0.5]),
+    (Example48(2, np.array([[1.0, 0.0], [0.5, 1.0]]), np.eye(2)), [0.4, 0.1, 0.3, 0.8, 0.9]),
+    (DiagonalScalar(np.kron(np.ones((2, 1)), np.eye(3)), np.kron(np.eye(2), np.ones((3, 1)))),
+     [0.2, 0.3, 0.5]),
+    (random_example48(3, 2, seed=7), [0.4, 0.1, 0.2, 0.3, 0.8, 0.9, 1.1]),
+    (random_terms(seed=8), [0.3, 0.2, 0.4, 0.7]),
+]
+
+
 def l_gamma_l(structure, omega):
     """(L, Gamma, L Gamma L^T) from the terms with np.kron: L = [g_k kron F_k, ...]
     and Gamma diagonal with a block omega_k I per term."""
@@ -204,20 +217,7 @@ class TestDerivatives:
         with pytest.raises(cs.ConfigError):
             cs.dsigma_domega(CellwiseTwoLevel(2, 3), 2)
 
-    @pytest.mark.parametrize(
-        "structure,omega",
-        [
-            (CellwiseTwoLevel(2, 4), [0.3, 0.6]),
-            (DiagonalScalar(np.kron(np.ones((2, 1)), np.eye(3))), [0.2, 0.5]),
-            (Example48(2, np.array([[1.0, 0.0], [0.5, 1.0]]), np.eye(2)),
-             [0.4, 0.1, 0.3, 0.8, 0.9]),
-            (DiagonalScalar(np.kron(np.ones((2, 1)), np.eye(3)),
-                            np.kron(np.eye(2), np.ones((3, 1)))),
-             [0.2, 0.3, 0.5]),
-            (random_example48(3, 2, seed=7), [0.4, 0.1, 0.2, 0.3, 0.8, 0.9, 1.1]),
-            (random_terms(seed=8), [0.3, 0.2, 0.4, 0.7]),
-        ],
-    )
+    @pytest.mark.parametrize("structure,omega", STRUCTURES)
     def test_matches_central_differences(self, structure, omega):
         for k in range(structure.n_params):
             numeric = central_difference(structure, omega, k)
@@ -229,6 +229,18 @@ class TestDerivatives:
         np.testing.assert_allclose(
             cs.SigmaModel(structure, omega).sigma, via_lgl, rtol=1e-12, atol=1e-12
         )
+
+    @pytest.mark.parametrize("structure,omega", STRUCTURES)
+    def test_loading_form_rebuilds_sigma(self, structure, omega):
+        # Sigma = C kron I + sum_k omega_k L_k L_k^T, L_k = g_k kron F_k
+        C, loadings = structure.loading_form(omega)
+        rebuilt = np.kron(C, np.eye(structure.cells)) + sum(w * L @ L.T for w, L in loadings)
+        np.testing.assert_allclose(rebuilt, structure.sigma(omega), rtol=1e-12, atol=1e-14)
+        with_f = [k for k, t in enumerate(structure.terms) if t.F is not None]
+        assert len(loadings) == len(with_f)
+        for k in with_f:
+            t = structure.terms[k]
+            np.testing.assert_array_equal(structure.loading(k), np.kron(t.g, t.F))
 
     def test_shared_operator_derivative_forms(self):
         A0 = np.array([[1.0, 0.0], [0.3, 1.0]])
@@ -252,7 +264,7 @@ class TestStructureChecks:
         with pytest.raises(cs.ConfigError, match="finite"):
             cs.SigmaModel(CellwiseTwoLevel(2, 3), [bad, 1.0])
         with pytest.raises(cs.ConfigError, match="finite"):
-            random_terms(seed=1).sigma_rows([0.3, 0.2, bad, 0.7], 0, 2)
+            random_terms(seed=1).loading_form([0.3, 0.2, bad, 0.7])
 
     @pytest.mark.parametrize(
         "terms, match",

@@ -43,7 +43,7 @@ def test_reference_forecast_region_dimensions(ref_fit):
     region = cs.future_cells(design.layout, 15)
     fd = cs.build_forecast_design(design, region)
     assert fd.m_star.shape == (210, 58)  # both arrays' lower triangles
-    assert fd.a_star.shape == (210, 105)
+    assert design.shock_blocks_for_cells(fd.cells)[0].shape == (210, 105)
 
 
 def test_future_rows_reuse_fitted_columns(ref_fit):
@@ -191,12 +191,9 @@ def test_within_shock_process_error():
     structure = cs.DiagonalScalar(design.A, design.B)
     fit = cs.gls_fit(cs.stack_log(coll), design, cs.SigmaModel(structure, [s2, t2, v2]))
     fd = cs.build_forecast_design(design, cs.future_cells(lay, 5))
-    assert fd.b_star.shape[1] > 0
-    expected = (
-        s2 * fd.a_star @ fd.a_star.T
-        + t2 * fd.b_star @ fd.b_star.T
-        + v2 * np.eye(fd.m_star.shape[0])
-    )
+    a_star, b_star = design.shock_blocks_for_cells(fd.cells)
+    assert b_star.shape[1] > 0
+    expected = s2 * a_star @ a_star.T + t2 * b_star @ b_star.T + v2 * np.eye(fd.m_star.shape[0])
     np.testing.assert_allclose(process_error(fit, fd), expected, atol=1e-12)
 
 
@@ -293,15 +290,20 @@ def _within_shock_forecast_inputs():
     return fit, design, 5
 
 
+def future_structure(fit, fd):
+    """The fitted structure over the forecast region, from the design's shock blocks."""
+    blocks = fit.design.shock_blocks_for_cells(fd.cells)
+    return structure_for(fit.sigma.structure.kind, fd.n_arrays, len(fd.cells), *blocks)
+
+
 def assert_predictive_covariance_is_symmetric_and_psd(fit, fd):
     # over every row each product in the panel is a matrix times its own
-    # transpose (E E^T or B B^T, and the shock-mean part), so Omega* needs
-    # no symmetrizing pass to come out exactly symmetric
+    # transpose (B B^T, E E^T and each L_k L_k^T), so Omega* needs no
+    # symmetrizing pass to come out exactly symmetric
     omega_star = cs.predict(fit, fd).omega_star
     assert np.array_equal(omega_star, omega_star.T)
 
-    structure = fit.sigma.structure
-    future = structure_for(structure.kind, fd.n_arrays, len(fd.cells), fd.a_star, fd.b_star)
+    future = future_structure(fit, fd)
     expected = fd.m_star @ fit.var_kappa @ fd.m_star.T + future.sigma(fit.sigma.omega)
     scale = np.max(np.abs(expected))
     assert np.max(np.abs(omega_star - expected)) <= 1e-12 * scale
@@ -511,8 +513,7 @@ def test_predict_builds_neither_the_dense_process_error_nor_the_raw_covariance(
 
 def _dense_reserve_moments(fit, fd, var):
     """(Omega*, reserve_cov) from the dense M* Var[kappa] M*^T + Sigma* + diag(var)."""
-    structure = fit.sigma.structure
-    future = structure_for(structure.kind, fd.n_arrays, len(fd.cells), fd.a_star, fd.b_star)
+    future = future_structure(fit, fd)
     omega_star = fd.m_star @ fit.var_kappa @ fd.m_star.T + future.sigma(fit.sigma.omega)
     omega_star += np.diag(np.broadcast_to(var, len(omega_star)))
     xi = raw_cov(LogNormalSummary(fd.m_star @ fit.kappa_hat, omega_star))
@@ -522,15 +523,17 @@ def _dense_reserve_moments(fit, fd, var):
 
 def test_frame_fit_forecasts_without_the_rows_of_sigma_star(ref_fit, monkeypatch):
     # the reference fit is a fixed-location fit at Sigma = C (x) I: its
-    # forecast reads Omega* from the array frame, never from sigma_rows
+    # forecast reads Omega* from the array frame and never builds the
+    # structure over the region
     def refuse(*args, **kwargs):
-        raise AssertionError("predict read rows of Sigma*")
+        raise AssertionError("predict built Sigma* over the region")
 
     fit, design = ref_fit["fit"], ref_fit["design"]
     assert fit.frame is not None
     fd = cs.build_forecast_design(design, cs.future_cells(design.layout, 15))
     with monkeypatch.context() as m:
-        m.setattr(GammaStructure, "sigma_rows", refuse)
+        m.setattr(GammaStructure, "loading_form", refuse)
+        m.setattr(GammaStructure, "sigma", refuse)
         res = cs.predict(fit, fd, extra_offset_var=0.01)
         omega_star = res.omega_star
     want, reserve_cov = _dense_reserve_moments(fit, fd, 0.01)
@@ -549,14 +552,15 @@ def test_frame_fit_forecasts_without_the_rows_of_sigma_star(ref_fit, monkeypatch
 ], ids=["cellwise_two_level", "example48", "example48_kept_shock_means"])
 def test_gls_fit_at_a_given_omega_forecasts_in_the_frame(case, monkeypatch):
     # a GLS fit at Sigma = C (x) I keeps the frame, whatever made it, and
-    # its forecast never reads the rows of Sigma*
+    # its forecast never builds the structure over the region
     def refuse(*args, **kwargs):
-        raise AssertionError("predict read rows of Sigma*")
+        raise AssertionError("predict built Sigma* over the region")
 
     fit, fd, _ = case
     assert fit.omega_hat is None and fit.frame is not None
     with monkeypatch.context() as m:
-        m.setattr(GammaStructure, "sigma_rows", refuse)
+        m.setattr(GammaStructure, "loading_form", refuse)
+        m.setattr(GammaStructure, "sigma", refuse)
         res = cs.predict(fit, fd, extra_offset_var=0.01)
         omega_star = res.omega_star
     want, reserve_cov = _dense_reserve_moments(fit, fd, 0.01)
@@ -596,6 +600,78 @@ def test_diagonal_scalar_fit_keeps_no_frame(ref_fit):
     res = cs.predict(fit, fd)
     reserve_cov = _dense_reserve_moments(fit, fd, 0.0)[1]
     assert np.max(np.abs(res.reserve_cov - reserve_cov)) <= 1e-12 * np.max(np.abs(reserve_cov))
+
+
+@pytest.mark.parametrize("partition, within", [
+    ("array", False), ("column", False), ("diagonal", False), ("row", True),
+])
+def test_diagonal_scalar_forecast_reads_no_row_of_sigma_star(partition, within, monkeypatch):
+    # a fit that keeps no frame writes Omega* from Sigma*'s loadings: over
+    # more than one row block it forms neither the dense Sigma* nor its rows
+    def refuse(*args, **kwargs):
+        raise AssertionError("predict formed rows of Sigma*")
+
+    lay = ArrayLayout.triangle(2, 12)
+    design = toy_design(lay, partition, include_within=within)
+    structure = cs.DiagonalScalar(design.A, design.B)
+    rng = np.random.default_rng(12)
+    omega = rng.uniform(0.005, 0.05, structure.n_params)
+    fit = cs.gls_fit(rng.normal(5.0, 1.0, design.n_obs), design, cs.SigmaModel(structure, omega))
+    assert fit.frame is None
+    fd = cs.build_forecast_design(design, cs.future_cells(lay, 12))
+    assert fd.m_star.shape[0] > ROW_BLOCK
+    with monkeypatch.context() as m:
+        m.setattr(GammaStructure, "sigma", refuse)
+        m.setattr(GammaStructure, "sigma_rows", refuse, raising=False)
+        res = cs.predict(fit, fd, extra_offset_var=0.01)
+        omega_star = res.omega_star
+    want, reserve_cov = _dense_reserve_moments(fit, fd, 0.01)
+    assert np.array_equal(omega_star, omega_star.T)
+    assert np.max(np.abs(omega_star - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.max(np.abs(res.reserve_cov - reserve_cov)) <= 1e-12 * np.max(np.abs(reserve_cov))
+
+
+@pytest.mark.parametrize("partition, within, bound", [
+    ("cell", False, 6.59e6), ("row", True, 4.15e6), ("diagonal", False, 3.74e6),
+])
+def test_dense_frame_forecast_memory(partition, within, bound):
+    # N = 2 on a 30 x 30 triangle, 870 future rows: a panel built from rows
+    # of the dense Sigma* held up to ``bound`` bytes on these inputs, and
+    # the panel from Sigma*'s loadings holds no more
+    lay = ArrayLayout.triangle(2, 30)
+    coll = simulate_two_level(lay, 0.1, 0.15, seed=3)
+    design = toy_design(lay, partition, include_within=within)
+    structure = cs.DiagonalScalar(design.A, design.B)
+    omega = [{"sigma2": 0.01, "tau2": 0.02, "v2": 0.03}[k] for k in structure.omega_names]
+    fit = cs.gls_fit(cs.stack_log(coll), design, cs.SigmaModel(structure, omega))
+    fd = cs.build_forecast_design(design, cs.future_cells(lay, 30))
+    assert fit.frame is None and fd.m_star.shape[0] == 870
+    tracemalloc.start()
+    try:
+        res = cs.predict(fit, fd)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound
+    assert res.reserve_cov.shape == (2, 2)
+
+
+def test_predict_needs_a_model_design():
+    # a fit on a bare matrix has no rule for the future cells
+    fit, design, lay = small_fit()
+    bare = cs.gls_fit(fit.y_hat + fit.residual, design.M, fit.sigma)
+    fd = cs.build_forecast_design(design, cs.future_cells(lay, 4))
+    with pytest.raises(cs.DesignError, match="ModelDesign"):
+        cs.predict(bare, fd)
+
+
+def test_forecast_rows_of_another_design_are_rejected():
+    fit, design, lay = small_fit(size=5)
+    other = toy_design(lay, variant="hoerl")
+    fd = cs.build_forecast_design(other, cs.future_cells(lay, 5))
+    assert fd.m_star.shape[1] != fit.kappa_hat.size
+    with pytest.raises(cs.DesignError, match="columns"):
+        cs.predict(fit, fd)
 
 
 @pytest.mark.parametrize(
