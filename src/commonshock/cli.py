@@ -53,6 +53,8 @@ _KNOWN_KEYS = {
 }
 # per-array keys, arrays numbered from 1
 _ARRAY_KEY = re.compile(r"(row_effects|col_effects|tau2|v2)_[1-9][0-9]*")
+# keys that fix or free a variance component
+_VARIANCE_KEY = re.compile(r"sigma2|(tau2|v2)(_[1-9][0-9]*)?")
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +221,7 @@ def parse_config(path) -> dict:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file does not exist: {p}")
-    cfg = {}
+    cfg, lines = {}, {}
     for lineno, line in enumerate(p.read_text(encoding="utf-8").splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -230,7 +232,9 @@ def parse_config(path) -> dict:
         key = key.strip()
         if key not in _KNOWN_KEYS and not _ARRAY_KEY.fullmatch(key):
             raise ConfigError(f"{p}:{lineno}: unknown key {key!r}")
-        cfg[key] = value.strip()
+        if key in cfg:
+            raise ConfigError(f"{p}:{lineno}: key {key!r} is already set on line {lines[key]}")
+        cfg[key], lines[key] = value.strip(), lineno
     return cfg
 
 
@@ -337,17 +341,22 @@ def _fit_from_config(cfg):
     layout = design.layout
     y = stack_log(fit_coll)
 
+    kind = _get_choice(cfg, "covariance", STRUCTURE_KINDS, "cellwise_two_level")
     structure = structure_for(
-        _get_choice(cfg, "covariance", STRUCTURE_KINDS, "cellwise_two_level"),
-        layout.n_arrays,
-        layout.cells_per_array,
-        lambda: design.A,
-        lambda: design.B,
+        kind, layout.n_arrays, layout.cells_per_array, lambda: design.A, lambda: design.B
     )
 
+    names = structure.omega_names
+    # a per-array component's base key (tau2 of tau2_1) sets every array's
+    bases = [n.rsplit("_", 1)[0] if n.rsplit("_", 1)[-1].isdigit() else n for n in names]
+    for key in cfg:
+        if _VARIANCE_KEY.fullmatch(key) and key not in names and key not in bases:
+            raise ConfigError(
+                f"{key} names no variance component of {kind}, whose components are "
+                f"{', '.join(names)}"
+            )
     values = []  # None for a component to estimate
-    for name in structure.omega_names:
-        base = name.rsplit("_", 1)[0] if name.rsplit("_", 1)[-1].isdigit() else name
+    for name, base in zip(names, bases):
         raw = cfg.get(name, cfg.get(base, "estimate"))
         try:
             values.append(None if raw == "estimate" else float(raw))
@@ -374,12 +383,18 @@ def _fit_from_config(cfg):
 
 
 def _extended_residuals(fit, full: ClaimCollection):
-    """Residuals over every data cell, using fitted means beyond the fit region."""
+    """Residuals over every data cell, one row per array, in the full
+    layout's stacking order: the fit's own on the fitted cells, and the data
+    less their fitted means beyond the fit region, whose design rows alone
+    are built."""
     cells = full.layout.stacking_order
-    m_ext = fit.design.rows_for_cells(cells)
-    y_ext = stack_log(full)
-    d = y_ext - m_ext @ fit.kappa_hat
-    return d.reshape(full.layout.n_arrays, -1)
+    fitted = fit.design.layout.mask[tuple(np.array(cells).T - 1)]
+    d = stack_log(full).reshape(full.layout.n_arrays, -1)
+    d[:, fitted] = fit.residual.reshape(full.layout.n_arrays, -1)
+    later = [cell for cell, f in zip(cells, fitted) if not f]
+    if later:
+        d[:, ~fitted] -= (fit.design.rows_for_cells(later) @ fit.kappa_hat).reshape(len(d), -1)
+    return d
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,10 @@ C the per-array idiosyncratic design. The covariance uses L = [A B I].
 Redundant columns (a tied shock mean is absorbed by the column effects, for
 instance) are detected by a rank-revealing sweep and removed; the kept
 parameterization follows the corner-constraint convention with the first row
-effect fixed at zero, so reported effects are directly interpretable.
+effect fixed at zero, so reported effects are directly interpretable. The
+reduced M is factored once, on first read of ``ModelDesign.factor``
+(``LeastSquaresFactor``), and every fit on the design starts from that
+factor.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .arrays import ArrayLayout
+from .covariance import _tril_inverse
 from .errors import ConfigError, DesignError
 from .partitions import Partition, build_partition
 
@@ -309,15 +313,95 @@ def reduce_columns(M: np.ndarray, keep_priority=None):
     return _reduce_blocks(np.zeros((n, 0)), [], M, order, 1)
 
 
+def _by_block(a: np.ndarray, v: np.ndarray, n_blocks: int) -> np.ndarray:
+    """(I_N (x) a) v with N = ``n_blocks``, for v of N a.shape[1] rows."""
+    cols = v.shape[1]
+    return np.matmul(a, v.reshape(n_blocks, a.shape[1], cols)).reshape(n_blocks * a.shape[0], cols)
+
+
+def _kron_into(out: np.ndarray, L: np.ndarray, block: np.ndarray) -> None:
+    """Write L (x) ``block`` into the zero square matrix ``out``, one
+    nonzero entry of L at a time, so that no Kronecker product is formed."""
+    r = block.shape[0]
+    for a, b in zip(*np.nonzero(L)):
+        out[a * r : (a + 1) * r, b * r : (b + 1) * r] = L[a, b] * block
+
+
+def _pivots(R: np.ndarray) -> np.ndarray:
+    """R's diagonal, one entry per column: 0 for a column past R's last row."""
+    return np.pad(np.diagonal(R), (0, R.shape[1] - min(R.shape)))
+
+
+@dataclass(frozen=True)
+class LeastSquaresFactor:
+    """M = [Qx | I_N (x) Q0] T, the least-squares factor of M = [X | I_N (x) C0].
+
+    One QR, C0 = Q0 R0, serves every array. The shock-mean columns X are
+    projected off I_N (x) Q0, with one re-orthogonalisation pass, and what
+    is left is factored by one QR: X - (I_N (x) Q0) Z = Qx Rx with
+    Z = (I_N (x) Q0)^T X. So T = [[Rx, 0], [Z, I_N (x) R0]] in M's column
+    order, and ``t_inv`` = T^-1 = [[Rx^-1, 0], [-(I_N (x) R0^-1) Z Rx^-1,
+    I_N (x) R0^-1]] is filled block by block. A bare matrix is the
+    one-block case, C0 = M with no X: one QR of M (see ``of``).
+    """
+
+    q0: np.ndarray  # (cells, r0)
+    qx: np.ndarray  # (n, s)
+    z: np.ndarray  # (N r0, s)
+    # R0^-1 and Rx^-1 as inverted through R^T, in the memory order that
+    # kappa's block products read (another order rounds them differently)
+    r0_inv: np.ndarray
+    rx_inv: np.ndarray
+    t_inv: np.ndarray  # (m, m), read-only
+
+    @classmethod
+    def of(cls, X: np.ndarray, C0: np.ndarray, n_blocks: int, labels) -> "LeastSquaresFactor":
+        """The factor of [X | I_N (x) C0], N = ``n_blocks``.
+
+        A column whose diagonal entry of T is at most 1e-12 times the
+        largest (or 1) is aliased, and so is a column past a factor's rows,
+        which has no diagonal entry; DesignError names every such column.
+        """
+        (k, r0), s, N = C0.shape, X.shape[1], n_blocks
+        q0, R0 = np.linalg.qr(C0)
+        Z = _by_block(q0.T, X, N)
+        left = X - _by_block(q0, Z, N)
+        again = _by_block(q0.T, left, N)  # one re-orthogonalisation pass
+        left -= _by_block(q0, again, N)
+        Z += again
+        qx, Rx = np.linalg.qr(left) if s else (left, np.zeros((0, 0)))
+        rdiag = np.abs(np.concatenate([_pivots(Rx), np.tile(_pivots(R0), N)]))
+        aliased = rdiag <= 1e-12 * rdiag.max(initial=1.0)
+        if aliased.any():
+            bad = [labels[j] for j in np.where(aliased)[0]]
+            raise DesignError(f"normal equations are singular; aliased columns: {bad}")
+        R0_inv, Rx_inv = _tril_inverse(R0.T).T, _tril_inverse(Rx.T).T
+        t_inv = np.zeros((s + N * r0,) * 2)
+        t_inv[:s, :s] = Rx_inv
+        t_inv[s:, :s] = -_by_block(R0_inv, Z @ Rx_inv, N)
+        _kron_into(t_inv[s:, s:], np.eye(N), R0_inv)
+        t_inv.flags.writeable = False
+        return cls(q0, qx, Z, R0_inv, Rx_inv, t_inv)
+
+    def least_squares(self, y: np.ndarray) -> np.ndarray:
+        """kappa = T^-1 Q^T y, by blocks, so that arrays with the same data
+        get the same bits."""
+        N = y.size // self.q0.shape[0]
+        kappa_x = self.rx_inv @ (self.qx.T @ y)
+        qy = _by_block(self.q0.T, y[:, None], N)
+        kappa_c = _by_block(self.r0_inv, qy - self.z @ kappa_x[:, None], N)
+        return np.concatenate([kappa_x, kappa_c.ravel()])
+
+
 @dataclass(frozen=True)
 class ModelDesign:
     """Assembled design: the reduced mean design M and its bookkeeping.
 
     M = [X | I_N (x) C0] (see ``array_frame``): X holds the kept shock-mean
     columns, (N|cells|, s_x), and C0 the kept columns of one array's
-    idiosyncratic block, (|cells|, r0). M is built once from the two, and
-    the fit factors it by these blocks. The unreduced blocks are formed on
-    first read: A and B, which only the diagonal-scalar structure and an
+    idiosyncratic block, (|cells|, r0). M is built once from the two. Its
+    least-squares factor (``factor``) and the unreduced blocks are formed
+    on first read: A and B, which only the diagonal-scalar structure and an
     unshared across-array mean need, the dense C and M_full.
     """
 
@@ -338,6 +422,11 @@ class ModelDesign:
         object.__setattr__(
             self, "labels", tuple(self.full_labels[k] for k in self.kept)
         )
+
+    @cached_property
+    def factor(self) -> LeastSquaresFactor:
+        """M = [Qx | I_N (x) Q0] T; DesignError names M's aliased columns."""
+        return LeastSquaresFactor.of(self.X, self.C0, self.layout.n_arrays, self.labels)
 
     @cached_property
     def _rows(self) -> _CellRows:

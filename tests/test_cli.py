@@ -349,6 +349,41 @@ class TestErrorPaths:
             with pytest.raises(ConfigError, match="unknown key"):
                 parse_config(cfg)
 
+    def test_repeated_key_names_both_lines(self, tmp_path, capsys):
+        # unchecked, the last line won: v2 was estimated, with exit 0
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(
+            f"data = {', '.join(bundled_paths())}\nt_max = 15\n# fixed\nv2 = 0.01\nv2 = estimate\n"
+        )
+        with pytest.raises(ConfigError, match=r"c\.cfg:5: key 'v2' is already set on line 4"):
+            parse_config(cfg)
+        assert main(["fit", "--config", str(cfg), "--out", str(tmp_path / "report")]) == 2
+        assert "already set on line 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "keys, components",
+        [
+            ({"v2_1": 0.01}, "sigma2, v2"),
+            ({"tau2": 0.01}, "sigma2, v2"),
+            ({"covariance": "diagonal_scalar", "tau2": "estimate"}, "sigma2, v2"),
+            ({"covariance": "example48", "tau2_3": 0.01}, "sigma2, tau2_1, tau2_2, v2_1, v2_2"),
+        ],
+        ids=[
+            "v2_1_cellwise", "tau2_cellwise", "tau2_without_within_shocks", "tau2_3_on_two_arrays",
+        ],
+    )
+    def test_variance_key_of_no_component(self, tmp_path, capsys, keys, components):
+        # unchecked, each key was dropped without a word and its component
+        # estimated: v2_1 = 0.01 under cellwise_two_level reported an
+        # estimated v2 = 0.01531
+        cfg = write_config(tmp_path / "c.cfg", data=", ".join(bundled_paths()), t_max=15, **keys)
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "report")]) == 2
+        key = next(k for k in keys if k != "covariance")
+        err = capsys.readouterr().err
+        assert f"{key} names no variance component" in err
+        assert f"whose components are {components}" in err
+        assert not (tmp_path / "report.txt").exists()
+
     @pytest.mark.parametrize("row", ["1,0,1,99", "1,1,-1,99"])
     def test_index_below_one_is_a_data_error(self, tmp_path, capsys, row):
         # unchecked, index 0 wraps to the last row or column and overwrites a

@@ -60,7 +60,7 @@ class TestGlsFit:
 
     def test_least_squares_keeps_the_factor_of_m(self, monkeypatch):
         # at Sigma = I whitening leaves M as it is: no product with L^-1 on
-        # M, and the factor of M stays for the fixed-location test
+        # M, and r_inv is T^-1 of M's least-squares factor itself
         rng = np.random.default_rng(3)
         y, M = rng.normal(size=12), rng.normal(size=(12, 3))
         solves = []
@@ -71,11 +71,14 @@ class TestGlsFit:
             return by_array(self, apply, x)
 
         monkeypatch.setattr(covariance.SigmaModel, "_by_array", recorded)
+        q, r = np.linalg.qr(M)
         for structure in (CellwiseTwoLevel(2, 6), DiagonalScalar(rng.normal(size=(12, 2)))):
             fit = cs.gls_fit(y, M, cs.SigmaModel(structure, [0.0, 1.0]))
-            assert solves == [] and fit._q is not None
+            assert solves == []
+            np.testing.assert_allclose(fit.r_inv, np.linalg.inv(r), rtol=1e-12)
             for omega in ([0.0, 2.0], [0.1, 1.0]):
-                assert cs.gls_fit(y, M, cs.SigmaModel(structure, omega))._q is None
+                fit = cs.gls_fit(y, M, cs.SigmaModel(structure, omega))
+                assert not np.allclose(fit.r_inv, np.linalg.inv(r))
             assert solves
             solves.clear()
 

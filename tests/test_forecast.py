@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import commonshock as cs
 import commonshock.forecast as forecast_module
-from commonshock import estimation
 from commonshock.arrays import ArrayLayout
 from commonshock.covariance import (
     STRUCTURE_KINDS,
@@ -323,9 +322,10 @@ def test_predictive_covariance_is_symmetric_and_psd(ref_fit, case):
 def forecast_case(lay, region, kind, partition, seed, within=False, fixed=False):
     """A fit at a random omega and the forecast design of ``region``.
 
-    The fit is the GLS fit, or with ``fixed`` the fixed-location fit with
-    its variance where the design has one. Raises DesignError where the
-    region needs a parameter the data never identified.
+    The fit is the GLS fit, or with ``fixed`` the generic solver's fit with
+    every component held at omega, which goes through the fixed location
+    where the design has one. Raises DesignError where the region needs a
+    parameter the data never identified.
     """
     design = toy_design(lay, partition, include_within=within)
     fd = cs.build_forecast_design(design, region)
@@ -333,9 +333,11 @@ def forecast_case(lay, region, kind, partition, seed, within=False, fixed=False)
     structure = structure_for(kind, lay.n_arrays, lay.cells_per_array, design.A, design.B)
     omega = rng.uniform(0.005, 0.05, structure.n_params)
     y = rng.normal(5.0, 1.0, design.n_obs)
-    sigma = cs.SigmaModel(structure, omega)
-    location = estimation._fixed_location(y, design, structure) if fixed else None
-    fit = cs.gls_fit(y, design, sigma) if location is None else location.fit(sigma, variance=True)
+    if fixed:
+        held = [False] * structure.n_params
+        fit = cs.ml_dispersion_generic(y, design, structure, omega, free_mask=held)
+    else:
+        fit = cs.gls_fit(y, design, cs.SigmaModel(structure, omega))
     return fit, fd, rng
 
 

@@ -1,9 +1,10 @@
 """GLS in the array frame: every fit at Sigma = C (x) I over M's own arrays.
 
-``gls_fit`` factors [L^-1 X | I_N (x) C0], C = L L^T, and maps the
-idiosyncratic rows of kappa and of r_inv back by L (x) I_r0. These tests
-compare it with a dense GLS reference written here, on random layouts,
-partitions and omega, and bound what it factors and what it holds.
+``gls_fit`` starts from the design's least-squares factor
+M = [Qx | I_N (x) Q0] T and whitens only Qx, which Sigma mixes; I_N (x) Q0
+passes through as L (x) I_r0, C = L L^T. These tests compare it with a
+dense GLS reference written here, on random layouts, partitions and omega,
+and bound what it factors and what it holds.
 """
 
 import ast
@@ -156,13 +157,12 @@ def test_gls_fit_is_the_dense_gls_fit(case):
             assert copies <= set(named) and copies <= set(want)
 
 
-@pytest.mark.parametrize("v2", [1e-40, 1e6])
+@pytest.mark.parametrize("v2", [1e-40, 1e6, 1e24])
 def test_whitening_does_not_change_which_columns_are_aliased(v2):
-    # at Sigma = v2 I whitening scales the shock block by 1 / sqrt(v2) and
-    # leaves C0 as it is; the aliasing test scales C0's pivots alike, so
-    # the fit is least squares, with no column named. (A v2 far above 1
-    # puts every whitened pivot under the test's floor of 1, as it does in
-    # the dense whitened QR.)
+    # aliasing is judged on M's least-squares factor alone, whatever Sigma
+    # is: at Sigma = v2 I the fit is least squares, with no column named,
+    # however far v2 lies from 1 (the dense whitened QR, whose pivots scale
+    # by 1 / sqrt(v2), names 12 of the 30 columns at v2 = 1e24)
     design = calendar_means()[0]
     y = np.random.default_rng(2).normal(size=design.n_obs)
     ols = cs.gls_fit(y, design, cs.SigmaModel(CellwiseTwoLevel(3, 15), [0.0, 1.0]))
@@ -173,9 +173,10 @@ def test_whitening_does_not_change_which_columns_are_aliased(v2):
 
 def test_gls_fit_forms_no_n_by_m_matrix(qr_shapes):
     # identity Example48, N = 8 on a 16 x 16 triangle with unshared calendar
-    # means, of which 14 are kept: n = 1088 and m = 262. The fit factors C0
-    # and the n x 14 whitened shock block, and holds less than one n x m
-    # float64 matrix, where the whitened M alone would take one
+    # means, of which 14 are kept: n = 1088 and m = 262. The design's factor
+    # takes one QR of C0 and one of the n x 14 projected shock block, and
+    # the fit one of the n x 14 whitened Qx; together they hold less than
+    # one n x m float64 matrix, where the whitened M alone would take one
     lay = ArrayLayout.triangle(8, 16)
     design = toy_design(lay, kind="diagonal", shared_mean=False)
     cells = lay.cells_per_array
@@ -193,7 +194,7 @@ def test_gls_fit_forms_no_n_by_m_matrix(qr_shapes):
     finally:
         tracemalloc.stop()
     assert peak < n * m * 8
-    assert qr_shapes == array_frame_shapes(design)
+    assert qr_shapes == array_frame_shapes(design) + [design.X.shape]
     assert fit.frame is not None
     kappa, _, loglik, var, _ = dense_gls(y, design.M, design.X.shape[1], structure, omega)
     np.testing.assert_allclose(fit.kappa_hat, kappa, rtol=1e-10, atol=1e-10 * np.abs(kappa).max())

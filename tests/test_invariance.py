@@ -6,6 +6,7 @@ solve; where it fails, the solver keeps a GLS fit per point.
 """
 
 import ast
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -21,7 +22,8 @@ from commonshock.arrays import ArrayLayout
 from commonshock.covariance import (
     CellwiseTwoLevel, DiagonalScalar, Example48, GammaStructure, Term, structure_for,
 )
-from commonshock.design import array_frame
+from commonshock.datasets import load_bundled_rectangles
+from commonshock.design import LeastSquaresFactor, array_frame
 from commonshock.partitions import PARTITION_KINDS
 from conftest import toy_design
 from test_design_properties import both_shock_means, designs, layouts
@@ -101,16 +103,17 @@ def test_fixed_location_is_the_gls_fit(case):
     if location is None:
         assert gls == points  # a GLS fit per point
         return
-    assert gls == (1 if steps == 0 else 0)  # a start that needs no step is its GLS fit
+    assert gls == (0 if steps is None else 1)  # the fit returned is gls_fit's
+    q0, qx = design.factor.q0, design.factor.qx
+    Q, t_inv = array_frame(qx, q0, design.layout.n_arrays), design.factor.t_inv
     for _ in range(2):
         sigma = cs.SigmaModel(structure, random_omega(rng, structure))
-        fixed = location.fit(sigma, variance=True)
+        fixed = location.fit(sigma)
         want = cs.gls_fit(y, design, sigma)
-        for got, ref in (
-            (fixed.kappa_hat, want.kappa_hat),
-            (fixed.var_kappa, want.var_kappa),
-            (fixed.r_inv @ fixed.r_inv.T, want.var_kappa),
-        ):
+        # invariance makes Q^T Sigma^-1 Q the inverse of Q^T Sigma Q
+        invariant_var = t_inv @ Q.T @ structure.sigma(sigma.omega) @ Q @ t_inv.T
+        assert fixed.r_inv is None
+        for got, ref in ((fixed.kappa_hat, want.kappa_hat), (invariant_var, want.var_kappa)):
             scale = np.abs(ref).max(initial=0.0)
             np.testing.assert_allclose(got, ref, rtol=1e-10, atol=1e-10 * scale)
         assert math.isclose(fixed.loglik, want.loglik, rel_tol=1e-10, abs_tol=1e-10)
@@ -144,7 +147,7 @@ def calendar_means():
 @example(both_shock_means())
 @example(calendar_means())
 def test_block_factor_is_the_dense_factor(case):
-    # _least_squares factors M = [X | I_N (x) C0] by blocks. Against one dense
+    # LeastSquaresFactor factors M = [X | I_N (x) C0] by blocks. Against one dense
     # QR of M in the same column order (C0's arrays, then X), on the design
     # and on two aliased variants of it: a shock column in span(M), and a
     # column of C0 in span(C0), which is aliased in every array
@@ -170,7 +173,7 @@ def test_block_factor_is_the_dense_factor(case):
         if aliased:
             event(f"aliased {'shock' if sv > s else 'array'} column")
             with pytest.raises(cs.DesignError, match="aliased columns: ") as raised:
-                estimation._least_squares(y, Xv, C0v, labels)
+                LeastSquaresFactor.of(Xv, C0v, N, labels)
             named = ast.literal_eval(str(raised.value).split("aliased columns: ")[1])
             if sv > s:  # the last column in either order: the same columns named
                 assert named == [labels[j] for j in aliased]
@@ -180,23 +183,15 @@ def test_block_factor_is_the_dense_factor(case):
                 # only its copy in every array is sure to be named
                 assert {labels[j] for j in alias} <= set(named)
             continue
-        (q0, qx), r_inv, got = estimation._least_squares(y, Xv, C0v, labels)
-        for got_, want in ((got, kappa), (r_inv @ r_inv.T, var)):
+        factor = LeastSquaresFactor.of(Xv, C0v, N, labels)
+        got, t_inv = factor.least_squares(y), factor.t_inv
+        for got_, want in ((got, kappa), (t_inv @ t_inv.T, var)):
             scale = np.abs(want).max(initial=0.0)
             np.testing.assert_allclose(got_, want, rtol=1e-10, atol=1e-10 * scale)
-    # Q^T Sigma Q by blocks (identity cell sides on M's arrays) and from the
-    # terms' loadings (a cell-side term) is the dense product on the dense Q
-    Q = array_frame(qx, q0, N)
-    for structure in (
-        CellwiseTwoLevel(N, k),
-        raw_structure(rng, N, k, cell_side=False),
-        raw_structure(rng, N, k, cell_side=True),
-    ):
-        sigma = cs.SigmaModel(structure, random_omega(rng, structure))
-        want = Q.T @ structure.sigma(sigma.omega) @ Q
-        scale = max(np.abs(want).max(initial=0.0), 1.0)
-        got = estimation._q_sigma_q((q0, qx), sigma)
-        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * scale)
+        # Q = M T^-1 is [Qx | I_N (x) Q0], with orthonormal columns
+        Q = array_frame(factor.qx, factor.q0, N)
+        np.testing.assert_allclose(Mv @ t_inv, Q, rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose(Q.T @ Q, np.eye(Q.shape[1]), rtol=0.0, atol=1e-12)
 
 
 def test_bundled_configurations(bundled):
@@ -223,8 +218,9 @@ def test_bundled_configurations(bundled):
 
 def test_fixed_location_forms_no_n_by_m_matrix():
     # identity Example48, N = 8 on a 12 x 12 triangle: 17 terms, n = 624 and
-    # m = 184; testing every term and forming Var[kappa] may not hold two
-    # n x m float64 matrices, let alone an m x m block per term
+    # m = 184; factoring M, testing every term and the fit with Var[kappa]
+    # that a solver on the fixed location returns may not hold two n x m
+    # float64 matrices, let alone an m x m block per term
     lay = ArrayLayout.triangle(8, 12)
     design = toy_design(lay)
     structure = Example48(8, np.eye(lay.cells_per_array), np.eye(lay.cells_per_array))
@@ -233,7 +229,8 @@ def test_fixed_location_forms_no_n_by_m_matrix():
     n, m = design.M.shape
     tracemalloc.start()
     try:
-        fit = estimation._fixed_location(y, design, structure).fit(sigma, variance=True)
+        assert estimation._fixed_location(y, design, structure) is not None
+        fit = cs.gls_fit(y, design, sigma)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -256,14 +253,20 @@ def qr_shapes(monkeypatch):
 
 
 def array_frame_shapes(design):
-    """The QRs of the least-squares fit in M's array frame: C0, and the n x s_x
+    """The QRs of the design's least-squares factor: C0, and the n x s_x
     projected shock-mean block when shock means are kept."""
     return [design.C0.shape] + ([design.X.shape] if design.X.shape[1] else [])
 
 
+def unfactored(design):
+    """A copy of ``design`` whose least-squares factor is not formed yet."""
+    return dataclasses.replace(design)
+
+
 def test_closed_form_path_makes_one_qr(ref_fit, qr_shapes):
-    # one QR of C0 serves every array; the reference design keeps no shock mean
-    design = ref_fit["design"]
+    # one QR of C0 serves every array; the reference design keeps no shock
+    # mean, so the fit at omega-hat whitens no column
+    design = unfactored(ref_fit["design"])
     fit = cs.ml_dispersion_cellwise(ref_fit["y"], design)
     assert design.X.shape[1] == 0
     assert qr_shapes == [design.C0.shape]
@@ -272,18 +275,24 @@ def test_closed_form_path_makes_one_qr(ref_fit, qr_shapes):
 
 def test_closed_form_path_with_kept_shock_means(bundled, qr_shapes):
     # unshared calendar means are partly kept: their columns, projected off
-    # I_N (x) Q0, add one n x s_x QR and nothing of N r0 columns
+    # I_N (x) Q0, add one n x s_x QR to the factor, and the fit at
+    # omega-hat one more of the same shape, of the whitened Qx; nothing has
+    # N r0 columns
     coll = bundled.restrict_to_diagonals(15)
     design = toy_design(coll.layout, kind="diagonal", shared_mean=False)
     fit = cs.ml_dispersion_cellwise(cs.stack_log(coll), design)
     assert fit.n_iter == 1  # the fixed location, no solver steps
     assert design.X.shape[1] > 0
-    assert qr_shapes == [design.C0.shape, design.X.shape]
+    assert qr_shapes == [design.C0.shape, design.X.shape, design.X.shape]
 
 
 @pytest.mark.parametrize("name", ["cellwise_two_level", "diagonal_scalar"])
 def test_generic_solver_on_an_invariant_design_makes_one_qr(ref_fit, qr_shapes, name):
-    design = ref_fit["design"]
+    # one QR of M's factor, C0's (the reference design keeps no shock mean),
+    # and none at the points visited; the fit at omega-hat whitens no
+    # column in the array frame, and every column of Q, one n x m QR,
+    # under the dense Sigma of diagonal_scalar
+    design = unfactored(ref_fit["design"])
     cells = design.layout.cells_per_array
     if name == "cellwise_two_level":
         structure = CellwiseTwoLevel(2, cells)
@@ -291,21 +300,22 @@ def test_generic_solver_on_an_invariant_design_makes_one_qr(ref_fit, qr_shapes, 
         structure = DiagonalScalar(design.A)
     fit = cs.ml_dispersion_generic(ref_fit["y"], design, structure, [0.01] * structure.n_params)
     assert fit.n_iter >= 1  # this start steps; a start that does not is the next test
-    assert qr_shapes == [design.C0.shape]  # the reference design keeps no shock mean
+    dense = [] if name == "cellwise_two_level" else [design.M.shape]
+    assert qr_shapes == [design.C0.shape] + dense
     want = cs.gls_fit(ref_fit["y"], design, fit.sigma)
     np.testing.assert_allclose(fit.var_kappa, want.var_kappa, rtol=1e-10, atol=1e-14)
     assert fit.loglik == pytest.approx(want.loglik, rel=1e-12)
 
 
 def test_generic_solver_start_that_needs_no_step_is_its_gls_fit(ref_fit, qr_shapes):
-    # the invariance test's factor of C0, then gls_fit's factor of the
-    # whitened design in its array frame: a start that needs no step costs a
-    # second QR of C0 (the reference design keeps no shock mean)
-    y, design = ref_fit["y"], ref_fit["design"]
+    # the invariance test and the fit at the start share the design's one
+    # QR of C0, and at Sigma = C (x) I with no shock mean kept that fit
+    # whitens no column: one QR in all
+    y, design = ref_fit["y"], unfactored(ref_fit["design"])
     structure = CellwiseTwoLevel(2, design.layout.cells_per_array)
     fit = cs.ml_dispersion_generic(y, design, structure, [0.01, 0.01], free_mask=[False, False])
     assert fit.n_iter == 0
-    assert qr_shapes == [design.C0.shape, design.C0.shape]
+    assert qr_shapes == [design.C0.shape]
     assert fit.loglik == cs.gls_fit(y, design, fit.sigma).loglik
 
 
@@ -341,14 +351,17 @@ def test_generic_solver_on_a_moving_design_fits_each_point(bundled, qr_shapes):
     coll = bundled.restrict_to_diagonals(15)
     design = toy_design(coll.layout, kind="diagonal")
     structure = DiagonalScalar(design.A)
-    fit = cs.ml_dispersion_generic(cs.stack_log(coll), design, structure, [0.01, 0.01])
-    # the invariance test's factor in the array frame, then one whitened
-    # factor per point visited
-    frame = array_frame_shapes(design)
-    assert qr_shapes[: len(frame)] == frame
-    assert len(qr_shapes) >= len(frame) + fit.n_iter + 1
-    assert qr_shapes[len(frame):] == [design.M.shape] * (len(qr_shapes) - len(frame))
-    assert fit._q is None  # no factor outlives the solve
+    y = cs.stack_log(coll)
+    assert design.factor.t_inv.shape == (design.n_params,) * 2  # formed before the solve
+    qr_shapes.clear()
+    fit = cs.ml_dispersion_generic(y, design, structure, [0.01, 0.01])
+    # one QR of the whitened mixed columns, every column of Q under this
+    # dense Sigma, per point visited, and none of C0
+    assert len(qr_shapes) >= fit.n_iter + 1
+    assert qr_shapes == [design.M.shape] * len(qr_shapes)
+    # the fit keeps no whitened n x m factor, only M itself
+    fields = [f.name for f in dataclasses.fields(fit)]
+    assert [f for f in fields if np.shape(getattr(fit, f)) == design.M.shape] == ["M"]
 
 
 def test_closed_form_path_on_a_moving_design(bundled):
@@ -378,3 +391,93 @@ def test_closed_form_path_on_a_moving_design(bundled):
     gen = cs.ml_dispersion_generic(y, design, structure, [0.01, 0.01])
     np.testing.assert_allclose(fit.omega_hat, gen.omega_hat, rtol=1e-8)
     assert np.max(np.abs(fit.score)) < 1e-9
+
+
+def test_one_qr_of_c0_per_design(bundled, qr_shapes):
+    # a GLS fit, both ML solvers, under the array-frame and a dense Sigma,
+    # and a forecast share the design's one factor: one QR of C0, and one of
+    # the projected shock means; every other QR is of whitened mixed columns
+    coll = bundled.restrict_to_diagonals(15)
+    design = toy_design(coll.layout, kind="diagonal", shared_mean=False)
+    y = cs.stack_log(coll)
+    cellwise = CellwiseTwoLevel(2, design.layout.cells_per_array)
+    assert design.X.shape[1] > 0 and design.X.shape != design.C0.shape
+    cs.gls_fit(y, design, cs.SigmaModel(cellwise, [0.01, 0.02]))
+    fit = cs.ml_dispersion_cellwise(y, design)
+    cs.ml_dispersion_generic(y, design, cellwise, [0.01, 0.01])
+    cs.ml_dispersion_generic(y, design, DiagonalScalar(design.A), [0.01, 0.01])
+    # the last fitted diagonal: its calendar mean is identified
+    last_diagonal = [(i, 16 - i) for i in range(1, 16)]
+    cs.predict(fit, cs.build_forecast_design(design, last_diagonal))
+    assert qr_shapes[:2] == array_frame_shapes(design)
+    assert qr_shapes.count(design.C0.shape) == 1
+    assert set(qr_shapes[2:]) == {design.X.shape, design.M.shape}
+
+
+def test_generic_solver_on_a_moving_design_whitens_qx_per_point(bundled, qr_shapes):
+    # example48 under the cell partition with unshared means is not
+    # invariant, and Sigma = C (x) I over M's arrays: each point whitens
+    # only Qx, one n x s_x QR, and none of C0
+    coll = bundled.restrict_to_diagonals(15)
+    design = toy_design(coll.layout, kind="cell", shared_mean=False)
+    structure = structure_for("example48", 2, design.layout.cells_per_array, None, None)
+    y = cs.stack_log(coll)
+    assert estimation._fixed_location(y, design, structure) is None
+    qr_shapes.clear()
+    fit = cs.ml_dispersion_generic(y, design, structure, [0.01] * structure.n_params)
+    assert len(qr_shapes) >= fit.n_iter + 1
+    assert qr_shapes == [design.X.shape] * len(qr_shapes)
+    assert fit.frame is not None
+
+
+def assert_is_the_gls_fit_at_its_omega(fit, y, design, structure):
+    """The solver's fit is gls_fit's at omega-hat to the bit, and so is the
+    profile score with and without it."""
+    want = cs.gls_fit(y, design, cs.SigmaModel(structure, fit.omega_hat))
+    for name in ("kappa_hat", "residual", "r_inv"):
+        np.testing.assert_array_equal(getattr(fit, name), getattr(want, name), err_msg=name)
+    assert fit.loglik == want.loglik
+    assert (fit.frame is None) == (want.frame is None)
+    for got, ref in zip(fit.frame or (), want.frame or ()):
+        np.testing.assert_array_equal(got, ref)
+    np.testing.assert_array_equal(
+        cs.profile_score(y, design, structure, fit.omega_hat, fit=fit),
+        cs.profile_score(y, design, structure, fit.omega_hat),
+    )
+
+
+def bundled_case(kind, shared_mean, name):
+    """A case on the bundled rectangles (t <= 15), as ``cases`` draws them."""
+    lay = load_bundled_rectangles().restrict_to_diagonals(15).layout
+    design = toy_design(lay, kind=kind, shared_mean=shared_mean)
+    structure = structure_for(name, 2, lay.cells_per_array, design.A, design.B)
+    return design, structure, np.random.default_rng(7)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(cases())
+@example(bundled_case("diagonal", True, "diagonal_scalar"))  # moving, dense frame
+@example(bundled_case("cell", False, "example48"))  # moving, array frame
+def test_solvers_return_the_gls_fit_at_their_point(case):
+    design, structure, rng = case
+    y = rng.normal(size=design.n_obs)
+    invariant = estimation._fixed_location(y, design, structure) is not None
+    on_arrays = estimation._array_side_only(structure, design.C0)
+    event(f"{'invariant' if invariant else 'moving'}, {'array' if on_arrays else 'dense'} frame")
+    # the noise components are held at their start: free, they often
+    # collapse on these small designs, whose residuals have few degrees of
+    # freedom
+    init = random_omega(rng, structure)
+    try:
+        fit = cs.ml_dispersion_generic(y, design, structure, init, free_mask=structure.zero_allowed)
+    except cs.NumericalError:
+        event("generic solve stopped")
+    else:
+        assert_is_the_gls_fit_at_its_omega(fit, y, design, structure)
+    if structure.kind == "cellwise_two_level" and design.layout.n_arrays > 1:
+        try:
+            fit = cs.ml_dispersion_cellwise(y, design)
+        except cs.NumericalError:
+            event("closed form stopped")
+        else:
+            assert_is_the_gls_fit_at_its_omega(fit, y, design, structure)
