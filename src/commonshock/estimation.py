@@ -5,8 +5,9 @@ M is factored once per design, by least squares in its array frame
 (``ModelDesign.factor``: one QR of one array's idiosyncratic block, one of
 the projected shock-mean columns), and that factor alone judges aliasing.
 A GLS fit then whitens only the factor's columns that Sigma mixes, with
-one QR (``gls_fit``); neither Sigma^-1 nor (M^T Sigma^-1 M)^-1 is formed,
-only the inverses of triangular factors. With the covariance unknown up to
+one QR (``gls_fit``), of their few rows in a subset frame of several
+groups; neither Sigma^-1 nor (M^T Sigma^-1 M)^-1 is formed, only the
+inverses of triangular factors. With the covariance unknown up to
 variance components omega, the profile score (the derivative of the
 log-likelihood in omega after concentrating out the location parameters)
 is driven to zero by projected Fisher scoring on the profile likelihood.
@@ -31,7 +32,7 @@ from .errors import ConfigError, DesignError, NumericalError
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 # a relative invariance residual at or below this counts as invariant (see
-# _fixed_location): on the bundled data the 57 invariant configurations give
+# _invariant): on the bundled data the 57 invariant configurations give
 # at most 4e-15, the other three 0.28 or more
 INVARIANCE_TOL = 1e-8
 # the generic solver stops once every free score is below this
@@ -49,7 +50,7 @@ class FitResult:
     factor and Sigma^-1/2 Q_m = U S the one QR of the factor's columns that
     Sigma mixes (see ``gls_fit``), B = T^-1 (S^-1 (+) L (x) I_r0), C = L L^T
     the array side of Sigma = C (x) I over M's arrays, and B = T^-1 S^-1
-    under a dense Sigma; at Sigma = I, B = T^-1. ``var_kappa`` (B B^T) and
+    under any other Sigma; at Sigma = I, B = T^-1. ``var_kappa`` (B B^T) and
     ``omega_fit``, the covariance matrix of the fitted mean vector
     (M Var[kappa] M^T), are formed on first read. ``omega_hat`` is the
     vector of estimated variance components, None when the covariance was
@@ -58,10 +59,10 @@ class FitResult:
     ``frame`` is (C, R0^-1), C the N x N array side of Sigma = C (x) I over
     M's own arrays and R0 the triangular factor of C0: B's idiosyncratic
     columns are then [0; L (x) R0^-1], so they add C (x) R0^-1 R0^-T to
-    Var[kappa]. Every fit at such a Sigma keeps it, and the forecast then
-    writes its parameter error in the array frame. A fit whose Sigma has a
-    cell side other than the identity has None, and the forecast writes it
-    through r_inv.
+    Var[kappa]. Every fit at such a Sigma keeps it (``_array_side_only``),
+    and the forecast then writes its parameter error in the array frame. A
+    fit at any other Sigma, several subset groups or the dense frame, has
+    None, and the forecast writes it through r_inv.
     """
 
     kappa_hat: np.ndarray
@@ -134,8 +135,11 @@ def gls_fit(y: np.ndarray, design: ModelDesign, sigma: SigmaModel) -> FitResult:
 
     k the number of columns of Q_m, and r_inv = T^-1 (S^-1 (+) L (x) I_r0),
     C = L L^T, or T^-1 S^-1 when Q_m is all of Q. Every fit on M's arrays
-    keeps ``frame`` = (C, R0^-1). Aliasing is judged on M alone, by its
-    factor, so it does not depend on Sigma.
+    keeps ``frame`` = (C, R0^-1). In a subset frame of several groups over
+    M's own arrays, S and z = U^T Sigma^-1/2 y come from one QR of the few
+    rows ``SigmaModel.whitened_rows`` gives [Q | y], with the same Gram
+    matrix as the whitened n rows, so no n x m matrix is formed. Aliasing
+    is judged on M alone, by its factor, so it does not depend on Sigma.
     """
     y, M, labels, design_ref, factor = _design_parts(y, design)
     if sigma.n != y.size:
@@ -143,11 +147,25 @@ def gls_fit(y: np.ndarray, design: ModelDesign, sigma: SigmaModel) -> FitResult:
 
     kappa, t_inv = factor.least_squares(y), factor.t_inv
     q0, qx = factor.q0, factor.qx
+    n_blocks = y.size // len(q0)
     on_arrays = _array_side_only(sigma.structure, q0)
+    # several subset groups over M's own arrays
+    grouped = not on_arrays and sigma.structure.subset_frame is not None and (
+        sigma.structure.cells == len(q0)
+    )
     s, r0 = qx.shape[1], q0.shape[1]
-    r_inv = t_inv
-    if not sigma.identity:
-        q_m = qx if on_arrays else array_frame(qx, q0, y.size // len(q0))
+    if sigma.identity:
+        r_inv = t_inv
+    elif grouped:
+        m = len(t_inv)
+        rows = sigma.whitened_rows(np.column_stack([qx, y]), q0)
+        R = np.linalg.qr(np.column_stack([rows[:, :s], rows[:, s + 1 :], rows[:, s]]), mode="r")
+        S_inv = _tril_inverse(R[:m, :m].T).T
+        qty = np.concatenate([qx.T @ y, _by_block(q0.T, y[:, None], n_blocks).ravel()])
+        kappa += t_inv @ (S_inv @ R[:m, m] - qty)
+        r_inv = t_inv @ S_inv
+    else:
+        q_m = qx if on_arrays else array_frame(qx, q0, n_blocks)
         k = q_m.shape[1]
         r_inv = np.zeros(t_inv.shape)
         if k:
@@ -156,7 +174,7 @@ def gls_fit(y: np.ndarray, design: ModelDesign, sigma: SigmaModel) -> FitResult:
             kappa += t_inv[:, :k] @ (S_inv @ (u.T @ sigma.whiten(y)) - q_m.T @ y)
             r_inv[:, :k] = t_inv[:, :k] @ S_inv
         if on_arrays:
-            _kron_into(r_inv[k:, k:], sigma._L, factor.r0_inv)
+            _kron_into(r_inv[k:, k:], sigma._groups[0].L, factor.r0_inv)
     y_hat = M @ kappa
     d = y - y_hat
     wd = sigma.whiten(d)
@@ -164,7 +182,7 @@ def gls_fit(y: np.ndarray, design: ModelDesign, sigma: SigmaModel) -> FitResult:
         kappa_hat=kappa,
         r_inv=r_inv,
         # R0^-1 read as T^-1's block, in the order the forecast's products take
-        frame=(sigma._C, t_inv[s : s + r0, s : s + r0]) if on_arrays else None,
+        frame=(sigma._groups[0].C, t_inv[s : s + r0, s : s + r0]) if on_arrays else None,
         y_hat=y_hat,
         M=M,
         residual=d,
@@ -207,14 +225,15 @@ class _FixedLocation:
 
 
 def _array_side_only(structure: GammaStructure, c0: np.ndarray) -> bool:
-    """Whether Sigma = C (x) I_cells over M's own arrays: every cell side is
-    the identity and the structure's cells are one array's rows, those of
-    C0 (or of its factor Q0)."""
+    """Whether Sigma = C (x) I_cells over M's own arrays: the structure's
+    subset frame has one group (``GammaStructure.identity_cell_side``) and
+    its cells are one array's rows, those of C0 (or of its factor Q0)."""
     return structure.identity_cell_side and structure.cells == c0.shape[0]
 
 
-def _fixed_location(y, design, structure: GammaStructure):
-    """The fixed location of (design, structure), or None where span(M) is not invariant.
+def _invariant(factor: LeastSquaresFactor, structure: GammaStructure) -> bool:
+    """Whether span(M) is invariant under every term of ``structure``, from
+    M's least-squares ``factor`` alone.
 
     span(M) = span(Q), Q = [Qx | I_N (x) Q0] the least-squares factor, is
     invariant under D_k when D_k Q = Q Q^T D_k Q. Every term is tested by
@@ -228,10 +247,9 @@ def _fixed_location(y, design, structure: GammaStructure):
     D_k (I_N (x) Q0) = (I_N (x) Q0)(G_k (x) I_r0) lies in span(Q) exactly,
     so only u = Qx Z is tested, and nothing when there are no Qx columns.
     """
-    y, M, labels, design_ref, factor = _design_parts(y, design)
     q0, qx = factor.q0, factor.qx
-    s, n_blocks = qx.shape[1], y.size // q0.shape[0]
-    Z = np.random.default_rng(0).standard_normal((M.shape[1], 4))
+    s, n_blocks = qx.shape[1], qx.shape[0] // q0.shape[0]
+    Z = np.random.default_rng(0).standard_normal((s + n_blocks * q0.shape[1], 4))
     on_arrays = _array_side_only(structure, q0)
     u = qx @ Z[:s]
     if not on_arrays:
@@ -240,7 +258,16 @@ def _fixed_location(y, design, structure: GammaStructure):
         du = structure.term_product(k, u)
         image = qx @ (qx.T @ du) + _by_block(q0, _by_block(q0.T, du, n_blocks), n_blocks)
         if np.linalg.norm(du - image) > INVARIANCE_TOL * np.linalg.norm(du):
-            return None
+            return False
+    return True
+
+
+def _fixed_location(y, design, structure: GammaStructure):
+    """The fixed location of (design, structure), or None where span(M) is
+    not invariant (``_invariant``): the least-squares kappa and residual."""
+    y, M, labels, design_ref, factor = _design_parts(y, design)
+    if not _invariant(factor, structure):
+        return None
     kappa = factor.least_squares(y)
     y_hat = M @ kappa
     return _FixedLocation(M, labels, design_ref, kappa, y_hat, y - y_hat)
@@ -379,7 +406,10 @@ def _scoring(y, design, structure, omega, location, tol, max_iter, free_mask) ->
         n_iter += 1
 
     if location is not None:
-        fit = gls_fit(y, design, fit.sigma)  # with r_inv, from the design's factor
+        # with r_inv, from the design's factor; its residual, and so its
+        # score, may differ from the fixed location's in the last bits
+        fit = gls_fit(y, design, fit.sigma)
+        score = profile_score(y, design, structure, omega, fit=fit)
     fit.omega_hat = omega
     fit.n_iter = n_iter
     fit.score = score
@@ -449,7 +479,7 @@ def ml_dispersion_cellwise(y, design: ModelDesign) -> FitResult:
     ols = gls_fit(y, design, SigmaModel(structure, [0.0, 1.0]))
     d = ols.residual.reshape(lay.n_arrays, -1)
     omega = np.array(ml_dispersion_cellwise_closed_form(*d)[:2])
-    if _fixed_location(y, design, structure) is None:
+    if not _invariant(design.factor, structure):
         return _scoring(y, design, structure, omega, None, SCORE_TOL, MAX_ITER, None)
     fit = gls_fit(y, design, SigmaModel(structure, omega))
     fit.omega_hat = omega

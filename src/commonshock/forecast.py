@@ -13,18 +13,19 @@ reads Omega* in row panels (``lognormal.grouped_raw_moments``) and forms no
 n x n matrix, n = N * n_future. Every fit's panels come from one closure,
 ``_panel``, which writes Omega* from loadings alone:
 
-    Omega* = B B^T + C (x) E E^T + sum_k omega_k L_k L_k^T + C (x) I.
+    Omega* = B B^T + sum_t G_t (x) F_t F_t^T + C (x) I.
 
-The first two terms are the parameter error, the last two Sigma* in the
-form ``GammaStructure.loading_form`` gives. A fit that keeps
-``FitResult.frame`` (Sigma = C (x) I over its arrays) passes its C,
-E = C0* R0^-1 and the shock-mean part B = M* r_inv[:, :s_x], and no
-loadings: an array side with an identity cell side does not depend on the
-cells, so its forecast never rebuilds the structure over the region. Any
-other fit passes B = M* r_inv, an E with no columns, and C and the loadings
-of the structure rebuilt over the region. The dense Omega* is the panel
-over every row; it and the raw-scale covariance are formed only when
-``ForecastResult.omega_star`` or ``xi_star`` is read.
+A fit that keeps ``FitResult.frame`` (Sigma = C (x) I over its arrays)
+passes one term (C, E), E = C0* R0^-1, the shock-mean part
+B = M* r_inv[:, :s_x], and its C for Sigma* = C (x) I, where the region's
+Sigma* is that: always for an array side whose cell side is the identity,
+which does not depend on the cells, and for a structure with cell sides
+where it rebuilt over the region has one group with the same C
+(``diagonal_scalar`` on the cell partition). Any other fit passes
+B = M* r_inv, and C and the terms (G_k, F_k) of the structure rebuilt over
+the region in the form ``GammaStructure.loading_form`` gives: Sigma*. The
+dense Omega* is the panel over every row; it and the raw-scale covariance
+are formed only when ``ForecastResult.omega_star`` or ``xi_star`` is read.
 """
 
 from __future__ import annotations
@@ -96,9 +97,10 @@ class ForecastResult:
         """Omega* = M* Var[kappa] M*^T + Sigma*, the log-scale predictive covariance.
 
         It is ``predict``'s panel over every row. Over every row each
-        product in the panel is a matrix times its own transpose (B B^T,
-        E E^T and every L_k L_k^T), which BLAS forms exactly symmetric, so
-        Omega* needs no symmetrizing pass.
+        product in the panel is a matrix times its own transpose (B B^T and
+        every term's F_t F_t^T, E E^T among them), which BLAS forms exactly
+        symmetric, and each term's G_t is symmetric, so Omega* needs no
+        symmetrizing pass.
         """
         if self._omega_star is None:
             n = self.y_star.size
@@ -169,50 +171,35 @@ def _future_structure(fit: FitResult, fd: ForecastDesign):
     return future, omega
 
 
-def _panel(C, E, B, loadings, var):
+def _panel(C, terms, B, var):
     """Rows start:stop of Omega* from column start on, as a closure of (start, stop).
 
-    Omega* = B B^T + C (x) E E^T + sum_k w_k L_k L_k^T + C (x) I + diag(var),
-    for ``loadings`` ((w_k, L_k), ...), an N_C x N_C matrix C and E with one
-    block's rows, n / N_C. A panel's block (a, b) of C (x) E E^T is C[a, b] h
-    with h = E[p0:p1] E^T formed once per block row, and E with no columns
-    writes nothing there. Each w_k L_k L_k^T, and then B B^T, is formed in
-    one product panel. The terms go in in a fixed order: C (x) E E^T, the
-    loadings, C (x) I, var, and B B^T last.
+    Omega* = B B^T + sum_t G_t (x) F_t F_t^T + C (x) I + diag(var), for
+    ``terms`` ((G_t, F_t), ...) with N_C x N_C array sides G_t, like C, and
+    cell sides F_t with one block's rows, n / N_C. A panel's block (a, b)
+    of a term is G_t[a, b] h with h = F_t[p0:p1] F_t^T formed once per
+    block row. The first term writes every block and each later one adds
+    where G_t[a, b] is not zero; B B^T is formed in one product panel. The
+    terms go in in a fixed order: the (G_t, F_t) in turn, C (x) I, var, and
+    B B^T last.
     """
-    n_c, blk = len(C), E.shape[0]
-    n = n_c * blk
+    n_c, n = len(C), B.shape[0]
+    blk = n // n_c
 
     def panel(start, stop):
-        # C (x) E E^T writes every entry, unless E has no columns
-        out = (np.empty if E.shape[1] else np.zeros)((stop - start, n - start))
-        first = start // blk
-        # every block but the last reads all of h's columns, the last its cells c0:
-        c0 = max(start - (n_c - 1) * blk, 0)
-        for a in range(first, (stop - 1) // blk + 1) if E.shape[1] else ():
-            # the rows of block a inside start:stop are its cells p0:p1
-            p0, p1 = max(start - a * blk, 0), min(stop - a * blk, blk)
-            h = E[p0:p1] @ E[c0:].T
-            rows = slice(a * blk + p0 - start, a * blk + p1 - start)
-            for b in range(first, n_c):
-                # the columns of block b from start on are its cells q0:
-                q0 = max(start - b * blk, 0)
-                col = b * blk - start
-                np.multiply(h[:, q0 - c0 :], C[a, b], out=out[rows, col + q0 : col + blk])
-        prod = np.empty_like(out) if loadings or B.shape[1] else None
-        for w, L in loadings:
-            np.matmul(L[start:stop], L[start:].T, out=prod)
-            prod *= w
-            out += prod
+        # the first term writes every entry
+        out = (np.empty if terms else np.zeros)((stop - start, n - start))
+        _write_terms(out, terms, start, blk)
         # C (x) I: row i meets block b's column of its own cell
         i = np.arange(start, stop)
-        for b in range(first, n_c):
+        for b in range(start // blk, n_c):
             j = b * blk + i % blk
             on = j >= start
             out[i[on] - start, j[on] - start] += C[i[on] // blk, b]
         if var is not None:
             out[i - start, i - start] += var[start:stop]
         if B.shape[1]:
+            prod = np.empty_like(out)
             np.matmul(B[start:stop], B[start:].T, out=prod)
             out += prod
         return out
@@ -220,18 +207,62 @@ def _panel(C, E, B, loadings, var):
     return panel
 
 
+def _write_terms(out, terms, start: int, blk: int) -> None:
+    """Write sum_t G_t (x) F_t F_t^T into ``out``, the panel of ``_panel``
+    that starts at row and column ``start``, with blocks of ``blk`` rows.
+
+    The first term writes every block of the panel and each later one adds
+    G_t[a, b] h through one buffer of h's shape, where G_t[a, b] is not
+    zero. h and that buffer are freed on return, before the panel's B B^T.
+    """
+    stop = start + len(out)
+    first = start // blk
+    for t, (G, F) in enumerate(terms):
+        n_c = len(G)
+        # every block but the last reads all of h's columns, the last its cells c0:
+        c0 = max(start - (n_c - 1) * blk, 0)
+        for a in range(first, (stop - 1) // blk + 1):
+            # the rows of block a inside start:stop are its cells p0:p1
+            p0, p1 = max(start - a * blk, 0), min(stop - a * blk, blk)
+            h = F[p0:p1] @ F[c0:].T
+            tmp = np.empty_like(h) if t else None
+            rows = slice(a * blk + p0 - start, a * blk + p1 - start)
+            for b in range(first, n_c):
+                # the columns of block b from start on are its cells q0:
+                q0 = max(start - b * blk, 0)
+                col = b * blk - start
+                block = out[rows, col + q0 : col + blk]
+                if not t:
+                    np.multiply(h[:, q0 - c0 :], G[a, b], out=block)
+                elif G[a, b]:
+                    np.multiply(h[:, q0 - c0 :], G[a, b], out=tmp[:, q0 - c0 :])
+                    block += tmp[:, q0 - c0 :]
+
+
 def _panel_for(fit: FitResult, fd: ForecastDesign, var):
     """``_panel`` of Omega* for ``fit``: in its array frame where it keeps
-    one, else from the structure rebuilt over the region."""
-    if fit.frame is not None:
+    one and Sigma* = C (x) I over the region with the fit's C, else from the
+    structure rebuilt over the region. An array side whose cell side is the
+    identity does not depend on the cells, so only a structure with cell
+    sides is rebuilt to tell: over the cell partition, ``diagonal_scalar``
+    has one group with the fit's C (see ``GammaStructure.identity_cell_side``),
+    over another it need not have."""
+    future = None
+    if any(t.F is not None for t in fit.sigma.structure.terms):
+        future, omega = _future_structure(fit, fd)
+    if fit.frame is not None and (
+        future is None
+        or future.identity_cell_side
+        and np.array_equal(future.group_sides(omega)[0], fit.frame[0])
+    ):
         C, r0_inv = fit.frame
         s = fd.m_star.shape[1] - fd.n_arrays * r0_inv.shape[0]
         E = fd.m_star[: len(fd.cells), s : s + r0_inv.shape[0]] @ r0_inv
-        return _panel(C, E, fd.m_star @ fit.r_inv[:, :s], (), var)
-    future, omega = _future_structure(fit, fd)
-    C, loadings = future.loading_form(omega)
-    E = np.zeros((fd.m_star.shape[0] // len(C), 0))
-    return _panel(C, E, fd.m_star @ fit.r_inv, loadings, var)
+        return _panel(C, ((C, E),), fd.m_star @ fit.r_inv[:, :s], var)
+    if future is None:
+        future, omega = _future_structure(fit, fd)
+    C, terms = future.loading_form(omega)
+    return _panel(C, terms, fd.m_star @ fit.r_inv, var)
 
 
 def predict(

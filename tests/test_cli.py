@@ -417,7 +417,8 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("covariance", ["cellwise_two_level", "diagonal_scalar"])
     def test_failed_factor_exit_code(self, tmp_path, capsys, covariance):
-        # v2 = 0 leaves Sigma singular, in the array frame and in the dense one
+        # v2 = 0 leaves Sigma singular: under either structure the cell
+        # partition's one array side is sigma2 J
         cfg = write_config(
             tmp_path / "c.cfg",
             data=", ".join(bundled_paths()),

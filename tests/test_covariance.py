@@ -1,6 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import commonshock as cs
@@ -12,7 +14,12 @@ from commonshock.covariance import (
     GammaStructure,
     Term,
     _tril_inverse,
+    structure_for,
 )
+from commonshock.partitions import PARTITION_KINDS
+from conftest import toy_design
+from test_design_properties import layouts
+from test_gls_array_frame import dense_gls
 
 
 def random_example48(n_arrays, cells, seed):
@@ -232,9 +239,11 @@ class TestDerivatives:
 
     @pytest.mark.parametrize("structure,omega", STRUCTURES)
     def test_loading_form_rebuilds_sigma(self, structure, omega):
-        # Sigma = C kron I + sum_k omega_k L_k L_k^T, L_k = g_k kron F_k
+        # Sigma = C kron I + sum_k G_k kron F_k F_k^T, G_k = omega_k g_k g_k^T,
+        # and the dense frame's loading L_k = g_k kron F_k
         C, loadings = structure.loading_form(omega)
-        rebuilt = np.kron(C, np.eye(structure.cells)) + sum(w * L @ L.T for w, L in loadings)
+        rebuilt = np.kron(C, np.eye(structure.cells))
+        rebuilt += sum(np.kron(G, F @ F.T) for G, F in loadings)
         np.testing.assert_allclose(rebuilt, structure.sigma(omega), rtol=1e-12, atol=1e-14)
         with_f = [k for k, t in enumerate(structure.terms) if t.F is not None]
         assert len(loadings) == len(with_f)
@@ -283,6 +292,46 @@ class TestStructureChecks:
             GammaStructure(tuple(Term(name, True, g, F) for name, g, F in terms), 3)
 
 
+@pytest.mark.parametrize(
+    "F1, F2, in_frame",
+    [
+        # one nonzero per row, and F2 parallel to F1 on each subset
+        ([[1.0, 0.0], [2.0, 0.0], [0.0, 3.0]], [[0.5], [1.0], [0.0]], True),
+        # the same, with a sign: the subset vector is F1's own
+        ([[1.0, 0.0], [-2.0, 0.0], [0.0, 3.0]], [[-0.5], [1.0], [0.0]], True),
+        # a row with two nonzeros
+        ([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]], None, False),
+        # a column of F2 reaching two of F1's subsets
+        ([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], [[1.0], [1.0], [0.0]], False),
+        # the same cells, not parallel
+        ([[1.0], [1.0], [0.0]], [[1.0], [2.0], [0.0]], False),
+    ],
+    ids=["parallel", "signed", "two_in_a_row", "column_across_subsets", "not_parallel"],
+)
+def test_subset_frame_of_a_term_list(F1, F2, in_frame):
+    # where the cell sides commute, sum_j C_j kron Pi_j, with Pi_j from the
+    # frame's subset vectors and Pi_0 their complement, is Sigma
+    g = np.array([[1.0], [0.5]])
+    terms = [Term("a", True, g, np.array(F1))]
+    if F2 is not None:
+        terms.append(Term("b", True, np.eye(2), np.array(F2)))
+    structure = GammaStructure((*terms, Term("v2", False, np.eye(2))), 3)
+    frame = structure.subset_frame
+    assert (frame is not None) == in_frame
+    if frame is None:
+        return
+    omega = [0.3, 0.2, 0.7] if F2 is not None else [0.3, 0.7]
+    U = np.zeros((3, len(frame.starts)))
+    U[frame.members, frame.owner] = frame.weights
+    rebuilt = sum(
+        np.kron(C, np.eye(3) - U @ U.T if span is None else U[:, span] @ U[:, span].T)
+        for C, span in zip(structure.group_sides(omega), frame.spans)
+    )
+    np.testing.assert_allclose(rebuilt, structure.sigma(omega), rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(U.T @ U, np.eye(U.shape[1]), atol=1e-14)
+    assert frame.rank.sum() == 3
+
+
 class TestSigmaModel:
     def test_rejects_indefinite(self):
         structure = DiagonalScalar(np.ones((3, 1)))
@@ -304,23 +353,33 @@ class TestSigmaModel:
             (Example48(3, np.eye(2), np.eye(2)), [0.2, 0.1, 0.0, 0.3, 0.7, 0.5, 0.9]),
             (DiagonalScalar(np.kron(np.ones((2, 1)), np.eye(3))), [0.2, 0.7]),
             (DiagonalScalar(np.kron(np.ones((50, 1)), np.eye(3))), [0.2, 0.7]),
+            (DiagonalScalar(np.kron(np.ones((50, 1)), np.eye(3)), np.ones((150, 1))),
+             [0.2, 0.1, 0.7]),
         ],
-        ids=["example48_identity", "diagonal_scalar", "diagonal_scalar_above_two_leaves"],
+        ids=["example48_identity", "diagonal_scalar", "diagonal_scalar_above_two_leaves",
+             "diagonal_scalar_dense_above_two_leaves"],
     )
     def test_solve_and_logdet_match_dense_in_either_form(self, structure, omega):
-        # identity Example48 factors through its 3 x 3 array side, and
-        # DiagonalScalar through the dense Sigma, inverted in blocks once n
-        # exceeds the leaf size; chol(G kron I) = chol(G) kron I, so whitening
-        # is the dense lower factor's inverse in both frames
+        # identity Example48 factors through its 3 x 3 array side, where
+        # chol(G kron I) = chol(G) kron I, and a B whose one column crosses
+        # every subset of A sends DiagonalScalar to the dense Sigma, inverted
+        # in blocks once n exceeds the leaf size: whitening is the dense
+        # lower factor's inverse in both. DiagonalScalar(A) alone takes the
+        # subset frame with 1 x 1 array sides, sum_j C_j^-1/2 Pi_j: the
+        # symmetric root Sigma^-1/2
         model = cs.SigmaModel(structure, omega)
         sigma = model.sigma
         rng = np.random.default_rng(1)
-        factor = np.linalg.cholesky(sigma)
+        frame = structure.subset_frame
+        if frame is None or structure.identity_cell_side:
+            root = np.linalg.inv(np.linalg.cholesky(sigma))
+        else:
+            assert structure.n_arrays == 1 and len(frame.rank) == 2
+            lam, V = np.linalg.eigh(sigma)
+            root = (V / np.sqrt(lam)) @ V.T
         for rhs in (np.arange(model.n, dtype=float), rng.normal(size=(model.n, 3))):
             np.testing.assert_allclose(model.solve(rhs), np.linalg.solve(sigma, rhs), atol=1e-12)
-            np.testing.assert_allclose(
-                model.whiten(rhs), np.linalg.solve(factor, rhs), rtol=1e-12, atol=1e-12
-            )
+            np.testing.assert_allclose(model.whiten(rhs), root @ rhs, rtol=1e-12, atol=1e-12)
         assert model.logdet() == pytest.approx(np.linalg.slogdet(sigma)[1], rel=1e-12)
 
 
@@ -358,40 +417,87 @@ def identity_side_structure(n_arrays, cells, example48):
     return Example48(n_arrays, eye, eye) if example48 else CellwiseTwoLevel(n_arrays, cells)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(
-    n_arrays=st.integers(1, 4),
-    cells=st.integers(1, 6),
-    example48=st.booleans(),
-    data=st.data(),
-)
-def test_array_side_factor_matches_dense(n_arrays, cells, example48, data):
-    # identity cell sides factor through the N x N array side; every
-    # operation must agree with the dense Sigma
-    structure = identity_side_structure(n_arrays, cells, example48)
-    omega = [
+def draw_omega(data, structure):
+    return [
         data.draw(
             st.one_of(st.just(0.0), st.floats(1e-3, 2.0)) if zero_allowed else st.floats(0.05, 2.0)
         )
         for zero_allowed in structure.zero_allowed
     ]
-    C, c = structure.kron_form(omega)
-    assert C.shape == (n_arrays, n_arrays) and c == cells
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    n_arrays=st.integers(1, 4),
+    cells=st.integers(1, 6),
+    family=st.sampled_from(["cellwise_two_level", "example48", "diagonal_scalar"]),
+    data=st.data(),
+)
+def test_array_side_factor_matches_dense(n_arrays, cells, family, data):
+    # identity cell sides factor through the N x N array side, and
+    # diagonal_scalar as the CLI builds it (N arrays, any partition, with or
+    # without within shocks, on a random layout) through the N x N array
+    # sides of its subset frame; every operation must agree with the dense
+    # Sigma, and for diagonal_scalar with the one-array form of the same
+    # A and B and the dense GLS fit
+    if family == "diagonal_scalar":
+        layout = dataclasses.replace(data.draw(layouts()), n_arrays=n_arrays)
+        kind = data.draw(st.sampled_from(PARTITION_KINDS))
+        design = toy_design(layout, kind, include_within=data.draw(st.booleans()))
+        structure = structure_for("diagonal_scalar", n_arrays, layout.cells_per_array,
+                                  design.A, design.B)
+        dense = DiagonalScalar(design.A, design.B)
+        assert structure.n_arrays == n_arrays and structure.subset_frame is not None
+        omega = draw_omega(data, structure)
+        sigma = dense.sigma(omega)
+        np.testing.assert_allclose(structure.sigma(omega), sigma, rtol=1e-12, atol=1e-14)
+    else:
+        structure = identity_side_structure(n_arrays, cells, family == "example48")
+        dense = structure
+        omega = draw_omega(data, structure)
+        C = structure.group_sides(omega)[0]
+        assert structure.identity_cell_side and C.shape == (n_arrays, n_arrays)
+        sigma = structure.sigma(omega)
+    event(f"{len(structure.subset_frame.rank)} group(s)")
 
     model = cs.SigmaModel(structure, omega)
-    sigma = model.sigma
-    n = n_arrays * cells
-    assert model.n == n and sigma.shape == (n, n)
+    n = len(sigma)
+    assert model.n == n and model.sigma.shape == (n, n)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     x = rng.normal(size=n)
     X = rng.normal(size=(n, 3))
+    W = model.whiten(np.eye(n))
+    np.testing.assert_allclose(W @ sigma @ W.T, np.eye(n), rtol=1e-10, atol=1e-10)
+    np.testing.assert_allclose(model.whiten(X), W @ X, rtol=1e-10, atol=1e-10)
     w = model.whiten(x)
     np.testing.assert_allclose(w @ w, x @ np.linalg.solve(sigma, x), rtol=1e-10)
-    np.testing.assert_allclose(model.whiten(X).T @ model.whiten(X), X.T @ np.linalg.solve(sigma, X),
-                               rtol=1e-10, atol=1e-10)
     np.testing.assert_allclose(model.solve(x), np.linalg.solve(sigma, x), rtol=1e-10, atol=1e-10)
     np.testing.assert_allclose(model.solve(X), np.linalg.solve(sigma, X), rtol=1e-10, atol=1e-10)
     assert model.logdet() == pytest.approx(np.linalg.slogdet(sigma)[1], rel=1e-10, abs=1e-10)
+
+    # traces, information and quadratic forms against the dense D_k
+    SiD = [np.linalg.solve(sigma, cs.dsigma_domega(dense, k)) for k in range(dense.n_params)]
+    e = np.linalg.solve(sigma, x)
+    info = np.array([[np.sum(a * b.T) for b in SiD] for a in SiD])
+    np.testing.assert_allclose(model.term_traces(), [np.trace(a) for a in SiD], rtol=1e-10,
+                               atol=1e-10)
+    np.testing.assert_allclose(model.information(), info, rtol=1e-10,
+                               atol=1e-10 * np.abs(info).max())
+    forms = [e @ cs.dsigma_domega(dense, k) @ e for k in range(dense.n_params)]
+    np.testing.assert_allclose(model.term_forms(x), forms, rtol=1e-10,
+                               atol=1e-10 * max(np.abs(forms)))
+
+    if family == "diagonal_scalar":
+        y = rng.normal(size=n)
+        kappa, _, loglik, var, aliased = dense_gls(y, design.M, design.X.shape[1], dense, omega)
+        assume(not aliased)
+        fit = cs.gls_fit(y, design, model)
+        assert (fit.frame is not None) == structure.identity_cell_side
+        np.testing.assert_allclose(fit.kappa_hat, kappa, rtol=1e-10,
+                                   atol=1e-10 * np.abs(kappa).max(initial=1.0))
+        np.testing.assert_allclose(fit.var_kappa, var, rtol=1e-10,
+                                   atol=1e-10 * np.abs(var).max(initial=1.0))
+        assert fit.loglik == pytest.approx(loglik, rel=1e-10, abs=1e-10)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 
 import numpy as np
@@ -7,9 +9,13 @@ from hypothesis import strategies as st
 
 import commonshock as cs
 from commonshock.arrays import ArrayLayout
-from commonshock import covariance, estimation
-from commonshock.covariance import CellwiseTwoLevel, DiagonalScalar, Example48, GammaStructure, Term
+from commonshock import cli, covariance, estimation
+from commonshock.covariance import (
+    CellwiseTwoLevel, DiagonalScalar, Example48, GammaStructure, Term, structure_for,
+)
+from commonshock.datasets import bundled_paths
 from conftest import simulate_two_level, toy_design
+from test_gls_array_frame import dense_gls
 
 
 def small_fit_inputs(seed=0, size=5, sigma=0.12, v=0.1):
@@ -496,6 +502,34 @@ class TestArraySideFactor:
         assert fit.sigma.n == y.size
         assert np.all(np.isfinite(fit.omega_hat))
 
+    @pytest.mark.parametrize("partition", ["cell", "diagonal"])
+    def test_cli_diagonal_scalar_factors_only_array_sides(self, partition, tmp_path, monkeypatch):
+        # the CLI's diagonal_scalar has one group on the cell partition
+        # (Sigma = C (x) I) and, on the diagonal one, a group per diagonal
+        # length and the complement: its fit and forecast factor 2 x 2
+        # array sides only and build no dense Sigma
+        shapes = []
+        cholesky = np.linalg.cholesky
+
+        def recorded(a):
+            shapes.append(np.shape(a))
+            return cholesky(a)
+
+        def dense(self, omega):
+            raise AssertionError("the dense Sigma was built")
+
+        monkeypatch.setattr(np.linalg, "cholesky", recorded)
+        monkeypatch.setattr(GammaStructure, "sigma", dense)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"data = {', '.join(bundled_paths())}\nt_max = 15\n"
+            f"partition = {partition}\ncovariance = diagonal_scalar\n"
+        )
+        for command in ("fit", "forecast"):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 0
+        assert shapes and set(shapes) == {(2, 2)}
+
     def test_omega_fit_on_first_read(self, ref_fit):
         fit = ref_fit["fit"]
         M = fit.design.M
@@ -546,8 +580,9 @@ def dense_score_reference(y, M, structure, omega):
 def test_score_and_information_match_dense_reference(family, n_arrays, cells, dense_frame, data):
     # the loading traces against the dense D_k, in the array-side frame and
     # in the dense frame: identity cell sides reach it through an explicit
-    # F = I on their first term, and their other terms still take the
-    # identity-cell-side route (_times_array_side) there
+    # F = [I | 1] on their first term, two nonzeros in a row, and their
+    # other terms still take the identity-cell-side route
+    # (_times_array_side) there
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     n = n_arrays * cells
     eye = np.eye(cells)
@@ -564,7 +599,7 @@ def test_score_and_information_match_dense_reference(family, n_arrays, cells, de
     else:
         structure = raw_structure(rng, n_arrays, cells)
     if dense_frame and structure.identity_cell_side:
-        first = structure.terms[0]._replace(F=eye)
+        first = structure.terms[0]._replace(F=np.hstack([eye, np.ones((cells, 1))]))
         structure = GammaStructure((first, *structure.terms[1:]), cells)
     omega = [
         data.draw(
@@ -576,7 +611,7 @@ def test_score_and_information_match_dense_reference(family, n_arrays, cells, de
     y = rng.normal(size=n)
 
     model = cs.SigmaModel(structure, omega)
-    assert model._c == (cells if structure.identity_cell_side else 1)
+    assert len(model._groups[0].C) == (n if structure.subset_frame is None else n_arrays)
     fit = cs.gls_fit(y, M, model)
     score = cs.profile_score(y, M, structure, omega, fit=fit)
     traces, quads, info = dense_score_reference(y, M, structure, omega)
@@ -587,6 +622,64 @@ def test_score_and_information_match_dense_reference(family, n_arrays, cells, de
     np.testing.assert_allclose(model.information(), info, rtol=1e-10, atol=1e-10 * np.abs(info).max())
     idx = [k for k in range(structure.n_params) if data.draw(st.booleans())]
     np.testing.assert_array_equal(model.information(idx), model.information()[np.ix_(idx, idx)])
+
+
+@pytest.mark.parametrize("kind, partition", [
+    ("cellwise_two_level", "cell"), ("diagonal_scalar", "cell"), ("diagonal_scalar", "diagonal"),
+])
+def test_generic_solver_reports_the_score_of_its_fit(bundled, kind, partition):
+    # on an invariant design (the cell partition) the solver steps on the
+    # fixed location and returns gls_fit's fit at omega-hat, whose residual
+    # differs in the last bits; the score it reports is that fit's
+    coll = bundled.restrict_to_diagonals(15)
+    design = toy_design(coll.layout, kind=partition)
+    y = cs.stack_log(coll)
+    structure = structure_for(kind, 2, coll.layout.cells_per_array, design.A, design.B)
+    fit = cs.ml_dispersion_generic(y, design, structure, [0.01, 0.01])
+    assert fit.n_iter > 0
+    np.testing.assert_array_equal(
+        fit.score, cs.profile_score(y, design, structure, fit.omega_hat, fit=fit)
+    )
+
+
+@pytest.mark.parametrize("within", [False, True])
+def test_unequal_per_array_alpha_matches_the_dense_frame(bundled, within):
+    # alpha that differs between the arrays leaves A without equal row
+    # blocks, so DiagonalScalar keeps its one-array form: without within
+    # shocks its columns still make a subset frame (of 1 x 1 array sides),
+    # with them the dense frame. Either agrees with the dense Sigma
+    coll = bundled.restrict_to_diagonals(15)
+    lay = coll.layout
+    rng = np.random.default_rng(9)
+    shock = cs.ShockSpec(
+        partition=cs.build_partition("diagonal", lay),
+        include_within=within,
+        shared_across_mean=True,
+        alpha=rng.uniform(0.5, 1.5, (2, lay.n_rows, lay.n_cols)),
+    )
+    design = cs.assemble(lay, shock)
+    y = cs.stack_log(coll)
+    structure = structure_for("diagonal_scalar", 2, lay.cells_per_array, design.A, design.B)
+    assert structure.n_arrays == 1
+    assert (structure.subset_frame is None) == within
+    omega = [0.01, 0.004, 0.02] if within else [0.01, 0.02]
+    model = cs.SigmaModel(structure, omega)
+    sigma = structure.sigma(omega)
+    n = len(sigma)
+    W = model.whiten(np.eye(n))
+    np.testing.assert_allclose(W @ sigma @ W.T, np.eye(n), atol=1e-10)
+    assert model.logdet() == pytest.approx(np.linalg.slogdet(sigma)[1], rel=1e-10)
+    kappa, _, loglik, var, _ = dense_gls(y, design.M, design.X.shape[1], structure, omega)
+    fit = cs.gls_fit(y, design, model)
+    np.testing.assert_allclose(fit.kappa_hat, kappa, rtol=1e-10, atol=1e-10 * np.abs(kappa).max())
+    np.testing.assert_allclose(fit.var_kappa, var, rtol=1e-10, atol=1e-10 * np.abs(var).max())
+    assert fit.loglik == pytest.approx(loglik, rel=1e-10)
+    traces, quads, info = dense_score_reference(y, design.M, structure, omega)
+    np.testing.assert_allclose(
+        cs.profile_score(y, design, structure, omega, fit=fit), 0.5 * (quads - traces),
+        rtol=1e-10, atol=1e-10 * np.abs(traces).max(),
+    )
+    np.testing.assert_allclose(model.information(), info, rtol=1e-10)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

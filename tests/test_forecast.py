@@ -297,8 +297,8 @@ def future_structure(fit, fd):
 
 def assert_predictive_covariance_is_symmetric_and_psd(fit, fd):
     # over every row each product in the panel is a matrix times its own
-    # transpose (B B^T, E E^T and each L_k L_k^T), so Omega* needs no
-    # symmetrizing pass to come out exactly symmetric
+    # transpose (B B^T and each term's F_t F_t^T, E E^T among them), so
+    # Omega* needs no symmetrizing pass to come out exactly symmetric
     omega_star = cs.predict(fit, fd).omega_star
     assert np.array_equal(omega_star, omega_star.T)
 
@@ -589,6 +589,28 @@ def test_frame_forecast_holds_less_than_one_n_by_m_matrix():
         tracemalloc.stop()
     assert peak < n * m * 8
     assert res.reserve_cov.shape == (4, 4)
+
+
+def test_one_group_fit_forecasts_the_region_s_own_subsets():
+    # every observed diagonal holds one cell, so diagonal_scalar's fit has
+    # one group, Sigma = C (x) I, and keeps its frame; but two future cells,
+    # (3, 1) and (1, 3), share a diagonal, so Sigma* is not C (x) I and the
+    # forecast writes it from the structure rebuilt over the region
+    mask = np.zeros((3, 3), dtype=bool)
+    mask[[0, 0, 1, 1, 2], [0, 1, 1, 2, 2]] = True
+    lay = ArrayLayout(2, 3, 3, mask)
+    design = toy_design(lay, "diagonal")
+    structure = structure_for("diagonal_scalar", 2, lay.cells_per_array, design.A, design.B)
+    assert structure.identity_cell_side
+    rng = np.random.default_rng(4)
+    fit = cs.gls_fit(rng.normal(size=design.n_obs), design, cs.SigmaModel(structure, [0.02, 0.01]))
+    assert fit.frame is not None
+    fd = cs.build_forecast_design(design, [(2, 1), (3, 1), (3, 2), (1, 3)])
+    assert not future_structure(fit, fd).identity_cell_side
+    res = cs.predict(fit, fd)
+    want, reserve_cov = _dense_reserve_moments(fit, fd, 0.0)
+    assert np.max(np.abs(res.omega_star - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.max(np.abs(res.reserve_cov - reserve_cov)) <= 1e-12 * np.max(np.abs(reserve_cov))
 
 
 def test_diagonal_scalar_fit_keeps_no_frame(ref_fit):

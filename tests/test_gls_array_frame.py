@@ -4,7 +4,9 @@
 M = [Qx | I_N (x) Q0] T and whitens only Qx, which Sigma mixes; I_N (x) Q0
 passes through as L (x) I_r0, C = L L^T. These tests compare it with a
 dense GLS reference written here, on random layouts, partitions and omega,
-and bound what it factors and what it holds.
+and bound what it factors and what it holds, here and in a subset frame of
+several groups, where it factors the few rows ``SigmaModel.whitened_rows``
+gives.
 """
 
 import ast
@@ -85,7 +87,7 @@ def gls_against_dense(y, design, structure, omega):
         return named, [labels[j] for j in aliased]
     fit = cs.gls_fit(y, design, sigma)
     assert fit.frame is not None
-    np.testing.assert_array_equal(fit.frame[0], structure.kron_form(omega)[0])
+    np.testing.assert_array_equal(fit.frame[0], structure.group_sides(omega)[0])
     # the residual on the scale of y: a saturated fit leaves rounding only
     for got, want, scale in (
         (fit.kappa_hat, kappa, np.abs(kappa).max(initial=0.0)),
@@ -196,6 +198,42 @@ def test_gls_fit_forms_no_n_by_m_matrix(qr_shapes):
     assert peak < n * m * 8
     assert qr_shapes == array_frame_shapes(design) + [design.X.shape]
     assert fit.frame is not None
+    kappa, _, loglik, var, _ = dense_gls(y, design.M, design.X.shape[1], structure, omega)
+    np.testing.assert_allclose(fit.kappa_hat, kappa, rtol=1e-10, atol=1e-10 * np.abs(kappa).max())
+    np.testing.assert_allclose(fit.var_kappa, var, rtol=1e-10, atol=1e-10 * np.abs(var).max())
+    assert math.isclose(fit.loglik, loglik, rel_tol=1e-10)
+
+
+def test_subset_frame_fit_forms_no_n_by_m_matrix(qr_shapes):
+    # diagonal_scalar on the diagonal partition, N = 4 on a 30 x 30
+    # triangle: one subset per calendar diagonal, grouped by its length,
+    # and the complement. Beyond the design's factor the fit takes one QR of
+    # one array's cells and one of few rows, so it holds less than one n x m
+    # float64 matrix (2.6 MB against 3.5), where whitening the n x m Q takes
+    # 22 MB
+    lay = ArrayLayout.triangle(4, 30)
+    design = toy_design(lay, kind="diagonal")
+    structure = structure_for("diagonal_scalar", 4, lay.cells_per_array, design.A, design.B)
+    frame = structure.subset_frame
+    assert frame is not None and len(frame.rank) > 2
+    rng = np.random.default_rng(8)
+    omega = rng.uniform(0.01, 0.1, structure.n_params)
+    y = rng.normal(size=design.n_obs)
+    sigma = cs.SigmaModel(structure, omega)
+    n, m = design.M.shape
+    assert design.factor is not None
+    tracemalloc.start()
+    try:
+        fit = cs.gls_fit(y, design, sigma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * m * 8
+    factored = array_frame_shapes(design)
+    assert qr_shapes[: len(factored)] == factored
+    assert [rows for rows, _ in qr_shapes[len(factored) :]][0] == lay.cells_per_array
+    assert len(qr_shapes) == len(factored) + 2 and qr_shapes[-1][0] < n / 4
+    assert fit.frame is None
     kappa, _, loglik, var, _ = dense_gls(y, design.M, design.X.shape[1], structure, omega)
     np.testing.assert_allclose(fit.kappa_hat, kappa, rtol=1e-10, atol=1e-10 * np.abs(kappa).max())
     np.testing.assert_allclose(fit.var_kappa, var, rtol=1e-10, atol=1e-10 * np.abs(var).max())

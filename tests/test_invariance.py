@@ -291,7 +291,7 @@ def test_generic_solver_on_an_invariant_design_makes_one_qr(ref_fit, qr_shapes, 
     # one QR of M's factor, C0's (the reference design keeps no shock mean),
     # and none at the points visited; the fit at omega-hat whitens no
     # column in the array frame, and every column of Q, one n x m QR,
-    # under the dense Sigma of diagonal_scalar
+    # under the one-array DiagonalScalar(A), whose cells are not one array's
     design = unfactored(ref_fit["design"])
     cells = design.layout.cells_per_array
     if name == "cellwise_two_level":
@@ -326,6 +326,7 @@ def test_profile_score_without_a_fit_does_not_test_invariance(ref_fit, bundled, 
         raise AssertionError("profile_score used the solvers' invariance test")
 
     monkeypatch.setattr(estimation, "_fixed_location", untested)
+    monkeypatch.setattr(estimation, "_invariant", untested)
     y, design = ref_fit["y"], ref_fit["design"]
     structure = CellwiseTwoLevel(2, design.layout.cells_per_array)
     omega = ref_fit["fit"].omega_hat
@@ -356,7 +357,7 @@ def test_generic_solver_on_a_moving_design_fits_each_point(bundled, qr_shapes):
     qr_shapes.clear()
     fit = cs.ml_dispersion_generic(y, design, structure, [0.01, 0.01])
     # one QR of the whitened mixed columns, every column of Q under this
-    # dense Sigma, per point visited, and none of C0
+    # one-array Sigma, per point visited, and none of C0
     assert len(qr_shapes) >= fit.n_iter + 1
     assert qr_shapes == [design.M.shape] * len(qr_shapes)
     # the fit keeps no whitened n x m factor, only M itself
@@ -378,14 +379,14 @@ def test_closed_form_path_on_a_moving_design(bundled):
     structure = CellwiseTwoLevel(2, lay.cells_per_array)
     assert estimation._fixed_location(y, design, structure) is None
     tests = []
-    fixed_location = estimation._fixed_location
+    invariant = estimation._invariant
 
     def counted(*args):
         tests.append(1)
-        return fixed_location(*args)
+        return invariant(*args)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(estimation, "_fixed_location", counted)
+        patch.setattr(estimation, "_invariant", counted)
         fit = cs.ml_dispersion_cellwise(y, design)
     assert len(tests) == 1  # the generic solver does not test invariance again
     gen = cs.ml_dispersion_generic(y, design, structure, [0.01, 0.01])
@@ -394,7 +395,7 @@ def test_closed_form_path_on_a_moving_design(bundled):
 
 
 def test_one_qr_of_c0_per_design(bundled, qr_shapes):
-    # a GLS fit, both ML solvers, under the array-frame and a dense Sigma,
+    # a GLS fit, both ML solvers, under the array-frame and a one-array Sigma,
     # and a forecast share the design's one factor: one QR of C0, and one of
     # the projected shock means; every other QR is of whitened mixed columns
     coll = bundled.restrict_to_diagonals(15)
@@ -456,14 +457,14 @@ def bundled_case(kind, shared_mean, name):
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(cases())
-@example(bundled_case("diagonal", True, "diagonal_scalar"))  # moving, dense frame
+@example(bundled_case("diagonal", True, "diagonal_scalar"))  # moving, subset frame
 @example(bundled_case("cell", False, "example48"))  # moving, array frame
 def test_solvers_return_the_gls_fit_at_their_point(case):
     design, structure, rng = case
     y = rng.normal(size=design.n_obs)
     invariant = estimation._fixed_location(y, design, structure) is not None
     on_arrays = estimation._array_side_only(structure, design.C0)
-    event(f"{'invariant' if invariant else 'moving'}, {'array' if on_arrays else 'dense'} frame")
+    event(f"{'invariant' if invariant else 'moving'}, {'array' if on_arrays else 'other'} frame")
     # the noise components are held at their start: free, they often
     # collapse on these small designs, whose residuals have few degrees of
     # freedom
