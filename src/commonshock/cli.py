@@ -19,14 +19,15 @@ from pathlib import Path
 import numpy as np
 
 from .arrays import ArrayLayout, ClaimCollection, diagonal_of, future_cells, stack_log
-from .covariance import STRUCTURE_KINDS, SigmaModel, structure_for
+# SigmaModel, gls_fit and ml_dispersion_cellwise are unused here but stay
+# module attributes: perfbench/tracer.py wraps this module's names
+from .covariance import STRUCTURE_KINDS, SigmaModel, structure_for  # noqa: F401
 from .design import IDIO_VARIANTS, ShockSpec, assemble
 from .errors import CommonShockError, ConfigError, DataError, DesignError, NumericalError
-from .estimation import (
+from .estimation import (  # noqa: F401
     MAX_ITER,
     SCORE_TOL,
     chain_ladder_effect_table,
-    check_solver_settings,
     dependence_stats,
     gls_fit,
     ml_dispersion_cellwise,
@@ -333,9 +334,12 @@ def _build_model(cfg):
 
 
 def _fit_from_config(cfg):
-    """Shared fit pipeline for the fit and forecast commands.
+    """Shared fit pipeline for the fit and forecast commands: one call of
+    the ML entry, whether every variance component is given, some are, or
+    none.
 
-    Returns (fit, full_collection, fit_collection, t_max).
+    Returns (fit, free, full_collection, fit_collection, t_max), ``free``
+    marking the components estimated.
     """
     full, fit_coll, t_max, design = _build_model(cfg)
     layout = design.layout
@@ -355,7 +359,7 @@ def _fit_from_config(cfg):
                 f"{key} names no variance component of {kind}, whose components are "
                 f"{', '.join(names)}"
             )
-    values = []  # None for a component to estimate
+    values = []  # None for a component to estimate, and to start where the solver picks
     for name, base in zip(names, bases):
         raw = cfg.get(name, cfg.get(base, "estimate"))
         try:
@@ -363,23 +367,15 @@ def _fit_from_config(cfg):
         except ValueError:
             raise ConfigError(f"{name} must be 'estimate' or a number") from None
     free = [v is None for v in values]
-
-    # checked on every route, before one is chosen
-    tol = _get_float(cfg, "tol", SCORE_TOL)
-    max_iter = _get_int(cfg, "max_iter", MAX_ITER)
-    init = _get_list(cfg, "init_omega") if "init_omega" in cfg else [0.01] * len(values)
-    init = check_solver_settings(structure, init, tol, max_iter)
-
-    if not any(free):
-        fit = gls_fit(y, design, SigmaModel(structure, values))
-    elif structure.kind == "cellwise_two_level" and all(free):
-        fit = ml_dispersion_cellwise(y, design)
-    else:
-        init = [w if v is None else v for w, v in zip(init, values)]
-        fit = ml_dispersion_generic(
-            y, design, structure, init, tol=tol, max_iter=max_iter, free_mask=free
-        )
-    return fit, full, fit_coll, t_max
+    start = _get_list(cfg, "init_omega") if "init_omega" in cfg else values
+    if len(start) == len(values):  # else the solver names the size it needs
+        # a given component starts, and is held, at its value
+        start = [w if v is None else v for w, v in zip(start, values)]
+    fit = ml_dispersion_generic(
+        y, design, structure, start, tol=_get_float(cfg, "tol", SCORE_TOL),
+        max_iter=_get_int(cfg, "max_iter", MAX_ITER), free_mask=free,
+    )
+    return fit, free, full, fit_coll, t_max
 
 
 def _extended_residuals(fit, full: ClaimCollection):
@@ -424,7 +420,7 @@ def _write_report(out_prefix, text: str, payload: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_fit(cfg, out_prefix) -> dict:
-    fit, full, fit_coll, t_max = _fit_from_config(cfg)
+    fit, free, full, fit_coll, t_max = _fit_from_config(cfg)
     lay = fit.design.layout
 
     payload = {
@@ -465,11 +461,9 @@ def cmd_fit(cfg, out_prefix) -> dict:
 
     lines.append("")
     lines.append("Dispersion parameters")
-    estimated = fit.omega_hat is not None
-    omega = fit.omega_hat if estimated else fit.sigma.omega
-    disp = {name: float(w) for name, w in zip(fit.sigma.structure.omega_names, omega)}
+    disp = {name: float(w) for name, w in zip(fit.sigma.structure.omega_names, fit.omega_hat)}
     payload["dispersion"] = disp
-    for name, w in disp.items():
+    for (name, w), estimated in zip(disp.items(), free):
         note = f"sd {_sig4(float(np.sqrt(w)))}" if estimated else "fixed"
         lines.append(f"  {name:8} {_sig4(w)}   ({note})")
 
@@ -495,7 +489,7 @@ def cmd_fit(cfg, out_prefix) -> dict:
 
 
 def cmd_forecast(cfg, out_prefix, independence: bool = False) -> dict:
-    fit, full, fit_coll, t_max = _fit_from_config(cfg)
+    fit, _, full, fit_coll, t_max = _fit_from_config(cfg)
     lay = fit.design.layout
     region = future_cells(lay, t_max)
     fd = build_forecast_design(fit.design, region)

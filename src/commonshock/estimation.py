@@ -16,8 +16,9 @@ When span(M) is invariant under every term D_k = dSigma/domega_k, GLS equals
 ordinary least squares at every omega (Kruskal 1968): the location and its
 residual d are fitted once, and a trial point costs one factor of Sigma.
 For the cell-matched structure on N >= 2 arrays the dispersion is then in
-closed form (Szatrowski 1980): the ML variances are means over the array
-pairs of d's cross products and squared differences.
+closed form (Szatrowski 1980), means over the array pairs of d's cross
+products and squared differences, and ``ml_dispersion_generic``, the one
+ML entry, starts there when given no start.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ INVARIANCE_TOL = 1e-8
 # the generic solver stops once every free score is below this
 SCORE_TOL = 1e-9
 MAX_ITER = 200  # and raises after this many iterations
+# every component's start where none is given and there is no closed form
+START = 0.01
 
 
 @dataclass
@@ -52,9 +55,8 @@ class FitResult:
     the array side of Sigma = C (x) I over M's arrays, and B = T^-1 S^-1
     under any other Sigma; at Sigma = I, B = T^-1. ``var_kappa`` (B B^T) and
     ``omega_fit``, the covariance matrix of the fitted mean vector
-    (M Var[kappa] M^T), are formed on first read. ``omega_hat`` is the
-    vector of estimated variance components, None when the covariance was
-    supplied as known.
+    (M Var[kappa] M^T), are formed on first read. ``omega_hat`` is the ML
+    entry's omega, held components included, and None from ``gls_fit``.
 
     ``frame`` is (C, R0^-1), C the N x N array side of Sigma = C (x) I over
     M's own arrays and R0 the triangular factor of C0: B's idiosyncratic
@@ -262,15 +264,22 @@ def _invariant(factor: LeastSquaresFactor, structure: GammaStructure) -> bool:
     return True
 
 
-def _fixed_location(y, design, structure: GammaStructure):
-    """The fixed location of (design, structure), or None where span(M) is
-    not invariant (``_invariant``): the least-squares kappa and residual."""
-    y, M, labels, design_ref, factor = _design_parts(y, design)
-    if not _invariant(factor, structure):
-        return None
+def _least_squares(parts) -> _FixedLocation:
+    """The least-squares kappa and residual of ``_design_parts``' output:
+    the location of every omega on an invariant design."""
+    y, M, labels, design_ref, factor = parts
     kappa = factor.least_squares(y)
     y_hat = M @ kappa
     return _FixedLocation(M, labels, design_ref, kappa, y_hat, y - y_hat)
+
+
+def _cell_matched(structure: GammaStructure, c0: np.ndarray) -> bool:
+    """Whether Sigma(omega) = omega_1 (J_N (x) I) + omega_2 I over M's own
+    arrays (``_array_side_only``), read from the terms, not the ``kind``."""
+    if structure.n_params != 2 or not _array_side_only(structure, c0):
+        return False
+    shock, noise = (structure.group_sides(e)[0] for e in np.eye(2))
+    return np.array_equal(shock, np.ones_like(shock)) and np.array_equal(noise, np.eye(len(noise)))
 
 
 def _fit_at(y, design, sigma: SigmaModel, location: _FixedLocation = None) -> FitResult:
@@ -300,69 +309,80 @@ def profile_score(
     return -0.5 * fit.sigma.term_traces() + 0.5 * fit.sigma.term_forms(fit.residual)
 
 
-def check_solver_settings(structure: GammaStructure, init_omega, tol, max_iter) -> np.ndarray:
-    """``init_omega`` as a new float vector, once the solver settings pass.
+def ml_dispersion_generic(
+    y,
+    design: ModelDesign,
+    structure: GammaStructure,
+    init_omega=None,
+    tol: float = SCORE_TOL,
+    max_iter: int = MAX_ITER,
+    free_mask=None,
+) -> FitResult:
+    """Maximum likelihood for the variance components: the one ML entry.
 
-    ConfigError rejects a ``tol`` that is not a finite positive number, a
-    ``max_iter`` that is not a non-negative integer, and an ``init_omega``
-    without one value per component of ``structure``.
+    Projected Fisher scoring: each iteration solves I step = score in the
+    least-squares sense, I_kl = tr(Sigma^-1 D_k Sigma^-1 D_l)/2, over the
+    free components not held on their lower bound (0 where Sigma stays
+    positive definite there, else 1e-14 var(y)) by an outward score. The
+    trial point is projected onto the bounds and the step halved until the
+    profile log-likelihood does not drop by more than its rounding. It
+    stops once every free score is below ``tol`` in absolute value, or
+    points outward at zero. ``free_mask`` holds components at their
+    ``init_omega`` values; with none free the fit is ``gls_fit`` there,
+    with its score. ConfigError rejects a ``tol`` that is not finite and
+    positive, a ``max_iter`` that is not a non-negative integer, an
+    ``init_omega`` without one value per component, and a start at or
+    below zero on a free component that must stay positive.
+
+    A given start is always scored from; None, or a None entry, starts at
+    ``START``. With no start and every component free, the cell-matched
+    model over M's own arrays (``_cell_matched``: ``cellwise_two_level``,
+    ``diagonal_scalar`` on the cell partition) starts at the closed form of
+    the least-squares residual, the ML point on an invariant design
+    (Szatrowski 1980), returned as its ``gls_fit`` with n_iter = 1 and no
+    score. On an invariant design the location is fitted once and a point
+    costs one factor of Sigma; otherwise each point is a GLS fit. The fit
+    returned is ``gls_fit`` at the last point.
     """
     if not (np.isfinite(tol) and tol > 0):
         raise ConfigError(f"tol must be a positive number, got {tol!r}")
     if not (isinstance(max_iter, (int, np.integer)) and max_iter >= 0):
         raise ConfigError(f"max_iter must be a non-negative integer, got {max_iter!r}")
-    omega = np.array(init_omega, dtype=float).ravel()
+    start = np.ravel([None] * structure.n_params if init_omega is None else init_omega)
+    unset = np.array([w is None for w in start], dtype=bool)
+    omega = np.where(unset, START, start).astype(float)
     if omega.size != structure.n_params:
         raise ConfigError(
             f"init_omega needs {structure.n_params} values for {structure.omega_names}"
         )
-    return omega
-
-
-def ml_dispersion_generic(
-    y,
-    design: ModelDesign,
-    structure: GammaStructure,
-    init_omega,
-    tol: float = SCORE_TOL,
-    max_iter: int = MAX_ITER,
-    free_mask=None,
-) -> FitResult:
-    """Maximum likelihood for the variance components by projected Fisher scoring.
-
-    Each iteration solves I step = score in the least-squares sense, with the
-    expected information I_kl = tr(Sigma^-1 D_k Sigma^-1 D_l)/2, over the free
-    components that are not held; a component is held when it sits on its
-    lower bound (0 where the structure stays positive definite there, else
-    1e-14 var(y)) and its score points outward. The trial point is projected
-    onto the bounds and the step halved until the profile log-likelihood does
-    not drop by more than its rounding. Iteration stops once every free
-    component has a score below ``tol`` in absolute value, or sits at zero
-    with a negative score. ``free_mask`` fixes selected components at their
-    initial values. ConfigError rejects the settings
-    ``check_solver_settings`` rejects, and a start at or below zero on a
-    component that must stay positive.
-
-    When span(M) is invariant under every D_k the location is fitted once
-    and a trial point costs one factor of Sigma, with no QR; otherwise each
-    trial point is a GLS fit. Either way the fit returned is ``gls_fit`` at
-    the last point, from the design's least-squares factor.
-    """
-    omega = check_solver_settings(structure, init_omega, tol, max_iter)
-    if np.any(omega[~np.asarray(structure.zero_allowed, dtype=bool)] <= 0):
+    free = np.ones(omega.size, dtype=bool) if free_mask is None else np.asarray(free_mask, bool)
+    positive = free & ~np.asarray(structure.zero_allowed, dtype=bool)
+    if np.any(omega[positive] <= 0):
         raise ConfigError(
             "initial values must be strictly positive for "
-            f"{[n for n, z in zip(structure.omega_names, structure.zero_allowed) if not z]}"
+            f"{[n for n, p in zip(structure.omega_names, positive) if p]}"
         )
-    location = _fixed_location(y, design, structure)
-    return _scoring(y, design, structure, omega, location, tol, max_iter, free_mask)
+    if not free.any():  # one GLS fit and its score
+        return _scoring(y, design, structure, omega, None, tol, max_iter, free)
+    parts = _design_parts(y, design)
+    invariant = _invariant(parts[-1], structure)
+    closed = unset.all() and free.all() and _cell_matched(structure, parts[-1].q0)
+    location = _least_squares(parts) if invariant or closed else None
+    if closed:
+        d = location.residual.reshape(structure.n_arrays, -1)
+        omega = np.array(ml_dispersion_cellwise_closed_form(*d)[:2])
+        if invariant:
+            fit = gls_fit(y, design, SigmaModel(structure, omega))
+            fit.omega_hat, fit.n_iter = omega, 1
+            return fit
+        location = None  # least squares is not the location of another point
+    return _scoring(y, design, structure, omega, location, tol, max_iter, free)
 
 
-def _scoring(y, design, structure, omega, location, tol, max_iter, free_mask) -> FitResult:
+def _scoring(y, design, structure, omega, location, tol, max_iter, free) -> FitResult:
     """The projected Fisher scoring of ml_dispersion_generic from ``omega``,
     on the fixed ``location`` where there is one."""
     y = np.asarray(y, dtype=float).ravel()
-    free = np.ones(omega.size, dtype=bool) if free_mask is None else np.asarray(free_mask, bool)
     zero_allowed = np.asarray(structure.zero_allowed, dtype=bool)
     lower = np.where(zero_allowed, 0.0, 1e-14 * max(float(np.var(y)), 1e-12))
 
@@ -461,30 +481,14 @@ def ml_dispersion_cellwise_closed_form(*residuals):
 
 
 def ml_dispersion_cellwise(y, design: ModelDesign) -> FitResult:
-    """Closed-form dispersion path for N >= 2 arrays with cell-matched shocks.
-
-    The least-squares fit (the GLS fit at the identity start omega = (0, 1))
-    gives the residual d, and the closed form on d's N arrays is the exact
-    ML point, the no-shock boundary included: when span(M) is invariant
-    under both terms of Sigma, as it is for designs whose shock
-    coefficients are uniform across arrays, d is the GLS residual at every
-    omega, and the fit returned is ``gls_fit`` at that point. A design
-    without that invariance, reachable through non-uniform alpha or beta
-    tables, goes to the scoring of ``ml_dispersion_generic``, with no second
-    invariance test, started at the closed-form point. One array raises
+    """ML dispersion for N >= 2 arrays with cell-matched shocks: the one ML
+    entry under ``CellwiseTwoLevel`` with no start, so the closed form of
+    the least-squares residual, scored from only where span(M) is not
+    invariant (non-uniform alpha or beta tables). One array raises
     ConfigError (see the closed form).
     """
     lay = design.layout
-    structure = CellwiseTwoLevel(lay.n_arrays, lay.cells_per_array)
-    ols = gls_fit(y, design, SigmaModel(structure, [0.0, 1.0]))
-    d = ols.residual.reshape(lay.n_arrays, -1)
-    omega = np.array(ml_dispersion_cellwise_closed_form(*d)[:2])
-    if not _invariant(design.factor, structure):
-        return _scoring(y, design, structure, omega, None, SCORE_TOL, MAX_ITER, None)
-    fit = gls_fit(y, design, SigmaModel(structure, omega))
-    fit.omega_hat = omega
-    fit.n_iter = 1
-    return fit
+    return ml_dispersion_generic(y, design, CellwiseTwoLevel(lay.n_arrays, lay.cells_per_array))
 
 
 def chain_ladder_effect_table(fit: FitResult) -> dict:

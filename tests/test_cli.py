@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import commonshock as cs
-from commonshock import cli
+from commonshock import cli, estimation
 from commonshock.cli import main, parse_config, read_claims_csv, write_claims_csv
 from commonshock.errors import ConfigError, DataError
 from commonshock.datasets import bundled_paths
@@ -135,8 +135,9 @@ class TestFitCommand:
         return write_config(tmp_path / "fit.cfg", data=str(data))
 
     def test_three_arrays_take_the_closed_form(self, tmp_path, monkeypatch):
-        # the cell-matched closed form serves any number of arrays and gives
-        # the point the generic solver reaches on the same model
+        # the cell-matched closed form serves any number of arrays: the fit
+        # is the closed form, with no score, and it is the point scoring
+        # reaches from an explicit start on the same model
         cfg = self.simulated_config(tmp_path, 3)
         coll = read_claims_csv([tmp_path / "sim.csv"])
         shock = cs.ShockSpec(
@@ -146,21 +147,47 @@ class TestFitCommand:
         structure = cs.CellwiseTwoLevel(3, coll.layout.cells_per_array)
         gen = cs.ml_dispersion_generic(cs.stack_log(coll), design, structure, [0.01, 0.01])
 
-        def unused(*_, **__):
-            raise AssertionError("the fit went through the generic solver")
+        calls = []
+        closed_form = estimation.ml_dispersion_cellwise_closed_form
 
-        monkeypatch.setattr(cli, "ml_dispersion_generic", unused)
+        def counted(*residuals):
+            calls.append("closed form")
+            return closed_form(*residuals)
+
+        def unused(*_, **__):
+            raise AssertionError("the fit evaluated a score")
+
+        monkeypatch.setattr(estimation, "ml_dispersion_cellwise_closed_form", counted)
+        monkeypatch.setattr(estimation, "profile_score", unused)
         assert main(["fit", "--config", cfg, "--out", str(tmp_path / "fit")]) == 0
+        assert calls == ["closed form"]
         disp = json.loads((tmp_path / "fit.json").read_text())["dispersion"]
         np.testing.assert_allclose([disp["sigma2"], disp["v2"]], gen.omega_hat, rtol=1e-10)
 
-    def test_one_array_is_a_config_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("covariance", ["cellwise_two_level", "diagonal_scalar"])
+    def test_one_array_is_a_config_error(self, tmp_path, capsys, covariance):
         # with one array sigma2 and v2 have the same derivative: only their
-        # sum is identified, so no split of it is reported
+        # sum is identified, so no split of it is reported, whichever
+        # structure names the cell-matched model
         cfg = self.simulated_config(tmp_path, 1)
+        with open(cfg, "a") as fh:
+            fh.write(f"covariance = {covariance}\n")
         assert main(["fit", "--config", cfg, "--out", str(tmp_path / "fit")]) == 2
         err = capsys.readouterr().err
         assert "sigma2" in err and "v2" in err
+
+    def test_given_components_are_reported_as_fixed(self, tmp_path):
+        # a given component is held, not estimated: its report line says
+        # so, and the JSON payload carries its value as before
+        cfg = write_config(
+            tmp_path / "part.cfg", data=", ".join(bundled_paths()), t_max=15, sigma2=0.008
+        )
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "part")]) == 0
+        lines = (tmp_path / "part.txt").read_text().splitlines()
+        assert "  sigma2   0.008   (fixed)" in lines
+        assert any(line.startswith("  v2 ") and "(sd " in line for line in lines)
+        disp = json.loads((tmp_path / "part.json").read_text())["dispersion"]
+        assert disp["sigma2"] == 0.008 and disp["v2"] > 0.0
 
     def test_reports_are_deterministic(self, bundled_config, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -471,8 +498,8 @@ class TestErrorPaths:
             ("init_size", {"init_omega": "0.01"}, "init_omega needs 2 values"),
         ]
         for route in SOLVER_ROUTES
-        # only the generic solver starts from init_omega's values
-        if name != "init_zero" or route == "generic"
+        # a given component starts at its value, not at init_omega's
+        if name != "init_zero" or route != "given"
     ])
     def test_solver_settings_are_config_errors(self, tmp_path, capsys, route, keys, message):
         # unchecked, the tol cases and the zero start exited 4, and a negative

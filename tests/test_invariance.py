@@ -97,12 +97,13 @@ def solver_calls(y, design, structure, rng):
 def test_fixed_location_is_the_gls_fit(case):
     design, structure, rng = case
     y = rng.normal(size=design.n_obs)
-    location = estimation._fixed_location(y, design, structure)
+    invariant = estimation._invariant(design.factor, structure)
     gls, points, steps = solver_calls(y, design, structure, rng)
-    event("invariant" if location is not None else "moving")
-    if location is None:
+    event("invariant" if invariant else "moving")
+    if not invariant:
         assert gls == points  # a GLS fit per point
         return
+    location = estimation._least_squares(estimation._design_parts(y, design))
     assert gls == (0 if steps is None else 1)  # the fit returned is gls_fit's
     q0, qx = design.factor.q0, design.factor.qx
     Q, t_inv = array_frame(qx, q0, design.layout.n_arrays), design.factor.t_inv
@@ -207,7 +208,7 @@ def test_bundled_configurations(bundled):
     ):
         design = toy_design(lay, kind=kind, shared_mean=shared, include_within=within)
         structure = structure_for(name, 2, lay.cells_per_array, design.A, design.B)
-        if estimation._fixed_location(y, design, structure) is None:
+        if not estimation._invariant(design.factor, structure):
             moving.add((kind, within, shared, name))
     assert moving == {
         ("diagonal", False, True, "diagonal_scalar"),
@@ -229,7 +230,8 @@ def test_fixed_location_forms_no_n_by_m_matrix():
     n, m = design.M.shape
     tracemalloc.start()
     try:
-        assert estimation._fixed_location(y, design, structure) is not None
+        assert estimation._invariant(design.factor, structure)
+        estimation._least_squares(estimation._design_parts(y, design))
         fit = cs.gls_fit(y, design, sigma)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -325,7 +327,6 @@ def test_profile_score_without_a_fit_does_not_test_invariance(ref_fit, bundled, 
     def untested(*_):
         raise AssertionError("profile_score used the solvers' invariance test")
 
-    monkeypatch.setattr(estimation, "_fixed_location", untested)
     monkeypatch.setattr(estimation, "_invariant", untested)
     y, design = ref_fit["y"], ref_fit["design"]
     structure = CellwiseTwoLevel(2, design.layout.cells_per_array)
@@ -377,7 +378,7 @@ def test_closed_form_path_on_a_moving_design(bundled):
     design = cs.assemble(lay, shock, "chain_ladder")
     y = cs.stack_log(coll)
     structure = CellwiseTwoLevel(2, lay.cells_per_array)
-    assert estimation._fixed_location(y, design, structure) is None
+    assert not estimation._invariant(design.factor, structure)
     tests = []
     invariant = estimation._invariant
 
@@ -423,7 +424,7 @@ def test_generic_solver_on_a_moving_design_whitens_qx_per_point(bundled, qr_shap
     design = toy_design(coll.layout, kind="cell", shared_mean=False)
     structure = structure_for("example48", 2, design.layout.cells_per_array, None, None)
     y = cs.stack_log(coll)
-    assert estimation._fixed_location(y, design, structure) is None
+    assert not estimation._invariant(design.factor, structure)
     qr_shapes.clear()
     fit = cs.ml_dispersion_generic(y, design, structure, [0.01] * structure.n_params)
     assert len(qr_shapes) >= fit.n_iter + 1
@@ -462,7 +463,7 @@ def bundled_case(kind, shared_mean, name):
 def test_solvers_return_the_gls_fit_at_their_point(case):
     design, structure, rng = case
     y = rng.normal(size=design.n_obs)
-    invariant = estimation._fixed_location(y, design, structure) is not None
+    invariant = estimation._invariant(design.factor, structure)
     on_arrays = estimation._array_side_only(structure, design.C0)
     event(f"{'invariant' if invariant else 'moving'}, {'array' if on_arrays else 'other'} frame")
     # the noise components are held at their start: free, they often
