@@ -379,18 +379,23 @@ def _fit_from_config(cfg):
 
 
 def _extended_residuals(fit, full: ClaimCollection):
-    """Residuals over every data cell, one row per array, in the full
-    layout's stacking order: the fit's own on the fitted cells, and the data
-    less their fitted means beyond the fit region, whose design rows alone
-    are built."""
+    """(d, True): residuals over every data cell, one row per array, in the
+    full layout's stacking order, the fit's own on the fitted cells and the
+    data less their fitted means beyond the fit region, whose design rows
+    alone are built; or (the fit's own residuals, False) where a later
+    cell's mean is not estimable."""
     cells = full.layout.stacking_order
     fitted = fit.design.layout.mask[tuple(np.array(cells).T - 1)]
     d = stack_log(full).reshape(full.layout.n_arrays, -1)
     d[:, fitted] = fit.residual.reshape(full.layout.n_arrays, -1)
     later = [cell for cell, f in zip(cells, fitted) if not f]
     if later:
-        d[:, ~fitted] -= (fit.design.rows_for_cells(later) @ fit.kappa_hat).reshape(len(d), -1)
-    return d
+        try:
+            rows = fit.design.rows_for_cells(later)
+        except DesignError:
+            return d[:, fitted], False
+        d[:, ~fitted] -= (rows @ fit.kappa_hat).reshape(len(d), -1)
+    return d, True
 
 
 # ---------------------------------------------------------------------------
@@ -468,15 +473,17 @@ def cmd_fit(cfg, out_prefix) -> dict:
         lines.append(f"  {name:8} {_sig4(w)}   ({note})")
 
     if lay.n_arrays == 2:
-        d1, d2 = _extended_residuals(fit, full)
+        (d1, d2), every_cell = _extended_residuals(fit, full)
         corr, agree = dependence_stats(d1, d2)
         payload["dependence"] = {
             "correlation": corr,
             "sign_agreement": agree,
             "cells": int(d1.size),
         }
+        if not every_cell:
+            payload["dependence"]["over"] = "fitted cells: the later cells' means are not estimable"
         lines.append("")
-        lines.append("Residual dependence (all data cells)")
+        lines.append(f"Residual dependence ({payload['dependence'].get('over', 'all data cells')})")
         lines.append(f"  corr(d1, d2) = {corr:.4g}")
         lines.append(f"  sign agreement = {agree} / {d1.size}")
 

@@ -46,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .kron import kron
+from .kron import array_frame, kron
 
 # the structures ``structure_for`` builds by name
 STRUCTURE_KINDS = ("cellwise_two_level", "diagonal_scalar", "example48")
@@ -514,8 +514,6 @@ class SigmaModel:
     one product with L^-1; a structure without a subset frame is one group
     of the dense Sigma (C = Sigma, one cell). Each L_j^-1 is formed once,
     on first use, and the dense Sigma only when ``sigma`` is read.
-    ``identity`` records whether Sigma is the identity, in which case
-    whitening returns its input.
 
     ``term_traces``, ``information`` and ``term_forms`` are sums over the
     groups, weighted by the ranks and the terms' eigenvalues lam_kj, of
@@ -541,11 +539,6 @@ class SigmaModel:
                     f"covariance is not positive definite at omega = {self.omega.tolist()}"
                 ) from exc
             self._groups.append(_Group(C, L, int(rank), lam, span))
-        # Sigma = I: every C a unit diagonal with nothing off it
-        self.identity = all(
-            np.all(np.diagonal(g.C) == 1.0) and np.count_nonzero(g.C) == len(g.C)
-            for g in self._groups
-        )
         self._inverses = [None] * len(self._groups)
         self._whitened_terms = {}
 
@@ -606,9 +599,7 @@ class SigmaModel:
         return sum(g.rank * 2.0 * float(np.sum(np.log(np.diagonal(g.L)))) for g in self._groups)
 
     def whiten(self, x: np.ndarray) -> np.ndarray:
-        """Multiply by sum_j L_j^-1 kron Pi_j; at Sigma = I, x itself."""
-        if self.identity:
-            return np.asarray(x, dtype=float)
+        """Multiply by sum_j L_j^-1 kron Pi_j."""
         return self._by_array(self._inverse_times, x)
 
     def _factor_inverse(self, j: int) -> np.ndarray:
@@ -635,20 +626,27 @@ class SigmaModel:
         return self._whitened_terms[k, j]
 
     def whitened_rows(self, X: np.ndarray, q0: np.ndarray) -> np.ndarray:
-        """B with B^T B = [X | I_N kron q0]^T Sigma^-1 [X | I_N kron q0], in few rows.
+        """B with B^T B = [X | I_N kron q0]^T Sigma^-1 [X | I_N kron q0].
 
-        For a structure in the subset frame, ``q0`` one array's columns
-        (cells x r0) and X of n rows: the rows of sum_j L_j^-1 kron Pi_j
-        applied to those columns, written in an orthonormal basis of their
-        span. Group j's rows are L_j^-1 times the coordinates on its
-        subsets, N x subsets. The complement's rows come from one QR,
+        X is n x t and ``q0`` one array's block (cells x r0). This alone
+        decides B's rows. In a subset frame of several groups over q0's
+        arrays they are few: the rows of sum_j L_j^-1 kron Pi_j applied to
+        those columns, in an orthonormal basis of their span. Group j's
+        rows are L_j^-1 times the coordinates on its subsets, N x subsets.
+        The complement's rows come from one QR,
         Pi_0 [q0 | X_1 ... X_N] = Q_K R_K over one array's cells: every
         column's part in array b lies in span(Q_K), so its rows are
         L_0^-1 times the columns of R_K, N x rank. The rows come array by
         array, and no n-row matrix is formed beyond X's own coordinates.
+        Otherwise B is the n whitened rows of [X | I_N kron q0]: against
+        the dense Sigma, in a frame whose arrays are not q0's, and with one
+        group, where compressing would cost about cells (N t)^2 and loses at
+        large t.
         """
         frame = self.structure.subset_frame
         N, cells = self.structure.n_arrays, self.structure.cells
+        if frame is None or len(self._groups) == 1 or cells != len(q0):
+            return self.whiten(array_frame(X, q0, len(X) // len(q0)))
         t, r0 = X.shape[1], q0.shape[1]
         Xa = np.asarray(X, dtype=float).reshape(N, cells, t)
         Yx = frame.coordinates(Xa)

@@ -25,6 +25,7 @@ import numpy as np
 from .arrays import ArrayLayout
 from .covariance import _tril_inverse
 from .errors import ConfigError, DesignError
+from .kron import array_frame
 from .partitions import Partition, build_partition
 
 IDIO_VARIANTS = ("chain_ladder", "hoerl")
@@ -173,20 +174,6 @@ class _CellRows:
         X = np.hstack(mean_blocks) if mean_blocks else np.zeros((N * self.i.size, 0))
         labels.extend((lbl[0], n) + lbl[1:] for n in range(1, N + 1) for lbl in block_labels)
         return X, C0, labels
-
-
-def array_frame(X: np.ndarray, C0: np.ndarray, n_blocks: int) -> np.ndarray:
-    """The dense [X | I_N (x) C0] with N = ``n_blocks``.
-
-    Array n's rows hold C0 in the array's own column block, filled block by
-    block rather than by a Kronecker product.
-    """
-    (k, q), s, N = C0.shape, X.shape[1], n_blocks
-    out = np.zeros((N * k, s + N * q))
-    out[:, :s] = X
-    for n in range(N):
-        out[n * k : (n + 1) * k, s + n * q : s + (n + 1) * q] = C0
-    return out
 
 
 def build_A(partition: Partition, layout: ArrayLayout, alpha=None) -> np.ndarray:

@@ -4,10 +4,10 @@ With the covariance known, the location estimate is the usual GLS solution.
 M is factored once per design, by least squares in its array frame
 (``ModelDesign.factor``: one QR of one array's idiosyncratic block, one of
 the projected shock-mean columns), and that factor alone judges aliasing.
-A GLS fit then whitens only the factor's columns that Sigma mixes, with
-one QR (``gls_fit``), of their few rows in a subset frame of several
-groups; neither Sigma^-1 nor (M^T Sigma^-1 M)^-1 is formed, only the
-inverses of triangular factors. With the covariance unknown up to
+A GLS fit then takes one QR of the factor's columns that Sigma mixes, with
+y, in the rows the covariance writes for them (``gls_fit``); neither
+Sigma^-1 nor (M^T Sigma^-1 M)^-1 is formed, only the inverses of
+triangular factors. With the covariance unknown up to
 variance components omega, the profile score (the derivative of the
 log-likelihood in omega after concentrating out the location parameters)
 is driven to zero by projected Fisher scoring on the profile likelihood.
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .covariance import CellwiseTwoLevel, GammaStructure, SigmaModel, _tril_inverse
-from .design import LeastSquaresFactor, ModelDesign, _by_block, _kron_into, array_frame
+from .design import LeastSquaresFactor, ModelDesign, _by_block, _kron_into
 from .errors import ConfigError, DesignError, NumericalError
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -53,7 +53,7 @@ class FitResult:
     factor and Sigma^-1/2 Q_m = U S the one QR of the factor's columns that
     Sigma mixes (see ``gls_fit``), B = T^-1 (S^-1 (+) L (x) I_r0), C = L L^T
     the array side of Sigma = C (x) I over M's arrays, and B = T^-1 S^-1
-    under any other Sigma; at Sigma = I, B = T^-1. ``var_kappa`` (B B^T) and
+    under any other Sigma, Sigma = I alike. ``var_kappa`` (B B^T) and
     ``omega_fit``, the covariance matrix of the fitted mean vector
     (M Var[kappa] M^T), are formed on first read. ``omega_hat`` is the ML
     entry's omega, held components included, and None from ``gls_fit``.
@@ -126,22 +126,23 @@ def gls_fit(y: np.ndarray, design: ModelDesign, sigma: SigmaModel) -> FitResult:
 
     kappa = (M^T Sigma^-1 M)^-1 M^T Sigma^-1 y with variance
     (M^T Sigma^-1 M)^-1 = B B^T, from the design's least-squares factor
-    M = Q T, Q = [Qx | I_N (x) Q0]. Only the columns Q_m of Q that Sigma
+    M = Q T, Q = [Qx | I_N (x) Q0]. Only the k columns Q_m of Q that Sigma
     mixes are whitened: Qx where Sigma = C (x) I over M's own arrays
     (``_array_side_only``), since Sigma^-1 (I_N (x) Q0) =
     (I_N (x) Q0)(C^-1 (x) I_r0) and (I_N (x) Q0)^T Qx = 0; every column of
-    Q under any other Sigma; none at Sigma = I. With one QR,
-    Sigma^-1/2 Q_m = U S,
+    Q under any other Sigma. Where k > 0, one R-only QR of the rows
+    ``SigmaModel.whitened_rows`` writes for Sigma^-1/2 [Q_m | y] (it picks
+    few rows in a subset frame of several groups over M's arrays, so no
+    n x m matrix is formed), y last, gives R = [[S, z], [0, *]] with
+    Sigma^-1/2 Q_m = U S and z = U^T Sigma^-1/2 y (Golub and Van Loan,
+    Matrix Computations, 5.3), so
 
-        kappa = kappa_LS + T^-1[:, :k] (S^-1 U^T Sigma^-1/2 y - Q_m^T y),
+        kappa = kappa_LS + T^-1[:, :k] (S^-1 z - Q_m^T y),
 
-    k the number of columns of Q_m, and r_inv = T^-1 (S^-1 (+) L (x) I_r0),
-    C = L L^T, or T^-1 S^-1 when Q_m is all of Q. Every fit on M's arrays
-    keeps ``frame`` = (C, R0^-1). In a subset frame of several groups over
-    M's own arrays, S and z = U^T Sigma^-1/2 y come from one QR of the few
-    rows ``SigmaModel.whitened_rows`` gives [Q | y], with the same Gram
-    matrix as the whitened n rows, so no n x m matrix is formed. Aliasing
-    is judged on M alone, by its factor, so it does not depend on Sigma.
+    and r_inv = T^-1 (S^-1 (+) L (x) I_r0), C = L L^T, or T^-1 S^-1 when
+    Q_m is all of Q; with k = 0 there is no QR. Every fit on M's arrays
+    keeps ``frame`` = (C, R0^-1). Aliasing is judged on M alone, by its
+    factor, so it does not depend on Sigma.
     """
     y, M, labels, design_ref, factor = _design_parts(y, design)
     if sigma.n != y.size:
@@ -151,32 +152,22 @@ def gls_fit(y: np.ndarray, design: ModelDesign, sigma: SigmaModel) -> FitResult:
     q0, qx = factor.q0, factor.qx
     n_blocks = y.size // len(q0)
     on_arrays = _array_side_only(sigma.structure, q0)
-    # several subset groups over M's own arrays
-    grouped = not on_arrays and sigma.structure.subset_frame is not None and (
-        sigma.structure.cells == len(q0)
-    )
     s, r0 = qx.shape[1], q0.shape[1]
-    if sigma.identity:
-        r_inv = t_inv
-    elif grouped:
-        m = len(t_inv)
-        rows = sigma.whitened_rows(np.column_stack([qx, y]), q0)
+    # the columns Sigma mixes: Qx alone at C (x) I over M's arrays, else all
+    mixed_q0 = q0[:, :0] if on_arrays else q0
+    k = s + n_blocks * mixed_q0.shape[1]
+    S_inv = np.zeros((0, 0))  # no mixed column: no QR
+    if k:
+        rows = sigma.whitened_rows(np.column_stack([qx, y]), mixed_q0)
+        # [Q_m | y], y last: R = [[S, z], [0, *]] with z = U^T Sigma^-1/2 y
         R = np.linalg.qr(np.column_stack([rows[:, :s], rows[:, s + 1 :], rows[:, s]]), mode="r")
-        S_inv = _tril_inverse(R[:m, :m].T).T
-        qty = np.concatenate([qx.T @ y, _by_block(q0.T, y[:, None], n_blocks).ravel()])
-        kappa += t_inv @ (S_inv @ R[:m, m] - qty)
-        r_inv = t_inv @ S_inv
-    else:
-        q_m = qx if on_arrays else array_frame(qx, q0, n_blocks)
-        k = q_m.shape[1]
-        r_inv = np.zeros(t_inv.shape)
-        if k:
-            u, S = np.linalg.qr(sigma.whiten(q_m))
-            S_inv = _tril_inverse(S.T).T
-            kappa += t_inv[:, :k] @ (S_inv @ (u.T @ sigma.whiten(y)) - q_m.T @ y)
-            r_inv[:, :k] = t_inv[:, :k] @ S_inv
-        if on_arrays:
-            _kron_into(r_inv[k:, k:], sigma._groups[0].L, factor.r0_inv)
+        S_inv = _tril_inverse(R[:k, :k].T).T
+        qty = np.concatenate([qx.T @ y, _by_block(mixed_q0.T, y[:, None], n_blocks).ravel()])
+        kappa += t_inv[:, :k] @ (S_inv @ R[:k, k] - qty)
+    r_inv = np.zeros(t_inv.shape)
+    np.matmul(t_inv[:, :k], S_inv, out=r_inv[:, :k])
+    if on_arrays:
+        _kron_into(r_inv[k:, k:], sigma._groups[0].L, factor.r0_inv)
     y_hat = M @ kappa
     d = y - y_hat
     wd = sigma.whiten(d)
@@ -446,7 +437,8 @@ def ml_dispersion_cellwise_closed_form(*residuals):
     for v2 when the cross products sum to a positive value. Otherwise the
     maximum sits on the no-shock boundary sigma2 = 0, with
     v2 = sum_a |d_a|^2 / (N k). With one array, sigma2 and v2 have the same
-    derivative and only their sum is identified: ConfigError.
+    derivative and only their sum is identified: ConfigError, as where the
+    design's shock means absorb the shared shock (residuals summing to 0).
 
     Returns (sigma2, v2, r) with r = sigma2 / v2.
     """
@@ -470,9 +462,10 @@ def ml_dispersion_cellwise_closed_form(*residuals):
     # design that gives each cell its own shock mean leaves residuals that
     # cancel to the last bits, and v2 would come out as rounding noise
     if float(total @ total) <= 1e-20 * norm2:
-        raise NumericalError(
-            f"residual vectors {'are exact negatives' if n == 2 else 'sum to zero'}; "
-            "the shared-shock structure is degenerate"
+        raise ConfigError(
+            f"residual vectors {'are exact negatives' if n == 2 else 'sum to zero'}: "
+            "the design's shock means absorb the shared shock, so sigma2 is not "
+            "identified (for example partition = cell with shared_shock_mean = false)"
         )
     if cross <= 0.0:
         return 0.0, norm2 / (n * k), 0.0

@@ -1,4 +1,4 @@
-"""Dense Kronecker-product helpers used to assemble structured covariances.
+"""Dense Kronecker-product helpers that assemble covariances and designs.
 
 The heavy lifting is delegated to numpy; these wrappers fix the conventions
 (2-d float arrays everywhere) relied on by the covariance builders.
@@ -25,3 +25,17 @@ def ones_vector(n: int) -> np.ndarray:
 
 def identity(n: int) -> np.ndarray:
     return np.eye(n)
+
+
+def array_frame(X: np.ndarray, C0: np.ndarray, n_blocks: int) -> np.ndarray:
+    """The dense [X | I_N (x) C0] with N = ``n_blocks``.
+
+    Array n's rows hold C0 in the array's own column block, filled block by
+    block rather than by a Kronecker product.
+    """
+    (k, q), s, N = C0.shape, X.shape[1], n_blocks
+    out = np.zeros((N * k, s + N * q))
+    out[:, :s] = X
+    for n in range(N):
+        out[n * k : (n + 1) * k, s + n * q : s + (n + 1) * q] = C0
+    return out

@@ -176,6 +176,42 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert "sigma2" in err and "v2" in err
 
+    @pytest.mark.parametrize("covariance", ["cellwise_two_level", "diagonal_scalar"])
+    def test_shock_means_that_absorb_the_shock_are_a_config_error(
+        self, tmp_path, capsys, covariance
+    ):
+        # one across-array shock mean per cell absorbs the shared shock: the
+        # least-squares residuals are exact negatives and sigma2 is not
+        # identified, whichever structure names the cell-matched model
+        cfg = write_config(
+            tmp_path / "c.cfg", data=", ".join(bundled_paths()), t_max=15, partition="cell",
+            shared_shock_mean="false", covariance=covariance,
+        )
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "fit")]) == 2
+        err = capsys.readouterr().err
+        assert "absorb the shared shock" in err and "shared_shock_mean = false" in err
+
+    @pytest.mark.parametrize(
+        "keys", [{"covariance": "example48"}, {"sigma2": 0.008}], ids=["example48", "sigma2_given"]
+    )
+    def test_dependence_over_the_fitted_cells_where_later_means_are_not_estimable(
+        self, tmp_path, keys
+    ):
+        # one shock mean per fitted cell leaves the later cells' means
+        # without one: the fit succeeds, and the report's dependence section
+        # reads the fitted cells and says so
+        cfg = write_config(
+            tmp_path / "c.cfg", data=", ".join(bundled_paths()), t_max=15, partition="cell",
+            shared_shock_mean="false", **keys,
+        )
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "fit")]) == 0
+        payload = json.loads((tmp_path / "fit.json").read_text())
+        dependence = payload["dependence"]
+        assert dependence["cells"] == payload["fitted_cells_per_array"] == 120
+        assert dependence["over"].startswith("fitted cells")
+        heading = "Residual dependence (fitted cells: the later cells' means are not estimable)"
+        assert heading in (tmp_path / "fit.txt").read_text().splitlines()
+
     def test_given_components_are_reported_as_fixed(self, tmp_path):
         # a given component is held, not estimated: its report line says
         # so, and the JSON payload carries its value as before

@@ -16,6 +16,7 @@ from commonshock.covariance import (
 from commonshock.datasets import bundled_paths
 from conftest import simulate_two_level, toy_design
 from test_gls_array_frame import dense_gls
+from test_invariance import calendar_means
 
 
 def small_fit_inputs(seed=0, size=5, sigma=0.12, v=0.1):
@@ -64,29 +65,31 @@ class TestGlsFit:
             with pytest.raises(cs.DesignError, match=r"aliased columns: \['column_4', 'column_5'\]"):
                 cs.gls_fit(y, M, model)
 
-    def test_least_squares_keeps_the_factor_of_m(self, monkeypatch):
-        # at Sigma = I whitening leaves M as it is: no product with L^-1 on
-        # M, and r_inv is T^-1 of M's least-squares factor itself
+    def test_identity_sigma_is_least_squares(self):
+        # at Sigma = I the GLS fit is the least-squares fit of M, with
+        # Var[kappa] = (M^T M)^-1, whichever columns Sigma is taken to mix:
+        # every column of Q under both one-array structures on a bare M, Qx
+        # alone under the cell-matched structure on a design with kept
+        # shock means
         rng = np.random.default_rng(3)
-        y, M = rng.normal(size=12), rng.normal(size=(12, 3))
-        solves = []
-        by_array = covariance.SigmaModel._by_array
-
-        def recorded(self, apply, x):
-            solves.append(np.shape(x))
-            return by_array(self, apply, x)
-
-        monkeypatch.setattr(covariance.SigmaModel, "_by_array", recorded)
-        q, r = np.linalg.qr(M)
-        for structure in (CellwiseTwoLevel(2, 6), DiagonalScalar(rng.normal(size=(12, 2)))):
-            fit = cs.gls_fit(y, M, cs.SigmaModel(structure, [0.0, 1.0]))
-            assert solves == []
-            np.testing.assert_allclose(fit.r_inv, np.linalg.inv(r), rtol=1e-12)
+        bare, design = rng.normal(size=(12, 3)), calendar_means()[0]
+        cases = [
+            (bare, CellwiseTwoLevel(2, 6)),
+            (bare, DiagonalScalar(rng.normal(size=(12, 2)))),
+            (design, CellwiseTwoLevel(3, design.layout.cells_per_array)),
+        ]
+        for design, structure in cases:
+            M = design if isinstance(design, np.ndarray) else design.M
+            y = rng.normal(size=len(M))
+            fit = cs.gls_fit(y, design, cs.SigmaModel(structure, [0.0, 1.0]))
+            np.testing.assert_allclose(
+                fit.kappa_hat, np.linalg.lstsq(M, y, rcond=None)[0], rtol=1e-12, atol=1e-12
+            )
+            var = np.linalg.inv(M.T @ M)
+            np.testing.assert_allclose(fit.var_kappa, var, rtol=1e-12, atol=1e-12)
             for omega in ([0.0, 2.0], [0.1, 1.0]):
-                fit = cs.gls_fit(y, M, cs.SigmaModel(structure, omega))
-                assert not np.allclose(fit.r_inv, np.linalg.inv(r))
-            assert solves
-            solves.clear()
+                fit = cs.gls_fit(y, design, cs.SigmaModel(structure, omega))
+                assert not np.allclose(fit.var_kappa, var)
 
     def test_design_without_columns(self):
         # no location to fit: the residual is y itself and the log-likelihood
@@ -234,14 +237,17 @@ class TestClosedForm:
             cs.ml_dispersion_cellwise_closed_form(d, d.copy())
 
     def test_sign_flipped_residuals_rejected(self):
+        # residuals that cancel leave sigma2 unidentified: the configuration
+        # is at fault, as with one array
         d = np.array([0.4, -0.2, 0.1])
-        with pytest.raises(cs.NumericalError):
+        with pytest.raises(cs.ConfigError, match="exact negatives"):
             cs.ml_dispersion_cellwise_closed_form(d, -d)
 
     def test_cancelling_residuals_fail_on_the_first_pass(self, bundled, monkeypatch):
         # one across-array shock mean per cell absorbs d1 + d2, so the two
         # residual vectors cancel up to rounding; the alternation must stop
-        # at once rather than chase v2 through rounding noise
+        # at once rather than chase v2 through rounding noise, and the
+        # configuration is at fault: sigma2 is not identified
         coll = bundled.restrict_to_diagonals(15)
         lay = coll.layout
         shock = cs.ShockSpec(partition=cs.build_partition("cell", lay), include_across=True)
@@ -254,7 +260,7 @@ class TestClosedForm:
             return closed_form(*args)
 
         monkeypatch.setattr(estimation, "ml_dispersion_cellwise_closed_form", counted)
-        with pytest.raises(cs.NumericalError, match="exact negatives"):
+        with pytest.raises(cs.ConfigError, match="exact negatives.*absorb the shared shock"):
             cs.ml_dispersion_cellwise(cs.stack_log(coll), design)
         assert len(calls) <= 2
 

@@ -1,12 +1,15 @@
-"""GLS in the array frame: every fit at Sigma = C (x) I over M's own arrays.
+"""GLS from the design's least-squares factor, in every frame.
 
 ``gls_fit`` starts from the design's least-squares factor
-M = [Qx | I_N (x) Q0] T and whitens only Qx, which Sigma mixes; I_N (x) Q0
-passes through as L (x) I_r0, C = L L^T. These tests compare it with a
-dense GLS reference written here, on random layouts, partitions and omega,
+M = [Qx | I_N (x) Q0] T and takes one QR of the whitened columns that Sigma
+mixes, with y: only Qx at Sigma = C (x) I over M's own arrays, where
+I_N (x) Q0 passes through as L (x) I_r0, C = L L^T, and every column of Q
+under any other Sigma. These tests compare it with a dense GLS reference
+written here, on random layouts, partitions and omega, in the array frame,
+the dense frame, a subset frame whose arrays are not M's and at Sigma = I,
 and bound what it factors and what it holds, here and in a subset frame of
-several groups, where it factors the few rows ``SigmaModel.whitened_rows``
-gives.
+several groups over M's arrays, where it factors the few rows
+``SigmaModel.whitened_rows`` gives.
 """
 
 import ast
@@ -21,10 +24,12 @@ from hypothesis import strategies as st
 
 import commonshock as cs
 from commonshock.arrays import ArrayLayout
-from commonshock.covariance import CellwiseTwoLevel, Example48, structure_for
+from commonshock import estimation
+from commonshock.covariance import CellwiseTwoLevel, DiagonalScalar, Example48, structure_for
+from commonshock.partitions import PARTITION_KINDS
 from conftest import toy_design
 from test_design_properties import designs
-from test_invariance import array_frame_shapes, calendar_means, qr_shapes  # noqa: F401
+from test_invariance import array_frame_shapes, calendar_means, counted_qr, qr_shapes  # noqa: F401
 
 
 def dense_gls(y, M, s, structure, omega):
@@ -73,8 +78,11 @@ def with_aliased_column(design, rng, where):
 def gls_against_dense(y, design, structure, omega):
     """(named, want): the columns gls_fit names as aliased and those the
     dense reference finds, both None where there are none; where there are
-    none, gls_fit must be the dense fit and keep the frame."""
-    if isinstance(design, np.ndarray):
+    none, gls_fit must be the dense fit, take one QR beyond the factor's
+    (of the k whitened mixed columns and y) where k > 0 and none where
+    k = 0, and keep the frame exactly at Sigma = C (x) I over M's arrays."""
+    bare = isinstance(design, np.ndarray)
+    if bare:
         M, s, labels = design, 0, tuple(f"column_{j}" for j in range(design.shape[1]))
     else:
         M, s, labels = design.M, design.X.shape[1], design.labels
@@ -85,9 +93,17 @@ def gls_against_dense(y, design, structure, omega):
             cs.gls_fit(y, design, sigma)
         named = ast.literal_eval(str(raised.value).split("aliased columns: ")[1])
         return named, [labels[j] for j in aliased]
-    fit = cs.gls_fit(y, design, sigma)
-    assert fit.frame is not None
-    np.testing.assert_array_equal(fit.frame[0], structure.group_sides(omega)[0])
+    # a design's factor is formed here, before the count; a bare matrix is
+    # factored again on each call
+    factor = estimation._design_parts(y, design)[-1]
+    on_arrays = estimation._array_side_only(structure, factor.q0)
+    k = factor.qx.shape[1] if on_arrays else M.shape[1]
+    with counted_qr() as shapes:
+        fit = cs.gls_fit(y, design, sigma)
+    assert shapes == [M.shape] * bare + [(y.size, k + 1)] * (k > 0)
+    assert (fit.frame is not None) == on_arrays
+    if on_arrays:
+        np.testing.assert_array_equal(fit.frame[0], structure.group_sides(omega)[0])
     # the residual on the scale of y: a saturated fit leaves rounding only
     for got, want, scale in (
         (fit.kappa_hat, kappa, np.abs(kappa).max(initial=0.0)),
@@ -103,8 +119,11 @@ def gls_against_dense(y, design, structure, omega):
 def frame_cases(draw):
     """(y, design, structure, omega): an assembled design, with or without
     kept shock-mean columns, or a bare one-array matrix, under the
-    cell-matched structure or identity Example48, at a random omega whose
-    shared shock is sometimes 0."""
+    cell-matched structure or identity Example48 (Sigma = C (x) I over M's
+    arrays), Example48 with a random operator and R (the dense frame), or,
+    on N >= 2 arrays, DiagonalScalar(A) with alpha unequal across the
+    arrays (a subset frame whose arrays are not M's). Omega is random, with
+    the shared shock sometimes 0, or gives Sigma = I."""
     if draw(st.booleans()):
         design, rng = draw(designs())
         n_arrays, cells = design.layout.n_arrays, design.layout.cells_per_array
@@ -112,19 +131,40 @@ def frame_cases(draw):
         rng = np.random.default_rng(draw(st.integers(0, 2**16)))
         n_arrays, cells = 1, draw(st.integers(1, 12))
         design = rng.normal(size=(cells, draw(st.integers(0, cells))))
-    kind = draw(st.sampled_from(["cellwise_two_level", "example48"]))
-    structure = structure_for(kind, n_arrays, cells, None, None)
+    kinds = ["cellwise_two_level", "example48", "dense"] + ["foreign"] * (n_arrays > 1)
+    kind = draw(st.sampled_from(kinds))
+    layout, partition = getattr(design, "layout", None), draw(st.sampled_from(PARTITION_KINDS))
+    structure = case_structure(kind, n_arrays, cells, rng, layout, partition)
     omega = np.where(structure.zero_allowed, 0.01, 0.0) + rng.uniform(0.0, 0.2, structure.n_params)
-    if draw(st.booleans()):
-        omega[0] = 0.0  # no shared shock
+    case = draw(st.sampled_from(["random", "no shared shock", "identity"]))
+    if case == "no shared shock":
+        omega[0] = 0.0
+    elif case == "identity":
+        omega = np.where(structure.zero_allowed, 0.0, 1.0)
+    event(f"{kind}, {case}")
     return rng.normal(size=n_arrays * cells), design, structure, omega
 
 
-def kept_shock_means_case(kind):
+def case_structure(kind, n_arrays, cells, rng, layout=None, partition="diagonal"):
+    """The structure of ``frame_cases``' ``kind`` over N arrays of ``cells``
+    cells; "foreign" reads the arrays' ``layout`` and ``partition``."""
+    if kind == "dense":
+        G = rng.normal(size=(cells, cells))
+        return Example48(n_arrays, rng.normal(size=(cells, cells)), G @ G.T / cells)
+    if kind == "foreign":
+        alpha = rng.uniform(0.5, 2.0, (n_arrays, layout.n_rows, layout.n_cols))
+        return DiagonalScalar(cs.build_A(cs.build_partition(partition, layout), layout, alpha))
+    return structure_for(kind, n_arrays, cells, None, None)
+
+
+def kept_shock_means_case(kind, identity=False):
     # unshared calendar means across and within three arrays: most are kept
     design, rng = calendar_means()
-    structure = structure_for(kind, 3, design.layout.cells_per_array, None, None)
+    lay = design.layout
+    structure = case_structure(kind, 3, lay.cells_per_array, rng, lay)
     omega = rng.uniform(0.01, 0.1, structure.n_params)
+    if identity:
+        omega = np.where(structure.zero_allowed, 0.0, 1.0)
     return rng.normal(size=design.n_obs), design, structure, omega
 
 
@@ -132,6 +172,9 @@ def kept_shock_means_case(kind):
 @given(frame_cases())
 @example(kept_shock_means_case("cellwise_two_level"))
 @example(kept_shock_means_case("example48"))
+@example(kept_shock_means_case("dense"))
+@example(kept_shock_means_case("foreign"))
+@example(kept_shock_means_case("cellwise_two_level", identity=True))
 def test_gls_fit_is_the_dense_gls_fit(case):
     y, design, structure, omega = case
     bare = isinstance(design, np.ndarray)
@@ -177,8 +220,8 @@ def test_gls_fit_forms_no_n_by_m_matrix(qr_shapes):
     # identity Example48, N = 8 on a 16 x 16 triangle with unshared calendar
     # means, of which 14 are kept: n = 1088 and m = 262. The design's factor
     # takes one QR of C0 and one of the n x 14 projected shock block, and
-    # the fit one of the n x 14 whitened Qx; together they hold less than
-    # one n x m float64 matrix, where the whitened M alone would take one
+    # the fit one of the n x 15 whitened [Qx | y]; together they hold less
+    # than one n x m float64 matrix, where the whitened M alone would take one
     lay = ArrayLayout.triangle(8, 16)
     design = toy_design(lay, kind="diagonal", shared_mean=False)
     cells = lay.cells_per_array
@@ -196,7 +239,7 @@ def test_gls_fit_forms_no_n_by_m_matrix(qr_shapes):
     finally:
         tracemalloc.stop()
     assert peak < n * m * 8
-    assert qr_shapes == array_frame_shapes(design) + [design.X.shape]
+    assert qr_shapes == array_frame_shapes(design) + [(n, design.X.shape[1] + 1)]
     assert fit.frame is not None
     kappa, _, loglik, var, _ = dense_gls(y, design.M, design.X.shape[1], structure, omega)
     np.testing.assert_allclose(fit.kappa_hat, kappa, rtol=1e-10, atol=1e-10 * np.abs(kappa).max())

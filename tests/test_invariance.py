@@ -6,6 +6,7 @@ solve; where it fails, the solver keeps a GLS fit per point.
 """
 
 import ast
+import contextlib
 import dataclasses
 import itertools
 import math
@@ -241,17 +242,24 @@ def test_fixed_location_forms_no_n_by_m_matrix():
     np.testing.assert_allclose(fit.var_kappa, want, rtol=0.0, atol=1e-10 * np.abs(want).max())
 
 
-@pytest.fixture
-def qr_shapes(monkeypatch):
-    shapes = []
-    qr = np.linalg.qr
+@contextlib.contextmanager
+def counted_qr():
+    """The shapes of the matrices ``np.linalg.qr`` factors within the block."""
+    shapes, qr = [], np.linalg.qr
 
     def counted(a, *args, **kwargs):
         shapes.append(np.shape(a))
         return qr(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "qr", counted)
-    return shapes
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "qr", counted)
+        yield shapes
+
+
+@pytest.fixture
+def qr_shapes():
+    with counted_qr() as shapes:
+        yield shapes
 
 
 def array_frame_shapes(design):
@@ -278,22 +286,23 @@ def test_closed_form_path_makes_one_qr(ref_fit, qr_shapes):
 def test_closed_form_path_with_kept_shock_means(bundled, qr_shapes):
     # unshared calendar means are partly kept: their columns, projected off
     # I_N (x) Q0, add one n x s_x QR to the factor, and the fit at
-    # omega-hat one more of the same shape, of the whitened Qx; nothing has
-    # N r0 columns
+    # omega-hat one more, of the whitened [Qx | y]; nothing has N r0 columns
     coll = bundled.restrict_to_diagonals(15)
     design = toy_design(coll.layout, kind="diagonal", shared_mean=False)
     fit = cs.ml_dispersion_cellwise(cs.stack_log(coll), design)
     assert fit.n_iter == 1  # the fixed location, no solver steps
     assert design.X.shape[1] > 0
-    assert qr_shapes == [design.C0.shape, design.X.shape, design.X.shape]
+    n, s = design.X.shape
+    assert qr_shapes == [design.C0.shape, design.X.shape, (n, s + 1)]
 
 
 @pytest.mark.parametrize("name", ["cellwise_two_level", "diagonal_scalar"])
 def test_generic_solver_on_an_invariant_design_makes_one_qr(ref_fit, qr_shapes, name):
     # one QR of M's factor, C0's (the reference design keeps no shock mean),
     # and none at the points visited; the fit at omega-hat whitens no
-    # column in the array frame, and every column of Q, one n x m QR,
-    # under the one-array DiagonalScalar(A), whose cells are not one array's
+    # column in the array frame, and every column of Q with y, one
+    # n x (m + 1) QR, under the one-array DiagonalScalar(A), whose cells
+    # are not one array's
     design = unfactored(ref_fit["design"])
     cells = design.layout.cells_per_array
     if name == "cellwise_two_level":
@@ -302,7 +311,8 @@ def test_generic_solver_on_an_invariant_design_makes_one_qr(ref_fit, qr_shapes, 
         structure = DiagonalScalar(design.A)
     fit = cs.ml_dispersion_generic(ref_fit["y"], design, structure, [0.01] * structure.n_params)
     assert fit.n_iter >= 1  # this start steps; a start that does not is the next test
-    dense = [] if name == "cellwise_two_level" else [design.M.shape]
+    n, m = design.M.shape
+    dense = [] if name == "cellwise_two_level" else [(n, m + 1)]
     assert qr_shapes == [design.C0.shape] + dense
     want = cs.gls_fit(ref_fit["y"], design, fit.sigma)
     np.testing.assert_allclose(fit.var_kappa, want.var_kappa, rtol=1e-10, atol=1e-14)
@@ -357,10 +367,11 @@ def test_generic_solver_on_a_moving_design_fits_each_point(bundled, qr_shapes):
     assert design.factor.t_inv.shape == (design.n_params,) * 2  # formed before the solve
     qr_shapes.clear()
     fit = cs.ml_dispersion_generic(y, design, structure, [0.01, 0.01])
-    # one QR of the whitened mixed columns, every column of Q under this
-    # one-array Sigma, per point visited, and none of C0
+    # one QR of the whitened mixed columns and y, every column of Q under
+    # this one-array Sigma, per point visited, and none of C0
     assert len(qr_shapes) >= fit.n_iter + 1
-    assert qr_shapes == [design.M.shape] * len(qr_shapes)
+    n, m = design.M.shape
+    assert qr_shapes == [(n, m + 1)] * len(qr_shapes)
     # the fit keeps no whitened n x m factor, only M itself
     fields = [f.name for f in dataclasses.fields(fit)]
     assert [f for f in fields if np.shape(getattr(fit, f)) == design.M.shape] == ["M"]
@@ -399,6 +410,7 @@ def test_one_qr_of_c0_per_design(bundled, qr_shapes):
     # a GLS fit, both ML solvers, under the array-frame and a one-array Sigma,
     # and a forecast share the design's one factor: one QR of C0, and one of
     # the projected shock means; every other QR is of whitened mixed columns
+    # and y
     coll = bundled.restrict_to_diagonals(15)
     design = toy_design(coll.layout, kind="diagonal", shared_mean=False)
     y = cs.stack_log(coll)
@@ -413,13 +425,14 @@ def test_one_qr_of_c0_per_design(bundled, qr_shapes):
     cs.predict(fit, cs.build_forecast_design(design, last_diagonal))
     assert qr_shapes[:2] == array_frame_shapes(design)
     assert qr_shapes.count(design.C0.shape) == 1
-    assert set(qr_shapes[2:]) == {design.X.shape, design.M.shape}
+    (n, s), m = design.X.shape, design.n_params
+    assert set(qr_shapes[2:]) == {(n, s + 1), (n, m + 1)}
 
 
 def test_generic_solver_on_a_moving_design_whitens_qx_per_point(bundled, qr_shapes):
     # example48 under the cell partition with unshared means is not
     # invariant, and Sigma = C (x) I over M's arrays: each point whitens
-    # only Qx, one n x s_x QR, and none of C0
+    # only Qx and y, one n x (s_x + 1) QR, and none of C0
     coll = bundled.restrict_to_diagonals(15)
     design = toy_design(coll.layout, kind="cell", shared_mean=False)
     structure = structure_for("example48", 2, design.layout.cells_per_array, None, None)
@@ -428,7 +441,8 @@ def test_generic_solver_on_a_moving_design_whitens_qx_per_point(bundled, qr_shap
     qr_shapes.clear()
     fit = cs.ml_dispersion_generic(y, design, structure, [0.01] * structure.n_params)
     assert len(qr_shapes) >= fit.n_iter + 1
-    assert qr_shapes == [design.X.shape] * len(qr_shapes)
+    n, s = design.X.shape
+    assert qr_shapes == [(n, s + 1)] * len(qr_shapes)
     assert fit.frame is not None
 
 
