@@ -59,7 +59,7 @@ from .forecast import (
     reserve_correlation,
 )
 from .kron import identity, kron, ones_vector
-from .lognormal import LogNormalSummary, fitted_raw, raw_cov, raw_mean
+from .lognormal import LogNormalSummary, raw_cov, raw_mean
 from .partitions import Partition, build_partition
 from .simulate import BalanceDiagnostic, SimSpec, balance_diagnostic, simulate
 from .tweedie import (
@@ -92,7 +92,7 @@ __all__ = [
     "ForecastResult", "build_forecast_design", "gamma_ar1",
     "independence_counterfactual_cov", "predict", "reserve_correlation",
     "identity", "kron", "ones_vector",
-    "LogNormalSummary", "fitted_raw", "raw_cov", "raw_mean",
+    "LogNormalSummary", "raw_cov", "raw_mean",
     "Partition", "build_partition",
     "BalanceDiagnostic", "SimSpec", "balance_diagnostic", "simulate",
     "ShockRatios", "TweedieParams", "gee_weights", "log_tweedie_correlation",

@@ -8,24 +8,15 @@ the region and across arrays for the across-array shock; covariances
 between observed and future cells are not carried). Raw-scale forecasts
 and reserve moments then follow from the log-normal moment maps.
 
-``predict`` needs only per-array sums of the raw-scale covariance, so it
-reads Omega* in row panels (``lognormal.grouped_raw_moments``) and forms no
-n x n matrix, n = N * n_future. Every fit's panels come from one closure,
-``_panel``, which writes Omega* from loadings alone:
+``predict`` needs only per-array sums of the raw-scale covariance. It hands
+``lognormal.block_raw_moments`` Omega* in the loading form of ``_loading_form``,
 
-    Omega* = B B^T + sum_t G_t (x) F_t F_t^T + C (x) I.
+    Omega* = B B^T + sum_t G_t (x) F_t F_t^T + C (x) I + diag(var),
 
-A fit that keeps ``FitResult.frame`` (Sigma = C (x) I over its arrays)
-passes one term (C, E), E = C0* R0^-1, the shock-mean part
-B = M* r_inv[:, :s_x], and its C for Sigma* = C (x) I, where the region's
-Sigma* is that: always for an array side whose cell side is the identity,
-which does not depend on the cells, and for a structure with cell sides
-where it rebuilt over the region has one group with the same C
-(``diagonal_scalar`` on the cell partition). Any other fit passes
-B = M* r_inv, and C and the terms (G_k, F_k) of the structure rebuilt over
-the region in the form ``GammaStructure.loading_form`` gives: Sigma*. The
-dense Omega* is the panel over every row; it and the raw-scale covariance
-are formed only when ``ForecastResult.omega_star`` or ``xi_star`` is read.
+which is read by array-pair blocks with no n x n matrix, n = N * n_future.
+The dense Omega* (``lognormal.block_covariance`` of the same form) and the
+raw-scale covariance are formed only when ``ForecastResult.omega_star`` or
+``xi_star`` is read.
 """
 
 from __future__ import annotations
@@ -39,10 +30,11 @@ from .covariance import structure_for
 from .design import ModelDesign
 from .errors import DesignError, NumericalError
 from .estimation import FitResult
+from .lognormal import LogNormalSummary, block_covariance, block_raw_moments, raw_cov
 
 # raw_mean is unused here but stays a module attribute: perfbench/tracer.py
 # wraps this module's raw_mean and raw_cov
-from .lognormal import LogNormalSummary, grouped_raw_moments, raw_cov, raw_mean  # noqa: F401
+from .lognormal import raw_mean  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -73,7 +65,7 @@ class ForecastResult:
     reserves: np.ndarray  # per-array
     reserve_total: float
     reserve_cov: np.ndarray  # per-array reserves, N x N
-    _omega_star_panel: object = field(repr=False)  # (start, stop) -> rows of Omega*, see predict
+    _omega_star_form: tuple = field(repr=False)  # (C, terms, B, var) of Omega*, see predict
     std_errors: np.ndarray = field(init=False)  # per-array
     std_error_total: float = field(init=False)
     covs: np.ndarray = field(init=False)  # per-array CoV
@@ -96,15 +88,12 @@ class ForecastResult:
     def omega_star(self) -> np.ndarray:
         """Omega* = M* Var[kappa] M*^T + Sigma*, the log-scale predictive covariance.
 
-        It is ``predict``'s panel over every row. Over every row each
-        product in the panel is a matrix times its own transpose (B B^T and
-        every term's F_t F_t^T, E E^T among them), which BLAS forms exactly
-        symmetric, and each term's G_t is symmetric, so Omega* needs no
-        symmetrizing pass.
+        It is ``lognormal.block_covariance`` of ``predict``'s loading form,
+        written from the blocks the reserve moments read and exactly
+        symmetric.
         """
         if self._omega_star is None:
-            n = self.y_star.size
-            object.__setattr__(self, "_omega_star", self._omega_star_panel(0, n))
+            object.__setattr__(self, "_omega_star", block_covariance(*self._omega_star_form))
         return self._omega_star
 
     @property
@@ -171,82 +160,18 @@ def _future_structure(fit: FitResult, fd: ForecastDesign):
     return future, omega
 
 
-def _panel(C, terms, B, var):
-    """Rows start:stop of Omega* from column start on, as a closure of (start, stop).
-
-    Omega* = B B^T + sum_t G_t (x) F_t F_t^T + C (x) I + diag(var), for
-    ``terms`` ((G_t, F_t), ...) with N_C x N_C array sides G_t, like C, and
-    cell sides F_t with one block's rows, n / N_C. A panel's block (a, b)
-    of a term is G_t[a, b] h with h = F_t[p0:p1] F_t^T formed once per
-    block row. The first term writes every block and each later one adds
-    where G_t[a, b] is not zero; B B^T is formed in one product panel. The
-    terms go in in a fixed order: the (G_t, F_t) in turn, C (x) I, var, and
-    B B^T last.
-    """
-    n_c, n = len(C), B.shape[0]
-    blk = n // n_c
-
-    def panel(start, stop):
-        # the first term writes every entry
-        out = (np.empty if terms else np.zeros)((stop - start, n - start))
-        _write_terms(out, terms, start, blk)
-        # C (x) I: row i meets block b's column of its own cell
-        i = np.arange(start, stop)
-        for b in range(start // blk, n_c):
-            j = b * blk + i % blk
-            on = j >= start
-            out[i[on] - start, j[on] - start] += C[i[on] // blk, b]
-        if var is not None:
-            out[i - start, i - start] += var[start:stop]
-        if B.shape[1]:
-            prod = np.empty_like(out)
-            np.matmul(B[start:stop], B[start:].T, out=prod)
-            out += prod
-        return out
-
-    return panel
-
-
-def _write_terms(out, terms, start: int, blk: int) -> None:
-    """Write sum_t G_t (x) F_t F_t^T into ``out``, the panel of ``_panel``
-    that starts at row and column ``start``, with blocks of ``blk`` rows.
-
-    The first term writes every block of the panel and each later one adds
-    G_t[a, b] h through one buffer of h's shape, where G_t[a, b] is not
-    zero. h and that buffer are freed on return, before the panel's B B^T.
-    """
-    stop = start + len(out)
-    first = start // blk
-    for t, (G, F) in enumerate(terms):
-        n_c = len(G)
-        # every block but the last reads all of h's columns, the last its cells c0:
-        c0 = max(start - (n_c - 1) * blk, 0)
-        for a in range(first, (stop - 1) // blk + 1):
-            # the rows of block a inside start:stop are its cells p0:p1
-            p0, p1 = max(start - a * blk, 0), min(stop - a * blk, blk)
-            h = F[p0:p1] @ F[c0:].T
-            tmp = np.empty_like(h) if t else None
-            rows = slice(a * blk + p0 - start, a * blk + p1 - start)
-            for b in range(first, n_c):
-                # the columns of block b from start on are its cells q0:
-                q0 = max(start - b * blk, 0)
-                col = b * blk - start
-                block = out[rows, col + q0 : col + blk]
-                if not t:
-                    np.multiply(h[:, q0 - c0 :], G[a, b], out=block)
-                elif G[a, b]:
-                    np.multiply(h[:, q0 - c0 :], G[a, b], out=tmp[:, q0 - c0 :])
-                    block += tmp[:, q0 - c0 :]
-
-
-def _panel_for(fit: FitResult, fd: ForecastDesign, var):
-    """``_panel`` of Omega* for ``fit``: in its array frame where it keeps
-    one and Sigma* = C (x) I over the region with the fit's C, else from the
-    structure rebuilt over the region. An array side whose cell side is the
-    identity does not depend on the cells, so only a structure with cell
-    sides is rebuilt to tell: over the cell partition, ``diagonal_scalar``
-    has one group with the fit's C (see ``GammaStructure.identity_cell_side``),
-    over another it need not have."""
+def _loading_form(fit: FitResult, fd: ForecastDesign):
+    """(C, terms, B) of Omega* for ``fit``. A fit that keeps ``FitResult.frame``,
+    where Sigma* over the region is C (x) I with the fit's C, gives one term
+    (C, E), E = C0* R0^-1, and the shock-mean part B = M* r_inv[:, :s_x]. An
+    array side whose cell side is the identity does not depend on the cells,
+    so only a structure with cell sides is rebuilt to tell: over the cell
+    partition, ``diagonal_scalar`` has one group with the fit's C (see
+    ``GammaStructure.identity_cell_side``), over another it need not have.
+    Any other fit gives B = M* r_inv and the ``loading_form`` of the structure
+    rebuilt over the region, on the layout's N arrays: a one-array side (the
+    arrays' shock blocks differ there) has F_t over every array, so each
+    G_t F_t F_t^T joins B as sqrt(G_t) F_t and C becomes C I_N."""
     future = None
     if any(t.F is not None for t in fit.sigma.structure.terms):
         future, omega = _future_structure(fit, fd)
@@ -258,11 +183,15 @@ def _panel_for(fit: FitResult, fd: ForecastDesign, var):
         C, r0_inv = fit.frame
         s = fd.m_star.shape[1] - fd.n_arrays * r0_inv.shape[0]
         E = fd.m_star[: len(fd.cells), s : s + r0_inv.shape[0]] @ r0_inv
-        return _panel(C, ((C, E),), fd.m_star @ fit.r_inv[:, :s], var)
+        return C, ((C, E),), fd.m_star @ fit.r_inv[:, :s]
     if future is None:
         future, omega = _future_structure(fit, fd)
     C, terms = future.loading_form(omega)
-    return _panel(C, terms, fd.m_star @ fit.r_inv, var)
+    B = fd.m_star @ fit.r_inv
+    if len(C) != fd.n_arrays:
+        B = np.column_stack([B, *(np.sqrt(G[0, 0]) * F for G, F in terms)])
+        C, terms = C[0, 0] * np.eye(fd.n_arrays), ()
+    return C, terms, B
 
 
 def predict(
@@ -302,7 +231,7 @@ def predict(
             reserves=np.zeros(fd.n_arrays),
             reserve_total=0.0,
             reserve_cov=np.zeros((fd.n_arrays, fd.n_arrays)),
-            _omega_star_panel=lambda start, stop: np.zeros((0, 0)),
+            _omega_star_form=(np.zeros((fd.n_arrays,) * 2), (), np.zeros((0, 0)), None),
         )
 
     y_star = fd.m_star @ fit.kappa_hat
@@ -312,12 +241,8 @@ def predict(
             raise DesignError(f"extra offsets must be finite, length {n}")
         y_star = y_star + offs
 
-    var = _offset_variance(extra_offset_var, n)
-    omega_star_panel = _panel_for(fit, fd, var)
-
-    x_vec, reserve_cov = grouped_raw_moments(
-        y_star, omega_star_panel, np.repeat(np.arange(fd.n_arrays), n_fut), fd.n_arrays
-    )
+    form = (*_loading_form(fit, fd), _offset_variance(extra_offset_var, n))
+    x_vec, reserve_cov = block_raw_moments(y_star, *form)
     if float(reserve_cov.sum()) < -1e-9:
         raise NumericalError("total reserve variance is negative")
 
@@ -334,7 +259,7 @@ def predict(
         reserves=reserves,
         reserve_total=float(reserves.sum()),
         reserve_cov=reserve_cov,
-        _omega_star_panel=omega_star_panel,
+        _omega_star_form=form,
     )
 
 

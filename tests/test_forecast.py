@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import commonshock as cs
 import commonshock.forecast as forecast_module
+import commonshock.lognormal as lognormal_module
 from commonshock.arrays import ArrayLayout
 from commonshock.covariance import (
     STRUCTURE_KINDS,
@@ -296,9 +297,10 @@ def future_structure(fit, fd):
 
 
 def assert_predictive_covariance_is_symmetric_and_psd(fit, fd):
-    # over every row each product in the panel is a matrix times its own
-    # transpose (B B^T and each term's F_t F_t^T, E E^T among them), so
-    # Omega* needs no symmetrizing pass to come out exactly symmetric
+    # each diagonal block over every row adds matrices times their own
+    # transposes (B_a B_a^T and each term's F_t F_t^T, E E^T among them), and
+    # each block (a, b) is mirrored into (b, a), so Omega* needs no
+    # symmetrizing pass to come out exactly symmetric
     omega_star = cs.predict(fit, fd).omega_star
     assert np.array_equal(omega_star, omega_star.T)
 
@@ -348,13 +350,14 @@ def forecast_inputs(draw):
     Layouts are triangles (forecast region: the lower triangle) or random
     masks whose first row and column are observed (region: every cell off
     the mask), for 1 to 4 arrays, every partition and the three structures
-    the CLI builds. Grids are up to 6 x 6 or from 12 x 12 to 16 x 16, so
-    that the region (up to 4 x 225 future rows) is sometimes smaller and
-    sometimes larger than one row block of the moment map. The fit is a
+    the CLI builds. Grids are up to 6 x 6 or from 12 x 12 to 17 x 17, so
+    that one array's future cells (up to 256) are sometimes fewer and
+    sometimes more than one chunk, ``ROW_BLOCK`` cells, of the moment map.
+    The fit is a
     GLS fit, or for the structures whose Sigma is C (x) I a fixed-location
     fit, which keeps the array frame wherever the design is invariant.
     """
-    sides = st.one_of(st.integers(2, 6), st.integers(12, 16))
+    sides = st.one_of(st.integers(2, 6), st.integers(12, 17))
     n_arrays, rows = draw(st.integers(1, 4)), draw(sides)
     if draw(st.booleans()):
         lay = ArrayLayout.triangle(n_arrays, rows)
@@ -394,7 +397,7 @@ def _with_holes(n_arrays, size, holes):
 # fixed-location fits that keep the array frame, pinned as examples of the
 # random-layout tests: with no shock-mean column, with kept within-array
 # calendar means (the holes lie on observed diagonals), and over a region of
-# more than one row block
+# more than one chunk of one array's cells
 FRAME_CASES = {
     "no_shock_means": forecast_case(
         *_triangle(2, 6), "cellwise_two_level", "cell", 1, fixed=True
@@ -403,7 +406,7 @@ FRAME_CASES = {
         *_with_holes(3, 6, [(3, 4), (4, 3), (4, 4), (2, 6)]),
         "example48", "diagonal", 2, within=True, fixed=True,
     ),
-    "several_row_blocks": forecast_case(*_triangle(3, 12), "example48", "row", 3, fixed=True),
+    "several_row_blocks": forecast_case(*_triangle(3, 17), "example48", "row", 3, fixed=True),
     # GLS fits at a given omega keep the frame too
     "gls_cellwise_two_level": forecast_case(*_triangle(2, 6), "cellwise_two_level", "cell", 4),
     "gls_example48": forecast_case(*_triangle(3, 6), "example48", "row", 5),
@@ -416,7 +419,7 @@ def test_pinned_cases_keep_the_frame(name):
     assert fit.frame is not None
     s_x = fd.m_star.shape[1] - fd.n_arrays * fit.frame[1].shape[0]
     assert (s_x > 0) == (name == "kept_shock_means")
-    assert (fd.m_star.shape[0] > ROW_BLOCK) == (name == "several_row_blocks")
+    assert (len(fd.cells) > ROW_BLOCK) == (name == "several_row_blocks")
 
 
 def assert_reserve_moments_match_the_dense_covariance(fit, fd, var):
@@ -453,16 +456,44 @@ def test_reserve_moments_match_the_dense_covariance(case, extra):
     ("example48", False),
 ])
 def test_reserve_moments_over_several_row_blocks(kind, within):
-    # three arrays on a 16 x 16 triangle: 360 future rows, three row blocks
-    lay = ArrayLayout.triangle(3, 16)
+    # three arrays on a 17 x 17 triangle: 136 future cells per array, two chunks
+    lay = ArrayLayout.triangle(3, 17)
     design = toy_design(lay, "row", include_within=within)
     structure = structure_for(kind, 3, lay.cells_per_array, design.A, design.B)
     rng = np.random.default_rng(11)
     omega = rng.uniform(0.005, 0.05, structure.n_params)
     fit = cs.gls_fit(rng.normal(5.0, 1.0, design.n_obs), design, cs.SigmaModel(structure, omega))
-    fd = cs.build_forecast_design(design, cs.future_cells(lay, 16))
-    assert fd.m_star.shape[0] > 2 * ROW_BLOCK
-    assert_reserve_moments_match_the_dense_covariance(fit, fd, rng.uniform(0.0, 0.05, 360))
+    fd = cs.build_forecast_design(design, cs.future_cells(lay, 17))
+    assert len(fd.cells) > ROW_BLOCK
+    assert_reserve_moments_match_the_dense_covariance(fit, fd, rng.uniform(0.0, 0.05, 408))
+
+
+@pytest.mark.parametrize("kind, extra, sizes", [
+    ("cellwise_two_level", None, [10, 90]),
+    ("cellwise_two_level", "per_cell", [1] * 10 + [90]),
+    ("example48", None, [1] * 10 + [90]),
+    ("example48", "per_cell", [1] * 10 + [90]),
+])
+def test_shared_blocks_match_the_dense_covariance(kind, extra, sizes, monkeypatch):
+    # ten arrays on a 17 x 17 triangle, 136 future cells each (two chunks),
+    # and no shock-mean column: the pairs with equal array-side entries share
+    # one block, the 90 off-diagonal ones of both structures and the 10
+    # diagonal ones of cellwise_two_level; a per-cell offset variance, or
+    # example48's per-array variances, give each diagonal pair its own
+    fit, fd, rng = forecast_case(*_triangle(10, 17), kind, "cell", 7, fixed=True)
+    assert fit.frame is not None and fd.m_star.shape[1] == 10 * fit.frame[1].shape[0]
+    var = None if extra is None else rng.uniform(0.0, 0.05, fd.m_star.shape[0])
+    counts = []
+
+    def counted(*args):
+        blocks = distinct_blocks(*args)
+        counts.append([len(pairs) for pairs in blocks])
+        return blocks
+
+    distinct_blocks = lognormal_module._distinct_blocks
+    monkeypatch.setattr(lognormal_module, "_distinct_blocks", counted)
+    assert_reserve_moments_match_the_dense_covariance(fit, fd, var)
+    assert counts == [sizes, sizes]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -572,7 +603,8 @@ def test_gls_fit_at_a_given_omega_forecasts_in_the_frame(case, monkeypatch):
 
 def test_frame_forecast_holds_less_than_one_n_by_m_matrix():
     # N = 4 on a 30 x 30 triangle: n = 1740 future rows and m = 236, so
-    # B = M* r_inv alone would take 3.3 MB; predict holds one 128-row panel
+    # B = M* r_inv alone would take 3.3 MB; predict forms B's shock-mean
+    # columns only, and blocks of one chunk of cells
     lay = ArrayLayout.triangle(4, 30)
     coll = simulate_two_level(lay, 0.1, 0.15, seed=3)
     design = toy_design(lay)
@@ -631,19 +663,20 @@ def test_diagonal_scalar_fit_keeps_no_frame(ref_fit):
 ])
 def test_diagonal_scalar_forecast_reads_no_row_of_sigma_star(partition, within, monkeypatch):
     # a fit that keeps no frame writes Omega* from Sigma*'s loadings: over
-    # more than one row block it forms neither the dense Sigma* nor its rows
+    # more than one chunk of one array's cells it forms neither the dense
+    # Sigma* nor its rows
     def refuse(*args, **kwargs):
         raise AssertionError("predict formed rows of Sigma*")
 
-    lay = ArrayLayout.triangle(2, 12)
+    lay = ArrayLayout.triangle(2, 17)
     design = toy_design(lay, partition, include_within=within)
     structure = cs.DiagonalScalar(design.A, design.B)
     rng = np.random.default_rng(12)
     omega = rng.uniform(0.005, 0.05, structure.n_params)
     fit = cs.gls_fit(rng.normal(5.0, 1.0, design.n_obs), design, cs.SigmaModel(structure, omega))
     assert fit.frame is None
-    fd = cs.build_forecast_design(design, cs.future_cells(lay, 12))
-    assert fd.m_star.shape[0] > ROW_BLOCK
+    fd = cs.build_forecast_design(design, cs.future_cells(lay, 17))
+    assert len(fd.cells) > ROW_BLOCK
     with monkeypatch.context() as m:
         m.setattr(GammaStructure, "sigma", refuse)
         m.setattr(GammaStructure, "sigma_rows", refuse, raising=False)
@@ -655,13 +688,39 @@ def test_diagonal_scalar_forecast_reads_no_row_of_sigma_star(partition, within, 
     assert np.max(np.abs(res.reserve_cov - reserve_cov)) <= 1e-12 * np.max(np.abs(reserve_cov))
 
 
+@pytest.mark.parametrize("partition, within", [("diagonal", False), ("array", True)])
+def test_diagonal_scalar_with_unequal_coefficients_forecasts_every_array(partition, within):
+    # alpha (and beta) differ between the arrays, so the structure over the
+    # region has a one-array side whose loadings span both arrays; the
+    # forecast still gives the N x N reserve moments of the dense reference
+    lay = ArrayLayout.triangle(2, 7)
+    rng = np.random.default_rng(21)
+    coeff = {n: rng.uniform(0.5, 1.5, (2, 7, 7)) for n in ("alpha", "beta")}
+    shock = cs.ShockSpec(
+        cs.build_partition(partition, lay), True, within, shared_across_mean=True, **coeff
+    )
+    design = cs.assemble(lay, shock, "chain_ladder")
+    structure = structure_for("diagonal_scalar", 2, lay.cells_per_array, design.A, design.B)
+    omega = rng.uniform(0.005, 0.05, structure.n_params)
+    fit = cs.gls_fit(rng.normal(5.0, 1.0, design.n_obs), design, cs.SigmaModel(structure, omega))
+    fd = cs.build_forecast_design(design, cs.future_cells(lay, 7))
+    assert len(future_structure(fit, fd).loading_form(omega)[0]) == 1
+    res = cs.predict(fit, fd, extra_offset_var=0.01)
+    want, reserve_cov = _dense_reserve_moments(fit, fd, 0.01)
+    assert res.reserve_cov.shape == (2, 2) and res.std_errors.shape == (2,)
+    assert np.array_equal(res.omega_star, res.omega_star.T)
+    assert np.max(np.abs(res.omega_star - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.max(np.abs(res.reserve_cov - reserve_cov)) <= 1e-12 * np.max(np.abs(reserve_cov))
+    assert -1.0 <= cs.reserve_correlation(res) <= 1.0
+
+
 @pytest.mark.parametrize("partition, within, bound", [
     ("cell", False, 6.59e6), ("row", True, 4.15e6), ("diagonal", False, 3.74e6),
 ])
 def test_dense_frame_forecast_memory(partition, within, bound):
-    # N = 2 on a 30 x 30 triangle, 870 future rows: a panel built from rows
-    # of the dense Sigma* held up to ``bound`` bytes on these inputs, and
-    # the panel from Sigma*'s loadings holds no more
+    # N = 2 on a 30 x 30 triangle, 870 future rows: a row panel built from
+    # rows of the dense Sigma* held up to ``bound`` bytes on these inputs,
+    # and the blocks from Sigma*'s loadings hold no more
     lay = ArrayLayout.triangle(2, 30)
     coll = simulate_two_level(lay, 0.1, 0.15, seed=3)
     design = toy_design(lay, partition, include_within=within)

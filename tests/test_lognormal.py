@@ -4,8 +4,8 @@ import pytest
 import commonshock as cs
 from commonshock.arrays import ArrayLayout
 from commonshock.covariance import CellwiseTwoLevel
-from commonshock.lognormal import LogNormalSummary
-from conftest import toy_design
+from commonshock.lognormal import LogNormalSummary, block_covariance, block_raw_moments
+from conftest import fitted_raw, toy_design
 
 
 def test_raw_mean_degenerate():
@@ -94,12 +94,12 @@ def test_fitted_raw_saturated_model():
     sigma = cs.SigmaModel(CellwiseTwoLevel(1, 4), [0.0, s2])
     fit = cs.gls_fit(y, design, sigma)
     np.testing.assert_allclose(fit.y_hat, y, atol=1e-10)
-    cells, cov = cs.fitted_raw(fit)
+    cells, cov = fitted_raw(fit)
     np.testing.assert_allclose(cells[0], vals[0] * np.exp(0.5 * s2), rtol=1e-9)
 
 
 def test_fitted_raw_reference_shapes(ref_fit):
-    cells, cov = cs.fitted_raw(ref_fit["fit"])
+    cells, cov = fitted_raw(ref_fit["fit"])
     lay = ref_fit["fit"].design.layout
     assert cells.shape == (2, 15, 15)
     assert np.isnan(cells[0, 14, 14])  # outside the fitted triangle
@@ -112,3 +112,37 @@ def test_nan_exponent_guard():
     s = LogNormalSummary([np.nan, 0.0], np.eye(2))
     with pytest.raises(cs.NumericalError, match="NaN"):
         cs.raw_mean(s)
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared_blocks", "per_pair_blocks"])
+def test_block_moments_match_the_dense_kronecker_form(shared):
+    # three arrays of 300 cells (three chunks), Sigma in loading form written
+    # densely with np.kron; without B columns and with an equal offset
+    # variance per array the pairs share blocks, with them each is its own
+    rng = np.random.default_rng(21)
+    n_arrays, cells = 3, 300
+
+    def psd(k, scale):
+        g = rng.normal(size=(k, k))
+        return scale * g @ g.T / k
+
+    C = psd(n_arrays, 0.01) + 0.01 * np.eye(n_arrays)
+    terms = (
+        (psd(n_arrays, 0.01), rng.normal(size=(cells, 4)) / 2),
+        (0.02 * np.eye(n_arrays), np.eye(cells)[:, :50]),
+    )
+    B = np.zeros((n_arrays * cells, 0)) if shared else rng.normal(size=(n_arrays * cells, 5)) / 10
+    var = np.tile(rng.uniform(0, 0.05, cells), n_arrays)
+    dense = B @ B.T + np.kron(C, np.eye(cells)) + np.diag(var)
+    for G, F in terms:
+        dense += np.kron(G, F @ F.T)
+    location = rng.normal(size=n_arrays * cells)
+    omega = block_covariance(C, terms, B, var)
+    assert np.array_equal(omega, omega.T)
+    assert np.max(np.abs(omega - dense)) <= 1e-14 * np.max(np.abs(dense))
+    means, S = block_raw_moments(location, C, terms, B, var)
+    summary = LogNormalSummary(location, dense)
+    by_array = np.kron(np.eye(n_arrays), np.ones((cells, 1)))
+    want = by_array.T @ cs.raw_cov(summary) @ by_array
+    np.testing.assert_allclose(means, cs.raw_mean(summary), rtol=1e-12)
+    assert np.max(np.abs(S - want)) <= 1e-12 * np.max(np.abs(want))
