@@ -590,7 +590,7 @@ def cmd_inspect(cfg) -> str:
         f"C block:                   {n_obs} x {N * q}",
         f"L = [A B I]:               {n_obs} x {a_cols + b_cols + n_obs}",
         f"M before reduction:        {n_obs} x {len(design.full_labels)}",
-        f"M after reduction:         {n_obs} x {design.M.shape[1]}",
+        f"M after reduction:         {n_obs} x {len(design.kept)}",
     ]
     if design.dropped:
         lines.append("dropped columns:")

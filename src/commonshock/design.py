@@ -10,9 +10,11 @@ Redundant columns (a tied shock mean is absorbed by the column effects, for
 instance) are detected by a rank-revealing sweep and removed; the kept
 parameterization follows the corner-constraint convention with the first row
 effect fixed at zero, so reported effects are directly interpretable. The
-reduced M is factored once, on first read of ``ModelDesign.factor``
-(``LeastSquaresFactor``), and every fit on the design starts from that
-factor.
+sweep orthogonalises one array's idiosyncratic block C0 once, and its
+basis of the kept columns is C0's factor wherever one is needed: for the
+alias coefficients, and in the least-squares factor of the reduced M
+(``LeastSquaresFactor``), formed on first read of ``ModelDesign.factor``,
+from which every fit on the design starts.
 """
 
 from __future__ import annotations
@@ -213,24 +215,38 @@ def _sweep(columns: np.ndarray, order, tol: float, prior=lambda v: 0.0):
 
     Visits ``columns[:, idx]`` for idx in ``order`` and keeps a column when
     its residual against the kept ones, and against the span that ``prior``
-    projects onto, exceeds ``tol``. Returns the kept and dropped indices in
-    sweep order and the kept columns' orthonormal basis, one row each.
+    projects onto, exceeds ``tol``; a column past the rows, once the kept
+    ones span them, is dropped. Returns the kept and dropped indices in
+    sweep order, the kept columns' orthonormal basis Q^T, one row each, and
+    their coefficients on it, the upper-triangular R: with no ``prior``,
+    columns[:, kept] = Q R. Twice is enough: the basis is orthonormal to
+    working precision where the kept columns are numerically nonsingular
+    (Giraud, Langou, Rozloznik and van den Eshof 2005, Numer. Math. 101).
     """
     n = columns.shape[0]
     basis = np.empty((min(n, len(order)), n))
+    R = np.zeros((len(basis),) * 2)
     kept, dropped = [], []
     for idx in order:
+        t = len(kept)
+        if t == n:
+            dropped.append(idx)
+            continue
         c = columns[:, idx]
-        Qt = basis[: len(kept)]
-        r = c - Qt.T @ (Qt @ c) - prior(c)
-        r = r - Qt.T @ (Qt @ r) - prior(r)  # one re-orthogonalization pass
+        Qt = basis[:t]
+        h = Qt @ c
+        r = c - Qt.T @ h - prior(c)
+        g = Qt @ r  # one re-orthogonalization pass
+        r = r - Qt.T @ g - prior(r)
         nr = np.linalg.norm(r)
         if nr > tol:
-            basis[len(kept)] = r / nr
+            basis[t] = r / nr
+            R[:t, t], R[t, t] = h + g, nr
             kept.append(idx)
         else:
             dropped.append(idx)
-    return kept, dropped, basis[: len(kept)]
+    r0 = len(kept)
+    return kept, dropped, basis[:r0], R[:r0, :r0]
 
 
 def _reduce_blocks(X, x_order, C0, c0_order, n_blocks: int):
@@ -242,7 +258,10 @@ def _reduce_blocks(X, x_order, C0, c0_order, n_blocks: int):
     once. C0 is swept once in ``c0_order``, and its kept set and basis Q0
     serve every array, because array n's columns meet no other array's rows.
     X is then swept in ``x_order`` against I_N (x) Q0 and its own kept
-    columns. Returns what ``reduce_columns`` returns, indexed into M.
+    columns. Returns what ``reduce_columns`` returns, indexed into M, and
+    the sweep's factor (Q0^T, R0) of C0's kept columns in sweep order,
+    C0[:, kept] = Q0 R0, which is the least-squares factor's (see
+    ``LeastSquaresFactor.of``): no other orthogonalisation of C0 is taken.
     """
     N = n_blocks
     (k, q), s = C0.shape, X.shape[1]
@@ -253,8 +272,8 @@ def _reduce_blocks(X, x_order, C0, c0_order, n_blocks: int):
     smax = np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)) if gram.size else 0.0
     tol = REDUCE_TOL * smax
 
-    kept0, dropped0, Q0 = _sweep(C0, c0_order, tol)
-    keptx, droppedx, Qx = _sweep(X, x_order, tol, lambda v: (v.reshape(N, k) @ Q0.T @ Q0).ravel())
+    kept0, dropped0, Q0, R0 = _sweep(C0, c0_order, tol)
+    keptx, droppedx, Qx, _ = _sweep(X, x_order, tol, lambda v: (v.reshape(N, k) @ Q0.T @ Q0).ravel())
     reasons = {}
     for cols, dropped, offsets in ((X, droppedx, [0]), (C0, dropped0, s + q * np.arange(N))):
         for j in dropped:
@@ -270,16 +289,18 @@ def _reduce_blocks(X, x_order, C0, c0_order, n_blocks: int):
         # a dropped shock column d = Xk a + (I (x) C0k) b: a solves against
         # Xk with C0 projected out (Qx spans it, orthogonal to I (x) Q0), b
         # is least squares on C0k of what a leaves, array by array. A
-        # dropped C0 column has a = 0, and b is its least squares on C0k
+        # dropped C0 column has a = 0, and b is its least squares on C0k.
+        # With C0k = Q0 R0 in sweep order, b solves R0 b = Q0^T [...], its
+        # rows then put in k0's order
         Xk, Xd, r0 = X[:, kx], X[:, dx], len(k0)
         a = np.linalg.solve(Qx @ Xk, Qx @ Xd)
         left = (Xd - Xk @ a).reshape(N, k, len(dx)).transpose(1, 0, 2).reshape(k, N * len(dx))
-        b = np.linalg.lstsq(C0[:, k0], np.hstack([C0[:, d0], left]), rcond=None)[0]
+        b = np.linalg.solve(R0, Q0 @ np.hstack([C0[:, d0], left]))[np.argsort(kept0)]
         coef[: len(kx), : len(dx)] = a
         b_shock = b[:, len(d0):].reshape(r0, N, len(dx)).transpose(1, 0, 2)
         coef[len(kx):, : len(dx)] = b_shock.reshape(N * r0, len(dx))
         coef[len(kx):, len(dx):] = np.kron(np.eye(N), b[:, : len(d0)])
-    return kept, dropped, coef, reasons
+    return kept, dropped, coef, reasons, (Q0, R0)
 
 
 def reduce_columns(M: np.ndarray, keep_priority=None):
@@ -297,7 +318,7 @@ def reduce_columns(M: np.ndarray, keep_priority=None):
     M = np.asarray(M, dtype=float)
     n, m = M.shape
     order = list(range(m)) if keep_priority is None else list(keep_priority)
-    return _reduce_blocks(np.zeros((n, 0)), [], M, order, 1)
+    return _reduce_blocks(np.zeros((n, 0)), [], M, order, 1)[:4]
 
 
 def _by_block(a: np.ndarray, v: np.ndarray, n_blocks: int) -> np.ndarray:
@@ -323,13 +344,15 @@ def _pivots(R: np.ndarray) -> np.ndarray:
 class LeastSquaresFactor:
     """M = [Qx | I_N (x) Q0] T, the least-squares factor of M = [X | I_N (x) C0].
 
-    One QR, C0 = Q0 R0, serves every array. The shock-mean columns X are
-    projected off I_N (x) Q0, with one re-orthogonalisation pass, and what
-    is left is factored by one QR: X - (I_N (x) Q0) Z = Qx Rx with
-    Z = (I_N (x) Q0)^T X. So T = [[Rx, 0], [Z, I_N (x) R0]] in M's column
-    order, and ``t_inv`` = T^-1 = [[Rx^-1, 0], [-(I_N (x) R0^-1) Z Rx^-1,
-    I_N (x) R0^-1]] is filled block by block. A bare matrix is the
-    one-block case, C0 = M with no X: one QR of M (see ``of``).
+    One factor C0 = Q0 R0 serves every array: the reduction sweep's, CGS2
+    on C0's kept columns (``_reduce_blocks``), with R0 the sweep's
+    coefficients. The shock-mean columns X are projected off I_N (x) Q0,
+    with one re-orthogonalisation pass, and what is left is factored by one
+    QR: X - (I_N (x) Q0) Z = Qx Rx with Z = (I_N (x) Q0)^T X. So
+    T = [[Rx, 0], [Z, I_N (x) R0]] in M's column order, and ``t_inv`` =
+    T^-1 = [[Rx^-1, 0], [-(I_N (x) R0^-1) Z Rx^-1, I_N (x) R0^-1]] is filled
+    block by block. A bare matrix is the one-block case, C0 = M with no X,
+    swept at tolerance 0 (see ``of``).
     """
 
     q0: np.ndarray  # (cells, r0)
@@ -342,22 +365,33 @@ class LeastSquaresFactor:
     t_inv: np.ndarray  # (m, m), read-only
 
     @classmethod
-    def of(cls, X: np.ndarray, C0: np.ndarray, n_blocks: int, labels) -> "LeastSquaresFactor":
+    def of(
+        cls, X: np.ndarray, C0: np.ndarray, n_blocks: int, labels, c0_basis=None
+    ) -> "LeastSquaresFactor":
         """The factor of [X | I_N (x) C0], N = ``n_blocks``.
 
+        ``c0_basis`` is (Q0^T, R0) with C0 = Q0 R0, as the reduction sweep
+        leaves it; without it C0 is swept here at tolerance 0, which drops
+        only a column past the rows or one whose residual is exactly zero.
         A column whose diagonal entry of T is at most 1e-12 times the
-        largest (or 1) is aliased, and so is a column past a factor's rows,
+        largest (or 1) is aliased, and so is a column the sweep dropped,
         which has no diagonal entry; DesignError names every such column.
         """
         (k, r0), s, N = C0.shape, X.shape[1], n_blocks
-        q0, R0 = np.linalg.qr(C0)
-        Z = _by_block(q0.T, X, N)
+        if c0_basis is None:
+            kept, _, q0t, R0 = _sweep(C0, range(r0), 0.0)
+        else:
+            kept, (q0t, R0) = range(r0), c0_basis
+        pivots0 = np.zeros(r0)
+        pivots0[kept] = np.diagonal(R0)
+        q0 = q0t.T
+        Z = _by_block(q0t, X, N)
         left = X - _by_block(q0, Z, N)
-        again = _by_block(q0.T, left, N)  # one re-orthogonalisation pass
+        again = _by_block(q0t, left, N)  # one re-orthogonalisation pass
         left -= _by_block(q0, again, N)
         Z += again
         qx, Rx = np.linalg.qr(left) if s else (left, np.zeros((0, 0)))
-        rdiag = np.abs(np.concatenate([_pivots(Rx), np.tile(_pivots(R0), N)]))
+        rdiag = np.abs(np.concatenate([_pivots(Rx), np.tile(pivots0, N)]))
         aliased = rdiag <= 1e-12 * rdiag.max(initial=1.0)
         if aliased.any():
             bad = [labels[j] for j in np.where(aliased)[0]]
@@ -389,7 +423,7 @@ class ModelDesign:
     idiosyncratic block, (|cells|, r0). M is built once from the two. Its
     least-squares factor (``factor``) and the unreduced blocks are formed
     on first read: A and B, which only the diagonal-scalar structure and an
-    unshared across-array mean need, the dense C and M_full.
+    unshared across-array mean need, and M_full.
     """
 
     layout: ArrayLayout
@@ -403,6 +437,10 @@ class ModelDesign:
     coef: np.ndarray  # kept -> dropped alias coefficients
     M: np.ndarray = field(init=False)
     labels: tuple = field(init=False)
+    # (Q0^T, R0) with C0 = Q0 R0, the reduction sweep's factor of C0's kept
+    # columns: ``assemble`` sets it on the design it builds, and it is no
+    # field, so a copy (``dataclasses.replace``) sweeps its own C0
+    _c0_basis = None
 
     def __post_init__(self):
         object.__setattr__(self, "M", array_frame(self.X, self.C0, self.layout.n_arrays))
@@ -413,7 +451,9 @@ class ModelDesign:
     @cached_property
     def factor(self) -> LeastSquaresFactor:
         """M = [Qx | I_N (x) Q0] T; DesignError names M's aliased columns."""
-        return LeastSquaresFactor.of(self.X, self.C0, self.layout.n_arrays, self.labels)
+        return LeastSquaresFactor.of(
+            self.X, self.C0, self.layout.n_arrays, self.labels, self._c0_basis
+        )
 
     @cached_property
     def _rows(self) -> _CellRows:
@@ -432,12 +472,6 @@ class ModelDesign:
     def B(self) -> np.ndarray:
         """(N|cells|, N P) within-array shock block, no columns when absent."""
         return self._shock_blocks[1]
-
-    @cached_property
-    def C(self) -> np.ndarray:
-        """(N|cells|, N q) idiosyncratic block, I_N (x) the unreduced C0."""
-        C0 = self._rows.idiosyncratic(self.idio_variant)[0]
-        return array_frame(np.zeros((self.n_obs, 0)), C0, self.layout.n_arrays)
 
     @cached_property
     def M_full(self) -> np.ndarray:
@@ -566,10 +600,10 @@ def assemble(
     s, q, N = X.shape[1], C0.shape[1], lay.n_arrays
     rank = {"xi": 1, "xi_shared": 1, "eta": 0}
     x_order = sorted(range(s), key=lambda k: (rank[labels[k][0]], k))
-    kept, dropped, coef, reasons = _reduce_blocks(X, x_order, C0, range(q), N)
+    kept, dropped, coef, reasons, c0_basis = _reduce_blocks(X, x_order, C0, range(q), N)
     if not kept:
         raise DesignError("design reduced to zero columns")
-    return ModelDesign(
+    design = ModelDesign(
         layout=lay,
         shock=shock,
         idio_variant=idio_variant,
@@ -580,3 +614,6 @@ def assemble(
         dropped=tuple((labels[d], reasons[d]) for d in dropped),
         coef=coef,
     )
+    # C0 was swept in column order, so the sweep's factor is the kept C0's
+    object.__setattr__(design, "_c0_basis", c0_basis)
+    return design

@@ -2,8 +2,9 @@
 
 With the covariance known, the location estimate is the usual GLS solution.
 M is factored once per design, by least squares in its array frame
-(``ModelDesign.factor``: one QR of one array's idiosyncratic block, one of
-the projected shock-mean columns), and that factor alone judges aliasing.
+(``ModelDesign.factor``: the reduction sweep's orthonormal basis of one
+array's idiosyncratic block, and one QR of the projected shock-mean
+columns), and that factor alone judges aliasing.
 A GLS fit then takes one QR of the factor's columns that Sigma mixes, with
 y, in the rows the covariance writes for them (``gls_fit``); neither
 Sigma^-1 nor (M^T Sigma^-1 M)^-1 is formed, only the inverses of
@@ -106,7 +107,8 @@ def _design_parts(y, design):
     ModelDesign or a bare matrix M.
 
     A ModelDesign's factor is formed once (``ModelDesign.factor``); a bare
-    matrix is factored on each call, as the one-block case C0 = M with no X.
+    matrix is factored on each call, as the one-block case C0 = M with no X,
+    by the reduction's sweep at tolerance 0.
     """
     y = np.asarray(y, dtype=float).ravel()
     if isinstance(design, np.ndarray):

@@ -9,6 +9,7 @@ from commonshock import cli, estimation
 from commonshock.cli import main, parse_config, read_claims_csv, write_claims_csv
 from commonshock.errors import ConfigError, DataError
 from commonshock.datasets import bundled_paths
+from commonshock.kron import array_frame
 
 
 def write_config(path, **keys):
@@ -336,7 +337,8 @@ class TestInspectCommand:
     @pytest.mark.parametrize("design", ["chain_ladder", "hoerl"])
     def test_counts_without_the_unreduced_blocks(self, tmp_path, capsys, monkeypatch, design):
         # inspect counts the columns of A, B, C and M_full from what the
-        # design holds; the counts must still be those of the blocks
+        # design holds; the counts must still be those of the blocks, C
+        # rebuilt here as I_N (x) the unreduced C0
         cfg = write_config(
             tmp_path / "c.cfg",
             data=", ".join(bundled_paths()),
@@ -351,16 +353,19 @@ class TestInspectCommand:
             raise AssertionError("an unreduced block was formed")
 
         with monkeypatch.context() as m:
-            for name in ("A", "B", "C", "M_full"):
+            for name in ("A", "B", "M_full"):
                 m.setattr(cs.ModelDesign, name, property(unread))
             assert main(["inspect", "--config", cfg]) == 0
         out = capsys.readouterr().out
         built = cli._build_model(parse_config(cfg))[3]
         n, N = built.n_obs, built.layout.n_arrays
-        assert f"idiosyncratic params q:    {built.C.shape[1] // N}\n" in out
+        C0 = {"chain_ladder": cs.build_C_chain_ladder, "hoerl": cs.build_C_hoerl}[design]
+        C = array_frame(np.zeros((n, 0)), C0(built.layout)[0], N)
+        assert f"idiosyncratic params q:    {C.shape[1] // N}\n" in out
         assert f"A block:                   {n} x {built.A.shape[1]}\n" in out
         assert f"B block:                   {n} x {built.B.shape[1]}\n" in out
-        assert f"C block:                   {n} x {built.C.shape[1]}\n" in out
+        assert f"C block:                   {n} x {C.shape[1]}\n" in out
+        assert f"M after reduction:         {n} x {built.M.shape[1]}\n" in out
         assert f"L = [A B I]:               {n} x {built.A.shape[1] + built.B.shape[1] + n}\n" in out
         assert f"M before reduction:        {n} x {built.M_full.shape[1]}\n" in out
 

@@ -5,6 +5,7 @@ import commonshock as cs
 from commonshock.arrays import ArrayLayout
 import commonshock.design as design_module
 from commonshock.design import reduce_columns
+from commonshock.kron import array_frame
 from conftest import toy_design
 
 
@@ -119,7 +120,8 @@ def test_assemble_block_dimension_contract():
     q = (6 - 1) + 6
     assert design.A.shape == (n_obs, P)
     assert design.B.shape == (n_obs, 2 * P)
-    assert design.C.shape == (n_obs, 2 * q)
+    C0 = cs.build_C_chain_ladder(lay)[0]
+    assert array_frame(np.zeros((n_obs, 0)), C0, 2).shape == (n_obs, 2 * q)
     L = np.hstack([design.A, design.B, np.eye(n_obs)])
     assert L.shape == (n_obs, P + 2 * P + n_obs)
 
@@ -169,9 +171,10 @@ def test_duplicate_column_detected_and_fit_unchanged(ref_fit):
 
 
 def test_assemble_factors_no_matrix_with_a_row_per_observation(monkeypatch):
-    # the reduction sweeps one array's block and reads ||M||_2 off a Gram
-    # matrix: no SVD and no least squares on a matrix with one row per
-    # observation
+    # the reduction sweeps one array's block, reads ||M||_2 off a Gram
+    # matrix and solves for the alias coefficients with the sweep's factor,
+    # which the least-squares factor reuses: no SVD and no least squares
+    # at all
     mask = ArrayLayout.triangle(3, 6).mask.copy()
     mask[:, 3] = False  # column 4 is never observed: its effect is a zero column
     lay = ArrayLayout(3, 6, 6, mask)
@@ -191,7 +194,8 @@ def test_assemble_factors_no_matrix_with_a_row_per_observation(monkeypatch):
         monkeypatch.setitem(norm_globals, name, wrapped)
     design = toy_design(lay, kind="row", shared_mean=False, include_within=True)
     assert {reason for _, reason in design.dropped} == {"aliased", "unobserved"}
-    assert shapes and all(shape[0] != lay.n_observations for shape in shapes)
+    assert design.factor.t_inv.shape == (design.n_params,) * 2
+    assert shapes == []
 
 
 def test_gauge_invariance_of_fitted_values(bundled):

@@ -94,13 +94,13 @@ def gls_against_dense(y, design, structure, omega):
         named = ast.literal_eval(str(raised.value).split("aliased columns: ")[1])
         return named, [labels[j] for j in aliased]
     # a design's factor is formed here, before the count; a bare matrix is
-    # factored again on each call
+    # swept again on each call, which takes no QR
     factor = estimation._design_parts(y, design)[-1]
     on_arrays = estimation._array_side_only(structure, factor.q0)
     k = factor.qx.shape[1] if on_arrays else M.shape[1]
     with counted_qr() as shapes:
         fit = cs.gls_fit(y, design, sigma)
-    assert shapes == [M.shape] * bare + [(y.size, k + 1)] * (k > 0)
+    assert shapes == [(y.size, k + 1)] * (k > 0)
     assert (fit.frame is not None) == on_arrays
     if on_arrays:
         np.testing.assert_array_equal(fit.frame[0], structure.group_sides(omega)[0])
@@ -219,9 +219,10 @@ def test_whitening_does_not_change_which_columns_are_aliased(v2):
 def test_gls_fit_forms_no_n_by_m_matrix(qr_shapes):
     # identity Example48, N = 8 on a 16 x 16 triangle with unshared calendar
     # means, of which 14 are kept: n = 1088 and m = 262. The design's factor
-    # takes one QR of C0 and one of the n x 14 projected shock block, and
-    # the fit one of the n x 15 whitened [Qx | y]; together they hold less
-    # than one n x m float64 matrix, where the whitened M alone would take one
+    # takes one QR, of the n x 14 projected shock block (C0's factor is the
+    # reduction sweep's), and the fit one of the n x 15 whitened [Qx | y];
+    # together they hold less than one n x m float64 matrix, where the
+    # whitened M alone would take one
     lay = ArrayLayout.triangle(8, 16)
     design = toy_design(lay, kind="diagonal", shared_mean=False)
     cells = lay.cells_per_array

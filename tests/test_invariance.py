@@ -18,6 +18,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import commonshock as cs
+import commonshock.design as design_module
 from commonshock import estimation
 from commonshock.arrays import ArrayLayout
 from commonshock.covariance import (
@@ -159,6 +160,13 @@ def test_block_factor_is_the_dense_factor(case):
     s = X.shape[1]
     y = rng.normal(size=design.n_obs)
     event("kept shock means" if s else "no shock means")
+    # the design's own factor takes C0's from the reduction sweep, classical
+    # Gram-Schmidt with one re-orthogonalisation pass on the kept columns,
+    # and no QR of C0
+    with counted_qr() as shapes:
+        factor = design.factor
+    assert shapes == array_frame_shapes(design)
+    assert_dense_factor(factor, M, s, y)
     variants = (
         (X, C0, []),
         (np.hstack([X, M @ rng.normal(size=(M.shape[1], 1))]), C0, [s]),
@@ -185,15 +193,52 @@ def test_block_factor_is_the_dense_factor(case):
                 # only its copy in every array is sure to be named
                 assert {labels[j] for j in alias} <= set(named)
             continue
-        factor = LeastSquaresFactor.of(Xv, C0v, N, labels)
-        got, t_inv = factor.least_squares(y), factor.t_inv
-        for got_, want in ((got, kappa), (t_inv @ t_inv.T, var)):
-            scale = np.abs(want).max(initial=0.0)
-            np.testing.assert_allclose(got_, want, rtol=1e-10, atol=1e-10 * scale)
-        # Q = M T^-1 is [Qx | I_N (x) Q0], with orthonormal columns
-        Q = array_frame(factor.qx, factor.q0, N)
-        np.testing.assert_allclose(Mv @ t_inv, Q, rtol=0.0, atol=1e-10)
-        np.testing.assert_allclose(Q.T @ Q, np.eye(Q.shape[1]), rtol=0.0, atol=1e-12)
+        assert_dense_factor(LeastSquaresFactor.of(Xv, C0v, N, labels), Mv, sv, y)
+
+
+def assert_dense_factor(factor, M, s, y):
+    """``factor`` is the least-squares factor of M = [X | I_N (x) C0], X of
+    s columns: kappa and T^-1 T^-T match one dense Householder QR of M (in
+    the order C0's arrays, then X) to 1e-10, and Q = M T^-1 is
+    [Qx | I_N (x) Q0], with columns orthonormal to 1e-12."""
+    kappa, var, aliased = dense_factor(y, M, list(range(s, M.shape[1])) + list(range(s)))
+    assert not aliased
+    got, t_inv = factor.least_squares(y), factor.t_inv
+    for got_, want in ((got, kappa), (t_inv @ t_inv.T, var)):
+        scale = np.abs(want).max(initial=0.0)
+        np.testing.assert_allclose(got_, want, rtol=1e-10, atol=1e-10 * scale)
+    Q = array_frame(factor.qx, factor.q0, M.shape[0] // len(factor.q0))
+    np.testing.assert_allclose(M @ t_inv, Q, rtol=0.0, atol=1e-10)
+    np.testing.assert_allclose(Q.T @ Q, np.eye(Q.shape[1]), rtol=0.0, atol=1e-12)
+
+
+def test_a_replaced_design_factors_its_own_blocks():
+    # the sweep's basis is no field of the design, so a copy with a new C0
+    # or X (dataclasses.replace) sweeps its own C0 on first read of its
+    # factor: scaled columns, moved shock means, and a C0 one column wider
+    design, rng = calendar_means()
+    original = design.factor
+    N, (k, r0) = design.layout.n_arrays, design.C0.shape
+    scaled = design.C0 * rng.uniform(0.5, 2.0, r0)
+    moved = design.X + 0.1 * rng.normal(size=design.X.shape)
+    wider = np.hstack([design.C0, rng.normal(size=(k, 1))])
+    m = design.X.shape[1] + N * (r0 + 1)
+    copies = (
+        dataclasses.replace(design, C0=scaled),
+        dataclasses.replace(design, X=moved),
+        dataclasses.replace(design, X=moved, C0=scaled),
+        dataclasses.replace(
+            design, C0=wider, full_labels=tuple(f"column_{j}" for j in range(m)),
+            kept=tuple(range(m)), dropped=(), coef=np.zeros((m, 0)),
+        ),
+    )
+    for copy in copies:
+        assert copy.n_params < copy.n_obs
+        factor = copy.factor
+        assert factor.q0.shape == copy.C0.shape
+        assert not np.array_equal(factor.t_inv, original.t_inv)
+        assert_dense_factor(factor, copy.M, copy.X.shape[1], rng.normal(size=copy.n_obs))
+    assert design.factor is original
 
 
 def test_bundled_configurations(bundled):
@@ -263,46 +308,50 @@ def qr_shapes():
 
 
 def array_frame_shapes(design):
-    """The QRs of the design's least-squares factor: C0, and the n x s_x
-    projected shock-mean block when shock means are kept."""
-    return [design.C0.shape] + ([design.X.shape] if design.X.shape[1] else [])
+    """The QRs of the design's least-squares factor: the n x s_x projected
+    shock-mean block when shock means are kept, and none of C0, whose
+    factor is the reduction sweep's."""
+    return [design.X.shape] if design.X.shape[1] else []
 
 
 def unfactored(design):
-    """A copy of ``design`` whose least-squares factor is not formed yet."""
+    """A copy of ``design`` whose least-squares factor is not formed yet;
+    it sweeps its own C0 on first read of the factor."""
     return dataclasses.replace(design)
 
 
 def test_closed_form_path_makes_one_qr(ref_fit, qr_shapes):
-    # one QR of C0 serves every array; the reference design keeps no shock
-    # mean, so the fit at omega-hat whitens no column
+    # one factor of C0, the sweep's, serves every array, and no QR of C0 is
+    # taken; the reference design keeps no shock mean, so the fit at
+    # omega-hat whitens no column: no QR in all
     design = unfactored(ref_fit["design"])
     fit = cs.ml_dispersion_cellwise(ref_fit["y"], design)
     assert design.X.shape[1] == 0
-    assert qr_shapes == [design.C0.shape]
+    assert qr_shapes == []
     np.testing.assert_allclose(fit.omega_hat, ref_fit["fit"].omega_hat, rtol=1e-12)
 
 
 def test_closed_form_path_with_kept_shock_means(bundled, qr_shapes):
     # unshared calendar means are partly kept: their columns, projected off
-    # I_N (x) Q0, add one n x s_x QR to the factor, and the fit at
-    # omega-hat one more, of the whitened [Qx | y]; nothing has N r0 columns
+    # I_N (x) Q0, take the factor's one QR, n x s_x (C0's factor is the
+    # reduction sweep's), and the fit at omega-hat one more, of the
+    # whitened [Qx | y]; nothing has N r0 columns
     coll = bundled.restrict_to_diagonals(15)
     design = toy_design(coll.layout, kind="diagonal", shared_mean=False)
     fit = cs.ml_dispersion_cellwise(cs.stack_log(coll), design)
     assert fit.n_iter == 1  # the fixed location, no solver steps
     assert design.X.shape[1] > 0
     n, s = design.X.shape
-    assert qr_shapes == [design.C0.shape, design.X.shape, (n, s + 1)]
+    assert qr_shapes == [design.X.shape, (n, s + 1)]
 
 
 @pytest.mark.parametrize("name", ["cellwise_two_level", "diagonal_scalar"])
 def test_generic_solver_on_an_invariant_design_makes_one_qr(ref_fit, qr_shapes, name):
-    # one QR of M's factor, C0's (the reference design keeps no shock mean),
-    # and none at the points visited; the fit at omega-hat whitens no
-    # column in the array frame, and every column of Q with y, one
-    # n x (m + 1) QR, under the one-array DiagonalScalar(A), whose cells
-    # are not one array's
+    # no QR for M's factor (C0's is the sweep's, and the reference design
+    # keeps no shock mean) and none at the points visited; the fit at
+    # omega-hat whitens no column in the array frame, and every column of
+    # Q with y, one n x (m + 1) QR, under the one-array DiagonalScalar(A),
+    # whose cells are not one array's
     design = unfactored(ref_fit["design"])
     cells = design.layout.cells_per_array
     if name == "cellwise_two_level":
@@ -313,7 +362,7 @@ def test_generic_solver_on_an_invariant_design_makes_one_qr(ref_fit, qr_shapes, 
     assert fit.n_iter >= 1  # this start steps; a start that does not is the next test
     n, m = design.M.shape
     dense = [] if name == "cellwise_two_level" else [(n, m + 1)]
-    assert qr_shapes == [design.C0.shape] + dense
+    assert qr_shapes == dense
     want = cs.gls_fit(ref_fit["y"], design, fit.sigma)
     np.testing.assert_allclose(fit.var_kappa, want.var_kappa, rtol=1e-10, atol=1e-14)
     assert fit.loglik == pytest.approx(want.loglik, rel=1e-12)
@@ -321,13 +370,13 @@ def test_generic_solver_on_an_invariant_design_makes_one_qr(ref_fit, qr_shapes, 
 
 def test_generic_solver_start_that_needs_no_step_is_its_gls_fit(ref_fit, qr_shapes):
     # the invariance test and the fit at the start share the design's one
-    # QR of C0, and at Sigma = C (x) I with no shock mean kept that fit
-    # whitens no column: one QR in all
+    # factor of C0, the sweep's, and at Sigma = C (x) I with no shock mean
+    # kept that fit whitens no column: no QR in all
     y, design = ref_fit["y"], unfactored(ref_fit["design"])
     structure = CellwiseTwoLevel(2, design.layout.cells_per_array)
     fit = cs.ml_dispersion_generic(y, design, structure, [0.01, 0.01], free_mask=[False, False])
     assert fit.n_iter == 0
-    assert qr_shapes == [design.C0.shape]
+    assert qr_shapes == []
     assert fit.loglik == cs.gls_fit(y, design, fit.sigma).loglik
 
 
@@ -406,11 +455,19 @@ def test_closed_form_path_on_a_moving_design(bundled):
     assert np.max(np.abs(fit.score)) < 1e-9
 
 
-def test_one_qr_of_c0_per_design(bundled, qr_shapes):
+def test_one_qr_of_c0_per_design(bundled, qr_shapes, monkeypatch):
     # a GLS fit, both ML solvers, under the array-frame and a one-array Sigma,
-    # and a forecast share the design's one factor: one QR of C0, and one of
-    # the projected shock means; every other QR is of whitened mixed columns
-    # and y
+    # and a forecast share the design's one factor: C0 is orthogonalised
+    # once, by the reduction sweep, whose basis is the factor's, and takes
+    # no QR; the projected shock means take one; every other QR is of
+    # whitened mixed columns and y
+    swept, sweep = [], design_module._sweep
+
+    def counted(columns, *args, **kwargs):
+        swept.append(columns.shape)
+        return sweep(columns, *args, **kwargs)
+
+    monkeypatch.setattr(design_module, "_sweep", counted)
     coll = bundled.restrict_to_diagonals(15)
     design = toy_design(coll.layout, kind="diagonal", shared_mean=False)
     y = cs.stack_log(coll)
@@ -423,10 +480,13 @@ def test_one_qr_of_c0_per_design(bundled, qr_shapes):
     # the last fitted diagonal: its calendar mean is identified
     last_diagonal = [(i, 16 - i) for i in range(1, 16)]
     cs.predict(fit, cs.build_forecast_design(design, last_diagonal))
-    assert qr_shapes[:2] == array_frame_shapes(design)
-    assert qr_shapes.count(design.C0.shape) == 1
+    # the unreduced C0, then the P unreduced shock-mean columns, each once
+    P, N = design.shock.partition.n_subsets, design.layout.n_arrays
+    q = (len(design.full_labels) - P) // N
+    assert swept == [(design.C0.shape[0], q), (design.n_obs, P)]
+    assert qr_shapes[:1] == array_frame_shapes(design)
     (n, s), m = design.X.shape, design.n_params
-    assert set(qr_shapes[2:]) == {(n, s + 1), (n, m + 1)}
+    assert set(qr_shapes[1:]) == {(n, s + 1), (n, m + 1)}
 
 
 def test_generic_solver_on_a_moving_design_whitens_qx_per_point(bundled, qr_shapes):
