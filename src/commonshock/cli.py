@@ -22,7 +22,7 @@ from .arrays import ArrayLayout, ClaimCollection, diagonal_of, future_cells, sta
 # SigmaModel, gls_fit and ml_dispersion_cellwise are unused here but stay
 # module attributes: perfbench/tracer.py wraps this module's names
 from .covariance import STRUCTURE_KINDS, SigmaModel, structure_for  # noqa: F401
-from .design import IDIO_VARIANTS, ShockSpec, assemble
+from .design import IDIO_VARIANTS, ShockSpec, assemble, frame_times
 from .errors import CommonShockError, ConfigError, DataError, DesignError, NumericalError
 from .estimation import (  # noqa: F401
     MAX_ITER,
@@ -382,8 +382,8 @@ def _extended_residuals(fit, full: ClaimCollection):
     """(d, True): residuals over every data cell, one row per array, in the
     full layout's stacking order, the fit's own on the fitted cells and the
     data less their fitted means beyond the fit region, whose design rows
-    alone are built; or (the fit's own residuals, False) where a later
-    cell's mean is not estimable."""
+    alone are applied, by blocks; or (the fit's own residuals, False)
+    where a later cell's mean is not estimable."""
     cells = full.layout.stacking_order
     fitted = fit.design.layout.mask[tuple(np.array(cells).T - 1)]
     d = stack_log(full).reshape(full.layout.n_arrays, -1)
@@ -391,10 +391,10 @@ def _extended_residuals(fit, full: ClaimCollection):
     later = [cell for cell, f in zip(cells, fitted) if not f]
     if later:
         try:
-            rows = fit.design.rows_for_cells(later)
+            blocks = fit.design.blocks_for_cells(later)
         except DesignError:
             return d[:, fitted], False
-        d[:, ~fitted] -= (rows @ fit.kappa_hat).reshape(len(d), -1)
+        d[:, ~fitted] -= frame_times(*blocks, fit.kappa_hat, len(d)).reshape(len(d), -1)
     return d, True
 
 

@@ -249,14 +249,69 @@ def _sweep(columns: np.ndarray, order, tol: float, prior=lambda v: 0.0):
     return kept, dropped, basis[:r0], R[:r0, :r0]
 
 
+def _frame_norm(X, C0, n_blocks: int) -> float:
+    """||M||_2 of M = [X | I_N (x) C0], N = ``n_blocks``, from its blocks.
+
+    With no shock-mean column it is ||C0||_2. Otherwise, with one
+    eigendecomposition C0'C0 = V diag(lam) V^T and W_n = X_n^T C0 V for
+    array n's rows X_n of X, the Schur complement of I_N (x) (C0'C0 - t I)
+    in M'M - t I makes ||M||_2^2 the largest root t >= max(lam) of the
+    secular equation (Golub 1973, SIAM Review 15)
+
+        f(t) = lam_max(X^T X + sum_n W_n (t I - diag(lam))^-1 W_n^T) - t = 0,
+
+    or max(lam) itself where f <= 0 just right of it (no weight on the top
+    eigenvectors). f is convex and decreasing there, with slope at most -1,
+    so a Newton point is a lower bound of the root: Newton runs inside the
+    bracket [max(lam), ||X||_2^2 + max(lam)], and a point that leaves it is
+    replaced by the bracket's midpoint in distance from max(lam). Each step
+    takes one s x s eigendecomposition; no (s + N q)-square matrix is formed.
+    """
+    (k, q), s = C0.shape, X.shape[1]
+    if not s:
+        return float(np.sqrt(max(np.linalg.eigvalsh(C0.T @ C0)[-1], 0.0))) if q else 0.0
+    XtX = X.T @ X
+    x_top = max(np.linalg.eigvalsh(XtX)[-1], 0.0)
+    if not q:
+        return float(np.sqrt(x_top))
+    lam, V = np.linalg.eigh(C0.T @ C0)
+    top = max(lam[-1], 0.0)
+    hi = top + x_top
+    if hi == 0.0:
+        return 0.0
+    # W[i, n] = W_n[:, i], the weight of eigenvector i in array n
+    W = np.matmul(V.T, np.matmul(C0.T, X.reshape(n_blocks, k, s))).transpose(1, 0, 2)
+
+    def f(t):
+        """(f(t), f'(t)): f' from the top eigenvector u of the s x s matrix."""
+        d = 1.0 / (t - lam)
+        Wd = (W * np.sqrt(d)[:, None, None]).reshape(-1, s)
+        mu, U = np.linalg.eigh(XtX + Wd.T @ Wd)
+        return mu[-1] - t, -1.0 - d * d @ np.square(W @ U[:, -1]).sum(axis=1)
+
+    eps = np.finfo(float).eps
+    lo = top + 8 * eps * hi
+    if f(lo)[0] <= 0.0:
+        return float(np.sqrt(top))
+    t = hi
+    for _ in range(100):
+        ft, dt = f(t)
+        lo, hi = (t, hi) if ft > 0.0 else (lo, t)
+        newton = t - ft / dt
+        if abs(newton - t) <= 4 * eps * t or hi - lo <= 4 * eps * hi:
+            break
+        t = newton if lo < newton < hi else top + np.sqrt((lo - top) * (hi - top))
+    return float(np.sqrt(t))
+
+
 def _reduce_blocks(X, x_order, C0, c0_order, n_blocks: int):
     """Rank-revealing column selection on M = [X | I_N (x) C0], by blocks.
 
     X holds the shock-mean columns, (N k, s), and C0 one array's idiosyncratic
     block, (k, q); column s + n q + j of M is C0's column j in array n + 1.
-    ||M||_2 comes from the (s + N q)-square Gram matrix with C0'C0 formed
-    once. C0 is swept once in ``c0_order``, and its kept set and basis Q0
-    serve every array, because array n's columns meet no other array's rows.
+    ||M||_2 comes from the blocks (``_frame_norm``). C0 is swept once in
+    ``c0_order``, and its kept set and basis Q0 serve every array, because
+    array n's columns meet no other array's rows.
     X is then swept in ``x_order`` against I_N (x) Q0 and its own kept
     columns. Returns what ``reduce_columns`` returns, indexed into M, and
     the sweep's factor (Q0^T, R0) of C0's kept columns in sweep order,
@@ -265,12 +320,7 @@ def _reduce_blocks(X, x_order, C0, c0_order, n_blocks: int):
     """
     N = n_blocks
     (k, q), s = C0.shape, X.shape[1]
-    gram = C0.T @ C0
-    if s:
-        XC = (C0.T @ X.reshape(N, k, s)).transpose(2, 0, 1).reshape(s, N * q)
-        gram = np.block([[X.T @ X, XC], [XC.T, np.kron(np.eye(N), gram)]])
-    smax = np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)) if gram.size else 0.0
-    tol = REDUCE_TOL * smax
+    tol = REDUCE_TOL * _frame_norm(X, C0, N)
 
     kept0, dropped0, Q0, R0 = _sweep(C0, c0_order, tol)
     keptx, droppedx, Qx, _ = _sweep(X, x_order, tol, lambda v: (v.reshape(N, k) @ Q0.T @ Q0).ravel())
@@ -308,9 +358,9 @@ def reduce_columns(M: np.ndarray, keep_priority=None):
 
     Sweeps columns in ``keep_priority`` order (default: left to right),
     keeping a column only if its residual against the span of already-kept
-    columns exceeds ``REDUCE_TOL`` times the largest singular value of M, read
-    off the Gram matrix M'M. Returns (kept indices sorted, dropped indices,
-    coef, reasons) where ``coef`` expresses each dropped column as the least
+    columns exceeds ``REDUCE_TOL`` times the largest singular value of M
+    (``_frame_norm``). Returns (kept indices sorted, dropped indices, coef,
+    reasons) where ``coef`` expresses each dropped column as the least
     squares combination of kept ones and ``reasons`` maps dropped index to
     "aliased" or "unobserved" (zero column). This is the one-block case of
     the reduction ``assemble`` runs: N = 1 and no shock-mean columns.
@@ -325,6 +375,14 @@ def _by_block(a: np.ndarray, v: np.ndarray, n_blocks: int) -> np.ndarray:
     """(I_N (x) a) v with N = ``n_blocks``, for v of N a.shape[1] rows."""
     cols = v.shape[1]
     return np.matmul(a, v.reshape(n_blocks, a.shape[1], cols)).reshape(n_blocks * a.shape[0], cols)
+
+
+def frame_times(X: np.ndarray, C0: np.ndarray, v: np.ndarray, n_blocks: int) -> np.ndarray:
+    """[X | I_N (x) C0] v with N = ``n_blocks``, by blocks: X v_x + (I_N (x) C0) v_0
+    for a vector or a matrix v of s + N q rows, X of s columns."""
+    s = X.shape[1]
+    v0 = v[s:] if v.ndim == 2 else v[s:, None]
+    return X @ v[:s] + _by_block(C0, v0, n_blocks).reshape(X.shape[0], *v.shape[1:])
 
 
 def _kron_into(out: np.ndarray, L: np.ndarray, block: np.ndarray) -> None:
@@ -420,10 +478,11 @@ class ModelDesign:
 
     M = [X | I_N (x) C0] (see ``array_frame``): X holds the kept shock-mean
     columns, (N|cells|, s_x), and C0 the kept columns of one array's
-    idiosyncratic block, (|cells|, r0). M is built once from the two. Its
-    least-squares factor (``factor``) and the unreduced blocks are formed
-    on first read: A and B, which only the diagonal-scalar structure and an
-    unshared across-array mean need, and M_full.
+    idiosyncratic block, (|cells|, r0). Fits and forecasts apply M by these
+    two blocks (``times``, ``blocks_for_cells``), so the dense M is formed
+    only on first read, like the least-squares factor (``factor``) and the
+    unreduced blocks: A and B, which only the diagonal-scalar structure and
+    an unshared across-array mean need, and M_full.
     """
 
     layout: ArrayLayout
@@ -435,7 +494,6 @@ class ModelDesign:
     kept: tuple
     dropped: tuple  # ((label, reason), ...)
     coef: np.ndarray  # kept -> dropped alias coefficients
-    M: np.ndarray = field(init=False)
     labels: tuple = field(init=False)
     # (Q0^T, R0) with C0 = Q0 R0, the reduction sweep's factor of C0's kept
     # columns: ``assemble`` sets it on the design it builds, and it is no
@@ -443,10 +501,18 @@ class ModelDesign:
     _c0_basis = None
 
     def __post_init__(self):
-        object.__setattr__(self, "M", array_frame(self.X, self.C0, self.layout.n_arrays))
         object.__setattr__(
             self, "labels", tuple(self.full_labels[k] for k in self.kept)
         )
+
+    @cached_property
+    def M(self) -> np.ndarray:
+        """The dense reduced design [X | I_N (x) C0], (n_obs, n_params)."""
+        return array_frame(self.X, self.C0, self.layout.n_arrays)
+
+    def times(self, kappa: np.ndarray) -> np.ndarray:
+        """M kappa, by blocks (``frame_times``)."""
+        return frame_times(self.X, self.C0, kappa, self.layout.n_arrays)
 
     @cached_property
     def factor(self) -> LeastSquaresFactor:
@@ -481,11 +547,11 @@ class ModelDesign:
 
     @property
     def n_obs(self) -> int:
-        return self.M.shape[0]
+        return self.X.shape[0]
 
     @property
     def n_params(self) -> int:
-        return self.M.shape[1]
+        return self.X.shape[1] + self.layout.n_arrays * self.C0.shape[1]
 
     def _cell_blocks(self, cells):
         """The unreduced (X, C0) of arbitrary grid cells (see ``_CellRows.design``)."""
@@ -509,43 +575,64 @@ class ModelDesign:
         """Unreduced design rows for arbitrary grid cells, array index outermost."""
         return array_frame(*self._cell_blocks(cells), self.layout.n_arrays)
 
-    def rows_for_cells(self, cells) -> np.ndarray:
-        """Reduced-design rows for arbitrary grid cells, array index outermost.
+    def blocks_for_cells(self, cells):
+        """(X*, C0*): the kept shock-mean columns and one array's kept
+        idiosyncratic columns over arbitrary grid cells, so that the reduced
+        rows are [X* | I_N (x) C0*], array index outermost.
 
-        Rows are checked for estimability: any weight a row places on a
-        dropped column must be reproduced by the kept columns through the
-        alias relation observed in the data, otherwise the cell's mean is not
-        identified and a DesignError is raised. Both the rows and the dropped
-        columns are gathered from the cells' (X, C0) blocks, so the unreduced
-        rows are never formed.
+        The cells are checked for estimability: any weight a row places on
+        a dropped column must be reproduced by the kept columns through the
+        alias relation observed in the data, otherwise the cell's mean is
+        not identified and a DesignError names the array, the cell and the
+        parameter. A dropped shock mean d = X_k a + (I_N (x) C0_k) b is
+        checked array by array, X*_d - X*_k a - C0*_k b_n, and a dropped
+        idiosyncratic column, C0*_d - C0*_k b0, once for every array: its
+        copy in array n meets array n's rows only. The worst entry is found
+        as it would be in the dense mismatch M*_dropped - M*_kept coef, and
+        neither that nor M* is formed.
         """
         cells = tuple(cells)
         X, C0 = self._cell_blocks(cells)
         s, q, N = X.shape[1], C0.shape[1], self.layout.n_arrays
+        kx = [k for k in self.kept if k < s]
+        k0 = [k - s for k in self.kept if s <= k < s + q]
         kept_set = set(self.kept)
-        drop_idx = [k for k in range(len(self.full_labels)) if k not in kept_set]
-
-        def blocks(ids):
-            # the columns ids of [X | I_N (x) C0], for ids sorted as
-            # assemble sorts them: shock means, then array 1's block
-            return X[:, [k for k in ids if k < s]], C0[:, [k - s for k in ids if s <= k < s + q]]
-
-        rows = array_frame(*blocks(self.kept), N)
-        if drop_idx and rows.shape[0]:
-            mismatch = np.abs(array_frame(*blocks(drop_idx), N) - rows @ self.coef)
-            row_max = mismatch.max(axis=1)
+        dx = [k for k in range(s) if k not in kept_set]
+        d0 = [j for j in range(q) if s + j not in kept_set]
+        Xk, C0k = X[:, kx], C0[:, k0]
+        if (dx or d0) and cells:
+            # coef's rows are kept (kx, then array n's k0 at len(kx) + n r0),
+            # its columns dropped (dx, then array n's d0): a, b_n and b0 as
+            # assemble's reduction wrote them
+            a, b = self.coef[: len(kx), : len(dx)], self.coef[len(kx):, : len(dx)]
+            b0 = self.coef[len(kx) : len(kx) + len(k0), len(dx) : len(dx) + len(d0)]
+            shock = np.abs(X[:, dx] - Xk @ a - _by_block(C0k, b, N))
+            own = np.abs(C0[:, d0] - C0k @ b0)
+            row_max = np.maximum(
+                shock.max(axis=1, initial=0.0), np.tile(own.max(axis=1, initial=0.0), N)
+            )
             worst = int(np.argmax(row_max))
             if row_max[worst] > 1e-8:
-                n = worst // len(cells) + 1
-                i, j = cells[worst % len(cells)]
-                bad_col = drop_idx[int(np.argmax(mismatch[worst]))]
+                n, c = divmod(worst, len(cells))
+                # the worst row's first largest entry: dx, then array n's d0
+                if shock[worst].max(initial=0.0) >= own[c].max(initial=0.0):
+                    bad_col = dx[int(np.argmax(shock[worst]))]
+                else:
+                    bad_col = s + q * n + d0[int(np.argmax(own[c]))]
+                i, j = cells[c]
                 raise DesignError(
-                    f"cell (array {n}, i={i}, j={j}) requires parameter "
+                    f"cell (array {n + 1}, i={i}, j={j}) requires parameter "
                     f"{self.full_labels[bad_col]} that is not identified by the "
                     "observed data; supply the future values by hand (an AR(1) "
                     "extrapolation plus forecast offsets)"
                 )
-        return rows
+        return Xk, C0k
+
+    def rows_for_cells(self, cells) -> np.ndarray:
+        """Reduced-design rows for arbitrary grid cells, array index
+        outermost: ``array_frame`` of ``blocks_for_cells``, which checks
+        them for estimability."""
+        return array_frame(*self.blocks_for_cells(cells), self.layout.n_arrays)
 
     def shock_blocks_for_cells(self, cells):
         """(A*, B*) coefficient blocks over a future region.

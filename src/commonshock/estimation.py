@@ -48,7 +48,9 @@ START = 0.01
 class FitResult:
     """Outcome of a location (and optionally dispersion) fit.
 
-    ``M`` is the reduced mean design the fit used. ``r_inv`` is a matrix B
+    ``M`` is the reduced mean design the fit used: the design's, formed on
+    first read, or ``matrix``, the bare matrix of a fit made on one (None
+    on a ModelDesign). ``r_inv`` is a matrix B
     with Var[kappa] = B B^T, with rows in M's column order; it is not always
     triangular. With M = [Qx | I_N (x) Q0] T the design's least-squares
     factor and Sigma^-1/2 Q_m = U S the one QR of the factor's columns that
@@ -70,7 +72,6 @@ class FitResult:
 
     kappa_hat: np.ndarray
     y_hat: np.ndarray
-    M: np.ndarray
     residual: np.ndarray
     loglik: float
     sigma: SigmaModel
@@ -81,8 +82,13 @@ class FitResult:
     score: np.ndarray = None
     r_inv: np.ndarray = None
     frame: tuple = None  # (C, R0^-1), see above
+    matrix: np.ndarray = None  # the bare design matrix, see above
     _var_kappa: np.ndarray = field(default=None, init=False, repr=False)
     _omega_fit: np.ndarray = field(default=None, init=False, repr=False)
+
+    @property
+    def M(self) -> np.ndarray:
+        return self.design.M if self.matrix is None else self.matrix
 
     @property
     def var_kappa(self) -> np.ndarray:
@@ -103,8 +109,8 @@ def _loglik(n: int, logdet: float, quad: float) -> float:
 
 
 def _design_parts(y, design):
-    """(y, M, labels, design or None, M's least-squares factor) of a
-    ModelDesign or a bare matrix M.
+    """(y, bare matrix or None, labels, design or None, M's least-squares
+    factor) of a ModelDesign or a bare matrix M.
 
     A ModelDesign's factor is formed once (``ModelDesign.factor``); a bare
     matrix is factored on each call, as the one-block case C0 = M with no X,
@@ -120,7 +126,12 @@ def _design_parts(y, design):
         return y, M, labels, None, factor
     if y.size != design.n_obs:
         raise DesignError(f"y has length {y.size}, design has {design.n_obs} rows")
-    return y, design.M, design.labels, design, design.factor
+    return y, None, design.labels, design, design.factor
+
+
+def _fitted(matrix, design, kappa) -> np.ndarray:
+    """M kappa: the bare ``matrix``'s product, or by the design's blocks."""
+    return design.times(kappa) if matrix is None else matrix @ kappa
 
 
 def gls_fit(y: np.ndarray, design: ModelDesign, sigma: SigmaModel) -> FitResult:
@@ -146,7 +157,7 @@ def gls_fit(y: np.ndarray, design: ModelDesign, sigma: SigmaModel) -> FitResult:
     keeps ``frame`` = (C, R0^-1). Aliasing is judged on M alone, by its
     factor, so it does not depend on Sigma.
     """
-    y, M, labels, design_ref, factor = _design_parts(y, design)
+    y, matrix, labels, design_ref, factor = _design_parts(y, design)
     if sigma.n != y.size:
         raise DesignError("covariance dimension does not match the data")
 
@@ -170,7 +181,7 @@ def gls_fit(y: np.ndarray, design: ModelDesign, sigma: SigmaModel) -> FitResult:
     np.matmul(t_inv[:, :k], S_inv, out=r_inv[:, :k])
     if on_arrays:
         _kron_into(r_inv[k:, k:], sigma._groups[0].L, factor.r0_inv)
-    y_hat = M @ kappa
+    y_hat = _fitted(matrix, design_ref, kappa)
     d = y - y_hat
     wd = sigma.whiten(d)
     return FitResult(
@@ -179,12 +190,12 @@ def gls_fit(y: np.ndarray, design: ModelDesign, sigma: SigmaModel) -> FitResult:
         # R0^-1 read as T^-1's block, in the order the forecast's products take
         frame=(sigma._groups[0].C, t_inv[s : s + r0, s : s + r0]) if on_arrays else None,
         y_hat=y_hat,
-        M=M,
         residual=d,
         loglik=_loglik(y.size, sigma.logdet(), float(wd @ wd)),
         sigma=sigma,
         design=design_ref,
         labels=labels,
+        matrix=matrix,
     )
 
 
@@ -196,7 +207,7 @@ class _FixedLocation:
     omega, so a point costs one factor of Sigma (``fit``).
     """
 
-    M: np.ndarray
+    matrix: np.ndarray  # the bare design matrix, None on a ModelDesign
     labels: tuple
     design: ModelDesign
     kappa: np.ndarray
@@ -210,12 +221,12 @@ class _FixedLocation:
         return FitResult(
             kappa_hat=self.kappa,
             y_hat=self.y_hat,
-            M=self.M,
             residual=d,
             loglik=_loglik(d.size, sigma.logdet(), float(wd @ wd)),
             sigma=sigma,
             design=self.design,
             labels=self.labels,
+            matrix=self.matrix,
         )
 
 
@@ -260,10 +271,10 @@ def _invariant(factor: LeastSquaresFactor, structure: GammaStructure) -> bool:
 def _least_squares(parts) -> _FixedLocation:
     """The least-squares kappa and residual of ``_design_parts``' output:
     the location of every omega on an invariant design."""
-    y, M, labels, design_ref, factor = parts
+    y, matrix, labels, design_ref, factor = parts
     kappa = factor.least_squares(y)
-    y_hat = M @ kappa
-    return _FixedLocation(M, labels, design_ref, kappa, y_hat, y - y_hat)
+    y_hat = _fitted(matrix, design_ref, kappa)
+    return _FixedLocation(matrix, labels, design_ref, kappa, y_hat, y - y_hat)
 
 
 def _cell_matched(structure: GammaStructure, c0: np.ndarray) -> bool:

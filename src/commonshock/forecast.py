@@ -22,14 +22,15 @@ raw-scale covariance are formed only when ``ForecastResult.omega_star`` or
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
 from .covariance import structure_for
-from .design import ModelDesign
+from .design import ModelDesign, frame_times
 from .errors import DesignError, NumericalError
 from .estimation import FitResult
+from .kron import array_frame
 from .lognormal import LogNormalSummary, block_covariance, block_raw_moments, raw_cov
 
 # raw_mean is unused here but stays a module attribute: perfbench/tracer.py
@@ -39,11 +40,29 @@ from .lognormal import raw_mean  # noqa: F401
 
 @dataclass(frozen=True)
 class ForecastDesign:
-    """Forecast rows over the future region."""
+    """Forecast rows over the future region, M* = [X* | I_N (x) C0*].
 
-    m_star: np.ndarray  # (N * n_future, n_params) reduced-design rows
+    The forecast applies M* by its blocks (``times``); the dense M*, of
+    N * n_future rows, is formed only on first read of ``m_star``.
+    """
+
+    x_star: np.ndarray  # (N * n_future, s_x) kept shock-mean columns
+    c0_star: np.ndarray  # (n_future, r0) kept idiosyncratic columns of one array
     cells: tuple  # future cells, one array's worth, stacking order
     n_arrays: int
+
+    @cached_property
+    def m_star(self) -> np.ndarray:
+        """The dense reduced-design rows M*, (N * n_future, n_params)."""
+        return array_frame(self.x_star, self.c0_star, self.n_arrays)
+
+    @property
+    def n_params(self) -> int:
+        return self.x_star.shape[1] + self.n_arrays * self.c0_star.shape[1]
+
+    def times(self, v: np.ndarray) -> np.ndarray:
+        """M* v, by blocks (``design.frame_times``)."""
+        return frame_times(self.x_star, self.c0_star, v, self.n_arrays)
 
 
 @dataclass(frozen=True)
@@ -114,11 +133,8 @@ def build_forecast_design(design, cells) -> ForecastDesign:
     offsets, with an AR(1) extrapolation where a calendar pattern is wanted.
     """
     cells = tuple(cells)
-    return ForecastDesign(
-        m_star=design.rows_for_cells(cells),
-        cells=cells,
-        n_arrays=design.layout.n_arrays,
-    )
+    x_star, c0_star = design.blocks_for_cells(cells)
+    return ForecastDesign(x_star, c0_star, cells, design.layout.n_arrays)
 
 
 def _offset_variance(extra_offset_var, n: int):
@@ -181,13 +197,11 @@ def _loading_form(fit: FitResult, fd: ForecastDesign):
         and np.array_equal(future.group_sides(omega)[0], fit.frame[0])
     ):
         C, r0_inv = fit.frame
-        s = fd.m_star.shape[1] - fd.n_arrays * r0_inv.shape[0]
-        E = fd.m_star[: len(fd.cells), s : s + r0_inv.shape[0]] @ r0_inv
-        return C, ((C, E),), fd.m_star @ fit.r_inv[:, :s]
+        return C, ((C, fd.c0_star @ r0_inv),), fd.times(fit.r_inv[:, : fd.x_star.shape[1]])
     if future is None:
         future, omega = _future_structure(fit, fd)
     C, terms = future.loading_form(omega)
-    B = fd.m_star @ fit.r_inv
+    B = fd.times(fit.r_inv)
     if len(C) != fd.n_arrays:
         B = np.column_stack([B, *(np.sqrt(G[0, 0]) * F for G, F in terms)])
         C, terms = C[0, 0] * np.eye(fd.n_arrays), ()
@@ -213,9 +227,9 @@ def predict(
     """
     if not isinstance(fit.design, ModelDesign):
         raise DesignError("forecasting needs a fit on a ModelDesign, not on a bare matrix")
-    if fd.m_star.shape[1] != fit.kappa_hat.size:
+    if fd.n_params != fit.kappa_hat.size:
         raise DesignError(
-            f"forecast rows have {fd.m_star.shape[1]} columns, the fit has "
+            f"forecast rows have {fd.n_params} columns, the fit has "
             f"{fit.kappa_hat.size} parameters: build them from the fit's design"
         )
     lay = fit.design.layout
@@ -234,7 +248,7 @@ def predict(
             _omega_star_form=(np.zeros((fd.n_arrays,) * 2), (), np.zeros((0, 0)), None),
         )
 
-    y_star = fd.m_star @ fit.kappa_hat
+    y_star = fd.times(fit.kappa_hat)
     if extra_offsets is not None:
         offs = np.asarray(extra_offsets, dtype=float).ravel()
         if offs.size != n or not np.all(np.isfinite(offs)):

@@ -1,3 +1,4 @@
+import importlib
 import json
 from pathlib import Path
 
@@ -265,6 +266,52 @@ class TestForecastCommand:
         payload = json.loads((tmp_path / "zero.json").read_text())
         assert payload["reserve_total"] == 0.0
         assert payload["std_error_total"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "covariance, partition",
+    [("cellwise_two_level", "cell"), ("example48", "cell"), ("diagonal_scalar", "diagonal")],
+)
+def test_fit_and_forecast_form_no_dense_design(tmp_path, monkeypatch, covariance, partition):
+    # on three arrays the fit and the forecast apply M = [X | I_N (x) C0]
+    # and M* by their blocks: with array_frame raising wherever the design
+    # layer looks it up, both commands write the same reports, and no
+    # eigendecomposition is taken of a matrix as wide as I_N (x) C0, so
+    # none of the (s + N q)-square Gram matrix
+    TestFitCommand.simulated_config(tmp_path, 3)  # writes sim.csv
+    cfg = write_config(
+        tmp_path / "run.cfg", data=tmp_path / "sim.csv", covariance=covariance, partition=partition
+    )
+    commands = (("fit", []), ("forecast", ["--independence-counterfactual"]))
+    for command, extra in commands:
+        out = str(tmp_path / f"plain.{command}")
+        assert main([command, "--config", cfg, "--out", out, *extra]) == 0
+
+    def array_frame(*_):
+        raise AssertionError("array_frame was called")
+
+    sides = []
+
+    def recording(fn):
+        def wrapper(a, *args, **kwargs):
+            sides.append(np.shape(a)[-1])
+            return fn(a, *args, **kwargs)
+
+        return wrapper
+
+    for module in ("design", "forecast", "kron"):
+        module = importlib.import_module(f"commonshock.{module}")
+        monkeypatch.setattr(module, "array_frame", array_frame)
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
+    for command, extra in commands:
+        out = str(tmp_path / f"patched.{command}")
+        assert main([command, "--config", cfg, "--out", out, *extra]) == 0
+        for suffix in ("txt", "json"):
+            patched = (tmp_path / f"patched.{command}.{suffix}").read_bytes()
+            assert patched == (tmp_path / f"plain.{command}.{suffix}").read_bytes()
+    q = cs.build_C_chain_ladder(read_claims_csv([tmp_path / "sim.csv"]).layout)[0].shape[1]
+    assert sides and max(sides) < 3 * q  # narrower than I_N (x) C0'C0
 
 
 class TestSimulateCommand:

@@ -171,10 +171,11 @@ def test_duplicate_column_detected_and_fit_unchanged(ref_fit):
 
 
 def test_assemble_factors_no_matrix_with_a_row_per_observation(monkeypatch):
-    # the reduction sweeps one array's block, reads ||M||_2 off a Gram
-    # matrix and solves for the alias coefficients with the sweep's factor,
-    # which the least-squares factor reuses: no SVD and no least squares
-    # at all
+    # the reduction sweeps one array's block, takes ||M||_2 from the
+    # secular equation of its blocks (eigendecompositions of C0'C0 and of
+    # s x s matrices) and solves for the alias coefficients with the
+    # sweep's factor, which the least-squares factor reuses: no SVD and no
+    # least squares at all
     mask = ArrayLayout.triangle(3, 6).mask.copy()
     mask[:, 3] = False  # column 4 is never observed: its effect is a zero column
     lay = ArrayLayout(3, 6, 6, mask)
@@ -275,6 +276,78 @@ def test_rows_for_an_unobserved_column_effect_raise():
     assert design.dropped == ((("col", 1, 4), "unobserved"), (("col", 2, 4), "unobserved"))
     with pytest.raises(cs.DesignError, match=r"array 1, i=1, j=4\) requires parameter \('col', 1, 4\)"):
         design.rows_for_cells([(2, 3), (1, 4)])
+
+
+def dense_estimability_error(design, cells):
+    """The DesignError text of the dense check, or None: the mismatch
+    M*_dropped - M*_kept coef over the unreduced rows of ``cells``, its
+    worst row and, in that row, its worst dropped column."""
+    cells = tuple(cells)
+    full = design.full_rows_for_cells(cells)
+    drop_idx = [k for k in range(full.shape[1]) if k not in design.kept]
+    mismatch = np.abs(full[:, drop_idx] - full[:, list(design.kept)] @ design.coef)
+    row_max = mismatch.max(axis=1)
+    worst = int(np.argmax(row_max))
+    if row_max[worst] <= 1e-8:
+        return None
+    i, j = cells[worst % len(cells)]
+    bad_col = drop_idx[int(np.argmax(mismatch[worst]))]
+    return (
+        f"cell (array {worst // len(cells) + 1}, i={i}, j={j}) requires parameter "
+        f"{design.full_labels[bad_col]} that is not identified by the observed data; "
+        "supply the future values by hand (an AR(1) extrapolation plus forecast offsets)"
+    )
+
+
+@pytest.mark.parametrize("n_arrays", [1, 3])
+@pytest.mark.parametrize(
+    "partition, dropped",
+    [("column", "shock mean"), ("cell", "column effect"), ("row", "both")],
+)
+def test_block_estimability_check_is_the_dense_check(n_arrays, partition, dropped):
+    # unshared column or row means are sums of the arrays' column or row
+    # effects where alpha is 1, so they are dropped as aliased; a later cell
+    # whose alpha is not 1, here in the last array only, puts weight on one
+    # that no alias reproduces. A column never observed leaves its effect a
+    # zero column, dropped as unobserved in every array, which a later cell
+    # in that column needs; with row means, such a cell needs both, by the
+    # same amount
+    mask = ArrayLayout.triangle(n_arrays, 5).mask.copy()
+    if dropped != "shock mean":
+        mask[:, 3] = False
+    lay = ArrayLayout(n_arrays, 5, 5, mask)
+    alpha = np.ones((n_arrays, 5, 5))
+    alpha[-1, 4, 1:] = [1.5, 2.5, 0.5, 1.25]
+    shock = cs.ShockSpec(
+        partition=cs.build_partition(partition, lay),
+        include_across=dropped != "column effect",
+        shared_across_mean=False,
+        alpha=alpha,
+    )
+    design = cs.assemble(lay, shock, "chain_ladder")
+    reasons = {reason for _, reason in design.dropped}
+    assert reasons == {"shock mean": {"aliased"}, "column effect": {"unobserved"}}.get(
+        dropped, {"aliased", "unobserved"}
+    )
+    later = [(i, j) for i in range(2, 6) for j in range(7 - i, 6) if mask[0, j - 1]]
+    # (cells, whether a cell's mean is not identified)
+    regions = [(lay.stacking_order, False), (later, shock.include_across)]
+    if dropped != "shock mean":
+        regions += [
+            (later + [(1, 4)], True), ([(2, 3), (1, 4)], True), ([(5, 2), (3, 4), (5, 3)], True)
+        ]
+    for cells, raises in regions:
+        want = dense_estimability_error(design, cells)
+        assert (want is not None) == raises
+        if want is None:
+            rows = array_frame(*design.blocks_for_cells(cells), n_arrays)
+            full = design.full_rows_for_cells(cells)
+            np.testing.assert_array_equal(rows, full[:, list(design.kept)])
+            continue
+        for rows in (design.blocks_for_cells, design.rows_for_cells):
+            with pytest.raises(cs.DesignError) as error:
+                rows(cells)
+            assert str(error.value) == want
 
 
 @pytest.mark.parametrize("kind, within", [("cell", False), ("column", True)])

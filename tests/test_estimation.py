@@ -30,7 +30,9 @@ class TestGlsFit:
     def test_saturated_model(self):
         y = np.array([0.3, -1.2, 2.5])
         structure = CellwiseTwoLevel(1, 3)
-        fit = cs.gls_fit(y, np.eye(3), cs.SigmaModel(structure, [0.0, 1.0]))
+        M = np.eye(3)
+        fit = cs.gls_fit(y, M, cs.SigmaModel(structure, [0.0, 1.0]))
+        assert fit.M is M and fit.design is None  # a bare matrix fit keeps its matrix
         np.testing.assert_allclose(fit.kappa_hat, y, atol=1e-12)
         np.testing.assert_allclose(fit.omega_fit, np.eye(3), atol=1e-12)
         np.testing.assert_allclose(fit.residual, 0.0, atol=1e-12)
@@ -541,6 +543,7 @@ class TestArraySideFactor:
         M = fit.design.M
         np.testing.assert_allclose(fit.omega_fit, M @ fit.var_kappa @ M.T, rtol=1e-12)
         assert fit.omega_fit is fit.omega_fit
+        assert fit.M is M and fit.matrix is None  # the design's, not a copy
 
 
 def raw_structure(rng, n_arrays, cells):

@@ -419,11 +419,14 @@ def test_generic_solver_on_a_moving_design_fits_each_point(bundled, qr_shapes):
     # one QR of the whitened mixed columns and y, every column of Q under
     # this one-array Sigma, per point visited, and none of C0
     assert len(qr_shapes) >= fit.n_iter + 1
-    n, m = design.M.shape
+    n, m = design.n_obs, design.n_params
     assert qr_shapes == [(n, m + 1)] * len(qr_shapes)
-    # the fit keeps no whitened n x m factor, only M itself
+    # the fit keeps no n x m matrix, no whitened factor and not M: M is the
+    # design's, formed on first read
     fields = [f.name for f in dataclasses.fields(fit)]
-    assert [f for f in fields if np.shape(getattr(fit, f)) == design.M.shape] == ["M"]
+    assert [f for f in fields if np.shape(getattr(fit, f)) == (n, m)] == []
+    assert "M" not in vars(design)
+    assert fit.M is design.M
 
 
 def test_closed_form_path_on_a_moving_design(bundled):

@@ -81,7 +81,7 @@ def test_no_start_is_the_closed_form_of_the_least_squares_residual(case):
     kappa = design.factor.least_squares(y)
     try:
         closed = estimation.ml_dispersion_cellwise_closed_form(
-            *(y - design.M @ kappa).reshape(lay.n_arrays, -1)
+            *(y - design.times(kappa)).reshape(lay.n_arrays, -1)
         )[:2]
     except (cs.ConfigError, cs.NumericalError) as exc:
         # unshared means on the cell partition leave residuals that sum to
