@@ -58,7 +58,7 @@ from .forecast import (
     predict,
     reserve_correlation,
 )
-from .kron import identity, kron, ones_vector
+from .kron import kron
 from .lognormal import LogNormalSummary, raw_cov, raw_mean
 from .partitions import Partition, build_partition
 from .simulate import BalanceDiagnostic, SimSpec, balance_diagnostic, simulate
@@ -91,7 +91,7 @@ __all__ = [
     "ml_dispersion_generic", "profile_score",
     "ForecastResult", "build_forecast_design", "gamma_ar1",
     "independence_counterfactual_cov", "predict", "reserve_correlation",
-    "identity", "kron", "ones_vector",
+    "kron",
     "LogNormalSummary", "raw_cov", "raw_mean",
     "Partition", "build_partition",
     "BalanceDiagnostic", "SimSpec", "balance_diagnostic", "simulate",

@@ -125,9 +125,10 @@ def _read_claim_rows_bulk(paths):
 def _read_claim_lines(paths):
     """(array, accident, development, value) columns, parsed line by line.
 
-    Every data error names its file and line.
+    Every data error names its file and line; a missing array id, the next id's first.
     """
     seen = set()  # (array, i, j) of the rows read so far
+    first_line = {}  # array id -> "file:line" of its first row
     rows_read, values_read = [], []
     for path in paths:
         p = Path(path)
@@ -155,6 +156,8 @@ def _read_claim_lines(paths):
                 except ValueError as exc:
                     raise DataError(f"{p}:{lineno}: {exc}") from None
                 n, i, j = key
+                if n < 1:
+                    raise DataError(f"{p}:{lineno}: array ids start at 1")
                 if i < 1 or j < 1:
                     raise DataError(
                         f"{p}:{lineno}: accident and development indices start at 1"
@@ -162,21 +165,29 @@ def _read_claim_lines(paths):
                 if key in seen:
                     raise DataError(f"{p}:{lineno}: duplicate cell (array {n}, {i}, {j})")
                 seen.add(key)
+                first_line.setdefault(n, f"{p}:{lineno}")
                 rows_read.append(key)
                 values_read.append(value)
                 rows += 1
         if rows == 0:
             raise DataError(f"{p}: no data rows")
+    for k, n in enumerate(sorted(first_line), start=1):
+        if n != k:  # ids 1 to k - 1 are there, k is not
+            raise DataError(
+                f"{first_line[n]}: array {n} with no array {k}: "
+                "array ids run from 1 to the number of arrays"
+            )
     n, i, j = np.array(rows_read, dtype=np.int64).reshape(-1, 3).T
     return n, i, j, np.array(values_read)
 
 
 def _collection_from_rows(n, i, j, values):
-    """The collection of the parsed rows; None on an index below 1 or a duplicate cell.
+    """The collection of the parsed rows; None on an index below 1, array
+    ids other than 1..N, or a duplicate cell.
 
     Raises DataError when the arrays do not cover the same cells.
     """
-    if i.min() < 1 or j.min() < 1:
+    if n.min() < 1 or i.min() < 1 or j.min() < 1:
         return None
     # rows sorted by array, then cell: each array's cells are one slice
     order = np.lexsort((j, i, n))
@@ -184,6 +195,8 @@ def _collection_from_rows(n, i, j, values):
     if np.any((n[1:] == n[:-1]) & (i[1:] == i[:-1]) & (j[1:] == j[:-1])):
         return None
     array_ids, first, counts = np.unique(n, return_index=True, return_counts=True)
+    if array_ids[-1] != array_ids.size:
+        return None
     common = slice(0, counts[0])
     for a, start, count in zip(array_ids[1:], first[1:], counts[1:]):
         other = slice(start, start + count)

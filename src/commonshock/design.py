@@ -42,9 +42,9 @@ class ShockSpec:
 
     ``alpha`` and ``beta`` are coefficient tables of shape
     (n_arrays, n_rows, n_cols); None means 1 everywhere (uniform
-    multiplicative shocks). ``shared_across_mean`` ties the across-array
-    shock means of all subsets to a single value, which collapses the xi
-    block of M to one column.
+    multiplicative shocks). ``shared_across_mean``, the default as in the
+    CLI, ties the across-array shock means of all subsets to a single value,
+    which collapses the xi block of M to one column.
     """
 
     partition: Partition
@@ -52,7 +52,7 @@ class ShockSpec:
     include_within: bool = False
     alpha: np.ndarray = None
     beta: np.ndarray = None
-    shared_across_mean: bool = False
+    shared_across_mean: bool = True
 
     def __post_init__(self):
         for name in ("alpha", "beta"):
@@ -385,14 +385,6 @@ def frame_times(X: np.ndarray, C0: np.ndarray, v: np.ndarray, n_blocks: int) -> 
     return X @ v[:s] + _by_block(C0, v0, n_blocks).reshape(X.shape[0], *v.shape[1:])
 
 
-def _kron_into(out: np.ndarray, L: np.ndarray, block: np.ndarray) -> None:
-    """Write L (x) ``block`` into the zero square matrix ``out``, one
-    nonzero entry of L at a time, so that no Kronecker product is formed."""
-    r = block.shape[0]
-    for a, b in zip(*np.nonzero(L)):
-        out[a * r : (a + 1) * r, b * r : (b + 1) * r] = L[a, b] * block
-
-
 def _pivots(R: np.ndarray) -> np.ndarray:
     """R's diagonal, one entry per column: 0 for a column past R's last row."""
     return np.pad(np.diagonal(R), (0, R.shape[1] - min(R.shape)))
@@ -407,10 +399,10 @@ class LeastSquaresFactor:
     coefficients. The shock-mean columns X are projected off I_N (x) Q0,
     with one re-orthogonalisation pass, and what is left is factored by one
     QR: X - (I_N (x) Q0) Z = Qx Rx with Z = (I_N (x) Q0)^T X. So
-    T = [[Rx, 0], [Z, I_N (x) R0]] in M's column order, and ``t_inv`` =
-    T^-1 = [[Rx^-1, 0], [-(I_N (x) R0^-1) Z Rx^-1, I_N (x) R0^-1]] is filled
-    block by block. A bare matrix is the one-block case, C0 = M with no X,
-    swept at tolerance 0 (see ``of``).
+    T = [[Rx, 0], [Z, I_N (x) R0]] in M's column order. T^-1 is held by
+    these blocks only and applied by them (``t_inv_times``). A bare matrix
+    is the one-block case, C0 = M with no X, swept at tolerance 0 (see
+    ``of``).
     """
 
     q0: np.ndarray  # (cells, r0)
@@ -420,7 +412,6 @@ class LeastSquaresFactor:
     # kappa's block products read (another order rounds them differently)
     r0_inv: np.ndarray
     rx_inv: np.ndarray
-    t_inv: np.ndarray  # (m, m), read-only
 
     @classmethod
     def of(
@@ -454,22 +445,23 @@ class LeastSquaresFactor:
         if aliased.any():
             bad = [labels[j] for j in np.where(aliased)[0]]
             raise DesignError(f"normal equations are singular; aliased columns: {bad}")
-        R0_inv, Rx_inv = _tril_inverse(R0.T).T, _tril_inverse(Rx.T).T
-        t_inv = np.zeros((s + N * r0,) * 2)
-        t_inv[:s, :s] = Rx_inv
-        t_inv[s:, :s] = -_by_block(R0_inv, Z @ Rx_inv, N)
-        _kron_into(t_inv[s:, s:], np.eye(N), R0_inv)
-        t_inv.flags.writeable = False
-        return cls(q0, qx, Z, R0_inv, Rx_inv, t_inv)
+        return cls(q0, qx, Z, _tril_inverse(R0.T).T, _tril_inverse(Rx.T).T)
+
+    def t_inv_times(self, v: np.ndarray) -> np.ndarray:
+        """T^-1[:, :k] v for a matrix v of s <= k <= m rows, by blocks:
+        [Rx^-1 v_x; (I_N (x) R0^-1)(v_0 - Z Rx^-1 v_x)], v_0 padded with
+        zeros, so that arrays with the same data get the same bits."""
+        s = self.qx.shape[1]
+        x = self.rx_inv @ v[:s]
+        rest = -(self.z @ x)
+        rest[: len(v) - s] += v[s:]
+        return np.concatenate([x, _by_block(self.r0_inv, rest, len(self.qx) // len(self.q0))])
 
     def least_squares(self, y: np.ndarray) -> np.ndarray:
-        """kappa = T^-1 Q^T y, by blocks, so that arrays with the same data
-        get the same bits."""
+        """kappa = T^-1 Q^T y (``t_inv_times``)."""
         N = y.size // self.q0.shape[0]
-        kappa_x = self.rx_inv @ (self.qx.T @ y)
-        qy = _by_block(self.q0.T, y[:, None], N)
-        kappa_c = _by_block(self.r0_inv, qy - self.z @ kappa_x[:, None], N)
-        return np.concatenate([kappa_x, kappa_c.ravel()])
+        qty = np.concatenate([self.qx.T @ y, _by_block(self.q0.T, y[:, None], N).ravel()])
+        return self.t_inv_times(qty[:, None]).ravel()
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .covariance import CellwiseTwoLevel, GammaStructure, SigmaModel, _tril_inverse
-from .design import LeastSquaresFactor, ModelDesign, _by_block, _kron_into
+from .design import LeastSquaresFactor, ModelDesign, _by_block
 from .errors import ConfigError, DesignError, NumericalError
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -50,24 +50,21 @@ class FitResult:
 
     ``M`` is the reduced mean design the fit used: the design's, formed on
     first read, or ``matrix``, the bare matrix of a fit made on one (None
-    on a ModelDesign). ``r_inv`` is a matrix B
-    with Var[kappa] = B B^T, with rows in M's column order; it is not always
-    triangular. With M = [Qx | I_N (x) Q0] T the design's least-squares
-    factor and Sigma^-1/2 Q_m = U S the one QR of the factor's columns that
-    Sigma mixes (see ``gls_fit``), B = T^-1 (S^-1 (+) L (x) I_r0), C = L L^T
-    the array side of Sigma = C (x) I over M's arrays, and B = T^-1 S^-1
-    under any other Sigma, Sigma = I alike. ``var_kappa`` (B B^T) and
-    ``omega_fit``, the covariance matrix of the fitted mean vector
-    (M Var[kappa] M^T), are formed on first read. ``omega_hat`` is the ML
-    entry's omega, held components included, and None from ``gls_fit``.
+    on a ModelDesign). With M = [Qx | I_N (x) Q0] T the design's
+    least-squares factor and Sigma^-1/2 Q_m = U S the one QR of the k
+    columns Q_m of Q that Sigma mixes (see ``gls_fit``), ``r_inv`` is the
+    m x k matrix T^-1 [S^-1; 0], rows in M's column order.
 
     ``frame`` is (C, R0^-1), C the N x N array side of Sigma = C (x) I over
-    M's own arrays and R0 the triangular factor of C0: B's idiosyncratic
-    columns are then [0; L (x) R0^-1], so they add C (x) R0^-1 R0^-T to
-    Var[kappa]. Every fit at such a Sigma keeps it (``_array_side_only``),
-    and the forecast then writes its parameter error in the array frame. A
-    fit at any other Sigma, several subset groups or the dense frame, has
-    None, and the forecast writes it through r_inv.
+    M's own arrays and R0 the triangular factor of C0. Every fit at such a
+    Sigma keeps it (``_array_side_only``): Q_m is then Qx alone, k = s_x,
+    and the idiosyncratic columns add C (x) R0^-1 R0^-T to Var[kappa]. A fit
+    at any other Sigma, several subset groups or the dense frame, has None
+    and k = m. So Var[kappa] = r_inv r_inv^T, plus the frame's term on the
+    idiosyncratic block. ``var_kappa`` and ``omega_fit``, the covariance
+    matrix of the fitted mean vector (M Var[kappa] M^T), are formed on first
+    read. ``omega_hat`` is the ML entry's omega, held components included,
+    and None from ``gls_fit``.
     """
 
     kappa_hat: np.ndarray
@@ -92,9 +89,15 @@ class FitResult:
 
     @property
     def var_kappa(self) -> np.ndarray:
-        """Var[kappa] = r_inv r_inv^T, None where the fit holds no r_inv."""
+        """Var[kappa] = r_inv r_inv^T + C (x) R0^-1 R0^-T on the idiosyncratic
+        block of a fit with a ``frame``; None where the fit holds no r_inv."""
         if self._var_kappa is None and self.r_inv is not None:
-            self._var_kappa = self.r_inv @ self.r_inv.T
+            var = self.r_inv @ self.r_inv.T
+            if self.frame is not None:
+                C, r0_inv = self.frame
+                idio = slice(len(var) - len(C) * len(r0_inv), None)
+                var[idio, idio] += np.kron(C, r0_inv @ r0_inv.T)
+            self._var_kappa = var
         return self._var_kappa
 
     @property
@@ -138,7 +141,7 @@ def gls_fit(y: np.ndarray, design: ModelDesign, sigma: SigmaModel) -> FitResult:
     """Generalized least squares for the reduced design.
 
     kappa = (M^T Sigma^-1 M)^-1 M^T Sigma^-1 y with variance
-    (M^T Sigma^-1 M)^-1 = B B^T, from the design's least-squares factor
+    (M^T Sigma^-1 M)^-1, from the design's least-squares factor
     M = Q T, Q = [Qx | I_N (x) Q0]. Only the k columns Q_m of Q that Sigma
     mixes are whitened: Qx where Sigma = C (x) I over M's own arrays
     (``_array_side_only``), since Sigma^-1 (I_N (x) Q0) =
@@ -152,20 +155,20 @@ def gls_fit(y: np.ndarray, design: ModelDesign, sigma: SigmaModel) -> FitResult:
 
         kappa = kappa_LS + T^-1[:, :k] (S^-1 z - Q_m^T y),
 
-    and r_inv = T^-1 (S^-1 (+) L (x) I_r0), C = L L^T, or T^-1 S^-1 when
-    Q_m is all of Q; with k = 0 there is no QR. Every fit on M's arrays
-    keeps ``frame`` = (C, R0^-1). Aliasing is judged on M alone, by its
-    factor, so it does not depend on Sigma.
+    and r_inv = T^-1[:, :k] S^-1, both by T^-1's blocks (``t_inv_times``);
+    with k = 0 there is no QR. Every fit on M's arrays keeps ``frame`` =
+    (C, R0^-1), the rest of Var[kappa] (see ``FitResult``). Aliasing is
+    judged on M alone, by its factor, so it does not depend on Sigma.
     """
     y, matrix, labels, design_ref, factor = _design_parts(y, design)
     if sigma.n != y.size:
         raise DesignError("covariance dimension does not match the data")
 
-    kappa, t_inv = factor.least_squares(y), factor.t_inv
+    kappa = factor.least_squares(y)
     q0, qx = factor.q0, factor.qx
     n_blocks = y.size // len(q0)
     on_arrays = _array_side_only(sigma.structure, q0)
-    s, r0 = qx.shape[1], q0.shape[1]
+    s = qx.shape[1]
     # the columns Sigma mixes: Qx alone at C (x) I over M's arrays, else all
     mixed_q0 = q0[:, :0] if on_arrays else q0
     k = s + n_blocks * mixed_q0.shape[1]
@@ -176,19 +179,16 @@ def gls_fit(y: np.ndarray, design: ModelDesign, sigma: SigmaModel) -> FitResult:
         R = np.linalg.qr(np.column_stack([rows[:, :s], rows[:, s + 1 :], rows[:, s]]), mode="r")
         S_inv = _tril_inverse(R[:k, :k].T).T
         qty = np.concatenate([qx.T @ y, _by_block(mixed_q0.T, y[:, None], n_blocks).ravel()])
-        kappa += t_inv[:, :k] @ (S_inv @ R[:k, k] - qty)
-    r_inv = np.zeros(t_inv.shape)
-    np.matmul(t_inv[:, :k], S_inv, out=r_inv[:, :k])
-    if on_arrays:
-        _kron_into(r_inv[k:, k:], sigma._groups[0].L, factor.r0_inv)
+        kappa += factor.t_inv_times((S_inv @ R[:k, k] - qty)[:, None]).ravel()
+    r_inv = factor.t_inv_times(S_inv)
     y_hat = _fitted(matrix, design_ref, kappa)
     d = y - y_hat
     wd = sigma.whiten(d)
     return FitResult(
         kappa_hat=kappa,
         r_inv=r_inv,
-        # R0^-1 read as T^-1's block, in the order the forecast's products take
-        frame=(sigma._groups[0].C, t_inv[s : s + r0, s : s + r0]) if on_arrays else None,
+        # R0^-1 in C order, the order the forecast's products take
+        frame=(sigma._groups[0].C, np.ascontiguousarray(factor.r0_inv)) if on_arrays else None,
         y_hat=y_hat,
         residual=d,
         loglik=_loglik(y.size, sigma.logdet(), float(wd @ wd)),

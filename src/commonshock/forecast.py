@@ -177,34 +177,37 @@ def _future_structure(fit: FitResult, fd: ForecastDesign):
 
 
 def _loading_form(fit: FitResult, fd: ForecastDesign):
-    """(C, terms, B) of Omega* for ``fit``. A fit that keeps ``FitResult.frame``,
-    where Sigma* over the region is C (x) I with the fit's C, gives one term
-    (C, E), E = C0* R0^-1, and the shock-mean part B = M* r_inv[:, :s_x]. An
-    array side whose cell side is the identity does not depend on the cells,
-    so only a structure with cell sides is rebuilt to tell: over the cell
-    partition, ``diagonal_scalar`` has one group with the fit's C (see
-    ``GammaStructure.identity_cell_side``), over another it need not have.
-    Any other fit gives B = M* r_inv and the ``loading_form`` of the structure
-    rebuilt over the region, on the layout's N arrays: a one-array side (the
-    arrays' shock blocks differ there) has F_t over every array, so each
-    G_t F_t F_t^T joins B as sqrt(G_t) F_t and C becomes C I_N."""
+    """(C, terms, B) of Omega* for ``fit``: B = M* r_inv, Sigma* and, for a
+    fit that keeps ``FitResult.frame`` = (C, R0^-1), the term (C, E),
+    E = C0* R0^-1. Sigma* is C (x) I with the frame's C where the region
+    gives the same array side. An array side whose cell side is the
+    identity does not depend on the cells, so only a structure with cell
+    sides is rebuilt to tell: over the cell partition, ``diagonal_scalar``
+    has one group with the fit's C (see ``GammaStructure.identity_cell_side``),
+    over another it need not have. Otherwise Sigma* is the ``loading_form``
+    of the structure rebuilt over the region, on the layout's N arrays: a
+    one-array side (the arrays' shock blocks differ there) has F_t over
+    every array, so each G_t F_t F_t^T joins B as sqrt(G_t) F_t and C
+    becomes C I_N."""
     future = None
     if any(t.F is not None for t in fit.sigma.structure.terms):
         future, omega = _future_structure(fit, fd)
+    B = fd.times(fit.r_inv)
     if fit.frame is not None and (
         future is None
         or future.identity_cell_side
         and np.array_equal(future.group_sides(omega)[0], fit.frame[0])
     ):
-        C, r0_inv = fit.frame
-        return C, ((C, fd.c0_star @ r0_inv),), fd.times(fit.r_inv[:, : fd.x_star.shape[1]])
-    if future is None:
-        future, omega = _future_structure(fit, fd)
-    C, terms = future.loading_form(omega)
-    B = fd.times(fit.r_inv)
-    if len(C) != fd.n_arrays:
-        B = np.column_stack([B, *(np.sqrt(G[0, 0]) * F for G, F in terms)])
-        C, terms = C[0, 0] * np.eye(fd.n_arrays), ()
+        C, terms = fit.frame[0], ()
+    else:
+        if future is None:
+            future, omega = _future_structure(fit, fd)
+        C, terms = future.loading_form(omega)
+        if len(C) != fd.n_arrays:
+            B = np.column_stack([B, *(np.sqrt(G[0, 0]) * F for G, F in terms)])
+            C, terms = C[0, 0] * np.eye(fd.n_arrays), ()
+    if fit.frame is not None:
+        terms = (*terms, (fit.frame[0], fd.c0_star @ fit.frame[1]))
     return C, terms, B
 
 

@@ -18,15 +18,6 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(a, b)
 
 
-def ones_vector(n: int) -> np.ndarray:
-    """Column vector of ones, shape (n, 1)."""
-    return np.ones((n, 1))
-
-
-def identity(n: int) -> np.ndarray:
-    return np.eye(n)
-
-
 def array_frame(X: np.ndarray, C0: np.ndarray, n_blocks: int) -> np.ndarray:
     """The dense [X | I_N (x) C0] with N = ``n_blocks``.
 

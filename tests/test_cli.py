@@ -512,6 +512,25 @@ class TestErrorPaths:
         assert main(["fit", "--config", cfg, "--out", str(tmp_path / "report")]) == 3
         assert "d.csv:6" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ids, line, message", [
+        ((0, 1), 2, "array ids start at 1"),
+        ((0, 7), 2, "array ids start at 1"),
+        ((1, 3), 6, "array 3 with no array 2"),
+        ((2, 3), 2, "array 2 with no array 1"),
+    ])
+    def test_array_ids_other_than_1_to_n_are_a_data_error(
+        self, tmp_path, capsys, ids, line, message
+    ):
+        # an array id below 1, or a gap, is an error like an accident index
+        # below 1: renumbering the ids would silently relabel the arrays
+        f = tmp_path / "d.csv"
+        cells = ((1, 1), (1, 2), (2, 1), (2, 2))
+        f.write_text(HEADER + "".join(f"{n},{i},{j},{10 * n + i + j}\n" for n in ids for i, j in cells))
+        cfg = write_config(tmp_path / "c.cfg", data=str(f))
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "report")]) == 3
+        assert f"d.csv:{line}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "report.txt").exists()
+
     def test_non_congruent_arrays_rejected(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text(
@@ -623,8 +642,11 @@ HEADER = "array,accident,development,value\n"
     ("empty", HEADER, "empty.csv: no data rows"),
     ("count", HEADER + "1,1,1,10\n1,1,2,20\n2,1,1,30\n",
      "arrays are not congruent: array 2 covers different cells than array 1"),
+    # array ids run 1..N: 3 and 7 without 2 are the first line of array 3
     ("cells", HEADER + "3,1,1,1\n3,1,2,1\n1,1,1,10\n1,1,2,20\n7,1,1,30\n7,1,3,3\n",
-     "arrays are not congruent: array 7 covers different cells than array 1"),
+     "cells.csv:2: array 3 with no array 2: array ids run from 1 to the number of arrays"),
+    ("congruence", HEADER + "2,1,1,1\n2,1,2,1\n1,1,1,10\n1,1,2,20\n3,1,1,30\n3,1,3,3\n",
+     "arrays are not congruent: array 3 covers different cells than array 1"),
     # files the bulk parse rejects or cannot place reach the line parser
     ("float_index", HEADER + "1,1,1,5\n1,1.0,2,6\n",
      "float_index.csv:3: invalid literal for int() with base 10: '1.0'"),
@@ -672,9 +694,9 @@ def test_claims_csv_underscore_index_is_read_by_the_line_parser(tmp_path):
 
 
 def test_claims_csv_rows_in_any_order(tmp_path):
-    # arrays numbered with gaps, rows shuffled, blank lines and padded fields
+    # arrays out of order, rows shuffled, blank lines and padded fields
     f = tmp_path / "d.csv"
-    f.write_text(HEADER + "5,2,1,4\n1,1,3,10\n\n1,2,1,20\n5,1,3,30\n 1 , 1 , 1 , 2.5 \n5,1,1,1e3\n")
+    f.write_text(HEADER + "2,2,1,4\n1,1,3,10\n\n1,2,1,20\n2,1,3,30\n 1 , 1 , 1 , 2.5 \n2,1,1,1e3\n")
     coll = read_claims_csv([f])
     assert (coll.layout.n_arrays, coll.layout.n_rows, coll.layout.n_cols) == (2, 2, 3)
     np.testing.assert_array_equal(coll.layout.mask, [[True, False, True], [True, False, False]])

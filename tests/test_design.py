@@ -195,7 +195,8 @@ def test_assemble_factors_no_matrix_with_a_row_per_observation(monkeypatch):
         monkeypatch.setitem(norm_globals, name, wrapped)
     design = toy_design(lay, kind="row", shared_mean=False, include_within=True)
     assert {reason for _, reason in design.dropped} == {"aliased", "unobserved"}
-    assert design.factor.t_inv.shape == (design.n_params,) * 2
+    factor = design.factor
+    assert factor.t_inv_times(np.eye(design.n_params)).shape == (design.n_params,) * 2
     assert shapes == []
 
 

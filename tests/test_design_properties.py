@@ -53,7 +53,9 @@ def both_shock_means():
     # within- and across-array means on the same subsets: which of them the
     # reduction keeps depends on its order, within-array means first
     lay = ArrayLayout.full(2, 2, 2)
-    shock = cs.ShockSpec(partition=cs.build_partition("cell", lay), include_within=True)
+    shock = cs.ShockSpec(
+        partition=cs.build_partition("cell", lay), include_within=True, shared_across_mean=False
+    )
     return cs.assemble(lay, shock), np.random.default_rng(0)
 
 

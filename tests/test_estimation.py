@@ -252,7 +252,9 @@ class TestClosedForm:
         # configuration is at fault: sigma2 is not identified
         coll = bundled.restrict_to_diagonals(15)
         lay = coll.layout
-        shock = cs.ShockSpec(partition=cs.build_partition("cell", lay), include_across=True)
+        shock = cs.ShockSpec(
+            partition=cs.build_partition("cell", lay), include_across=True, shared_across_mean=False
+        )
         design = cs.assemble(lay, shock, "chain_ladder")
         calls = []
         closed_form = estimation.ml_dispersion_cellwise_closed_form

@@ -248,6 +248,31 @@ def test_gls_fit_forms_no_n_by_m_matrix(qr_shapes):
     assert math.isclose(fit.loglik, loglik, rel_tol=1e-10)
 
 
+def test_frame_fit_holds_no_m_by_m_matrix():
+    # cellwise_two_level, N = 20 on a 20 x 20 triangle with unshared
+    # calendar means, of which some are kept: Sigma = C (x) I over M's
+    # arrays, so Var[kappa] is held as the m x s_x r_inv = T^-1 [S^-1; 0] and
+    # the frame (C, R0^-1); the fit, with the design's factor formed before
+    # it, allocates less than one m x m float64 matrix and keeps none
+    lay = ArrayLayout.triangle(20, 20)
+    design = toy_design(lay, kind="diagonal", shared_mean=False)
+    structure = CellwiseTwoLevel(20, lay.cells_per_array)
+    y = np.random.default_rng(9).normal(size=design.n_obs)
+    sigma = cs.SigmaModel(structure, [0.01, 0.02])
+    m, s = design.n_params, design.X.shape[1]
+    assert s > 0 and design.factor is not None
+    tracemalloc.start()
+    try:
+        fit = cs.gls_fit(y, design, sigma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m * m * 8
+    assert fit.frame is not None and fit.r_inv.shape == (m, s)
+    held = [*vars(fit).values(), *fit.frame, *vars(design.factor).values()]
+    assert [a for a in held if isinstance(a, np.ndarray) and a.shape == (m, m)] == []
+
+
 def test_subset_frame_fit_forms_no_n_by_m_matrix(qr_shapes):
     # diagonal_scalar on the diagonal partition, N = 4 on a 30 x 30
     # triangle: one subset per calendar diagonal, grouped by its length,

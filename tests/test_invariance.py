@@ -108,7 +108,8 @@ def test_fixed_location_is_the_gls_fit(case):
     location = estimation._least_squares(estimation._design_parts(y, design))
     assert gls == (0 if steps is None else 1)  # the fit returned is gls_fit's
     q0, qx = design.factor.q0, design.factor.qx
-    Q, t_inv = array_frame(qx, q0, design.layout.n_arrays), design.factor.t_inv
+    Q = array_frame(qx, q0, design.layout.n_arrays)
+    t_inv = design.factor.t_inv_times(np.eye(Q.shape[1]))
     for _ in range(2):
         sigma = cs.SigmaModel(structure, random_omega(rng, structure))
         fixed = location.fit(sigma)
@@ -141,7 +142,9 @@ def dense_factor(y, M, order):
 def calendar_means():
     # unshared calendar means across and within three arrays: most are kept
     lay = ArrayLayout.triangle(3, 5)
-    shock = cs.ShockSpec(partition=cs.build_partition("diagonal", lay), include_within=True)
+    shock = cs.ShockSpec(
+        partition=cs.build_partition("diagonal", lay), include_within=True, shared_across_mean=False
+    )
     return cs.assemble(lay, shock, "hoerl"), np.random.default_rng(1)
 
 
@@ -203,7 +206,7 @@ def assert_dense_factor(factor, M, s, y):
     [Qx | I_N (x) Q0], with columns orthonormal to 1e-12."""
     kappa, var, aliased = dense_factor(y, M, list(range(s, M.shape[1])) + list(range(s)))
     assert not aliased
-    got, t_inv = factor.least_squares(y), factor.t_inv
+    got, t_inv = factor.least_squares(y), factor.t_inv_times(np.eye(M.shape[1]))
     for got_, want in ((got, kappa), (t_inv @ t_inv.T, var)):
         scale = np.abs(want).max(initial=0.0)
         np.testing.assert_allclose(got_, want, rtol=1e-10, atol=1e-10 * scale)
@@ -236,7 +239,9 @@ def test_a_replaced_design_factors_its_own_blocks():
         assert copy.n_params < copy.n_obs
         factor = copy.factor
         assert factor.q0.shape == copy.C0.shape
-        assert not np.array_equal(factor.t_inv, original.t_inv)
+        assert not np.array_equal(
+            factor.t_inv_times(np.eye(copy.n_params)), original.t_inv_times(np.eye(design.n_params))
+        )
         assert_dense_factor(factor, copy.M, copy.X.shape[1], rng.normal(size=copy.n_obs))
     assert design.factor is original
 
@@ -413,7 +418,8 @@ def test_generic_solver_on_a_moving_design_fits_each_point(bundled, qr_shapes):
     design = toy_design(coll.layout, kind="diagonal")
     structure = DiagonalScalar(design.A)
     y = cs.stack_log(coll)
-    assert design.factor.t_inv.shape == (design.n_params,) * 2  # formed before the solve
+    factor = design.factor  # formed before the solve
+    assert factor.t_inv_times(np.eye(design.n_params)).shape == (design.n_params,) * 2
     qr_shapes.clear()
     fit = cs.ml_dispersion_generic(y, design, structure, [0.01, 0.01])
     # one QR of the whitened mixed columns and y, every column of Q under
