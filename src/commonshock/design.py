@@ -32,7 +32,7 @@ from .partitions import Partition, build_partition
 
 IDIO_VARIANTS = ("chain_ladder", "hoerl")
 # a column is dropped when its residual against the kept columns is at most
-# this times ||M||_2
+# this times M's largest column norm
 REDUCE_TOL = 1e-10
 
 
@@ -249,67 +249,14 @@ def _sweep(columns: np.ndarray, order, tol: float, prior=lambda v: 0.0):
     return kept, dropped, basis[:r0], R[:r0, :r0]
 
 
-def _frame_norm(X, C0, n_blocks: int) -> float:
-    """||M||_2 of M = [X | I_N (x) C0], N = ``n_blocks``, from its blocks.
-
-    With no shock-mean column it is ||C0||_2. Otherwise, with one
-    eigendecomposition C0'C0 = V diag(lam) V^T and W_n = X_n^T C0 V for
-    array n's rows X_n of X, the Schur complement of I_N (x) (C0'C0 - t I)
-    in M'M - t I makes ||M||_2^2 the largest root t >= max(lam) of the
-    secular equation (Golub 1973, SIAM Review 15)
-
-        f(t) = lam_max(X^T X + sum_n W_n (t I - diag(lam))^-1 W_n^T) - t = 0,
-
-    or max(lam) itself where f <= 0 just right of it (no weight on the top
-    eigenvectors). f is convex and decreasing there, with slope at most -1,
-    so a Newton point is a lower bound of the root: Newton runs inside the
-    bracket [max(lam), ||X||_2^2 + max(lam)], and a point that leaves it is
-    replaced by the bracket's midpoint in distance from max(lam). Each step
-    takes one s x s eigendecomposition; no (s + N q)-square matrix is formed.
-    """
-    (k, q), s = C0.shape, X.shape[1]
-    if not s:
-        return float(np.sqrt(max(np.linalg.eigvalsh(C0.T @ C0)[-1], 0.0))) if q else 0.0
-    XtX = X.T @ X
-    x_top = max(np.linalg.eigvalsh(XtX)[-1], 0.0)
-    if not q:
-        return float(np.sqrt(x_top))
-    lam, V = np.linalg.eigh(C0.T @ C0)
-    top = max(lam[-1], 0.0)
-    hi = top + x_top
-    if hi == 0.0:
-        return 0.0
-    # W[i, n] = W_n[:, i], the weight of eigenvector i in array n
-    W = np.matmul(V.T, np.matmul(C0.T, X.reshape(n_blocks, k, s))).transpose(1, 0, 2)
-
-    def f(t):
-        """(f(t), f'(t)): f' from the top eigenvector u of the s x s matrix."""
-        d = 1.0 / (t - lam)
-        Wd = (W * np.sqrt(d)[:, None, None]).reshape(-1, s)
-        mu, U = np.linalg.eigh(XtX + Wd.T @ Wd)
-        return mu[-1] - t, -1.0 - d * d @ np.square(W @ U[:, -1]).sum(axis=1)
-
-    eps = np.finfo(float).eps
-    lo = top + 8 * eps * hi
-    if f(lo)[0] <= 0.0:
-        return float(np.sqrt(top))
-    t = hi
-    for _ in range(100):
-        ft, dt = f(t)
-        lo, hi = (t, hi) if ft > 0.0 else (lo, t)
-        newton = t - ft / dt
-        if abs(newton - t) <= 4 * eps * t or hi - lo <= 4 * eps * hi:
-            break
-        t = newton if lo < newton < hi else top + np.sqrt((lo - top) * (hi - top))
-    return float(np.sqrt(t))
-
-
 def _reduce_blocks(X, x_order, C0, c0_order, n_blocks: int):
     """Rank-revealing column selection on M = [X | I_N (x) C0], by blocks.
 
     X holds the shock-mean columns, (N k, s), and C0 one array's idiosyncratic
     block, (k, q); column s + n q + j of M is C0's column j in array n + 1.
-    ||M||_2 comes from the blocks (``_frame_norm``). C0 is swept once in
+    The drop threshold is ``REDUCE_TOL`` times M's largest column norm, the
+    first pivot of column-pivoted QR (Businger and Golub 1965), which is
+    the largest over X's and C0's columns. C0 is swept once in
     ``c0_order``, and its kept set and basis Q0 serve every array, because
     array n's columns meet no other array's rows.
     X is then swept in ``x_order`` against I_N (x) Q0 and its own kept
@@ -320,14 +267,17 @@ def _reduce_blocks(X, x_order, C0, c0_order, n_blocks: int):
     """
     N = n_blocks
     (k, q), s = C0.shape, X.shape[1]
-    tol = REDUCE_TOL * _frame_norm(X, C0, N)
+    x_norms, c0_norms = (np.linalg.norm(cols, axis=0) for cols in (X, C0))
+    tol = REDUCE_TOL * max(x_norms.max(initial=0.0), c0_norms.max(initial=0.0))
 
     kept0, dropped0, Q0, R0 = _sweep(C0, c0_order, tol)
     keptx, droppedx, Qx, _ = _sweep(X, x_order, tol, lambda v: (v.reshape(N, k) @ Q0.T @ Q0).ravel())
     reasons = {}
-    for cols, dropped, offsets in ((X, droppedx, [0]), (C0, dropped0, s + q * np.arange(N))):
+    for norms, dropped, offsets in (
+        (x_norms, droppedx, [0]), (c0_norms, dropped0, s + q * np.arange(N))
+    ):
         for j in dropped:
-            reason = "unobserved" if np.linalg.norm(cols[:, j]) <= tol else "aliased"
+            reason = "unobserved" if norms[j] <= tol else "aliased"
             reasons.update((int(o + j), reason) for o in offsets)
     k0, d0, kx, dx = (sorted(ids) for ids in (kept0, dropped0, keptx, droppedx))
     block_ids = s + q * np.arange(N)[:, None]
@@ -358,16 +308,19 @@ def reduce_columns(M: np.ndarray, keep_priority=None):
 
     Sweeps columns in ``keep_priority`` order (default: left to right),
     keeping a column only if its residual against the span of already-kept
-    columns exceeds ``REDUCE_TOL`` times the largest singular value of M
-    (``_frame_norm``). Returns (kept indices sorted, dropped indices, coef,
-    reasons) where ``coef`` expresses each dropped column as the least
-    squares combination of kept ones and ``reasons`` maps dropped index to
-    "aliased" or "unobserved" (zero column). This is the one-block case of
-    the reduction ``assemble`` runs: N = 1 and no shock-mean columns.
+    columns exceeds ``REDUCE_TOL`` times M's largest column norm. Returns
+    (kept indices sorted, dropped indices, coef, reasons) where ``coef``
+    expresses each dropped column as the least squares combination of kept
+    ones and ``reasons`` maps dropped index to "aliased" or "unobserved"
+    (zero column). This is the one-block case of the reduction ``assemble``
+    runs: N = 1 and no shock-mean columns. ConfigError unless
+    ``keep_priority`` is a permutation of M's columns.
     """
     M = np.asarray(M, dtype=float)
     n, m = M.shape
     order = list(range(m)) if keep_priority is None else list(keep_priority)
+    if sorted(order) != list(range(m)):
+        raise ConfigError(f"keep_priority must order each of M's {m} columns once")
     return _reduce_blocks(np.zeros((n, 0)), [], M, order, 1)[:4]
 
 

@@ -335,8 +335,8 @@ def ml_dispersion_generic(
     ``init_omega`` values; with none free the fit is ``gls_fit`` there,
     with its score. ConfigError rejects a ``tol`` that is not finite and
     positive, a ``max_iter`` that is not a non-negative integer, an
-    ``init_omega`` without one value per component, and a start at or
-    below zero on a free component that must stay positive.
+    ``init_omega`` or a ``free_mask`` without one value per component, and
+    a start at or below zero on a free component that must stay positive.
 
     A given start is always scored from; None, or a None entry, starts at
     ``START``. With no start and every component free, the cell-matched
@@ -355,11 +355,12 @@ def ml_dispersion_generic(
     start = np.ravel([None] * structure.n_params if init_omega is None else init_omega)
     unset = np.array([w is None for w in start], dtype=bool)
     omega = np.where(unset, START, start).astype(float)
-    if omega.size != structure.n_params:
-        raise ConfigError(
-            f"init_omega needs {structure.n_params} values for {structure.omega_names}"
-        )
     free = np.ones(omega.size, dtype=bool) if free_mask is None else np.asarray(free_mask, bool)
+    for name, value in (("init_omega", omega), ("free_mask", free)):
+        if value.shape != (structure.n_params,):
+            raise ConfigError(
+                f"{name} needs {structure.n_params} values for {structure.omega_names}"
+            )
     positive = free & ~np.asarray(structure.zero_allowed, dtype=bool)
     if np.any(omega[positive] <= 0):
         raise ConfigError(

@@ -276,8 +276,8 @@ def test_fit_and_forecast_form_no_dense_design(tmp_path, monkeypatch, covariance
     # on three arrays the fit and the forecast apply M = [X | I_N (x) C0]
     # and M* by their blocks: with array_frame raising wherever the design
     # layer looks it up, both commands write the same reports, and no
-    # eigendecomposition is taken of a matrix as wide as I_N (x) C0, so
-    # none of the (s + N q)-square Gram matrix
+    # eigendecomposition, if any is taken, is of a matrix as wide as
+    # I_N (x) C0, so none of the (s + N q)-square Gram matrix
     TestFitCommand.simulated_config(tmp_path, 3)  # writes sim.csv
     cfg = write_config(
         tmp_path / "run.cfg", data=tmp_path / "sim.csv", covariance=covariance, partition=partition
@@ -311,7 +311,7 @@ def test_fit_and_forecast_form_no_dense_design(tmp_path, monkeypatch, covariance
             patched = (tmp_path / f"patched.{command}.{suffix}").read_bytes()
             assert patched == (tmp_path / f"plain.{command}.{suffix}").read_bytes()
     q = cs.build_C_chain_ladder(read_claims_csv([tmp_path / "sim.csv"]).layout)[0].shape[1]
-    assert sides and max(sides) < 3 * q  # narrower than I_N (x) C0'C0
+    assert max(sides, default=0) < 3 * q  # narrower than I_N (x) C0'C0
 
 
 class TestSimulateCommand:

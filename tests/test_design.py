@@ -170,12 +170,42 @@ def test_duplicate_column_detected_and_fit_unchanged(ref_fit):
     np.testing.assert_allclose(coef[:, 0], [0, 1, 0, 0], atol=1e-9)
 
 
+@pytest.mark.parametrize("rel, kept", [(1e-9, True), (1e-11, False)])
+def test_threshold_is_relative_to_the_largest_column_norm(rel, kept):
+    # column b + rel 10 u, u a unit vector off the span of the others, is
+    # aliased up to rel times M's largest column norm, 10; 400 copies of
+    # that column put ||M||_2 at 200, which the threshold does not read.
+    # The same column as a shock mean in array 1 of N = 2 has the same
+    # residual.
+    rng = np.random.default_rng(5)
+    top, b, other = np.linalg.qr(rng.normal(size=(8, 3)))[0].T
+    C0 = np.column_stack([10 * top] * 400 + [b])
+    near = b + rel * 10 * other
+    X = np.concatenate([near, b])[:, None]
+    results = [
+        reduce_columns(np.column_stack([C0, near])),
+        design_module._reduce_blocks(X, [0], C0, range(401), 2)[:4],
+    ]
+    # the top column and b are kept, in each of the two arrays on blocks
+    for (kept_ids, _, _, reasons), last, n_kept in zip(results, [401, 0], [2, 4]):
+        assert len(kept_ids) == n_kept + kept
+        assert reasons.get(last) == (None if kept else "aliased")
+
+
+@pytest.mark.parametrize("priority", [[0, 0, 1, 2], [0, 1], [2, 1, 0, 5], [0, 1, 3]])
+def test_keep_priority_must_order_every_column_once(priority):
+    # a repeated column was kept and dropped, a missing one left out of both
+    # lists, and one past M's columns an IndexError
+    M = np.random.default_rng(0).normal(size=(5, 3))
+    with pytest.raises(cs.ConfigError, match="keep_priority"):
+        reduce_columns(M, priority)
+
+
 def test_assemble_factors_no_matrix_with_a_row_per_observation(monkeypatch):
-    # the reduction sweeps one array's block, takes ||M||_2 from the
-    # secular equation of its blocks (eigendecompositions of C0'C0 and of
-    # s x s matrices) and solves for the alias coefficients with the
-    # sweep's factor, which the least-squares factor reuses: no SVD and no
-    # least squares at all
+    # the reduction sweeps one array's block at a threshold set by M's
+    # largest column norm and solves for the alias coefficients with the
+    # sweep's factor, which the least-squares factor reuses: no SVD, no
+    # eigendecomposition and no least squares at all
     mask = ArrayLayout.triangle(3, 6).mask.copy()
     mask[:, 3] = False  # column 4 is never observed: its effect is a zero column
     lay = ArrayLayout(3, 6, 6, mask)
@@ -189,7 +219,7 @@ def test_assemble_factors_no_matrix_with_a_row_per_observation(monkeypatch):
         return wrapper
 
     norm_globals = np.linalg.norm.__wrapped__.__globals__  # norm(M, 2) calls svd there
-    for name in ("svd", "lstsq"):
+    for name in ("svd", "lstsq", "eigh", "eigvalsh"):
         wrapped = recording(getattr(np.linalg, name))
         monkeypatch.setattr(np.linalg, name, wrapped)
         monkeypatch.setitem(norm_globals, name, wrapped)

@@ -383,6 +383,9 @@ class TestGenericSolver:
             ([0.01, 0.01], {"tol": float("inf")}),
             ([0.01, 0.01, 0.01], {}),
             ([0.01, 0.0], {}),  # v2 must stay positive
+            # one free_mask entry per component: not broadcast, nor a NumPy error
+            ([0.01, 0.01], {"free_mask": [True]}),
+            ([0.01, 0.01], {"free_mask": [True, False, True]}),
         ],
     )
     def test_bad_settings_are_config_errors(self, init, kwargs):
