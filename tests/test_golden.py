@@ -1,12 +1,21 @@
 """Bundled-data CLI reports against stored golden copies.
 
-Each configuration is fitted, forecast and inspected through ``cli.main`` on
-the bundled rectangles (t_max = 15). The text reports must match the stored
-copies byte for byte; JSON numbers must match to 1e-10 relative, so that the
-test survives other BLAS builds. After a deliberate report change, regenerate
-the copies with
+Each configuration is fitted, forecast and inspected through ``cli.main``,
+on the bundled rectangles (t_max = 15) unless it names its own ``data`` and
+``t_max``. The text reports must match the stored copies byte for byte; JSON
+numbers must match to 1e-10 relative, so that the test survives other BLAS
+builds. After a deliberate report change, regenerate the copies with
 
     PYTHONPATH=src python tests/test_golden.py
+
+The multi-array inputs were generated once, and are not regenerated here,
+since NumPy does not promise the same normal draws across versions:
+
+    from perfbench.generate import Workload, write_inputs
+    write_inputs(Workload("n4", 4, 12, "diagonal", "diagonal_scalar"), 1, dir)
+    write_inputs(Workload("n10", 10, 15, "cell", "cellwise_two_level"), 1, dir)
+
+each ``dir/claims.csv`` then stored as ``n4_12x12.csv`` and ``n10_15x15.csv``.
 """
 
 import contextlib
@@ -21,6 +30,9 @@ from commonshock.cli import main
 from commonshock.datasets import bundled_paths
 
 GOLDEN = Path(__file__).parent / "golden"
+# N = 4 arrays on a 12 x 12 grid and N = 10 on 15 x 15, fitted on their triangles
+N4 = {"data": GOLDEN / "n4_12x12.csv", "t_max": 12}
+N10 = {"data": GOLDEN / "n10_15x15.csv", "t_max": 15}
 
 CONFIGS = {
     "cellwise_two_level_cell": {"covariance": "cellwise_two_level", "partition": "cell"},
@@ -65,6 +77,17 @@ CONFIGS = {
         "v2_1": 0.012,
         "v2_2": 0.0034,
     },
+    # several subset groups in the subset frame, and an unshared mean per row
+    "n4_diagonal_scalar_diagonal": {**N4, "covariance": "diagonal_scalar", "partition": "diagonal"},
+    "n4_diagonal_scalar_row_unshared": {
+        **N4,
+        "covariance": "diagonal_scalar",
+        "partition": "row",
+        "shared_shock_mean": "false",
+    },
+    # per-array keys up to _10, and many distinct array-pair moment blocks
+    "n10_cellwise_two_level_cell": {**N10, "covariance": "cellwise_two_level", "partition": "cell"},
+    "n10_example48_cell": {**N10, "covariance": "example48", "partition": "cell"},
 }
 
 
