@@ -11,6 +11,7 @@ import numpy as np
 
 import commonshock as cs
 from commonshock.datasets import load_bundled_rectangles
+from commonshock.design import frame_times
 from commonshock.estimation import SCORE_TOL
 
 full = load_bundled_rectangles()
@@ -27,7 +28,7 @@ print(f"estimation set: {layout.cells_per_array} cells per array")
 partition = cs.build_partition("cell", layout)
 shock = cs.ShockSpec(partition=partition, include_across=True, shared_across_mean=True)
 design = cs.assemble(layout, shock, "chain_ladder")
-print(f"design: {design.M.shape[0]} observations, {design.M.shape[1]} parameters, "
+print(f"design: {design.n_obs} observations, {design.n_params} parameters, "
       f"dropped {[lbl for lbl, _ in design.dropped]}")
 
 y = cs.stack_log(fit_coll)
@@ -46,9 +47,10 @@ for k in range(15):
     print(f"  {k + 1:3d}  {a1['row_effects'][k]:7.3f} {a1['column_effects'][k]:9.1f}"
           f"    {a2['row_effects'][k]:7.3f} {a2['column_effects'][k]:10.1f}")
 
-# residual dependence, extended over all 225 cells of each rectangle
-m_ext = design.rows_for_cells(full.layout.stacking_order)
-d = cs.stack_log(full) - m_ext @ fit.kappa_hat
+# residual dependence, extended over all 225 cells of each rectangle: the
+# design rows of every cell, as blocks (X*, C0*), applied to the estimates
+x_ext, c0_ext = design.blocks_for_cells(full.layout.stacking_order)
+d = cs.stack_log(full) - frame_times(x_ext, c0_ext, fit.kappa_hat, 2)
 d1, d2 = d.reshape(2, -1)
 corr, agree = cs.dependence_stats(d1, d2)
 print(f"\nresidual dependence over all cells: corr = {corr:.3f}, "

@@ -27,10 +27,6 @@ from .design import (
     ModelDesign,
     ShockSpec,
     assemble,
-    build_A,
-    build_B,
-    build_C_chain_ladder,
-    build_C_hoerl,
     reduce_columns,
 )
 from .errors import (
@@ -83,8 +79,7 @@ __all__ = [
     "ArrayLayout", "ClaimCollection", "diagonal_of", "future_cells", "stack_log", "unstack",
     "CellwiseTwoLevel", "DiagonalScalar", "Example48", "SigmaModel",
     "dsigma_domega", "sigma_inverse_cellwise",
-    "ModelDesign", "ShockSpec", "assemble", "build_A", "build_B",
-    "build_C_chain_ladder", "build_C_hoerl", "reduce_columns",
+    "ModelDesign", "ShockSpec", "assemble", "reduce_columns",
     "CommonShockError", "ConfigError", "DataError", "DesignError", "NumericalError",
     "FitResult", "chain_ladder_effect_table", "dependence_stats", "gls_fit",
     "ml_dispersion_cellwise", "ml_dispersion_cellwise_closed_form",

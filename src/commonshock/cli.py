@@ -582,7 +582,7 @@ def cmd_simulate(cfg, out_path, seed=None) -> str:
 
 def cmd_inspect(cfg) -> str:
     """Print the model's dimensions, counted from the design without forming
-    its unreduced blocks A, B, I_N (x) C0 or M_full."""
+    its shock blocks A and B or the unreduced idiosyncratic block I_N (x) C0."""
     _, _, _, design = _build_model(cfg)
     lay, shock = design.layout, design.shock
     N, n_obs, P = lay.n_arrays, lay.n_observations, shock.partition.n_subsets

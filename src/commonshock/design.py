@@ -127,8 +127,14 @@ class _CellRows:
         return self._one_per_row(beta, np.arange(N)[:, None] * P + self.labels, N * P)
 
     def idiosyncratic(self, variant: str):
-        """One array's idiosyncratic block, (k, q), and its column labels
-        (see ``build_C_chain_ladder`` and ``build_C_hoerl``)."""
+        """One array's idiosyncratic block, (k, q), and its column labels.
+
+        "chain_ladder": row effects chi_i for i = 2..n_rows (chi_1 = 0),
+        then column effects for j = 1..n_cols; q = (n_rows - 1) + n_cols.
+        "hoerl": the development curve level_i + chi ln j - rho j, one level
+        per row, then the log-development slope and the decay rate;
+        q = n_rows + 2, and the raw-scale shape in j is j^chi e^(-rho j).
+        """
         lay, i, j = self.layout, self.i, self.j
         c = np.arange(i.size)
         if variant == "chain_ladder":
@@ -153,7 +159,7 @@ class _CellRows:
         return A, B
 
     def design(self, shock: ShockSpec, variant: str):
-        """(X, C0, labels) with M_full = [X | I_N (x) C0] = [xi | eta | zeta].
+        """(X, C0, labels) of the unreduced design [X | I_N (x) C0] = [xi | eta | zeta].
 
         X holds the shock-mean columns: A, or the one column of alpha when
         the across-array shock means are tied, then B. C0 is one array's
@@ -176,38 +182,6 @@ class _CellRows:
         X = np.hstack(mean_blocks) if mean_blocks else np.zeros((N * self.i.size, 0))
         labels.extend((lbl[0], n) + lbl[1:] for n in range(1, N + 1) for lbl in block_labels)
         return X, C0, labels
-
-
-def build_A(partition: Partition, layout: ArrayLayout, alpha=None) -> np.ndarray:
-    """Across-array shock coefficient matrix, shape (N*|cells|, P).
-
-    The row for cell (n, i, j) carries the cell's alpha coefficient in the
-    column of its subset; the per-array blocks are stacked vertically.
-    """
-    return _CellRows.stacked(layout, partition).across(alpha)
-
-
-def build_B(partition: Partition, layout: ArrayLayout, beta=None) -> np.ndarray:
-    """Within-array shock coefficient matrix, block diagonal, shape (N*|cells|, N*P)."""
-    return _CellRows.stacked(layout, partition).within(beta)
-
-
-def build_C_chain_ladder(layout: ArrayLayout):
-    """Per-array cross-classified block and its column labels.
-
-    Columns: row effects chi_i for i = 2..n_rows (chi_1 = 0), then column
-    effects for j = 1..n_cols; q = (n_rows - 1) + n_cols.
-    """
-    return _CellRows.stacked(layout).idiosyncratic("chain_ladder")
-
-
-def build_C_hoerl(layout: ArrayLayout):
-    """Per-array block for the development-curve form level_i + chi*ln j - rho*j.
-
-    Columns: one level per row, then the log-development slope and the decay
-    rate; q = n_rows + 2. The implied raw-scale shape in j is j^chi e^(-rho j).
-    """
-    return _CellRows.stacked(layout).idiosyncratic("hoerl")
 
 
 def _sweep(columns: np.ndarray, order, tol: float, prior=lambda v: 0.0):
@@ -314,7 +288,8 @@ def reduce_columns(M: np.ndarray, keep_priority=None):
     ones and ``reasons`` maps dropped index to "aliased" or "unobserved"
     (zero column). This is the one-block case of the reduction ``assemble``
     runs: N = 1 and no shock-mean columns. ConfigError unless
-    ``keep_priority`` is a permutation of M's columns.
+    ``keep_priority`` is a permutation of M's columns. No fit calls it:
+    outside the tests, perfbench/tracer.py is its only reader.
     """
     M = np.asarray(M, dtype=float)
     n, m = M.shape
@@ -424,10 +399,10 @@ class ModelDesign:
     M = [X | I_N (x) C0] (see ``array_frame``): X holds the kept shock-mean
     columns, (N|cells|, s_x), and C0 the kept columns of one array's
     idiosyncratic block, (|cells|, r0). Fits and forecasts apply M by these
-    two blocks (``times``, ``blocks_for_cells``), so the dense M is formed
-    only on first read, like the least-squares factor (``factor``) and the
-    unreduced blocks: A and B, which only the diagonal-scalar structure and
-    an unshared across-array mean need, and M_full.
+    two blocks (``times``, ``blocks_for_cells``). The least-squares factor
+    (``factor``) and the shock blocks A and B, which only the
+    diagonal-scalar structure and an unshared across-array mean need, are
+    formed on first read.
     """
 
     layout: ArrayLayout
@@ -452,7 +427,8 @@ class ModelDesign:
 
     @cached_property
     def M(self) -> np.ndarray:
-        """The dense reduced design [X | I_N (x) C0], (n_obs, n_params)."""
+        """The dense reduced design [X | I_N (x) C0], (n_obs, n_params).
+        No fit or forecast reads it: perfbench/tracer.py is its only reader."""
         return array_frame(self.X, self.C0, self.layout.n_arrays)
 
     def times(self, kappa: np.ndarray) -> np.ndarray:
@@ -484,12 +460,6 @@ class ModelDesign:
         """(N|cells|, N P) within-array shock block, no columns when absent."""
         return self._shock_blocks[1]
 
-    @cached_property
-    def M_full(self) -> np.ndarray:
-        """The unreduced design [xi | eta | zeta]."""
-        X, C0, _ = self._rows.design(self.shock, self.idio_variant)
-        return array_frame(X, C0, self.layout.n_arrays)
-
     @property
     def n_obs(self) -> int:
         return self.X.shape[0]
@@ -515,10 +485,6 @@ class ModelDesign:
             shock, self.idio_variant
         )
         return X, C0
-
-    def full_rows_for_cells(self, cells) -> np.ndarray:
-        """Unreduced design rows for arbitrary grid cells, array index outermost."""
-        return array_frame(*self._cell_blocks(cells), self.layout.n_arrays)
 
     def blocks_for_cells(self, cells):
         """(X*, C0*): the kept shock-mean columns and one array's kept
@@ -573,12 +539,6 @@ class ModelDesign:
                 )
         return Xk, C0k
 
-    def rows_for_cells(self, cells) -> np.ndarray:
-        """Reduced-design rows for arbitrary grid cells, array index
-        outermost: ``array_frame`` of ``blocks_for_cells``, which checks
-        them for estimability."""
-        return array_frame(*self.blocks_for_cells(cells), self.layout.n_arrays)
-
     def shock_blocks_for_cells(self, cells):
         """(A*, B*) coefficient blocks over a future region.
 
@@ -613,8 +573,8 @@ def assemble(
     the idiosyncratic effects. C = I_N (x) C0 for congruent arrays, so the
     sweep visits one array's block C0 once and reuses its kept columns for
     every array, then sweeps the shock means against that span; the result
-    is ``reduce_columns(M_full, priority)`` with the same priority, without
-    forming the n-row M_full.
+    is ``reduce_columns`` of the dense unreduced design with the same
+    priority, which is never formed.
     """
     if idio_variant not in IDIO_VARIANTS:
         raise ConfigError(
@@ -627,8 +587,8 @@ def assemble(
         raise ConfigError("partition was built for a different layout")
 
     X, C0, labels = _CellRows.stacked(lay, part).design(shock, idio_variant)
-    # keep priority: zeta block first, then eta, then xi; M_full is
-    # [xi | eta | I_N (x) C0], and the reduction works on those blocks
+    # keep priority: zeta block first, then eta, then xi; the unreduced
+    # design is [xi | eta | I_N (x) C0], and the reduction works on those blocks
     s, q, N = X.shape[1], C0.shape[1], lay.n_arrays
     rank = {"xi": 1, "xi_shared": 1, "eta": 0}
     x_order = sorted(range(s), key=lambda k: (rank[labels[k][0]], k))

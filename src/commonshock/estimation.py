@@ -48,9 +48,9 @@ START = 0.01
 class FitResult:
     """Outcome of a location (and optionally dispersion) fit.
 
-    ``M`` is the reduced mean design the fit used: the design's, formed on
-    first read, or ``matrix``, the bare matrix of a fit made on one (None
-    on a ModelDesign). With M = [Qx | I_N (x) Q0] T the design's
+    M is the reduced mean design the fit used: ``design``'s, applied by its
+    blocks, or ``matrix``, the bare matrix of a fit made on one (None on a
+    ModelDesign). With M = [Qx | I_N (x) Q0] T the design's
     least-squares factor and Sigma^-1/2 Q_m = U S the one QR of the k
     columns Q_m of Q that Sigma mixes (see ``gls_fit``), ``r_inv`` is the
     m x k matrix T^-1 [S^-1; 0], rows in M's column order.
@@ -62,9 +62,10 @@ class FitResult:
     at any other Sigma, several subset groups or the dense frame, has None
     and k = m. So Var[kappa] = r_inv r_inv^T, plus the frame's term on the
     idiosyncratic block. ``var_kappa`` and ``omega_fit``, the covariance
-    matrix of the fitted mean vector (M Var[kappa] M^T), are formed on first
-    read. ``omega_hat`` is the ML entry's omega, held components included,
-    and None from ``gls_fit``.
+    matrix of the fitted mean vector, M Var[kappa] M^T with M applied twice
+    as the fitted values apply it (``_fitted``), are formed on first read.
+    ``omega_hat`` is the ML entry's omega, held components included, and
+    None from ``gls_fit``.
     """
 
     kappa_hat: np.ndarray
@@ -84,10 +85,6 @@ class FitResult:
     _omega_fit: np.ndarray = field(default=None, init=False, repr=False)
 
     @property
-    def M(self) -> np.ndarray:
-        return self.design.M if self.matrix is None else self.matrix
-
-    @property
     def var_kappa(self) -> np.ndarray:
         """Var[kappa] = r_inv r_inv^T + C (x) R0^-1 R0^-T on the idiosyncratic
         block of a fit with a ``frame``; None where the fit holds no r_inv."""
@@ -103,7 +100,9 @@ class FitResult:
     @property
     def omega_fit(self) -> np.ndarray:
         if self._omega_fit is None:
-            self._omega_fit = self.M @ self.var_kappa @ self.M.T
+            half = _fitted(self.matrix, self.design, self.var_kappa)  # M Var[kappa]
+            # (M Var[kappa]) M^T, the transpose of M (M Var[kappa])^T
+            self._omega_fit = _fitted(self.matrix, self.design, half.T).T
         return self._omega_fit
 
 

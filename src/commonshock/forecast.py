@@ -42,8 +42,7 @@ from .lognormal import raw_mean  # noqa: F401
 class ForecastDesign:
     """Forecast rows over the future region, M* = [X* | I_N (x) C0*].
 
-    The forecast applies M* by its blocks (``times``); the dense M*, of
-    N * n_future rows, is formed only on first read of ``m_star``.
+    The forecast applies M* by its blocks (``times``) and never forms it.
     """
 
     x_star: np.ndarray  # (N * n_future, s_x) kept shock-mean columns
@@ -53,7 +52,8 @@ class ForecastDesign:
 
     @cached_property
     def m_star(self) -> np.ndarray:
-        """The dense reduced-design rows M*, (N * n_future, n_params)."""
+        """The dense reduced-design rows M*, (N * n_future, n_params). No
+        forecast reads it: perfbench/tracer.py is its only reader."""
         return array_frame(self.x_star, self.c0_star, self.n_arrays)
 
     @property
@@ -304,8 +304,8 @@ def gamma_ar1(gamma_tmax: float, gamma_bar: float, rho: float, horizon: int, noi
     steps, started at the fitted value ``gamma_tmax``. ``noise`` supplies the
     eps sequence (deterministic zeros when omitted).
     """
-    if horizon < 1:
-        raise DesignError("horizon must be at least 1")
+    if not isinstance(horizon, (int, np.integer)) or horizon < 1:
+        raise DesignError(f"horizon must be an integer of at least 1, not {horizon!r}")
     eps = np.zeros(horizon) if noise is None else np.asarray(noise, dtype=float).ravel()
     if eps.size != horizon:
         raise DesignError("noise must have one draw per forecast step")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import ConfigError, NumericalError
 
 # exp saturates near 709 in double precision; reject rather than return inf
 _EXP_GUARD = 700.0
@@ -60,7 +60,10 @@ def _exp_guarded(exponent: np.ndarray) -> np.ndarray:
 
 
 def raw_cov(summary: LogNormalSummary, k: int = None, l: int = None):
-    """Cov[X_k, X_l] = E[X_k] E[X_l] (exp(Sigma_kl) - 1); full matrix when unindexed."""
+    """Cov[X_k, X_l] = E[X_k] E[X_l] (exp(Sigma_kl) - 1); full matrix when
+    unindexed. ConfigError when only one of k and l is given."""
+    if (k is None) != (l is None):
+        raise ConfigError("raw_cov takes both indices k and l, or neither")
     means = raw_mean(summary)
     cov = np.outer(means, means) * np.expm1(summary.covariance)
     if k is None:

@@ -60,11 +60,3 @@ def simulate_two_level(layout, sigma, v, seed, rows=None, cols=None, mean_log=0.
         )
     return cs.ClaimCollection(layout, vals)
 
-
-def fitted_raw(fit):
-    """Raw-scale fitted values and covariance from a log-scale fit, the dense
-    reference: (cells, covariance), ``cells`` of shape (n_arrays, n_rows,
-    n_cols) with NaN outside the fitted region, ``covariance`` the full
-    raw-scale covariance in stacking order."""
-    summary = cs.LogNormalSummary(fit.y_hat, fit.omega_fit)
-    return cs.unstack(cs.raw_mean(summary), fit.design.layout), cs.raw_cov(summary)

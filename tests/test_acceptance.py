@@ -17,6 +17,7 @@ import pytest
 import commonshock as cs
 from commonshock.arrays import ArrayLayout
 from commonshock.covariance import CellwiseTwoLevel, DiagonalScalar, Example48
+from commonshock.design import frame_times
 from commonshock.simulate import SimSpec
 from commonshock.tweedie import ShockRatios, TweedieParams
 from conftest import simulate_two_level, toy_design
@@ -181,8 +182,8 @@ def test_criterion_04c_covs_and_correlation(ref_forecast):
 def test_criterion_05_residual_dependence(ref_fit):
     fit = ref_fit["fit"]
     full = ref_fit["full"]
-    m_ext = fit.design.rows_for_cells(full.layout.stacking_order)
-    d = cs.stack_log(full) - m_ext @ fit.kappa_hat
+    x_ext, c0_ext = fit.design.blocks_for_cells(full.layout.stacking_order)
+    d = cs.stack_log(full) - frame_times(x_ext, c0_ext, fit.kappa_hat, 2)
     corr, agree = cs.dependence_stats(*d.reshape(2, -1))
     ok = abs(corr - REF_RESIDUAL_CORR) <= 0.03 and abs(agree - REF_SIGN_AGREEMENT) <= 3
     assert report(

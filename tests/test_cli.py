@@ -11,6 +11,7 @@ from commonshock.cli import main, parse_config, read_claims_csv, write_claims_cs
 from commonshock.errors import ConfigError, DataError
 from commonshock.datasets import bundled_paths
 from commonshock.kron import array_frame
+import dense
 
 
 def write_config(path, **keys):
@@ -310,7 +311,8 @@ def test_fit_and_forecast_form_no_dense_design(tmp_path, monkeypatch, covariance
         for suffix in ("txt", "json"):
             patched = (tmp_path / f"patched.{command}.{suffix}").read_bytes()
             assert patched == (tmp_path / f"plain.{command}.{suffix}").read_bytes()
-    q = cs.build_C_chain_ladder(read_claims_csv([tmp_path / "sim.csv"]).layout)[0].shape[1]
+    lay = read_claims_csv([tmp_path / "sim.csv"]).layout
+    q = lay.n_rows - 1 + lay.n_cols  # one array's chain-ladder columns
     assert max(sides, default=0) < 3 * q  # narrower than I_N (x) C0'C0
 
 
@@ -383,9 +385,9 @@ class TestInspectCommand:
 
     @pytest.mark.parametrize("design", ["chain_ladder", "hoerl"])
     def test_counts_without_the_unreduced_blocks(self, tmp_path, capsys, monkeypatch, design):
-        # inspect counts the columns of A, B, C and M_full from what the
-        # design holds; the counts must still be those of the blocks, C
-        # rebuilt here as I_N (x) the unreduced C0
+        # inspect counts the columns of A, B, C and the unreduced M from
+        # what the design holds; the counts must still be those of the
+        # blocks, C rebuilt here as I_N (x) the unreduced C0
         cfg = write_config(
             tmp_path / "c.cfg",
             data=", ".join(bundled_paths()),
@@ -400,21 +402,20 @@ class TestInspectCommand:
             raise AssertionError("an unreduced block was formed")
 
         with monkeypatch.context() as m:
-            for name in ("A", "B", "M_full"):
+            for name in ("A", "B"):
                 m.setattr(cs.ModelDesign, name, property(unread))
             assert main(["inspect", "--config", cfg]) == 0
         out = capsys.readouterr().out
         built = cli._build_model(parse_config(cfg))[3]
         n, N = built.n_obs, built.layout.n_arrays
-        C0 = {"chain_ladder": cs.build_C_chain_ladder, "hoerl": cs.build_C_hoerl}[design]
-        C = array_frame(np.zeros((n, 0)), C0(built.layout)[0], N)
+        C = array_frame(np.zeros((n, 0)), dense.unreduced_blocks(built)[1], N)
         assert f"idiosyncratic params q:    {C.shape[1] // N}\n" in out
         assert f"A block:                   {n} x {built.A.shape[1]}\n" in out
         assert f"B block:                   {n} x {built.B.shape[1]}\n" in out
         assert f"C block:                   {n} x {C.shape[1]}\n" in out
-        assert f"M after reduction:         {n} x {built.M.shape[1]}\n" in out
+        assert f"M after reduction:         {n} x {built.n_params}\n" in out
         assert f"L = [A B I]:               {n} x {built.A.shape[1] + built.B.shape[1] + n}\n" in out
-        assert f"M before reduction:        {n} x {built.M_full.shape[1]}\n" in out
+        assert f"M before reduction:        {n} x {dense.M_full(built).shape[1]}\n" in out
 
 
 # config keys that send a fit down each of its three routes

@@ -6,20 +6,25 @@ from commonshock.arrays import ArrayLayout
 import commonshock.design as design_module
 from commonshock.design import reduce_columns
 from commonshock.kron import array_frame
+import dense
 from conftest import toy_design
+
+
+def idiosyncratic(layout, variant):
+    """One array's unreduced idiosyncratic block and its column labels, by
+    the row rule of the layout's stacking order."""
+    return design_module._CellRows.stacked(layout).idiosyncratic(variant)
 
 
 def test_build_A_cellwise_is_stacked_identity():
     lay = ArrayLayout.full(2, 3, 2)
-    part = cs.build_partition("cell", lay)
-    A = cs.build_A(part, lay)
+    A = toy_design(lay, "cell").A
     np.testing.assert_array_equal(A, np.kron(np.ones((2, 1)), np.eye(6)))
 
 
 def test_build_A_arraywide_is_ones_column():
     lay = ArrayLayout.triangle(3, 4)
-    part = cs.build_partition("array", lay)
-    A = cs.build_A(part, lay)
+    A = toy_design(lay, "array").A
     np.testing.assert_array_equal(A, np.ones((lay.n_observations, 1)))
 
 
@@ -29,7 +34,7 @@ def test_build_A_rowwise_coefficient_placement():
     alpha = np.zeros((1, 4, 3))
     for i in range(4):
         alpha[0, i, :] = i + 1.0
-    A = cs.build_A(part, lay, alpha)
+    A = cs.assemble(lay, cs.ShockSpec(part, alpha=alpha)).A
     k = lay.position(3, 2)
     row = A[k]
     assert row[part.p_of(3, 2)] == 3.0
@@ -38,17 +43,14 @@ def test_build_A_rowwise_coefficient_placement():
 
 def test_build_B_block_diagonal_cellwise():
     lay = ArrayLayout.full(2, 2, 2)
-    part = cs.build_partition("cell", lay)
-    B = cs.build_B(part, lay)
+    B = toy_design(lay, "cell", include_within=True).B
     np.testing.assert_array_equal(B, np.kron(np.eye(2), np.eye(4)))
 
 
 def test_build_B_single_array_equals_A_style_block():
     lay = ArrayLayout.triangle(1, 3)
-    part = cs.build_partition("row", lay)
-    np.testing.assert_array_equal(
-        cs.build_B(part, lay), cs.build_A(part, lay)
-    )
+    design = toy_design(lay, "row", include_within=True)
+    np.testing.assert_array_equal(design.B, design.A)
 
 
 def test_within_shock_omitted_gives_zero_columns():
@@ -59,7 +61,7 @@ def test_within_shock_omitted_gives_zero_columns():
 
 def test_chain_ladder_block_shape_and_rows():
     lay = ArrayLayout.full(1, 15, 15)
-    block, labels = cs.build_C_chain_ladder(lay)
+    block, labels = idiosyncratic(lay, "chain_ladder")
     assert block.shape == (225, 29)  # (15 - 1) + 15
     assert labels[0] == ("chi", 2) and labels[-1] == ("col", 15)
     # first-row cells carry only the column-effect entry
@@ -74,7 +76,7 @@ def test_chain_ladder_block_shape_and_rows():
 
 def test_chain_ladder_row_sums_after_reduction():
     lay = ArrayLayout.triangle(1, 6)
-    block, _ = cs.build_C_chain_ladder(lay)
+    block, _ = idiosyncratic(lay, "chain_ladder")
     sums = block.sum(axis=1)
     expected = [2.0 if i >= 2 else 1.0 for (i, j) in lay.stacking_order]
     np.testing.assert_array_equal(sums, expected)
@@ -82,7 +84,7 @@ def test_chain_ladder_row_sums_after_reduction():
 
 def test_hoerl_block_entries():
     lay = ArrayLayout.full(1, 3, 4)
-    block, labels = cs.build_C_hoerl(lay)
+    block, labels = idiosyncratic(lay, "hoerl")
     assert block.shape == (12, 5)  # 3 levels + slope + decay
     k = lay.position(2, 1)
     np.testing.assert_allclose(block[k], [0, 1, 0, 0.0, -1.0])  # ln 1 = 0
@@ -93,7 +95,7 @@ def test_hoerl_block_entries():
 def test_hoerl_mean_shape_is_development_curve():
     # fitted mean in j at fixed i follows chi ln j - rho j, a j^chi e^(-rho j) shape
     lay = ArrayLayout.full(1, 1, 6)
-    block, _ = cs.build_C_hoerl(lay)
+    block, _ = idiosyncratic(lay, "hoerl")
     zeta = np.array([0.7, 1.3, 0.4])  # level, slope, decay
     mean = block @ zeta
     j = np.arange(1, 7)
@@ -105,8 +107,8 @@ def test_assemble_reference_dimensions():
     # aliases the column effects and drops, leaving 2 x 29 = 58 columns
     lay = ArrayLayout.full(2, 15, 15)
     design = toy_design(lay)
-    assert design.M_full.shape == (450, 59)
-    assert design.M.shape == (450, 58)
+    assert dense.M_full(design).shape == (450, 59)
+    assert (design.n_obs, design.n_params) == (450, 58)
     assert design.dropped == ((("xi_shared",), "aliased"),)
 
 
@@ -120,7 +122,7 @@ def test_assemble_block_dimension_contract():
     q = (6 - 1) + 6
     assert design.A.shape == (n_obs, P)
     assert design.B.shape == (n_obs, 2 * P)
-    C0 = cs.build_C_chain_ladder(lay)[0]
+    C0 = dense.unreduced_blocks(design)[1]
     assert array_frame(np.zeros((n_obs, 0)), C0, 2).shape == (n_obs, 2 * q)
     L = np.hstack([design.A, design.B, np.eye(n_obs)])
     assert L.shape == (n_obs, P + 2 * P + n_obs)
@@ -129,7 +131,8 @@ def test_assemble_block_dimension_contract():
 def test_shock_blocks_are_formed_on_first_read(bundled, monkeypatch):
     # a tied across-array mean puts one alpha column in M, so fitting and
     # forecasting under the cell-matched structure read neither A nor A*;
-    # A is formed, with build_A's values, and A* once, when read
+    # A, the stacked identity of the cell partition, and A* are formed
+    # once each, when read
     built = []
     across = design_module._CellRows.across
 
@@ -144,11 +147,12 @@ def test_shock_blocks_are_formed_on_first_read(bundled, monkeypatch):
     fd = cs.build_forecast_design(design, cs.future_cells(design.layout, 15))
     cs.predict(fit, fd)
     assert built == []
-    np.testing.assert_array_equal(design.A, cs.build_A(design.shock.partition, design.layout))
-    np.testing.assert_array_equal(design.M, design.M_full[:, list(design.kept)])
+    cells = design.layout.cells_per_array
+    np.testing.assert_array_equal(design.A, np.kron(np.ones((2, 1)), np.eye(cells)))
+    np.testing.assert_array_equal(dense.M(design), dense.M_full(design)[:, list(design.kept)])
     future = design.shock_blocks_for_cells(fd.cells)[0]
-    assert future.shape[0] == fd.m_star.shape[0]
-    assert len(built) == 3  # design.A, build_A, and A* once
+    assert future.shape[0] == fd.n_arrays * len(fd.cells)
+    assert len(built) == 2  # design.A and A*, once each
 
 
 def test_single_array_no_shock_is_cross_classified():
@@ -156,7 +160,7 @@ def test_single_array_no_shock_is_cross_classified():
     part = cs.build_partition("cell", lay)
     shock = cs.ShockSpec(partition=part, include_across=False)
     design = cs.assemble(lay, shock, "chain_ladder")
-    assert design.M.shape == (15, 9)  # (5-1) + 5 columns, all kept
+    assert (design.n_obs, design.n_params) == (15, 9)  # (5-1) + 5 columns, all kept
     assert design.dropped == ()
 
 
@@ -242,7 +246,7 @@ def test_gauge_invariance_of_fitted_values(bundled):
     fit_a = cs.gls_fit(y, design, sigma)
 
     # alternative gauge: keep the xi column, drop the last column instead
-    M_full = design.M_full
+    M_full = dense.M_full(design)
     priority = [58] + list(range(58))  # xi first in the keep sweep
     kept, dropped, coef, _ = reduce_columns(M_full, priority)
     assert len(kept) == 58 and 58 in kept
@@ -269,16 +273,16 @@ def test_zero_columns_dropped_as_unobserved():
 
 def test_rows_for_cells_matches_design_rows(ref_fit):
     design = ref_fit["design"]
-    rows = design.rows_for_cells(design.layout.stacking_order)
-    np.testing.assert_array_equal(rows, design.M)
+    rows = dense.rows(design, design.layout.stacking_order)
+    np.testing.assert_array_equal(rows, dense.M(design))
 
 
 def test_rows_for_a_cell_generator_cover_every_array(ref_fit):
     design = ref_fit["design"]
     region = cs.future_cells(design.layout, 15)
-    rows = design.rows_for_cells(cell for cell in region)
+    rows = dense.rows(design, (cell for cell in region))
     assert rows.shape[0] == design.layout.n_arrays * len(region)
-    np.testing.assert_array_equal(rows, design.rows_for_cells(region))
+    np.testing.assert_array_equal(rows, dense.rows(design, region))
 
 
 @pytest.mark.parametrize("cell", [(0, 3), (16, 2)])
@@ -293,7 +297,7 @@ def test_rows_for_unobservable_shock_mean_raises():
     lay = ArrayLayout.triangle(2, 5)
     design = toy_design(lay, kind="diagonal", shared_mean=False)
     with pytest.raises(cs.DesignError, match="AR\\(1\\)"):
-        design.rows_for_cells([(5, 5)])
+        design.blocks_for_cells([(5, 5)])
 
 
 def test_rows_for_an_unobserved_column_effect_raise():
@@ -306,28 +310,7 @@ def test_rows_for_an_unobserved_column_effect_raise():
     design = cs.assemble(lay, shock, "chain_ladder")
     assert design.dropped == ((("col", 1, 4), "unobserved"), (("col", 2, 4), "unobserved"))
     with pytest.raises(cs.DesignError, match=r"array 1, i=1, j=4\) requires parameter \('col', 1, 4\)"):
-        design.rows_for_cells([(2, 3), (1, 4)])
-
-
-def dense_estimability_error(design, cells):
-    """The DesignError text of the dense check, or None: the mismatch
-    M*_dropped - M*_kept coef over the unreduced rows of ``cells``, its
-    worst row and, in that row, its worst dropped column."""
-    cells = tuple(cells)
-    full = design.full_rows_for_cells(cells)
-    drop_idx = [k for k in range(full.shape[1]) if k not in design.kept]
-    mismatch = np.abs(full[:, drop_idx] - full[:, list(design.kept)] @ design.coef)
-    row_max = mismatch.max(axis=1)
-    worst = int(np.argmax(row_max))
-    if row_max[worst] <= 1e-8:
-        return None
-    i, j = cells[worst % len(cells)]
-    bad_col = drop_idx[int(np.argmax(mismatch[worst]))]
-    return (
-        f"cell (array {worst // len(cells) + 1}, i={i}, j={j}) requires parameter "
-        f"{design.full_labels[bad_col]} that is not identified by the observed data; "
-        "supply the future values by hand (an AR(1) extrapolation plus forecast offsets)"
-    )
+        design.blocks_for_cells([(2, 3), (1, 4)])
 
 
 @pytest.mark.parametrize("n_arrays", [1, 3])
@@ -368,31 +351,30 @@ def test_block_estimability_check_is_the_dense_check(n_arrays, partition, droppe
             (later + [(1, 4)], True), ([(2, 3), (1, 4)], True), ([(5, 2), (3, 4), (5, 3)], True)
         ]
     for cells, raises in regions:
-        want = dense_estimability_error(design, cells)
+        want = dense.estimability_error(design, cells)
         assert (want is not None) == raises
         if want is None:
-            rows = array_frame(*design.blocks_for_cells(cells), n_arrays)
-            full = design.full_rows_for_cells(cells)
-            np.testing.assert_array_equal(rows, full[:, list(design.kept)])
+            full = dense.M_full(design, cells)
+            np.testing.assert_array_equal(dense.rows(design, cells), full[:, list(design.kept)])
             continue
-        for rows in (design.blocks_for_cells, design.rows_for_cells):
-            with pytest.raises(cs.DesignError) as error:
-                rows(cells)
-            assert str(error.value) == want
+        with pytest.raises(cs.DesignError) as error:
+            design.blocks_for_cells(cells)
+        assert str(error.value) == want
 
 
 @pytest.mark.parametrize("kind, within", [("cell", False), ("column", True)])
 def test_tied_mean_rows_never_build_the_across_block(ref_fit, monkeypatch, kind, within):
-    # with the across-array means tied, M_full holds only the alpha column,
-    # so the per-subset across block is not built for fitted or future rows
+    # with the across-array means tied, the unreduced design holds only the
+    # alpha column, so the per-subset across block is not built for fitted
+    # or future rows
     lay = ref_fit["design"].layout
     design = toy_design(lay, kind=kind, include_within=within)
-    expected = design.rows_for_cells(lay.stacking_order)
+    expected = dense.rows(design, lay.stacking_order)
     future = cs.future_cells(lay, 15)
 
     def across(*_, **__):
         raise AssertionError("the across block was built")
 
     monkeypatch.setattr(design_module._CellRows, "across", across)
-    np.testing.assert_array_equal(design.rows_for_cells(lay.stacking_order), expected)
-    assert design.rows_for_cells(future).shape[0] == lay.n_arrays * len(future)
+    np.testing.assert_array_equal(dense.rows(design, lay.stacking_order), expected)
+    assert dense.rows(design, future).shape[0] == lay.n_arrays * len(future)

@@ -9,6 +9,7 @@ from commonshock.arrays import ArrayLayout, ClaimCollection
 from commonshock.design import IDIO_VARIANTS, _reduce_blocks, reduce_columns
 from commonshock.kron import array_frame
 from commonshock.partitions import PARTITION_KINDS
+import dense
 
 
 @st.composite
@@ -65,22 +66,23 @@ def test_design_invariants(case):
     design, rng = case
     lay = design.layout
     order = lay.stacking_order
+    M, M_full = dense.M(design), dense.M_full(design)
     # fitted rows rebuilt cell by cell are the assembled design, exactly
-    np.testing.assert_array_equal(design.rows_for_cells(order), design.M)
-    np.testing.assert_array_equal(design.full_rows_for_cells(order), design.M_full)
+    np.testing.assert_array_equal(dense.rows(design, order), M)
+    np.testing.assert_array_equal(dense.M_full(design, order), M_full)
     # the alias coefficients rebuild every dropped column from the kept ones
-    dropped = [k for k in range(design.M_full.shape[1]) if k not in design.kept]
-    np.testing.assert_allclose(design.M @ design.coef, design.M_full[:, dropped], atol=1e-9)
+    dropped = [k for k in range(M_full.shape[1]) if k not in design.kept]
+    np.testing.assert_allclose(M @ design.coef, M_full[:, dropped], atol=1e-9)
     # the block reduction is the dense sweep of M_full in assemble's priority:
     # idiosyncratic columns, then within-array means, then across-array ones
     labels = design.full_labels
     rank = {"xi": 2, "xi_shared": 2, "eta": 1}
     priority = sorted(range(len(labels)), key=lambda k: (rank.get(labels[k][0], 0), k))
-    kept, dense_dropped, coef, reasons = reduce_columns(design.M_full, priority)
+    kept, dense_dropped, coef, reasons = reduce_columns(M_full, priority)
     assert tuple(kept) == design.kept and dense_dropped == dropped
     assert design.dropped == tuple((labels[d], reasons[d]) for d in dropped)
     np.testing.assert_allclose(design.coef, coef, rtol=1e-10, atol=1e-10)
-    assert np.linalg.matrix_rank(design.M) == design.n_params
+    assert np.linalg.matrix_rank(M) == design.n_params
     # stacking is the mask order, and unstacking inverts it
     values = np.exp(rng.normal(size=(lay.n_arrays, lay.n_rows, lay.n_cols)))
     coll = ClaimCollection(lay, np.where(lay.mask, values, np.nan))
@@ -91,8 +93,8 @@ def test_design_invariants(case):
     # sums: within 1e-13 of each row's sum of absolute terms
     v = rng.normal(size=(design.n_params, 2))
     for w in (v, v[:, 0]):
-        terms = np.abs(design.M) @ np.abs(w)
-        assert np.all(np.abs(design.times(w) - design.M @ w) <= 1e-13 * terms)
+        terms = np.abs(M) @ np.abs(w)
+        assert np.all(np.abs(design.times(w) - M @ w) <= 1e-13 * terms)
 
 
 @st.composite

@@ -14,8 +14,8 @@ from commonshock.covariance import (
     CellwiseTwoLevel, DiagonalScalar, Example48, GammaStructure, Term, structure_for,
 )
 from commonshock.datasets import bundled_paths
+import dense
 from conftest import simulate_two_level, toy_design
-from test_gls_array_frame import dense_gls
 from test_invariance import calendar_means
 
 
@@ -32,7 +32,7 @@ class TestGlsFit:
         structure = CellwiseTwoLevel(1, 3)
         M = np.eye(3)
         fit = cs.gls_fit(y, M, cs.SigmaModel(structure, [0.0, 1.0]))
-        assert fit.M is M and fit.design is None  # a bare matrix fit keeps its matrix
+        assert fit.matrix is M and fit.design is None  # a bare matrix fit keeps its matrix
         np.testing.assert_allclose(fit.kappa_hat, y, atol=1e-12)
         np.testing.assert_allclose(fit.omega_fit, np.eye(3), atol=1e-12)
         np.testing.assert_allclose(fit.residual, 0.0, atol=1e-12)
@@ -81,7 +81,7 @@ class TestGlsFit:
             (design, CellwiseTwoLevel(3, design.layout.cells_per_array)),
         ]
         for design, structure in cases:
-            M = design if isinstance(design, np.ndarray) else design.M
+            M = design if isinstance(design, np.ndarray) else dense.M(design)
             y = rng.normal(size=len(M))
             fit = cs.gls_fit(y, design, cs.SigmaModel(structure, [0.0, 1.0]))
             np.testing.assert_allclose(
@@ -122,7 +122,7 @@ class TestGlsFit:
 
     def test_normal_equations_hold_at_solution(self, ref_fit):
         fit = ref_fit["fit"]
-        grad = fit.design.M.T @ fit.sigma.solve(fit.residual)
+        grad = dense.M(fit.design).T @ fit.sigma.solve(fit.residual)
         assert np.max(np.abs(grad)) < 1e-8
 
     def test_singular_design_names_aliased_columns(self):
@@ -143,7 +143,7 @@ class TestGlsFit:
         chol = np.linalg.cholesky(sigma.sigma)
         rng = np.random.default_rng(42)
         kappa_true = rng.normal(size=design.n_params)
-        mean_vec = design.M @ kappa_true
+        mean_vec = dense.M(design) @ kappa_true
         reps = 1000
         draws = np.empty((reps, design.n_params))
         for r in range(reps):
@@ -412,13 +412,13 @@ class TestParameterizationInvariance:
 
         design = ref_fit["design"]
         y = ref_fit["y"]
-        M_full = design.M_full
+        M, M_full = dense.M(design), dense.M_full(design)
         priority = [M_full.shape[1] - 1] + list(range(M_full.shape[1] - 1))
         kept, *_ = reduce_columns(M_full, priority)
         alt_M = M_full[:, kept]
-        ols_base, *_ = np.linalg.lstsq(design.M, y, rcond=None)
+        ols_base, *_ = np.linalg.lstsq(M, y, rcond=None)
         ols_alt, *_ = np.linalg.lstsq(alt_M, y, rcond=None)
-        d_base = y - design.M @ ols_base
+        d_base = y - M @ ols_base
         d_alt = y - alt_M @ ols_alt
         cells = design.layout.cells_per_array
         base = cs.ml_dispersion_cellwise_closed_form(d_base[:cells], d_base[cells:])
@@ -436,7 +436,7 @@ class TestDependenceStats:
     def test_reference_values(self, ref_fit):
         fit = ref_fit["fit"]
         full = ref_fit["full"]
-        m_ext = fit.design.rows_for_cells(full.layout.stacking_order)
+        m_ext = dense.rows(fit.design, full.layout.stacking_order)
         d = cs.stack_log(full) - m_ext @ fit.kappa_hat
         corr, agree = cs.dependence_stats(*d.reshape(2, -1))
         assert corr == pytest.approx(0.36, abs=0.03)
@@ -448,7 +448,7 @@ class TestDependenceStats:
         fit, full, y = ref_fit["fit"], ref_fit["full"], ref_fit["y"]
         design = fit.design
         structure = DiagonalScalar(design.A)
-        m_ext = design.rows_for_cells(full.layout.stacking_order)
+        m_ext = dense.rows(design, full.layout.stacking_order)
         rng = np.random.default_rng(13)
         counts = set()
         for _ in range(12):
@@ -474,10 +474,10 @@ class TestArraySideFactor:
 
     @pytest.fixture
     def no_dense_sigma(self, monkeypatch):
-        def dense(self, omega):
+        def refuse(self, omega):
             raise AssertionError("the dense Sigma was built")
 
-        monkeypatch.setattr(GammaStructure, "sigma", dense)
+        monkeypatch.setattr(GammaStructure, "sigma", refuse)
 
     def test_closed_form_path(self, ref_fit, no_dense_sigma):
         fit = cs.ml_dispersion_cellwise(ref_fit["y"], ref_fit["design"])
@@ -496,14 +496,14 @@ class TestArraySideFactor:
         eye = np.eye(cells)
         structure = Example48(3, eye, eye) if example48 else CellwiseTwoLevel(3, cells)
 
-        def dense(*_, **__):
+        def refuse(*_, **__):
             raise AssertionError("a dense n x n matrix was built")
 
-        monkeypatch.setattr(GammaStructure, "sigma", dense)
-        monkeypatch.setattr(covariance, "kron", dense)
-        monkeypatch.setattr(covariance, "dsigma_domega", dense)
-        monkeypatch.setattr(cs, "dsigma_domega", dense)
-        monkeypatch.setattr(np, "kron", dense)
+        monkeypatch.setattr(GammaStructure, "sigma", refuse)
+        monkeypatch.setattr(covariance, "kron", refuse)
+        monkeypatch.setattr(covariance, "dsigma_domega", refuse)
+        monkeypatch.setattr(cs, "dsigma_domega", refuse)
+        monkeypatch.setattr(np, "kron", refuse)
         fit = cs.ml_dispersion_generic(y, design, structure, [0.01] * structure.n_params)
         assert fit.n_iter > 0
         assert np.all((np.abs(fit.score) < 1e-9) | ((fit.omega_hat == 0.0) & (fit.score < 0.0)))
@@ -528,11 +528,11 @@ class TestArraySideFactor:
             shapes.append(np.shape(a))
             return cholesky(a)
 
-        def dense(self, omega):
+        def refuse(self, omega):
             raise AssertionError("the dense Sigma was built")
 
         monkeypatch.setattr(np.linalg, "cholesky", recorded)
-        monkeypatch.setattr(GammaStructure, "sigma", dense)
+        monkeypatch.setattr(GammaStructure, "sigma", refuse)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(
             f"data = {', '.join(bundled_paths())}\nt_max = 15\n"
@@ -545,10 +545,10 @@ class TestArraySideFactor:
 
     def test_omega_fit_on_first_read(self, ref_fit):
         fit = ref_fit["fit"]
-        M = fit.design.M
+        M = dense.M(fit.design)
         np.testing.assert_allclose(fit.omega_fit, M @ fit.var_kappa @ M.T, rtol=1e-12)
         assert fit.omega_fit is fit.omega_fit
-        assert fit.M is M and fit.matrix is None  # the design's, not a copy
+        assert fit.matrix is None  # applied by the design's blocks
 
 
 def raw_structure(rng, n_arrays, cells):
@@ -563,21 +563,6 @@ def raw_structure(rng, n_arrays, cells):
         Term("v2", False, np.eye(n_arrays)),
     )
     return GammaStructure(terms, cells)
-
-
-def dense_score_reference(y, M, structure, omega):
-    """tr(Sigma^-1 D_k), (Sigma^-1 d)^T D_k (Sigma^-1 d) and the information
-    tr(Sigma^-1 D_k Sigma^-1 D_l), from the dense D_k and np.linalg.solve."""
-    D = [cs.dsigma_domega(structure, k) for k in range(structure.n_params)]
-    S = sum(w * d for w, d in zip(omega, D))
-    SiM = np.linalg.solve(S, M)
-    kappa = np.linalg.solve(M.T @ SiM, SiM.T @ y) if M.shape[1] else np.zeros(0)
-    e = np.linalg.solve(S, y - M @ kappa)
-    SiD = [np.linalg.solve(S, d) for d in D]
-    traces = np.array([np.trace(a) for a in SiD])
-    quads = np.array([e @ d @ e for d in D])
-    info = np.array([[np.sum(a * b.T) for b in SiD] for a in SiD])
-    return traces, quads, info
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -628,7 +613,7 @@ def test_score_and_information_match_dense_reference(family, n_arrays, cells, de
     assert len(model._groups[0].C) == (n if structure.subset_frame is None else n_arrays)
     fit = cs.gls_fit(y, M, model)
     score = cs.profile_score(y, M, structure, omega, fit=fit)
-    traces, quads, info = dense_score_reference(y, M, structure, omega)
+    traces, quads, info = dense.score(y, M, structure, omega)
 
     scale = np.abs(traces) + np.abs(quads)
     assert np.all(np.abs(score - 0.5 * (quads - traces)) <= 1e-10 * scale)
@@ -683,12 +668,13 @@ def test_unequal_per_array_alpha_matches_the_dense_frame(bundled, within):
     W = model.whiten(np.eye(n))
     np.testing.assert_allclose(W @ sigma @ W.T, np.eye(n), atol=1e-10)
     assert model.logdet() == pytest.approx(np.linalg.slogdet(sigma)[1], rel=1e-10)
-    kappa, _, loglik, var, _ = dense_gls(y, design.M, design.X.shape[1], structure, omega)
+    M = dense.M(design)
+    kappa, _, loglik, var, _ = dense.gls(y, M, design.X.shape[1], sigma)
     fit = cs.gls_fit(y, design, model)
     np.testing.assert_allclose(fit.kappa_hat, kappa, rtol=1e-10, atol=1e-10 * np.abs(kappa).max())
     np.testing.assert_allclose(fit.var_kappa, var, rtol=1e-10, atol=1e-10 * np.abs(var).max())
     assert fit.loglik == pytest.approx(loglik, rel=1e-10)
-    traces, quads, info = dense_score_reference(y, design.M, structure, omega)
+    traces, quads, info = dense.score(y, M, structure, omega)
     np.testing.assert_allclose(
         cs.profile_score(y, design, structure, omega, fit=fit), 0.5 * (quads - traces),
         rtol=1e-10, atol=1e-10 * np.abs(traces).max(),

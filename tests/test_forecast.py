@@ -15,8 +15,9 @@ from commonshock.covariance import (
     GammaStructure,
     structure_for,
 )
-from commonshock.lognormal import ROW_BLOCK, LogNormalSummary, raw_cov, raw_mean
+from commonshock.lognormal import ROW_BLOCK, LogNormalSummary, raw_mean
 from commonshock.partitions import PARTITION_KINDS
+import dense
 from conftest import simulate_two_level, toy_design
 
 
@@ -42,14 +43,14 @@ def test_reference_forecast_region_dimensions(ref_fit):
     design = ref_fit["design"]
     region = cs.future_cells(design.layout, 15)
     fd = cs.build_forecast_design(design, region)
-    assert fd.m_star.shape == (210, 58)  # both arrays' lower triangles
+    assert (fd.n_arrays * len(fd.cells), fd.n_params) == (210, 58)  # both lower triangles
     assert design.shock_blocks_for_cells(fd.cells)[0].shape == (210, 105)
 
 
 def test_future_rows_reuse_fitted_columns(ref_fit):
     design = ref_fit["design"]
     fd = cs.build_forecast_design(design, [(15, 2)])
-    row = fd.m_star[0]  # array 1
+    row = dense.M_star(fd)[0]  # array 1
     idx = dict(zip(design.labels, range(len(design.labels))))
     assert row[idx[("chi", 1, 15)]] == 1.0
     assert row[idx[("col", 1, 2)]] == 1.0
@@ -78,7 +79,7 @@ def test_process_error_only_increases_variance(ref_fit):
     region = cs.future_cells(design.layout, 15)
     fd = cs.build_forecast_design(design, region)
     res = cs.predict(fit, fd)
-    param_only = fd.m_star @ fit.var_kappa @ fd.m_star.T
+    param_only = dense.parameter_error(fit, fd)
     eigs = np.linalg.eigvalsh(0.5 * (param_only + param_only.T))
     assert eigs.min() > -1e-10  # parameter-error part alone is psd
     assert np.all(np.diag(res.omega_star) >= np.diag(param_only) - 1e-12)
@@ -128,18 +129,19 @@ def test_forecasts_invariant_to_gauge(ref_fit):
     y = ref_fit["y"]
     fit = ref_fit["fit"]
     region = cs.future_cells(design.layout, 15)
-    m_full = design.full_rows_for_cells(region)
+    m_full = dense.M_full(design, region)
 
-    priority = [0] + list(range(1, design.M_full.shape[1]))  # keep the shock mean
-    kept, *_ = reduce_columns(design.M_full, priority)
-    alt_M = design.M_full[:, kept]
+    M_full = dense.M_full(design)
+    priority = [0] + list(range(1, M_full.shape[1]))  # keep the shock mean
+    kept, *_ = reduce_columns(M_full, priority)
+    alt_M = M_full[:, kept]
     sigma = fit.sigma
     q, r = np.linalg.qr(sigma.whiten(alt_M))
     kappa_alt = np.linalg.solve(r, q.T @ sigma.whiten(y))
     y_star_alt = m_full[:, kept] @ kappa_alt
 
     fd = cs.build_forecast_design(design, region)
-    y_star = fd.m_star @ fit.kappa_hat
+    y_star = dense.M_star(fd) @ fit.kappa_hat
     np.testing.assert_allclose(y_star_alt, y_star, atol=1e-8)
 
 
@@ -170,15 +172,9 @@ def test_identity_operator_per_array_process_error():
     fd = cs.build_forecast_design(design, cs.future_cells(lay, 4))
     res = cs.predict(fit, fd)
     n_fut = len(fd.cells)
-    process = res.omega_star - fd.m_star @ fit.var_kappa @ fd.m_star.T
+    process = res.omega_star - dense.parameter_error(fit, fd)
     np.testing.assert_allclose(np.diag(process)[:n_fut], 0.01 + 0.02, atol=1e-12)
     np.testing.assert_allclose(np.diag(process)[n_fut:], 0.01 + 0.05, atol=1e-12)
-
-
-def process_error(fit, fd):
-    """Sigma* as predict adds it: omega_star less the parameter error."""
-    res = cs.predict(fit, fd)
-    return res.omega_star - fd.m_star @ fit.var_kappa @ fd.m_star.T
 
 
 def test_within_shock_process_error():
@@ -193,8 +189,9 @@ def test_within_shock_process_error():
     fd = cs.build_forecast_design(design, cs.future_cells(lay, 5))
     a_star, b_star = design.shock_blocks_for_cells(fd.cells)
     assert b_star.shape[1] > 0
-    expected = s2 * a_star @ a_star.T + t2 * b_star @ b_star.T + v2 * np.eye(fd.m_star.shape[0])
-    np.testing.assert_allclose(process_error(fit, fd), expected, atol=1e-12)
+    expected = s2 * a_star @ a_star.T + t2 * b_star @ b_star.T + v2 * np.eye(len(a_star))
+    process = cs.predict(fit, fd).omega_star - dense.parameter_error(fit, fd)
+    np.testing.assert_allclose(process, expected, atol=1e-12)
 
 
 def test_three_array_cellwise_process_error():
@@ -209,8 +206,9 @@ def test_three_array_cellwise_process_error():
     fd = cs.build_forecast_design(design, cs.future_cells(lay, 4))
     n_fut = len(fd.cells)
     expected = s2 * np.kron(np.ones((3, 3)), np.eye(n_fut)) + v2 * np.eye(3 * n_fut)
-    np.testing.assert_allclose(process_error(fit, fd), expected, atol=1e-12)
-    assert cs.predict(fit, fd).reserves.shape == (3,)
+    res = cs.predict(fit, fd)
+    np.testing.assert_allclose(res.omega_star - dense.parameter_error(fit, fd), expected, atol=1e-12)
+    assert res.reserves.shape == (3,)
 
 
 def _non_identity_operator_fit():
@@ -224,7 +222,7 @@ def _non_identity_operator_fit():
 def _within_shock_structure_without_within_design():
     lay = ArrayLayout.triangle(2, 4)
     design = toy_design(lay)  # no within shocks
-    B = cs.build_B(design.shock.partition, lay)
+    B = toy_design(lay, include_within=True).B
     return lay, design, cs.DiagonalScalar(design.A, B), [0.01, 0.02, 0.03]
 
 
@@ -280,6 +278,11 @@ class TestGammaAr1:
         with pytest.raises(cs.DesignError):
             cs.gamma_ar1(1.0, 0.0, 0.5, 0)
 
+    @pytest.mark.parametrize("horizon", [2.5, 3.0])
+    def test_non_integer_horizon(self, horizon):
+        with pytest.raises(cs.DesignError, match="integer"):
+            cs.gamma_ar1(0.1, 0.0, 0.5, horizon)
+
 
 def _within_shock_forecast_inputs():
     lay = ArrayLayout.triangle(2, 5)
@@ -290,12 +293,6 @@ def _within_shock_forecast_inputs():
     return fit, design, 5
 
 
-def future_structure(fit, fd):
-    """The fitted structure over the forecast region, from the design's shock blocks."""
-    blocks = fit.design.shock_blocks_for_cells(fd.cells)
-    return structure_for(fit.sigma.structure.kind, fd.n_arrays, len(fd.cells), *blocks)
-
-
 def assert_predictive_covariance_is_symmetric_and_psd(fit, fd):
     # each diagonal block over every row adds matrices times their own
     # transposes (B_a B_a^T and each term's F_t F_t^T, E E^T among them), and
@@ -304,8 +301,7 @@ def assert_predictive_covariance_is_symmetric_and_psd(fit, fd):
     omega_star = cs.predict(fit, fd).omega_star
     assert np.array_equal(omega_star, omega_star.T)
 
-    future = future_structure(fit, fd)
-    expected = fd.m_star @ fit.var_kappa @ fd.m_star.T + future.sigma(fit.sigma.omega)
+    expected = dense.omega_star(fit, fd)
     scale = np.max(np.abs(expected))
     assert np.max(np.abs(omega_star - expected)) <= 1e-12 * scale
     assert np.linalg.eigvalsh(omega_star).min() >= -1e-12 * scale
@@ -417,7 +413,7 @@ FRAME_CASES = {
 def test_pinned_cases_keep_the_frame(name):
     fit, fd, _ = FRAME_CASES[name]
     assert fit.frame is not None
-    s_x = fd.m_star.shape[1] - fd.n_arrays * fit.frame[1].shape[0]
+    s_x = fd.n_params - fd.n_arrays * fit.frame[1].shape[0]
     assert (s_x > 0) == (name == "kept_shock_means")
     assert (len(fd.cells) > ROW_BLOCK) == (name == "several_row_blocks")
 
@@ -426,10 +422,9 @@ def assert_reserve_moments_match_the_dense_covariance(fit, fd, var):
     n_arrays, n_fut = fd.n_arrays, len(fd.cells)
     res = cs.predict(fit, fd, extra_offset_var=var)
     # the block sums against the dense raw-scale covariance, formed on read
-    by_array = np.kron(np.eye(n_arrays), np.ones((n_fut, 1)))
-    dense = by_array.T @ res.xi_star @ by_array
-    scale = max(np.max(np.abs(dense)), np.finfo(float).tiny)
-    assert np.max(np.abs(res.reserve_cov - dense)) <= 1e-12 * scale
+    sums = dense.array_sums(res.xi_star, n_arrays)
+    scale = max(np.max(np.abs(sums)), np.finfo(float).tiny)
+    assert np.max(np.abs(res.reserve_cov - sums)) <= 1e-12 * scale
     np.testing.assert_allclose(
         res.x_star_vector, raw_mean(LogNormalSummary(res.y_star, res.omega_star)), rtol=1e-12
     )
@@ -444,7 +439,7 @@ def assert_reserve_moments_match_the_dense_covariance(fit, fd, var):
 @example(FRAME_CASES["several_row_blocks"], "per_cell")
 def test_reserve_moments_match_the_dense_covariance(case, extra):
     fit, fd, rng = case
-    n = fd.m_star.shape[0]
+    n = fd.n_arrays * len(fd.cells)
     var = {None: None, "scalar": 0.03, "per_cell": rng.uniform(0.0, 0.05, n)}[extra]
     assert_reserve_moments_match_the_dense_covariance(fit, fd, var)
 
@@ -481,8 +476,8 @@ def test_shared_blocks_match_the_dense_covariance(kind, extra, sizes, monkeypatc
     # diagonal ones of cellwise_two_level; a per-cell offset variance, or
     # example48's per-array variances, give each diagonal pair its own
     fit, fd, rng = forecast_case(*_triangle(10, 17), kind, "cell", 7, fixed=True)
-    assert fit.frame is not None and fd.m_star.shape[1] == 10 * fit.frame[1].shape[0]
-    var = None if extra is None else rng.uniform(0.0, 0.05, fd.m_star.shape[0])
+    assert fit.frame is not None and fd.n_params == 10 * fit.frame[1].shape[0]
+    var = None if extra is None else rng.uniform(0.0, 0.05, 10 * len(fd.cells))
     counts = []
 
     def counted(*args):
@@ -515,7 +510,7 @@ def test_predict_forms_no_future_by_future_matrix():
     design = toy_design(lay)
     fit = cs.ml_dispersion_cellwise(cs.stack_log(coll), design)
     fd = cs.build_forecast_design(design, cs.future_cells(lay, 30))
-    n = fd.m_star.shape[0]
+    n = fd.n_arrays * len(fd.cells)
     assert n == 870
     tracemalloc.start()
     try:
@@ -544,16 +539,6 @@ def test_predict_builds_neither_the_dense_process_error_nor_the_raw_covariance(
     np.testing.assert_array_equal(res.xi_star, ref_forecast.xi_star)
 
 
-def _dense_reserve_moments(fit, fd, var):
-    """(Omega*, reserve_cov) from the dense M* Var[kappa] M*^T + Sigma* + diag(var)."""
-    future = future_structure(fit, fd)
-    omega_star = fd.m_star @ fit.var_kappa @ fd.m_star.T + future.sigma(fit.sigma.omega)
-    omega_star += np.diag(np.broadcast_to(var, len(omega_star)))
-    xi = raw_cov(LogNormalSummary(fd.m_star @ fit.kappa_hat, omega_star))
-    by_array = np.kron(np.eye(fd.n_arrays), np.ones((len(fd.cells), 1)))
-    return omega_star, by_array.T @ xi @ by_array
-
-
 def test_frame_fit_forecasts_without_the_rows_of_sigma_star(ref_fit, monkeypatch):
     # the reference fit is a fixed-location fit at Sigma = C (x) I: its
     # forecast reads Omega* from the array frame and never builds the
@@ -569,7 +554,7 @@ def test_frame_fit_forecasts_without_the_rows_of_sigma_star(ref_fit, monkeypatch
         m.setattr(GammaStructure, "sigma", refuse)
         res = cs.predict(fit, fd, extra_offset_var=0.01)
         omega_star = res.omega_star
-    want, reserve_cov = _dense_reserve_moments(fit, fd, 0.01)
+    want, reserve_cov = dense.reserve_moments(fit, fd, 0.01)
     assert np.array_equal(omega_star, omega_star.T)
     assert np.max(np.abs(omega_star - want)) <= 1e-12 * np.max(np.abs(want))
     assert np.max(np.abs(res.reserve_cov - reserve_cov)) <= 1e-12 * np.max(np.abs(reserve_cov))
@@ -596,7 +581,7 @@ def test_gls_fit_at_a_given_omega_forecasts_in_the_frame(case, monkeypatch):
         m.setattr(GammaStructure, "sigma", refuse)
         res = cs.predict(fit, fd, extra_offset_var=0.01)
         omega_star = res.omega_star
-    want, reserve_cov = _dense_reserve_moments(fit, fd, 0.01)
+    want, reserve_cov = dense.reserve_moments(fit, fd, 0.01)
     assert np.max(np.abs(omega_star - want)) <= 1e-12 * np.max(np.abs(want))
     assert np.max(np.abs(res.reserve_cov - reserve_cov)) <= 1e-12 * np.max(np.abs(reserve_cov))
 
@@ -611,7 +596,7 @@ def test_frame_forecast_holds_less_than_one_n_by_m_matrix():
     fit = cs.ml_dispersion_cellwise(cs.stack_log(coll), design)
     assert fit.frame is not None
     fd = cs.build_forecast_design(design, cs.future_cells(lay, 30))
-    n, m = fd.m_star.shape
+    n, m = fd.n_arrays * len(fd.cells), fd.n_params
     assert (n, m) == (1740, 236)
     tracemalloc.start()
     try:
@@ -638,9 +623,9 @@ def test_one_group_fit_forecasts_the_region_s_own_subsets():
     fit = cs.gls_fit(rng.normal(size=design.n_obs), design, cs.SigmaModel(structure, [0.02, 0.01]))
     assert fit.frame is not None
     fd = cs.build_forecast_design(design, [(2, 1), (3, 1), (3, 2), (1, 3)])
-    assert not future_structure(fit, fd).identity_cell_side
+    assert not dense.future_structure(fit, fd).identity_cell_side
     res = cs.predict(fit, fd)
-    want, reserve_cov = _dense_reserve_moments(fit, fd, 0.0)
+    want, reserve_cov = dense.reserve_moments(fit, fd, 0.0)
     assert np.max(np.abs(res.omega_star - want)) <= 1e-12 * np.max(np.abs(want))
     assert np.max(np.abs(res.reserve_cov - reserve_cov)) <= 1e-12 * np.max(np.abs(reserve_cov))
 
@@ -654,7 +639,7 @@ def test_diagonal_scalar_fit_keeps_no_frame(ref_fit):
     assert fit.n_iter >= 1 and fit.frame is None
     fd = cs.build_forecast_design(design, cs.future_cells(design.layout, 15))
     res = cs.predict(fit, fd)
-    reserve_cov = _dense_reserve_moments(fit, fd, 0.0)[1]
+    reserve_cov = dense.reserve_moments(fit, fd, 0.0)[1]
     assert np.max(np.abs(res.reserve_cov - reserve_cov)) <= 1e-12 * np.max(np.abs(reserve_cov))
 
 
@@ -682,7 +667,7 @@ def test_diagonal_scalar_forecast_reads_no_row_of_sigma_star(partition, within, 
         m.setattr(GammaStructure, "sigma_rows", refuse, raising=False)
         res = cs.predict(fit, fd, extra_offset_var=0.01)
         omega_star = res.omega_star
-    want, reserve_cov = _dense_reserve_moments(fit, fd, 0.01)
+    want, reserve_cov = dense.reserve_moments(fit, fd, 0.01)
     assert np.array_equal(omega_star, omega_star.T)
     assert np.max(np.abs(omega_star - want)) <= 1e-12 * np.max(np.abs(want))
     assert np.max(np.abs(res.reserve_cov - reserve_cov)) <= 1e-12 * np.max(np.abs(reserve_cov))
@@ -704,9 +689,9 @@ def test_diagonal_scalar_with_unequal_coefficients_forecasts_every_array(partiti
     omega = rng.uniform(0.005, 0.05, structure.n_params)
     fit = cs.gls_fit(rng.normal(5.0, 1.0, design.n_obs), design, cs.SigmaModel(structure, omega))
     fd = cs.build_forecast_design(design, cs.future_cells(lay, 7))
-    assert len(future_structure(fit, fd).loading_form(omega)[0]) == 1
+    assert len(dense.future_structure(fit, fd).loading_form(omega)[0]) == 1
     res = cs.predict(fit, fd, extra_offset_var=0.01)
-    want, reserve_cov = _dense_reserve_moments(fit, fd, 0.01)
+    want, reserve_cov = dense.reserve_moments(fit, fd, 0.01)
     assert res.reserve_cov.shape == (2, 2) and res.std_errors.shape == (2,)
     assert np.array_equal(res.omega_star, res.omega_star.T)
     assert np.max(np.abs(res.omega_star - want)) <= 1e-12 * np.max(np.abs(want))
@@ -728,7 +713,7 @@ def test_dense_frame_forecast_memory(partition, within, bound):
     omega = [{"sigma2": 0.01, "tau2": 0.02, "v2": 0.03}[k] for k in structure.omega_names]
     fit = cs.gls_fit(cs.stack_log(coll), design, cs.SigmaModel(structure, omega))
     fd = cs.build_forecast_design(design, cs.future_cells(lay, 30))
-    assert fit.frame is None and fd.m_star.shape[0] == 870
+    assert fit.frame is None and fd.n_arrays * len(fd.cells) == 870
     tracemalloc.start()
     try:
         res = cs.predict(fit, fd)
@@ -742,7 +727,7 @@ def test_dense_frame_forecast_memory(partition, within, bound):
 def test_predict_needs_a_model_design():
     # a fit on a bare matrix has no rule for the future cells
     fit, design, lay = small_fit()
-    bare = cs.gls_fit(fit.y_hat + fit.residual, design.M, fit.sigma)
+    bare = cs.gls_fit(fit.y_hat + fit.residual, dense.M(design), fit.sigma)
     fd = cs.build_forecast_design(design, cs.future_cells(lay, 4))
     with pytest.raises(cs.DesignError, match="ModelDesign"):
         cs.predict(bare, fd)
@@ -752,7 +737,7 @@ def test_forecast_rows_of_another_design_are_rejected():
     fit, design, lay = small_fit(size=5)
     other = toy_design(lay, variant="hoerl")
     fd = cs.build_forecast_design(other, cs.future_cells(lay, 5))
-    assert fd.m_star.shape[1] != fit.kappa_hat.size
+    assert fd.n_params != fit.kappa_hat.size
     with pytest.raises(cs.DesignError, match="columns"):
         cs.predict(fit, fd)
 
@@ -774,6 +759,6 @@ def test_non_finite_forecast_inputs_are_design_errors(extra):
     design = toy_design(lay)
     fit = cs.ml_dispersion_cellwise(cs.stack_log(coll), design)
     fd = cs.build_forecast_design(design, cs.future_cells(lay, 6))
-    assert fd.m_star.shape[0] == 30
+    assert fd.n_arrays * len(fd.cells) == 30
     with pytest.raises(cs.DesignError, match="finite"):
         cs.predict(fit, fd, **extra)

@@ -4,8 +4,8 @@
 M = [Qx | I_N (x) Q0] T and takes one QR of the whitened columns that Sigma
 mixes, with y: only Qx at Sigma = C (x) I over M's own arrays, where
 I_N (x) Q0 passes through as L (x) I_r0, C = L L^T, and every column of Q
-under any other Sigma. These tests compare it with a dense GLS reference
-written here, on random layouts, partitions and omega, in the array frame,
+under any other Sigma. These tests compare it with the dense GLS reference
+(``dense.gls``), on random layouts, partitions and omega, in the array frame,
 the dense frame, a subset frame whose arrays are not M's and at Sigma = I,
 and bound what it factors and what it holds, here and in a subset frame of
 several groups over M's arrays, where it factors the few rows
@@ -27,36 +27,10 @@ from commonshock.arrays import ArrayLayout
 from commonshock import estimation
 from commonshock.covariance import CellwiseTwoLevel, DiagonalScalar, Example48, structure_for
 from commonshock.partitions import PARTITION_KINDS
+import dense
 from conftest import toy_design
 from test_design_properties import designs
 from test_invariance import array_frame_shapes, calendar_means, counted_qr, qr_shapes  # noqa: F401
-
-
-def dense_gls(y, M, s, structure, omega):
-    """(kappa, residual, loglik, Var[kappa], aliased) of GLS from the dense Sigma.
-
-    Sigma = L L^T by one Cholesky factor, and L^-1 M by one Householder QR
-    with M's s shock-mean columns last, as the array frame orders them.
-    ``aliased`` lists, in M's order, the columns whose diagonal entry of R
-    is at most 1e-12 times the largest (or 1), or that have none; the other
-    entries are then None.
-    """
-    n, m = M.shape
-    order = list(range(s, m)) + list(range(s))
-    chol = np.linalg.cholesky(structure.sigma(omega))
-    q, r = np.linalg.qr(np.linalg.solve(chol, M[:, order]))
-    rdiag = np.abs(np.pad(np.diagonal(r), (0, m - min(n, m))))
-    aliased = sorted(order[j] for j in np.where(rdiag <= 1e-12 * rdiag.max(initial=1.0))[0])
-    if aliased:
-        return None, None, None, None, aliased
-    r_inv = np.linalg.inv(r)
-    kappa, var = np.empty(m), np.empty((m, m))
-    kappa[order] = r_inv @ (q.T @ np.linalg.solve(chol, y))
-    var[np.ix_(order, order)] = r_inv @ r_inv.T
-    d = y - M @ kappa
-    wd = np.linalg.solve(chol, d)
-    loglik = -0.5 * (n * np.log(2.0 * np.pi) + 2.0 * np.log(np.diagonal(chol)).sum() + wd @ wd)
-    return kappa, d, loglik, var, []
 
 
 def with_aliased_column(design, rng, where):
@@ -65,7 +39,7 @@ def with_aliased_column(design, rng, where):
     array. Columns are labelled by their index."""
     X, C0 = design.X, design.C0
     if where == "shock":
-        X = np.hstack([X, design.M @ rng.normal(size=(design.n_params, 1))])
+        X = np.hstack([X, dense.M(design) @ rng.normal(size=(design.n_params, 1))])
     else:
         C0 = np.hstack([C0, C0 @ rng.normal(size=(C0.shape[1], 1))])
     m = X.shape[1] + design.layout.n_arrays * C0.shape[1]
@@ -85,9 +59,9 @@ def gls_against_dense(y, design, structure, omega):
     if bare:
         M, s, labels = design, 0, tuple(f"column_{j}" for j in range(design.shape[1]))
     else:
-        M, s, labels = design.M, design.X.shape[1], design.labels
+        M, s, labels = dense.M(design), design.X.shape[1], design.labels
     sigma = cs.SigmaModel(structure, omega)
-    kappa, d, loglik, var, aliased = dense_gls(y, M, s, structure, omega)
+    kappa, d, loglik, var, aliased = dense.gls(y, M, s, structure.sigma(omega))
     if aliased:
         with pytest.raises(cs.DesignError, match="aliased columns: ") as raised:
             cs.gls_fit(y, design, sigma)
@@ -153,7 +127,8 @@ def case_structure(kind, n_arrays, cells, rng, layout=None, partition="diagonal"
         return Example48(n_arrays, rng.normal(size=(cells, cells)), G @ G.T / cells)
     if kind == "foreign":
         alpha = rng.uniform(0.5, 2.0, (n_arrays, layout.n_rows, layout.n_cols))
-        return DiagonalScalar(cs.build_A(cs.build_partition(partition, layout), layout, alpha))
+        shock = cs.ShockSpec(cs.build_partition(partition, layout), alpha=alpha)
+        return DiagonalScalar(cs.assemble(layout, shock).A)
     return structure_for(kind, n_arrays, cells, None, None)
 
 
@@ -231,7 +206,7 @@ def test_gls_fit_forms_no_n_by_m_matrix(qr_shapes):
     omega = rng.uniform(0.01, 0.1, structure.n_params)
     y = rng.normal(size=design.n_obs)
     sigma = cs.SigmaModel(structure, omega)
-    n, m = design.M.shape
+    n, m = design.n_obs, design.n_params
     assert design.X.shape[1] > 0
     tracemalloc.start()
     try:
@@ -242,7 +217,8 @@ def test_gls_fit_forms_no_n_by_m_matrix(qr_shapes):
     assert peak < n * m * 8
     assert qr_shapes == array_frame_shapes(design) + [(n, design.X.shape[1] + 1)]
     assert fit.frame is not None
-    kappa, _, loglik, var, _ = dense_gls(y, design.M, design.X.shape[1], structure, omega)
+    full = structure.sigma(omega)
+    kappa, _, loglik, var, _ = dense.gls(y, dense.M(design), design.X.shape[1], full)
     np.testing.assert_allclose(fit.kappa_hat, kappa, rtol=1e-10, atol=1e-10 * np.abs(kappa).max())
     np.testing.assert_allclose(fit.var_kappa, var, rtol=1e-10, atol=1e-10 * np.abs(var).max())
     assert math.isclose(fit.loglik, loglik, rel_tol=1e-10)
@@ -289,7 +265,7 @@ def test_subset_frame_fit_forms_no_n_by_m_matrix(qr_shapes):
     omega = rng.uniform(0.01, 0.1, structure.n_params)
     y = rng.normal(size=design.n_obs)
     sigma = cs.SigmaModel(structure, omega)
-    n, m = design.M.shape
+    n, m = design.n_obs, design.n_params
     assert design.factor is not None
     tracemalloc.start()
     try:
@@ -303,7 +279,8 @@ def test_subset_frame_fit_forms_no_n_by_m_matrix(qr_shapes):
     assert [rows for rows, _ in qr_shapes[len(factored) :]][0] == lay.cells_per_array
     assert len(qr_shapes) == len(factored) + 2 and qr_shapes[-1][0] < n / 4
     assert fit.frame is None
-    kappa, _, loglik, var, _ = dense_gls(y, design.M, design.X.shape[1], structure, omega)
+    full = structure.sigma(omega)
+    kappa, _, loglik, var, _ = dense.gls(y, dense.M(design), design.X.shape[1], full)
     np.testing.assert_allclose(fit.kappa_hat, kappa, rtol=1e-10, atol=1e-10 * np.abs(kappa).max())
     np.testing.assert_allclose(fit.var_kappa, var, rtol=1e-10, atol=1e-10 * np.abs(var).max())
     assert math.isclose(fit.loglik, loglik, rel_tol=1e-10)

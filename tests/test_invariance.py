@@ -27,6 +27,7 @@ from commonshock.covariance import (
 from commonshock.datasets import load_bundled_rectangles
 from commonshock.design import LeastSquaresFactor, array_frame
 from commonshock.partitions import PARTITION_KINDS
+import dense
 from conftest import toy_design
 from test_design_properties import both_shock_means, designs, layouts
 
@@ -123,22 +124,6 @@ def test_fixed_location_is_the_gls_fit(case):
         assert math.isclose(fixed.loglik, want.loglik, rel_tol=1e-10, abs_tol=1e-10)
 
 
-def dense_factor(y, M, order):
-    """(kappa, Var[kappa], aliased) from one Householder QR of M's columns in
-    ``order``, in M's order; aliased lists the columns whose diagonal entry
-    of R is at most 1e-12 times the largest (or 1), and then kappa is None."""
-    q, r = np.linalg.qr(M[:, order])
-    rdiag = np.abs(np.diag(r))
-    aliased = sorted(order[j] for j in np.where(rdiag <= 1e-12 * rdiag.max(initial=1.0))[0])
-    if aliased:
-        return None, None, aliased
-    r_inv = np.linalg.inv(r)
-    kappa, var = np.empty(len(order)), np.empty((len(order), len(order)))
-    kappa[order] = r_inv @ (q.T @ y)
-    var[np.ix_(order, order)] = r_inv @ r_inv.T
-    return kappa, var, []
-
-
 def calendar_means():
     # unshared calendar means across and within three arrays: most are kept
     lay = ArrayLayout.triangle(3, 5)
@@ -159,7 +144,7 @@ def test_block_factor_is_the_dense_factor(case):
     # column of C0 in span(C0), which is aliased in every array
     design, rng = case
     N, (k, r0) = design.layout.n_arrays, design.C0.shape
-    X, C0, M = design.X, design.C0, design.M
+    X, C0, M = design.X, design.C0, dense.M(design)
     s = X.shape[1]
     y = rng.normal(size=design.n_obs)
     event("kept shock means" if s else "no shock means")
@@ -181,7 +166,7 @@ def test_block_factor_is_the_dense_factor(case):
             continue  # more columns than rows: no square factor to compare
         labels = tuple(f"column_{j}" for j in range(Mv.shape[1]))
         sv = Xv.shape[1]
-        kappa, var, aliased = dense_factor(y, Mv, list(range(sv, Mv.shape[1])) + list(range(sv)))
+        kappa, _, _, var, aliased = dense.gls(y, Mv, sv)
         assert set(alias) <= set(aliased) and bool(aliased) == bool(alias)
         if aliased:
             event(f"aliased {'shock' if sv > s else 'array'} column")
@@ -204,7 +189,7 @@ def assert_dense_factor(factor, M, s, y):
     s columns: kappa and T^-1 T^-T match one dense Householder QR of M (in
     the order C0's arrays, then X) to 1e-10, and Q = M T^-1 is
     [Qx | I_N (x) Q0], with columns orthonormal to 1e-12."""
-    kappa, var, aliased = dense_factor(y, M, list(range(s, M.shape[1])) + list(range(s)))
+    kappa, _, _, var, aliased = dense.gls(y, M, s)
     assert not aliased
     got, t_inv = factor.least_squares(y), factor.t_inv_times(np.eye(M.shape[1]))
     for got_, want in ((got, kappa), (t_inv @ t_inv.T, var)):
@@ -242,7 +227,7 @@ def test_a_replaced_design_factors_its_own_blocks():
         assert not np.array_equal(
             factor.t_inv_times(np.eye(copy.n_params)), original.t_inv_times(np.eye(design.n_params))
         )
-        assert_dense_factor(factor, copy.M, copy.X.shape[1], rng.normal(size=copy.n_obs))
+        assert_dense_factor(factor, dense.M(copy), copy.X.shape[1], rng.normal(size=copy.n_obs))
     assert design.factor is original
 
 
@@ -278,7 +263,7 @@ def test_fixed_location_forms_no_n_by_m_matrix():
     structure = Example48(8, np.eye(lay.cells_per_array), np.eye(lay.cells_per_array))
     y = np.random.default_rng(4).normal(size=design.n_obs)
     sigma = cs.SigmaModel(structure, random_omega(np.random.default_rng(5), structure))
-    n, m = design.M.shape
+    n, m = design.n_obs, design.n_params
     tracemalloc.start()
     try:
         assert estimation._invariant(design.factor, structure)
@@ -365,9 +350,8 @@ def test_generic_solver_on_an_invariant_design_makes_one_qr(ref_fit, qr_shapes, 
         structure = DiagonalScalar(design.A)
     fit = cs.ml_dispersion_generic(ref_fit["y"], design, structure, [0.01] * structure.n_params)
     assert fit.n_iter >= 1  # this start steps; a start that does not is the next test
-    n, m = design.M.shape
-    dense = [] if name == "cellwise_two_level" else [(n, m + 1)]
-    assert qr_shapes == dense
+    n, m = design.n_obs, design.n_params
+    assert qr_shapes == ([] if name == "cellwise_two_level" else [(n, m + 1)])
     want = cs.gls_fit(ref_fit["y"], design, fit.sigma)
     np.testing.assert_allclose(fit.var_kappa, want.var_kappa, rtol=1e-10, atol=1e-14)
     assert fit.loglik == pytest.approx(want.loglik, rel=1e-12)
@@ -427,12 +411,11 @@ def test_generic_solver_on_a_moving_design_fits_each_point(bundled, qr_shapes):
     assert len(qr_shapes) >= fit.n_iter + 1
     n, m = design.n_obs, design.n_params
     assert qr_shapes == [(n, m + 1)] * len(qr_shapes)
-    # the fit keeps no n x m matrix, no whitened factor and not M: M is the
-    # design's, formed on first read
+    # the fit keeps no n x m matrix and no whitened factor, and forms no
+    # dense M
     fields = [f.name for f in dataclasses.fields(fit)]
     assert [f for f in fields if np.shape(getattr(fit, f)) == (n, m)] == []
     assert "M" not in vars(design)
-    assert fit.M is design.M
 
 
 def test_closed_form_path_on_a_moving_design(bundled):

@@ -5,7 +5,8 @@ import commonshock as cs
 from commonshock.arrays import ArrayLayout
 from commonshock.covariance import CellwiseTwoLevel
 from commonshock.lognormal import LogNormalSummary, block_covariance, block_raw_moments
-from conftest import fitted_raw, toy_design
+import dense
+from conftest import toy_design
 
 
 def test_raw_mean_degenerate():
@@ -54,6 +55,13 @@ def test_raw_cov_symmetric_nonnegative_variance():
     assert np.all(np.diag(cov) >= 0.0)
 
 
+@pytest.mark.parametrize("indices", [(0,), (None, 1)], ids=["k_only", "l_only"])
+def test_raw_cov_takes_both_indices_or_neither(indices):
+    s = LogNormalSummary([0.0, 1.0], 0.1 * np.eye(2))
+    with pytest.raises(cs.ConfigError, match="both indices"):
+        cs.raw_cov(s, *indices)
+
+
 def test_raw_mean_monotone_in_location_and_variance():
     base = LogNormalSummary([0.3], [[0.2]])
     up_loc = LogNormalSummary([0.4], [[0.2]])
@@ -94,12 +102,12 @@ def test_fitted_raw_saturated_model():
     sigma = cs.SigmaModel(CellwiseTwoLevel(1, 4), [0.0, s2])
     fit = cs.gls_fit(y, design, sigma)
     np.testing.assert_allclose(fit.y_hat, y, atol=1e-10)
-    cells, cov = fitted_raw(fit)
+    cells, cov = dense.fitted_raw(fit)
     np.testing.assert_allclose(cells[0], vals[0] * np.exp(0.5 * s2), rtol=1e-9)
 
 
 def test_fitted_raw_reference_shapes(ref_fit):
-    cells, cov = fitted_raw(ref_fit["fit"])
+    cells, cov = dense.fitted_raw(ref_fit["fit"])
     lay = ref_fit["fit"].design.layout
     assert cells.shape == (2, 15, 15)
     assert np.isnan(cells[0, 14, 14])  # outside the fitted triangle
@@ -133,16 +141,15 @@ def test_block_moments_match_the_dense_kronecker_form(shared):
     )
     B = np.zeros((n_arrays * cells, 0)) if shared else rng.normal(size=(n_arrays * cells, 5)) / 10
     var = np.tile(rng.uniform(0, 0.05, cells), n_arrays)
-    dense = B @ B.T + np.kron(C, np.eye(cells)) + np.diag(var)
+    sigma = B @ B.T + np.kron(C, np.eye(cells)) + np.diag(var)
     for G, F in terms:
-        dense += np.kron(G, F @ F.T)
+        sigma += np.kron(G, F @ F.T)
     location = rng.normal(size=n_arrays * cells)
     omega = block_covariance(C, terms, B, var)
     assert np.array_equal(omega, omega.T)
-    assert np.max(np.abs(omega - dense)) <= 1e-14 * np.max(np.abs(dense))
+    assert np.max(np.abs(omega - sigma)) <= 1e-14 * np.max(np.abs(sigma))
     means, S = block_raw_moments(location, C, terms, B, var)
-    summary = LogNormalSummary(location, dense)
-    by_array = np.kron(np.eye(n_arrays), np.ones((cells, 1)))
-    want = by_array.T @ cs.raw_cov(summary) @ by_array
+    summary = LogNormalSummary(location, sigma)
+    want = dense.array_sums(cs.raw_cov(summary), n_arrays)
     np.testing.assert_allclose(means, cs.raw_mean(summary), rtol=1e-12)
     assert np.max(np.abs(S - want)) <= 1e-12 * np.max(np.abs(want))

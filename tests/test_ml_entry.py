@@ -17,6 +17,7 @@ import commonshock as cs
 from commonshock import estimation
 from commonshock.arrays import ArrayLayout
 from commonshock.covariance import CellwiseTwoLevel, structure_for
+import dense
 from conftest import toy_design
 
 
@@ -55,7 +56,7 @@ def cell_matched_cases(draw):
     sigma, v = rng.uniform(0.02, 0.2, 2)
     noise = sigma * np.tile(rng.standard_normal(cells), n_arrays)
     noise += v * rng.standard_normal(design.n_obs)
-    y = design.M @ rng.normal(size=design.M.shape[1]) + noise
+    y = dense.M(design) @ rng.normal(size=design.n_params) + noise
     return y, design, structure
 
 
