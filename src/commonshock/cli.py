@@ -95,7 +95,8 @@ def _read_claim_rows_bulk(paths):
     ``np.loadtxt`` rejects a row or finds none; the line parser then reports
     the fault. ``loadtxt`` parses numbers as ``float`` and ``int`` do, but
     accepts less (no "1.0" or "1_0" as an index, no "#" comments), so a file
-    it takes gives the line parser's values to the bit.
+    it takes gives the line parser's values to the bit. Both skip a UTF-8
+    byte-order mark, which Excel's "CSV UTF-8" writes.
     """
     import warnings
 
@@ -105,7 +106,7 @@ def _read_claim_rows_bulk(paths):
         if not p.exists():
             return None
         try:
-            with open(p, encoding="utf-8") as fh:
+            with open(p, encoding="utf-8-sig") as fh:
                 if not _is_header(fh.readline()):
                     return None
                 # warnings as errors: loadtxt warns on a file with no rows, and
@@ -135,7 +136,7 @@ def _read_claim_lines(paths):
         if not p.exists():
             raise ConfigError(f"data file does not exist: {p}")
         rows = 0
-        with open(p, encoding="utf-8") as fh:
+        with open(p, encoding="utf-8-sig") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
@@ -236,7 +237,7 @@ def parse_config(path) -> dict:
     if not p.exists():
         raise ConfigError(f"config file does not exist: {p}")
     cfg, lines = {}, {}
-    for lineno, line in enumerate(p.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(p.read_text(encoding="utf-8-sig").splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -553,6 +554,9 @@ def cmd_simulate(cfg, out_path, seed=None) -> str:
     n_arrays = _get_int(cfg, "n_arrays", 2)
     n_rows = _get_int(cfg, "n_rows")
     n_cols = _get_int(cfg, "n_cols")
+    for key, size in (("n_arrays", n_arrays), ("n_rows", n_rows), ("n_cols", n_cols)):
+        if size < 1:
+            raise ConfigError(f"{key} must be a positive integer, got {size}")
     mask_kind = _get_choice(cfg, "mask", ("full", "triangle"), "full")
     if mask_kind == "triangle":
         if n_rows != n_cols:

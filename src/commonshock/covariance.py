@@ -434,8 +434,11 @@ def sigma_inverse_cellwise(sigma2: float, v2: float, cells: int, n_arrays: int =
     """Closed-form inverse of the cell-matched structure on N arrays.
 
     Sigma = (sigma2 J_N + v2 I_N) kron I_cells inverts to
-    ((I_N - sigma2 / (v2 + N sigma2) J_N) / v2) kron I_cells.
+    ((I_N - sigma2 / (v2 + N sigma2) J_N) / v2) kron I_cells. A negative or
+    non-finite sigma2 raises ConfigError, a v2 at or below 0 NumericalError.
     """
+    if not (np.isfinite(sigma2) and sigma2 >= 0):
+        raise ConfigError(f"sigma2 must be finite and non-negative, got {sigma2!r}")
     if v2 <= 0:
         raise NumericalError("v2 must be positive, the structure is singular at v2 = 0")
     return kron((np.eye(n_arrays) - sigma2 / (v2 + n_arrays * sigma2)) / v2, np.eye(cells))
@@ -505,15 +508,15 @@ class SigmaModel:
     """A covariance structure evaluated at a parameter vector.
 
     Sigma = sum_j C_j kron Pi_j over the groups of the structure's subset
-    frame is held through a Cholesky factor L_j of each C_j alone, and
-    whitened by sum_j L_j^-1 kron Pi_j: a vector reshaped to N x cells
-    (arrays are outermost) is projected onto each group along the cells,
-    its coordinates on the subsets or its part on the complement, and
-    multiplied by L_j^-1 along the arrays. log det Sigma =
-    sum_j rank(Pi_j) log det C_j. With one group, Pi = I and whitening is
-    one product with L^-1; a structure without a subset frame is one group
-    of the dense Sigma (C = Sigma, one cell). Each L_j^-1 is formed once,
-    on first use, and the dense Sigma only when ``sigma`` is read.
+    frame is held through a Cholesky factor L_j of each C_j alone. A vector
+    reshaped to N x cells (arrays are outermost) is projected onto each
+    group along the cells, its coordinates on the subsets or its part on
+    the complement, and multiplied by L_j^-1 along the arrays (``_parts``);
+    ``whiten`` puts the parts back. log det Sigma = sum_j rank(Pi_j)
+    log det C_j. With one group, Pi = I and the one part is L^-1 x; a
+    structure without a subset frame is one group of the dense Sigma
+    (C = Sigma, one cell). Each L_j^-1 is formed once, on first use, and
+    the dense Sigma only when ``sigma`` is read.
 
     ``term_traces``, ``information`` and ``term_forms`` are sums over the
     groups, weighted by the ranks and the terms' eigenvalues lam_kj, of
@@ -553,13 +556,38 @@ class SigmaModel:
     def n(self) -> int:
         return self.structure.n_arrays * self.structure.cells
 
-    def _by_array(self, product, x) -> np.ndarray:
-        """(sum_j P_j kron Pi_j) x, P_j y = product(j, y) for y with C_j's rows."""
+    def _parts(self, x) -> list:
+        """L_j^-1 X_j of every group j, X_j shaped to C_j's rows: with one
+        group, x itself (N x cells m, or n x m against the dense Sigma);
+        otherwise, with X = x as N x cells x m, X u_S over the group's
+        subsets or X Pi_0 on the complement, each shaped (N, -, m)."""
         x = np.asarray(x, dtype=float)
         if len(self._groups) == 1:
-            return product(0, x.reshape(len(self._groups[0].C), -1)).reshape(x.shape)
+            return [self._factor_inverse(0) @ x.reshape(len(self._groups[0].C), -1)]
         frame = self.structure.subset_frame
-        parts = self._parts(product, x)
+        X = x.reshape(self.structure.n_arrays, self.structure.cells, -1)
+        Y = frame.coordinates(X)
+        out = []
+        for j, g in enumerate(self._groups):
+            if g.span is None:
+                part = X.copy()
+                frame.add_back(part, -Y)
+            else:
+                part = Y[:, g.span]
+            inv = self._factor_inverse(j)
+            out.append((inv @ part.reshape(len(part), -1)).reshape(part.shape))
+        return out
+
+    def logdet(self) -> float:
+        return sum(g.rank * 2.0 * float(np.sum(np.log(np.diagonal(g.L)))) for g in self._groups)
+
+    def whiten(self, x: np.ndarray) -> np.ndarray:
+        """Multiply by sum_j L_j^-1 kron Pi_j: the groups' ``_parts`` put back."""
+        x = np.asarray(x, dtype=float)
+        parts = self._parts(x)
+        if len(parts) == 1:
+            return parts[0].reshape(x.shape)
+        frame = self.structure.subset_frame
         out = np.zeros((self.structure.n_arrays, self.structure.cells, parts[0].shape[-1]))
         Y = np.empty((len(out), len(frame.starts), out.shape[-1]))
         for g, part in zip(self._groups, parts):
@@ -570,46 +598,11 @@ class SigmaModel:
         frame.add_back(out, Y)
         return out.reshape(x.shape)
 
-    def _parts(self, product, x) -> list:
-        """product(j, X_j) of every group j, shaped (N, -, m): X_j = X u_S over
-        its subsets, or X Pi_0 on the complement, X = x as N x cells x m."""
-        frame = self.structure.subset_frame
-        X = np.asarray(x, dtype=float).reshape(self.structure.n_arrays, self.structure.cells, -1)
-        Y = frame.coordinates(X)
-        out = []
-        for j, g in enumerate(self._groups):
-            if g.span is None:
-                part = X.copy()
-                frame.add_back(part, -Y)
-            else:
-                part = Y[:, g.span]
-            out.append(product(j, part.reshape(len(part), -1)).reshape(part.shape))
-        return out
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Sigma^-1 rhs = sum_j (L_j^-T L_j^-1) kron Pi_j rhs."""
-
-        def product(j, b):
-            inv = self._factor_inverse(j)
-            return inv.T @ (inv @ b)
-
-        return self._by_array(product, rhs)
-
-    def logdet(self) -> float:
-        return sum(g.rank * 2.0 * float(np.sum(np.log(np.diagonal(g.L)))) for g in self._groups)
-
-    def whiten(self, x: np.ndarray) -> np.ndarray:
-        """Multiply by sum_j L_j^-1 kron Pi_j."""
-        return self._by_array(self._inverse_times, x)
-
     def _factor_inverse(self, j: int) -> np.ndarray:
         """L_j^-1, the inverse of group j's lower Cholesky factor (computed once)."""
         if self._inverses[j] is None:
             self._inverses[j] = _tril_inverse(self._groups[j].L)
         return self._inverses[j]
-
-    def _inverse_times(self, j: int, b: np.ndarray) -> np.ndarray:
-        return self._factor_inverse(j) @ b
 
     def _whitened(self, k: int, j: int) -> np.ndarray:
         """W_kj = L_j^-1 (loading of term k), formed once."""
@@ -700,17 +693,14 @@ class SigmaModel:
     def term_forms(self, d) -> np.ndarray:
         """d^T Sigma^-1 D_k Sigma^-1 d = sum_j lam_kj ||W_kj^T z_j||_F^2 for every term k.
 
-        z_j is d's part on group j, whitened: with one group, L^-1 d
-        reshaped to C's rows (N x cells in the array frame, n x 1 against
-        the dense Sigma); otherwise L_j^-1 times d's coordinates on the
-        group's subsets (N x subsets), or on the complement (N x cells).
+        z_j is d's part on group j, whitened (``_parts``): with one group,
+        L^-1 d reshaped to C's rows (N x cells in the array frame, n x 1
+        against the dense Sigma); otherwise L_j^-1 times d's coordinates on
+        the group's subsets (N x subsets), or on the complement (N x cells).
         """
-        if len(self._groups) == 1:
-            parts = [self.whiten(d).reshape(len(self._groups[0].C), -1)]
-        else:
-            parts = [z.reshape(len(z), -1) for z in self._parts(self._inverse_times, d)]
         out = np.zeros(self.structure.n_params)
-        for j, (g, z) in enumerate(zip(self._groups, parts)):
+        for j, (g, z) in enumerate(zip(self._groups, self._parts(d))):
+            z = z.reshape(len(z), -1)
             for k in np.flatnonzero(g.lam):
                 U = self._whitened(k, j).T @ z
                 out[k] += g.lam[k] * _inner(U, U)

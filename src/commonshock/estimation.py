@@ -14,8 +14,10 @@ log-likelihood in omega after concentrating out the location parameters)
 is driven to zero by projected Fisher scoring on the profile likelihood.
 
 When span(M) is invariant under every term D_k = dSigma/domega_k, GLS equals
-ordinary least squares at every omega (Kruskal 1968): the location and its
-residual d are fitted once, and a trial point costs one factor of Sigma.
+ordinary least squares at every omega (Kruskal 1968): the least-squares
+kappa is fitted once, and a trial point costs one factor of Sigma. Either
+way a point's fit is built in one place (``_fit``): M kappa by the design's
+blocks, its residual d and the whitened log-likelihood.
 For the cell-matched structure on N >= 2 arrays the dispersion is then in
 closed form (Szatrowski 1980), means over the array pairs of d's cross
 products and squared differences, and ``ml_dispersion_generic``, the one
@@ -25,6 +27,7 @@ ML entry, starts there when given no start.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -110,9 +113,18 @@ def _loglik(n: int, logdet: float, quad: float) -> float:
     return -0.5 * (n * LOG_2PI + logdet + quad)
 
 
-def _design_parts(y, design):
-    """(y, bare matrix or None, labels, design or None, M's least-squares
-    factor) of a ModelDesign or a bare matrix M.
+class _Parts(NamedTuple):
+    """A ModelDesign or a bare matrix M with its y, as ``_design_parts`` reads them."""
+
+    y: np.ndarray
+    matrix: np.ndarray | None  # the bare design matrix, None on a ModelDesign
+    labels: tuple
+    design: ModelDesign | None  # None on a bare matrix
+    factor: LeastSquaresFactor  # M's least-squares factor
+
+
+def _design_parts(y, design) -> _Parts:
+    """The ``_Parts`` of a ModelDesign or a bare matrix M.
 
     A ModelDesign's factor is formed once (``ModelDesign.factor``); a bare
     matrix is factored on each call, as the one-block case C0 = M with no X,
@@ -125,15 +137,30 @@ def _design_parts(y, design):
         if y.size != M.shape[0]:
             raise DesignError(f"y has length {y.size}, design has {M.shape[0]} rows")
         factor = LeastSquaresFactor.of(np.zeros((M.shape[0], 0)), M, 1, labels)
-        return y, M, labels, None, factor
+        return _Parts(y, M, labels, None, factor)
     if y.size != design.n_obs:
         raise DesignError(f"y has length {y.size}, design has {design.n_obs} rows")
-    return y, None, design.labels, design, design.factor
+    return _Parts(y, None, design.labels, design, design.factor)
 
 
 def _fitted(matrix, design, kappa) -> np.ndarray:
     """M kappa: the bare ``matrix``'s product, or by the design's blocks."""
     return design.times(kappa) if matrix is None else matrix @ kappa
+
+
+def _fit(parts: _Parts, kappa, sigma: SigmaModel, **gls) -> FitResult:
+    """The fit of ``kappa`` at ``sigma``: y_hat = M kappa by the design's
+    blocks, its residual d and the log-likelihood from d whitened.
+    ``gls`` holds ``gls_fit``'s r_inv and frame; without them the fit has
+    no Var[kappa]."""
+    y_hat = _fitted(parts.matrix, parts.design, kappa)
+    d = parts.y - y_hat
+    wd = sigma.whiten(d)
+    return FitResult(
+        kappa_hat=kappa, y_hat=y_hat, residual=d, sigma=sigma,
+        loglik=_loglik(d.size, sigma.logdet(), float(wd @ wd)),
+        design=parts.design, labels=parts.labels, matrix=parts.matrix, **gls,
+    )
 
 
 def gls_fit(y: np.ndarray, design: ModelDesign, sigma: SigmaModel) -> FitResult:
@@ -159,7 +186,8 @@ def gls_fit(y: np.ndarray, design: ModelDesign, sigma: SigmaModel) -> FitResult:
     (C, R0^-1), the rest of Var[kappa] (see ``FitResult``). Aliasing is
     judged on M alone, by its factor, so it does not depend on Sigma.
     """
-    y, matrix, labels, design_ref, factor = _design_parts(y, design)
+    parts = _design_parts(y, design)
+    y, factor = parts.y, parts.factor
     if sigma.n != y.size:
         raise DesignError("covariance dimension does not match the data")
 
@@ -179,54 +207,9 @@ def gls_fit(y: np.ndarray, design: ModelDesign, sigma: SigmaModel) -> FitResult:
         S_inv = _tril_inverse(R[:k, :k].T).T
         qty = np.concatenate([qx.T @ y, _by_block(mixed_q0.T, y[:, None], n_blocks).ravel()])
         kappa += factor.t_inv_times((S_inv @ R[:k, k] - qty)[:, None]).ravel()
-    r_inv = factor.t_inv_times(S_inv)
-    y_hat = _fitted(matrix, design_ref, kappa)
-    d = y - y_hat
-    wd = sigma.whiten(d)
-    return FitResult(
-        kappa_hat=kappa,
-        r_inv=r_inv,
-        # R0^-1 in C order, the order the forecast's products take
-        frame=(sigma._groups[0].C, np.ascontiguousarray(factor.r0_inv)) if on_arrays else None,
-        y_hat=y_hat,
-        residual=d,
-        loglik=_loglik(y.size, sigma.logdet(), float(wd @ wd)),
-        sigma=sigma,
-        design=design_ref,
-        labels=labels,
-        matrix=matrix,
-    )
-
-
-@dataclass(frozen=True)
-class _FixedLocation:
-    """The location of every omega, for a design whose span is Sigma-invariant.
-
-    The least-squares kappa and its residual d are the GLS ones at every
-    omega, so a point costs one factor of Sigma (``fit``).
-    """
-
-    matrix: np.ndarray  # the bare design matrix, None on a ModelDesign
-    labels: tuple
-    design: ModelDesign
-    kappa: np.ndarray
-    y_hat: np.ndarray
-    residual: np.ndarray
-
-    def fit(self, sigma: SigmaModel) -> FitResult:
-        """The fit at ``sigma``'s omega, with no r_inv."""
-        d = self.residual
-        wd = sigma.whiten(d)
-        return FitResult(
-            kappa_hat=self.kappa,
-            y_hat=self.y_hat,
-            residual=d,
-            loglik=_loglik(d.size, sigma.logdet(), float(wd @ wd)),
-            sigma=sigma,
-            design=self.design,
-            labels=self.labels,
-            matrix=self.matrix,
-        )
+    # R0^-1 in C order, the order the forecast's products take
+    frame = (sigma._groups[0].C, np.ascontiguousarray(factor.r0_inv)) if on_arrays else None
+    return _fit(parts, kappa, sigma, r_inv=factor.t_inv_times(S_inv), frame=frame)
 
 
 def _array_side_only(structure: GammaStructure, c0: np.ndarray) -> bool:
@@ -267,15 +250,6 @@ def _invariant(factor: LeastSquaresFactor, structure: GammaStructure) -> bool:
     return True
 
 
-def _least_squares(parts) -> _FixedLocation:
-    """The least-squares kappa and residual of ``_design_parts``' output:
-    the location of every omega on an invariant design."""
-    y, matrix, labels, design_ref, factor = parts
-    kappa = factor.least_squares(y)
-    y_hat = _fitted(matrix, design_ref, kappa)
-    return _FixedLocation(matrix, labels, design_ref, kappa, y_hat, y - y_hat)
-
-
 def _cell_matched(structure: GammaStructure, c0: np.ndarray) -> bool:
     """Whether Sigma(omega) = omega_1 (J_N (x) I) + omega_2 I over M's own
     arrays (``_array_side_only``), read from the terms, not the ``kind``."""
@@ -283,11 +257,6 @@ def _cell_matched(structure: GammaStructure, c0: np.ndarray) -> bool:
         return False
     shock, noise = (structure.group_sides(e)[0] for e in np.eye(2))
     return np.array_equal(shock, np.ones_like(shock)) and np.array_equal(noise, np.eye(len(noise)))
-
-
-def _fit_at(y, design, sigma: SigmaModel, location: _FixedLocation = None) -> FitResult:
-    """The fit at ``sigma``: from the fixed location where there is one, else by GLS."""
-    return gls_fit(y, design, sigma) if location is None else location.fit(sigma)
 
 
 def profile_score(
@@ -343,9 +312,9 @@ def ml_dispersion_generic(
     ``diagonal_scalar`` on the cell partition) starts at the closed form of
     the least-squares residual, the ML point on an invariant design
     (Szatrowski 1980), returned as its ``gls_fit`` with n_iter = 1 and no
-    score. On an invariant design the location is fitted once and a point
-    costs one factor of Sigma; otherwise each point is a GLS fit. The fit
-    returned is ``gls_fit`` at the last point.
+    score. On an invariant design the least-squares kappa is fitted once
+    and a point costs one factor of Sigma; otherwise each point is a GLS
+    fit. The fit returned is ``gls_fit`` at the last point.
     """
     if not (np.isfinite(tol) and tol > 0):
         raise ConfigError(f"tol must be a positive number, got {tol!r}")
@@ -369,12 +338,12 @@ def ml_dispersion_generic(
     if not free.any():  # one GLS fit and its score
         return _scoring(y, design, structure, omega, None, tol, max_iter, free)
     parts = _design_parts(y, design)
-    invariant = _invariant(parts[-1], structure)
-    closed = unset.all() and free.all() and _cell_matched(structure, parts[-1].q0)
-    location = _least_squares(parts) if invariant or closed else None
+    invariant = _invariant(parts.factor, structure)
+    closed = unset.all() and free.all() and _cell_matched(structure, parts.factor.q0)
+    location = (parts, parts.factor.least_squares(parts.y)) if invariant or closed else None
     if closed:
-        d = location.residual.reshape(structure.n_arrays, -1)
-        omega = np.array(ml_dispersion_cellwise_closed_form(*d)[:2])
+        d = parts.y - _fitted(parts.matrix, parts.design, location[1])
+        omega = np.array(ml_dispersion_cellwise_closed_form(*d.reshape(structure.n_arrays, -1))[:2])
         if invariant:
             fit = gls_fit(y, design, SigmaModel(structure, omega))
             fit.omega_hat, fit.n_iter = omega, 1
@@ -385,7 +354,8 @@ def ml_dispersion_generic(
 
 def _scoring(y, design, structure, omega, location, tol, max_iter, free) -> FitResult:
     """The projected Fisher scoring of ml_dispersion_generic from ``omega``,
-    on the fixed ``location`` where there is one."""
+    on the fixed ``location`` (``_design_parts``' output and the
+    least-squares kappa) where there is one, else by a GLS fit per point."""
     y = np.asarray(y, dtype=float).ravel()
     zero_allowed = np.asarray(structure.zero_allowed, dtype=bool)
     lower = np.where(zero_allowed, 0.0, 1e-14 * max(float(np.var(y)), 1e-12))
@@ -395,7 +365,11 @@ def _scoring(y, design, structure, omega, location, tol, max_iter, free) -> FitR
             message, last_omega=omega.copy(), score_norm=float(np.max(np.abs(score[free])))
         )
 
-    fit = _fit_at(y, design, SigmaModel(structure, omega), location)
+    def fit_at(omega):
+        sigma = SigmaModel(structure, omega)
+        return gls_fit(y, design, sigma) if location is None else _fit(*location, sigma)
+
+    fit = fit_at(omega)
     score = profile_score(y, design, structure, omega, fit=fit)
     n_iter = 0
     # interior components need a vanishing score; components sitting on the
@@ -419,7 +393,7 @@ def _scoring(y, design, structure, omega, location, tol, max_iter, free) -> FitR
         min_loglik = fit.loglik - 1e-12 * (1.0 + abs(fit.loglik))
         for _ in range(60):
             trial = np.where(active, np.maximum(omega + step, lower), omega)
-            trial_fit = _fit_at(y, design, SigmaModel(structure, trial), location)
+            trial_fit = fit_at(trial)
             if trial_fit.loglik >= min_loglik:
                 break
             step *= 0.5

@@ -317,12 +317,10 @@ def test_fit_and_forecast_form_no_dense_design(tmp_path, monkeypatch, covariance
 
 
 class TestSimulateCommand:
-    def simulate_config(self, tmp_path, seed=11):
+    def simulate_config(self, tmp_path, seed=11, **keys):
+        keys = {"n_arrays": 2, "n_rows": 4, "n_cols": 4, **keys}
         return write_config(
             tmp_path / "sim.cfg",
-            n_arrays=2,
-            n_rows=4,
-            n_cols=4,
             row_effects_1="100, 102, 104, 106",
             row_effects_2="300, 297, 294, 291",
             col_effects_1="0.2, 0.3, 0.25, 0.1",
@@ -331,6 +329,7 @@ class TestSimulateCommand:
             shock_sd=0.1,
             idio_sd=0.15,
             seed=seed,
+            **keys,
         )
 
     def test_simulate_writes_regenerable_csv(self, tmp_path):
@@ -342,6 +341,14 @@ class TestSimulateCommand:
         coll = read_claims_csv([out1])
         assert coll.layout.n_arrays == 2
         assert coll.layout.cells_per_array == 16
+
+    @pytest.mark.parametrize("key", ["n_arrays", "n_rows", "n_cols"])
+    def test_non_positive_grid_size_is_a_config_error(self, tmp_path, capsys, key):
+        # unchecked, the layout rejected it as a data error (exit 3)
+        cfg = self.simulate_config(tmp_path, **{key: 0})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "s.csv")]) == 2
+        assert f"{key} must be a positive integer, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
 
     def test_seed_flag_overrides(self, tmp_path):
         cfg = self.simulate_config(tmp_path)
@@ -450,6 +457,29 @@ class TestErrorPaths:
         cfg = write_config(tmp_path / "c.cfg", data=str(bad))
         assert main(["fit", "--config", cfg, "--out", str(tmp_path / "report")]) == 3
         assert "bad.csv:3" in capsys.readouterr().err
+
+    def test_claim_csv_may_start_with_a_byte_order_mark(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with U+FEFF; unchecked, both
+        # parsers read the header as '\ufeffarray,...' and the fit exited 3
+        paths = []
+        for k, path in enumerate(bundled_paths()):
+            paths.append(tmp_path / f"bom{k}.csv")
+            paths[-1].write_text(Path(path).read_text(encoding="utf-8"), encoding="utf-8-sig")
+        assert paths[0].read_bytes().startswith(b"\xef\xbb\xbf")
+        plain = cli._read_claim_rows_bulk(bundled_paths())
+        for columns in (cli._read_claim_rows_bulk(paths), cli._read_claim_lines(paths)):
+            for got, want in zip(columns, plain):
+                np.testing.assert_array_equal(got, want)
+        cfg = write_config(tmp_path / "c.cfg", data=", ".join(map(str, paths)), t_max=15)
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "report")]) == 0
+
+    def test_config_may_start_with_a_byte_order_mark(self, tmp_path):
+        # unchecked, the first key read as '\ufeffdata': "unknown key", exit 2
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"data = {', '.join(bundled_paths())}\nt_max = 15\n", encoding="utf-8-sig")
+        assert cfg.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert parse_config(cfg) == {"data": ", ".join(bundled_paths()), "t_max": "15"}
+        assert main(["fit", "--config", str(cfg), "--out", str(tmp_path / "report")]) == 0
 
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "c.cfg"

@@ -69,7 +69,7 @@ def gls_against_dense(y, design, structure, omega):
         return named, [labels[j] for j in aliased]
     # a design's factor is formed here, before the count; a bare matrix is
     # swept again on each call, which takes no QR
-    factor = estimation._design_parts(y, design)[-1]
+    factor = estimation._design_parts(y, design).factor
     on_arrays = estimation._array_side_only(structure, factor.q0)
     k = factor.qx.shape[1] if on_arrays else M.shape[1]
     with counted_qr() as shapes:

@@ -106,14 +106,14 @@ def test_fixed_location_is_the_gls_fit(case):
     if not invariant:
         assert gls == points  # a GLS fit per point
         return
-    location = estimation._least_squares(estimation._design_parts(y, design))
+    parts, kappa = estimation._design_parts(y, design), design.factor.least_squares(y)
     assert gls == (0 if steps is None else 1)  # the fit returned is gls_fit's
     q0, qx = design.factor.q0, design.factor.qx
     Q = array_frame(qx, q0, design.layout.n_arrays)
     t_inv = design.factor.t_inv_times(np.eye(Q.shape[1]))
     for _ in range(2):
         sigma = cs.SigmaModel(structure, random_omega(rng, structure))
-        fixed = location.fit(sigma)
+        fixed = estimation._fit(parts, kappa, sigma)
         want = cs.gls_fit(y, design, sigma)
         # invariance makes Q^T Sigma^-1 Q the inverse of Q^T Sigma Q
         invariant_var = t_inv @ Q.T @ structure.sigma(sigma.omega) @ Q @ t_inv.T
@@ -267,7 +267,8 @@ def test_fixed_location_forms_no_n_by_m_matrix():
     tracemalloc.start()
     try:
         assert estimation._invariant(design.factor, structure)
-        estimation._least_squares(estimation._design_parts(y, design))
+        parts = estimation._design_parts(y, design)
+        estimation._fit(parts, design.factor.least_squares(y), sigma)
         fit = cs.gls_fit(y, design, sigma)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
