@@ -250,6 +250,10 @@ def parse_config(path) -> dict:
         if key in cfg:
             raise ConfigError(f"{p}:{lineno}: key {key!r} is already set on line {lines[key]}")
         cfg[key], lines[key] = value.strip(), lineno
+    paths = [f.strip() for f in cfg.get("data", "").split(",") if f.strip()]
+    if not all(Path(f).is_absolute() for f in paths):
+        # a relative claim path names a file beside the config, from any directory
+        cfg["data"] = ", ".join(str(p.parent / f) for f in paths)
     return cfg
 
 

@@ -14,7 +14,9 @@ square root into the loading. ``CellwiseTwoLevel``, ``DiagonalScalar`` and
 ``Example48`` are constructors of this one form, and every covariance is
 built from a structure's terms. ``GammaStructure.loading_form`` writes
 Sigma as C kron I plus G_k kron F_k F_k^T for each term with a cell side,
-G_k = omega_k g_k g_k^T: the form the forecast writes Sigma* in.
+G_k = omega_k g_k g_k^T. It is the one written form of Sigma: the dense
+``GammaStructure.sigma`` is ``lognormal.block_covariance`` of it, and the
+forecast writes Sigma* in it.
 
 ``SigmaModel(structure, omega)`` factors Sigma in the structure's subset
 frame (``GammaStructure.subset_frame``) where it has one: when every F_k
@@ -47,6 +49,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .kron import array_frame, kron
+from .lognormal import block_covariance
 
 # the structures ``structure_for`` builds by name
 STRUCTURE_KINDS = ("cellwise_two_level", "diagonal_scalar", "example48")
@@ -227,43 +230,11 @@ class GammaStructure:
             out.append(G)
         return tuple(out)
 
-    @cached_property
-    def _cell_sides(self) -> tuple:
-        """F F^T of every term, None for the identity; cells x cells each.
-
-        Neither depends on omega, so they are formed once per structure and
-        kept read-only, for ``sigma`` and ``dsigma_domega``. BLAS forms
-        F F^T as a symmetric rank-k update, so every D_k and Sigma come out
-        exactly symmetric.
-        """
-        out = []
-        for term in self.terms:
-            K = None
-            if term.F is not None:
-                K = term.F @ term.F.T
-                K.setflags(write=False)
-            out.append(K)
-        return tuple(out)
-
     def sigma(self, omega) -> np.ndarray:
-        """The dense n x n Sigma(omega), added term by term and block by block.
-
-        Block (a, b) of term k is omega_k G_k[a, b] K_k, from the cached
-        ``_array_sides`` and ``_cell_sides``; an identity cell side adds
-        omega_k G_k[a, b] on the block's diagonal.
-        """
-        omega = self._check(omega)
-        c = self.cells
-        out = np.zeros((self.n_arrays * c,) * 2)
-        diag = np.arange(c)
-        for w, G, K in zip(omega, self._array_sides, self._cell_sides):
-            for a, b in zip(*np.nonzero(G)):
-                block = out[a * c : (a + 1) * c, b * c : (b + 1) * c]
-                if K is None:
-                    block[diag, diag] += w * G[a, b]
-                else:
-                    block += (w * G[a, b]) * K
-        return out
+        """The dense n x n Sigma(omega), exactly symmetric: ``lognormal.block_covariance``
+        of ``loading_form``, with each F_k F_k^T formed on the call."""
+        C, terms = self.loading_form(omega)
+        return block_covariance(C, terms, np.zeros((self.n_arrays * self.cells, 0)), None)
 
     def loading(self, k: int) -> np.ndarray:
         """L_k = g_k kron F_k, so that D_k = L_k L_k^T, for a term whose F is not None.
@@ -435,10 +406,13 @@ def sigma_inverse_cellwise(sigma2: float, v2: float, cells: int, n_arrays: int =
 
     Sigma = (sigma2 J_N + v2 I_N) kron I_cells inverts to
     ((I_N - sigma2 / (v2 + N sigma2) J_N) / v2) kron I_cells. A negative or
-    non-finite sigma2 raises ConfigError, a v2 at or below 0 NumericalError.
+    non-finite sigma2 and a non-finite v2 raise ConfigError, a v2 at or
+    below 0 NumericalError.
     """
     if not (np.isfinite(sigma2) and sigma2 >= 0):
         raise ConfigError(f"sigma2 must be finite and non-negative, got {sigma2!r}")
+    if not np.isfinite(v2):
+        raise ConfigError(f"v2 must be finite, got {v2!r}")
     if v2 <= 0:
         raise NumericalError("v2 must be positive, the structure is singular at v2 = 0")
     return kron((np.eye(n_arrays) - sigma2 / (v2 + n_arrays * sigma2)) / v2, np.eye(cells))
@@ -447,14 +421,15 @@ def sigma_inverse_cellwise(sigma2: float, v2: float, cells: int, n_arrays: int =
 def dsigma_domega(structure: GammaStructure, k: int) -> np.ndarray:
     """Analytic derivative of Sigma with respect to component k of omega.
 
-    This is the dense n x n D_k, built on each call; the solver never needs it.
+    This is the dense n x n D_k, built on each call by its own ``kron``, a
+    writer independent of ``GammaStructure.sigma``; the solver never needs it.
     """
     if not 0 <= k < structure.n_params:
         raise ConfigError(
             f"component index {k} out of range for {structure.omega_names}"
         )
-    K = structure._cell_sides[k]
-    return kron(structure._array_sides[k], np.eye(structure.cells) if K is None else K)
+    F = structure.terms[k].F
+    return kron(structure._array_sides[k], np.eye(structure.cells) if F is None else F @ F.T)
 
 
 def _tril_inverse(L: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -516,7 +491,7 @@ class SigmaModel:
     log det C_j. With one group, Pi = I and the one part is L^-1 x; a
     structure without a subset frame is one group of the dense Sigma
     (C = Sigma, one cell). Each L_j^-1 is formed once, on first use, and
-    the dense Sigma only when ``sigma`` is read.
+    ``sigma`` writes the dense Sigma from the structure on each read.
 
     ``term_traces``, ``information`` and ``term_forms`` are sums over the
     groups, weighted by the ranks and the terms' eigenvalues lam_kj, of
@@ -547,9 +522,7 @@ class SigmaModel:
 
     @property
     def sigma(self) -> np.ndarray:
-        """The dense n x n Sigma, built on each read outside the dense frame."""
-        if self.structure.subset_frame is None:
-            return self._groups[0].C
+        """The dense n x n Sigma, ``GammaStructure.sigma``, built on each read."""
         return self.structure.sigma(self.omega)
 
     @property

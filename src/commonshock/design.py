@@ -44,7 +44,9 @@ class ShockSpec:
     (n_arrays, n_rows, n_cols); None means 1 everywhere (uniform
     multiplicative shocks). ``shared_across_mean``, the default as in the
     CLI, ties the across-array shock means of all subsets to a single value,
-    which collapses the xi block of M to one column.
+    which collapses the xi block of M to one column. ConfigError rejects a
+    table of another shape, and one with an entry on a cell of the layout
+    that is negative or not finite.
     """
 
     partition: Partition
@@ -65,8 +67,9 @@ class ShockSpec:
                 raise ConfigError(
                     f"{name} table must have shape (n_arrays, n_rows, n_cols)"
                 )
-            if np.any(coeff[:, lay.mask] < 0):
-                raise ConfigError(f"{name} coefficients must be non-negative")
+            masked_in = coeff[:, lay.mask]
+            if not np.all(np.isfinite(masked_in) & (masked_in >= 0)):
+                raise ConfigError(f"{name} coefficients must be finite and non-negative")
             object.__setattr__(self, name, coeff)
 
 

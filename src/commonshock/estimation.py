@@ -105,7 +105,8 @@ class FitResult:
         if self._omega_fit is None:
             half = _fitted(self.matrix, self.design, self.var_kappa)  # M Var[kappa]
             # (M Var[kappa]) M^T, the transpose of M (M Var[kappa])^T
-            self._omega_fit = _fitted(self.matrix, self.design, half.T).T
+            upper = np.triu(_fitted(self.matrix, self.design, half.T).T)
+            self._omega_fit = upper + np.triu(upper, 1).T  # exactly symmetric
         return self._omega_fit
 
 

@@ -156,12 +156,10 @@ def _offset_variance(extra_offset_var, n: int):
 
 
 def _future_structure(fit: FitResult, fd: ForecastDesign):
-    """(future, omega): the fitted structure rebuilt over the forecast region
-    and the fitted omega, at which Sigma* = future.sigma(omega). The shock
+    """The fitted structure rebuilt over the forecast region. The shock
     blocks over the region are formed once, and only where the structure
     reads them."""
     structure = fit.sigma.structure
-    omega = fit.omega_hat if fit.omega_hat is not None else fit.sigma.omega
     if structure.kind is None:
         raise NumericalError(
             "forecasting under a non-identity development operator needs an "
@@ -173,39 +171,34 @@ def _future_structure(fit: FitResult, fd: ForecastDesign):
     )
     if future.omega_names != structure.omega_names:
         raise NumericalError("future shock blocks do not match the fitted covariance structure")
-    return future, omega
+    return future
 
 
 def _loading_form(fit: FitResult, fd: ForecastDesign):
-    """(C, terms, B) of Omega* for ``fit``: B = M* r_inv, Sigma* and, for a
-    fit that keeps ``FitResult.frame`` = (C, R0^-1), the term (C, E),
-    E = C0* R0^-1. Sigma* is C (x) I with the frame's C where the region
-    gives the same array side. An array side whose cell side is the
-    identity does not depend on the cells, so only a structure with cell
-    sides is rebuilt to tell: over the cell partition, ``diagonal_scalar``
-    has one group with the fit's C (see ``GammaStructure.identity_cell_side``),
-    over another it need not have. Otherwise Sigma* is the ``loading_form``
-    of the structure rebuilt over the region, on the layout's N arrays: a
-    one-array side (the arrays' shock blocks differ there) has F_t over
-    every array, so each G_t F_t F_t^T joins B as sqrt(G_t) F_t and C
-    becomes C I_N."""
-    future = None
-    if any(t.F is not None for t in fit.sigma.structure.terms):
-        future, omega = _future_structure(fit, fd)
-    B = fd.times(fit.r_inv)
-    if fit.frame is not None and (
-        future is None
-        or future.identity_cell_side
-        and np.array_equal(future.group_sides(omega)[0], fit.frame[0])
-    ):
-        C, terms = fit.frame[0], ()
+    """(C, terms, B) of Omega* for ``fit``: B = M* r_inv, Sigma* at the
+    fitted omega and, for a fit that keeps ``FitResult.frame`` = (C, R0^-1),
+    the term (C, E), E = C0* R0^-1.
+
+    Sigma* is read off a structure over the region: the fit's own where no
+    term has a cell side, since such a structure does not depend on the
+    cells, and otherwise the fitted one rebuilt over the region
+    (``_future_structure``). Where that structure has
+    ``identity_cell_side``, Sigma* = C (x) I with C its one group side;
+    otherwise it is the structure's ``loading_form``. A one-array side
+    (the arrays' shock blocks differ) has F_t over every array, so each
+    G_t F_t F_t^T joins B as sqrt(G_t) F_t and C becomes C I_N."""
+    structure = fit.sigma.structure
+    omega = fit.omega_hat if fit.omega_hat is not None else fit.sigma.omega
+    if any(t.F is not None for t in structure.terms):
+        structure = _future_structure(fit, fd)
+    if structure.identity_cell_side:
+        C, terms = structure.group_sides(omega)[0], ()
     else:
-        if future is None:
-            future, omega = _future_structure(fit, fd)
-        C, terms = future.loading_form(omega)
-        if len(C) != fd.n_arrays:
-            B = np.column_stack([B, *(np.sqrt(G[0, 0]) * F for G, F in terms)])
-            C, terms = C[0, 0] * np.eye(fd.n_arrays), ()
+        C, terms = structure.loading_form(omega)
+    B = fd.times(fit.r_inv)
+    if len(C) != fd.n_arrays:
+        B = np.column_stack([B, *(np.sqrt(G[0, 0]) * F for G, F in terms)])
+        C, terms = C[0, 0] * np.eye(fd.n_arrays), ()
     if fit.frame is not None:
         terms = (*terms, (fit.frame[0], fd.c0_star @ fit.frame[1]))
     return C, terms, B

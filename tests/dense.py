@@ -10,11 +10,13 @@ here, and nowhere else:
   and ``estimability_error``, the forecast rows' check on the dense rows;
 - ``gls``: GLS from the dense Sigma, one Cholesky and one Householder QR,
   with its aliasing verdict (Sigma = I gives least squares);
-- ``score``: the profile score's terms and the information from the dense
-  D_k = dSigma/domega_k (``dsigma_domega``);
+- ``sigma``: Sigma(omega) = sum_k omega_k D_k from the dense
+  D_k = dSigma/domega_k (``dsigma_domega``), and ``score``: the profile
+  score's terms and the information from the same D_k;
 - ``parameter_error``, ``omega_star`` and ``reserve_moments``: the forecast
-  covariance M* Var[kappa] M*^T + Sigma*(omega) + diag(var), and the
-  per-array reserve sums of its raw-scale covariance;
+  covariance M* Var[kappa] M*^T + Sigma*(omega) + diag(var), Sigma* from
+  ``sigma``, so that it shares no code with ``lognormal.block_covariance``,
+  and the per-array reserve sums of its raw-scale covariance;
 - ``fitted_raw``: the raw-scale fitted values and covariance of a fit.
 """
 
@@ -109,12 +111,18 @@ def gls(y, M, s=0, sigma=None):
     return kappa, d, loglik, var, []
 
 
+def sigma(structure, omega) -> np.ndarray:
+    """Sigma(omega) = sum_k omega_k D_k, from the dense D_k = dSigma/domega_k
+    (``dsigma_domega``): no block of ``GammaStructure.sigma``'s writer."""
+    return sum(w * cs.dsigma_domega(structure, k) for k, w in enumerate(omega))
+
+
 def score(y, M, structure, omega):
     """tr(Sigma^-1 D_k), (Sigma^-1 d)^T D_k (Sigma^-1 d) and the information
     tr(Sigma^-1 D_k Sigma^-1 D_l), from the dense D_k and np.linalg.solve,
     at the residual d of ``gls``."""
     D = [cs.dsigma_domega(structure, k) for k in range(structure.n_params)]
-    S = sum(w * d for w, d in zip(omega, D))
+    S = sigma(structure, omega)
     e = np.linalg.solve(S, gls(y, M, 0, S)[1])
     SiD = [np.linalg.solve(S, d) for d in D]
     traces = np.array([np.trace(a) for a in SiD])
@@ -138,7 +146,7 @@ def parameter_error(fit, fd) -> np.ndarray:
 
 def omega_star(fit, fd, var=0.0) -> np.ndarray:
     """Omega* = M* Var[kappa] M*^T + Sigma*(omega) + diag(var)."""
-    out = parameter_error(fit, fd) + future_structure(fit, fd).sigma(fit.sigma.omega)
+    out = parameter_error(fit, fd) + sigma(future_structure(fit, fd), fit.sigma.omega)
     return out + np.diag(np.broadcast_to(var, len(out)))
 
 

@@ -481,6 +481,21 @@ class TestErrorPaths:
         assert parse_config(cfg) == {"data": ", ".join(bundled_paths()), "t_max": "15"}
         assert main(["fit", "--config", str(cfg), "--out", str(tmp_path / "report")]) == 0
 
+    def test_relative_data_paths_are_the_config_file_s(self, tmp_path, monkeypatch, bundled):
+        # unchecked, data = claims.csv read the working directory's file:
+        # here one of 10 diagonals, so t_max = 15 exited 2. Reports stay
+        # the working directory's
+        (tmp_path / "cl").mkdir()
+        write_claims_csv(tmp_path / "cl" / "claims.csv", bundled)
+        write_claims_csv(tmp_path / "claims.csv", bundled.restrict_to_diagonals(10))
+        write_config(tmp_path / "cl" / "run.cfg", data="claims.csv", t_max=15, out="fitted")
+        monkeypatch.chdir(tmp_path)
+        assert parse_config("cl/run.cfg")["data"] == str(Path("cl", "claims.csv"))
+        assert main(["fit", "--config", "cl/run.cfg"]) == 0
+        assert (tmp_path / "fitted.json").exists() and not (tmp_path / "cl" / "fitted.json").exists()
+        assert main(["forecast", "--config", "cl/run.cfg", "--out", "forecast"]) == 0
+        assert (tmp_path / "forecast.json").exists()
+
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("dta = file.csv\n")

@@ -211,6 +211,12 @@ class TestClosedFormInverse:
         with pytest.raises(cs.ConfigError, match="sigma2 must be finite and non-negative"):
             cs.sigma_inverse_cellwise(sigma2, 1.0, 2)
 
+    @pytest.mark.parametrize("v2", [np.nan, np.inf])
+    def test_non_finite_noise_variance_is_a_config_error(self, v2):
+        # unchecked, nan returned a matrix of NaN and inf one of zeros
+        with pytest.raises(cs.ConfigError, match="v2 must be finite"):
+            cs.sigma_inverse_cellwise(0.1, v2, 1)
+
     @pytest.mark.parametrize("n_arrays", [1, 3, 5])
     def test_any_number_of_arrays(self, n_arrays):
         s2, v2, cells = 0.1**2, 0.15**2, 4

@@ -271,6 +271,21 @@ def test_zero_columns_dropped_as_unobserved():
     assert ((("xi_shared",), "unobserved")) in design.dropped
 
 
+@pytest.mark.parametrize("table", ["alpha", "beta"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+def test_non_finite_or_negative_coefficients_are_config_errors(table, value):
+    # unchecked, NaN and inf passed, and assemble then raised DesignError
+    # "design reduced to zero columns" from a NaN drop tolerance; only the
+    # layout's own cells are checked
+    lay = ArrayLayout.triangle(2, 3)
+    coeff = np.ones((2, 3, 3))
+    coeff[1, 2, 2] = value  # outside the triangle
+    cs.ShockSpec(cs.build_partition("cell", lay), include_within=True, **{table: coeff})
+    coeff[1, 0, 1] = value
+    with pytest.raises(cs.ConfigError, match=f"{table} coefficients must be finite and non-negative"):
+        cs.ShockSpec(cs.build_partition("cell", lay), include_within=True, **{table: coeff})
+
+
 def test_rows_for_cells_matches_design_rows(ref_fit):
     design = ref_fit["design"]
     rows = dense.rows(design, design.layout.stacking_order)

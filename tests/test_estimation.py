@@ -543,6 +543,20 @@ class TestArraySideFactor:
                 assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / command)]) == 0
         assert shapes and set(shapes) == {(2, 2)}
 
+    @pytest.mark.parametrize("fitted", ["ref_fit", "diagonal_scalar_diagonal"])
+    def test_omega_fit_is_exactly_symmetric(self, fitted, ref_fit, bundled):
+        # unchecked, 784 of the reference fit's 57,600 entries differed
+        # from their mirror in the last bits
+        if fitted == "ref_fit":
+            fit = ref_fit["fit"]
+        else:
+            coll = bundled.restrict_to_diagonals(15)
+            design = toy_design(coll.layout, kind="diagonal")
+            cells = coll.layout.cells_per_array
+            structure = structure_for("diagonal_scalar", 2, cells, design.A, design.B)
+            fit = cs.ml_dispersion_generic(cs.stack_log(coll), design, structure, [0.01, 0.01])
+        assert np.array_equal(fit.omega_fit, fit.omega_fit.T)
+
     def test_omega_fit_on_first_read(self, ref_fit):
         fit = ref_fit["fit"]
         M = dense.M(fit.design)

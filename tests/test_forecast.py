@@ -13,6 +13,7 @@ from commonshock.covariance import (
     STRUCTURE_KINDS,
     CellwiseTwoLevel,
     GammaStructure,
+    Term,
     structure_for,
 )
 from commonshock.lognormal import ROW_BLOCK, LogNormalSummary, raw_mean
@@ -241,6 +242,23 @@ def test_process_error_without_a_future_structure_raises(make, message):
     fd = cs.build_forecast_design(design, cs.future_cells(lay, 4))
     with pytest.raises(cs.NumericalError, match=message):
         cs.predict(fit, fd)
+
+
+def test_structure_without_cell_sides_forecasts_without_a_rule_for_the_region():
+    # Sigma = v2 I over both arrays' cells at once: one 1 x 1 array side, so
+    # no frame, and no constructor to rebuild it by. No term has a cell
+    # side, so Sigma* is read off the fit's own structure; unchecked, this
+    # raised the "non-identity development operator" error
+    lay = ArrayLayout.triangle(2, 4)
+    design = toy_design(lay)
+    structure = GammaStructure((Term("v2", False, np.eye(1)),), 2 * lay.cells_per_array)
+    coll = simulate_two_level(lay, 0.1, 0.15, seed=10)
+    fit = cs.gls_fit(cs.stack_log(coll), design, cs.SigmaModel(structure, [0.04]))
+    assert fit.frame is None
+    fd = cs.build_forecast_design(design, cs.future_cells(lay, 4))
+    res = cs.predict(fit, fd)
+    want = dense.parameter_error(fit, fd) + 0.04 * np.eye(2 * len(fd.cells))
+    np.testing.assert_allclose(res.omega_star, want, rtol=1e-12, atol=1e-15)
 
 
 def test_unidentified_future_cell_raises():
