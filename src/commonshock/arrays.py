@@ -33,7 +33,7 @@ def _cells_of(mask: np.ndarray) -> list:
     This is the stacking order: the order of ``np.nonzero`` and of
     ``values[:, mask]``.
     """
-    return [tuple(ij) for ij in (np.argwhere(mask) + 1).tolist()]
+    return list(zip(*[(a + 1).tolist() for a in np.nonzero(mask)]))
 
 
 def _first_cell(layout: "ArrayLayout", flags: np.ndarray) -> tuple:

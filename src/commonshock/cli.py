@@ -403,7 +403,7 @@ def _extended_residuals(fit, full: ClaimCollection):
     alone are applied, by blocks; or (the fit's own residuals, False)
     where a later cell's mean is not estimable."""
     cells = full.layout.stacking_order
-    fitted = fit.design.layout.mask[tuple(np.array(cells).T - 1)]
+    fitted = fit.design.layout.mask[full.layout.mask]
     d = stack_log(full).reshape(full.layout.n_arrays, -1)
     d[:, fitted] = fit.residual.reshape(full.layout.n_arrays, -1)
     later = [cell for cell, f in zip(cells, fitted) if not f]

@@ -10,11 +10,12 @@ Redundant columns (a tied shock mean is absorbed by the column effects, for
 instance) are detected by a rank-revealing sweep and removed; the kept
 parameterization follows the corner-constraint convention with the first row
 effect fixed at zero, so reported effects are directly interpretable. The
-sweep orthogonalises one array's idiosyncratic block C0 once, and its
-basis of the kept columns is C0's factor wherever one is needed: for the
-alias coefficients, and in the least-squares factor of the reduced M
-(``LeastSquaresFactor``), formed on first read of ``ModelDesign.factor``,
-from which every fit on the design starts.
+sweep orthogonalises one array's idiosyncratic block C0 once, by panels of
+columns projected by matrix-matrix products, and its basis of the kept
+columns is C0's factor wherever one is needed: for the alias coefficients,
+and in the least-squares factor of the reduced M (``LeastSquaresFactor``),
+formed on first read of ``ModelDesign.factor``, from which every fit on the
+design starts.
 """
 
 from __future__ import annotations
@@ -34,6 +35,10 @@ IDIO_VARIANTS = ("chain_ladder", "hoerl")
 # a column is dropped when its residual against the kept columns is at most
 # this times M's largest column norm
 REDUCE_TOL = 1e-10
+# columns per panel of the reduction sweep (``_sweep``): each panel reads
+# the kept basis four times, and each column of it is projected against the
+# panel's kept vectors one product at a time
+SWEEP_PANEL = 16
 
 
 @dataclass(frozen=True)
@@ -106,28 +111,39 @@ class _CellRows:
             return cls(layout, i + 1, j + 1)
         return cls(layout, i + 1, j + 1, partition.labels, partition.n_subsets)
 
-    def _coefficients(self, table) -> np.ndarray:
-        """table[n, i, j] per array and cell, shape (N, k); 1 where table is None."""
+    def _coefficients(self, table, name: str) -> np.ndarray:
+        """table[n, i, j] per array and cell, shape (N, k); 1 where table is None.
+        ConfigError names the table ``name`` and its first entry, arrays
+        outermost, that is not finite: ``ShockSpec`` checks the layout's
+        cells only, and these may be forecast cells."""
         if table is None:
             return np.ones((self.layout.n_arrays, self.i.size))
-        return np.asarray(table, dtype=float)[:, self.i - 1, self.j - 1]
+        out = np.asarray(table, dtype=float)[:, self.i - 1, self.j - 1]
+        bad = ~np.isfinite(out)
+        if bad.any():
+            n, c = divmod(int(np.argmax(bad)), self.i.size)
+            raise ConfigError(
+                f"{name} coefficient of cell (array {n + 1}, i={self.i[c]}, j={self.j[c]}) "
+                "is not finite"
+            )
+        return out
 
-    def _one_per_row(self, table, column, width: int) -> np.ndarray:
+    def _one_per_row(self, table, name: str, column, width: int) -> np.ndarray:
         # row n * k + c holds the cell's coefficient in column[n, c]
         N, k = self.layout.n_arrays, self.i.size
         n, c = np.nonzero(np.broadcast_to(self.labels >= 0, (N, k)))
         out = np.zeros((N, k, width))
-        out[n, c, np.broadcast_to(column, (N, k))[n, c]] = self._coefficients(table)[n, c]
+        out[n, c, np.broadcast_to(column, (N, k))[n, c]] = self._coefficients(table, name)[n, c]
         return out.reshape(N * k, width)
 
     def across(self, alpha=None) -> np.ndarray:
         """Across-array shock columns, (N k, P): alpha in the cell's subset."""
-        return self._one_per_row(alpha, self.labels, self.n_subsets)
+        return self._one_per_row(alpha, "alpha", self.labels, self.n_subsets)
 
     def within(self, beta=None) -> np.ndarray:
         """Within-array shock columns, (N k, N P): beta in the array's own block."""
         N, P = self.layout.n_arrays, self.n_subsets
-        return self._one_per_row(beta, np.arange(N)[:, None] * P + self.labels, N * P)
+        return self._one_per_row(beta, "beta", np.arange(N)[:, None] * P + self.labels, N * P)
 
     def idiosyncratic(self, variant: str):
         """One array's idiosyncratic block, (k, q), and its column labels.
@@ -174,7 +190,7 @@ class _CellRows:
         mean_blocks, labels = [], []
         if shock.include_across:
             if shock.shared_across_mean:
-                mean_blocks.append(self._coefficients(shock.alpha).reshape(-1, 1))
+                mean_blocks.append(self._coefficients(shock.alpha, "alpha").reshape(-1, 1))
                 labels.append(("xi_shared",))
             else:
                 mean_blocks.append(self.across(shock.alpha))
@@ -187,8 +203,8 @@ class _CellRows:
         return X, C0, labels
 
 
-def _sweep(columns: np.ndarray, order, tol: float, prior=lambda v: 0.0):
-    """Classical Gram-Schmidt with one re-orthogonalisation pass (CGS2).
+def _sweep(columns: np.ndarray, order, tol: float, prior=lambda P: 0.0):
+    """Classical Gram-Schmidt with one re-orthogonalisation pass (CGS2), by panels.
 
     Visits ``columns[:, idx]`` for idx in ``order`` and keeps a column when
     its residual against the kept ones, and against the span that ``prior``
@@ -196,32 +212,50 @@ def _sweep(columns: np.ndarray, order, tol: float, prior=lambda v: 0.0):
     ones span them, is dropped. Returns the kept and dropped indices in
     sweep order, the kept columns' orthonormal basis Q^T, one row each, and
     their coefficients on it, the upper-triangular R: with no ``prior``,
-    columns[:, kept] = Q R. Twice is enough: the basis is orthonormal to
-    working precision where the kept columns are numerically nonsingular
-    (Giraud, Langou, Rozloznik and van den Eshof 2005, Numer. Math. 101).
+    columns[:, kept] = Q R. ``prior`` maps an n x b block to its projection.
+
+    The columns are taken ``SWEEP_PANEL`` at a time (BCGS2, Barlow and
+    Smoktunowicz 2013, Numer. Math. 123): a panel P is projected twice off
+    the kept basis Q by matrix-matrix products, H = Q^T P, P -= Q H +
+    prior(P), then G likewise, and its columns are then swept by CGS2
+    against the panel's own kept vectors only. Column t of R is H + G on
+    the earlier panels' rows, the in-panel coefficients on the panel's, and
+    the residual norm on the diagonal. Twice is enough: the basis is
+    orthonormal to working precision where the kept columns are numerically
+    nonsingular (Giraud, Langou, Rozloznik and van den Eshof 2005, Numer.
+    Math. 101). The work is O(n len(order)^2), nearly all of it in the
+    panels' matrix-matrix products.
     """
-    n = columns.shape[0]
+    n, order = columns.shape[0], list(order)
     basis = np.empty((min(n, len(order)), n))
     R = np.zeros((len(basis),) * 2)
     kept, dropped = [], []
-    for idx in order:
-        t = len(kept)
-        if t == n:
-            dropped.append(idx)
-            continue
-        c = columns[:, idx]
-        Qt = basis[:t]
-        h = Qt @ c
-        r = c - Qt.T @ h - prior(c)
-        g = Qt @ r  # one re-orthogonalization pass
-        r = r - Qt.T @ g - prior(r)
-        nr = np.linalg.norm(r)
-        if nr > tol:
-            basis[t] = r / nr
-            R[:t, t], R[t, t] = h + g, nr
-            kept.append(idx)
-        else:
-            dropped.append(idx)
+    for start in range(0, len(order), SWEEP_PANEL):
+        panel, t0 = order[start : start + SWEEP_PANEL], len(kept)
+        Qt = basis[:t0]
+        P = columns[:, panel]
+        H = Qt @ P
+        P = P - Qt.T @ H - prior(P)
+        G = Qt @ P  # one re-orthogonalisation pass
+        P = P - Qt.T @ G - prior(P)
+        H += G
+        for j, (idx, c) in enumerate(zip(panel, P.T.copy())):
+            t = len(kept)
+            if t == n:
+                dropped.append(idx)
+                continue
+            Qp = basis[t0:t]
+            h = Qp @ c
+            r = c - h @ Qp
+            g = Qp @ r
+            r -= g @ Qp
+            nr = np.sqrt(r @ r)
+            if nr > tol:
+                basis[t] = r / nr
+                R[:t0, t], R[t0:t, t], R[t, t] = H[:, j], h + g, nr
+                kept.append(idx)
+            else:
+                dropped.append(idx)
     r0 = len(kept)
     return kept, dropped, basis[:r0], R[:r0, :r0]
 
@@ -248,7 +282,7 @@ def _reduce_blocks(X, x_order, C0, c0_order, n_blocks: int):
     tol = REDUCE_TOL * max(x_norms.max(initial=0.0), c0_norms.max(initial=0.0))
 
     kept0, dropped0, Q0, R0 = _sweep(C0, c0_order, tol)
-    keptx, droppedx, Qx, _ = _sweep(X, x_order, tol, lambda v: (v.reshape(N, k) @ Q0.T @ Q0).ravel())
+    keptx, droppedx, Qx, _ = _sweep(X, x_order, tol, lambda P: _by_block(Q0.T, _by_block(Q0, P, N), N))
     reasons = {}
     for norms, dropped, offsets in (
         (x_norms, droppedx, [0]), (c0_norms, dropped0, s + q * np.arange(N))

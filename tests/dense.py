@@ -17,7 +17,9 @@ here, and nowhere else:
   covariance M* Var[kappa] M*^T + Sigma*(omega) + diag(var), Sigma* from
   ``sigma``, so that it shares no code with ``lognormal.block_covariance``,
   and the per-array reserve sums of its raw-scale covariance;
-- ``fitted_raw``: the raw-scale fitted values and covariance of a fit.
+- ``fitted_raw``: the raw-scale fitted values and covariance of a fit;
+- ``sweep``: the reduction sweep column by column, the reference for the
+  package's sweep by panels (``design._sweep``).
 """
 
 import numpy as np
@@ -171,3 +173,42 @@ def fitted_raw(fit):
     in stacking order, ``raw_mean`` and ``raw_cov`` at (y_hat, omega_fit)."""
     summary = cs.LogNormalSummary(fit.y_hat, fit.omega_fit)
     return cs.unstack(cs.raw_mean(summary), fit.design.layout), cs.raw_cov(summary)
+
+
+def sweep(columns: np.ndarray, order, tol: float, prior=lambda v: 0.0):
+    """Classical Gram-Schmidt with one re-orthogonalisation pass (CGS2),
+    one column at a time: what ``design._sweep`` returns, with ``prior``
+    applied to one column.
+
+    Visits ``columns[:, idx]`` for idx in ``order`` and keeps a column when
+    its residual against the kept ones, and against the span that ``prior``
+    projects onto, exceeds ``tol``; a column past the rows, once the kept
+    ones span them, is dropped. Returns the kept and dropped indices in
+    sweep order, the kept columns' orthonormal basis Q^T, one row each, and
+    their coefficients on it, the upper-triangular R: with no ``prior``,
+    columns[:, kept] = Q R.
+    """
+    n = columns.shape[0]
+    basis = np.empty((min(n, len(order)), n))
+    R = np.zeros((len(basis),) * 2)
+    kept, dropped = [], []
+    for idx in order:
+        t = len(kept)
+        if t == n:
+            dropped.append(idx)
+            continue
+        c = columns[:, idx]
+        Qt = basis[:t]
+        h = Qt @ c
+        r = c - Qt.T @ h - prior(c)
+        g = Qt @ r  # one re-orthogonalization pass
+        r = r - Qt.T @ g - prior(r)
+        nr = np.linalg.norm(r)
+        if nr > tol:
+            basis[t] = r / nr
+            R[:t, t], R[t, t] = h + g, nr
+            kept.append(idx)
+        else:
+            dropped.append(idx)
+    r0 = len(kept)
+    return kept, dropped, basis[:r0], R[:r0, :r0]

@@ -108,6 +108,26 @@ def test_future_cells_disjoint_from_diagonal_mask():
     assert len(region) + len(observed) == 49
 
 
+def test_cell_lists_are_the_row_major_scan_of_random_masks():
+    # the stacking order and the forecast region list the True cells of a
+    # mask row by row, 1-based, as Python ints
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        rows, cols = rng.integers(1, 9, size=2)
+        mask = rng.random((rows, cols)) < rng.choice([0.1, 0.5, 0.9, 1.0])
+        mask[rng.integers(rows), rng.integers(cols)] = True
+        lay = ArrayLayout(int(rng.integers(1, 4)), int(rows), int(cols), mask)
+        scan = [(i + 1, j + 1) for i in range(rows) for j in range(cols) if mask[i, j]]
+        assert lay.stacking_order == tuple(scan)
+        t_max = int(rng.integers(1, rows + cols))
+        region = future_cells(lay, t_max)
+        assert region == [
+            (i, j) for i in range(1, rows + 1) for j in range(1, cols + 1) if i + j - 1 > t_max
+        ]
+        cells = [v for cell in (*lay.stacking_order, *region) for v in cell]
+        assert all(type(v) is int for v in cells)
+
+
 def test_restrict_to_diagonals(bundled):
     tri = bundled.restrict_to_diagonals(15)
     assert tri.layout.cells_per_array == 120

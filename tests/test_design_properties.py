@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 import commonshock as cs
 from commonshock.arrays import ArrayLayout, ClaimCollection
-from commonshock.design import IDIO_VARIANTS, _reduce_blocks, reduce_columns
+from commonshock.design import (
+    IDIO_VARIANTS, REDUCE_TOL, SWEEP_PANEL, _reduce_blocks, _sweep, reduce_columns,
+)
 from commonshock.kron import array_frame
 from commonshock.partitions import PARTITION_KINDS
 import dense
@@ -139,3 +141,90 @@ def test_block_reduction_is_the_dense_reduction_at_any_scale(blocks):
         assert (by_blocks[0], by_blocks[1], by_blocks[3]) == (kept, dropped, reasons)
         results.append((kept, dropped, reasons))
     assert results[0] == results[1] == results[2]
+
+
+def assert_sweep_is_the_reference(columns, order, tol, prior=lambda v: 0.0):
+    # the sweep by panels sums in another order than the column-wise
+    # reference, and both round to about eps times the largest column
+    # norm c over the smallest residual norm, kappa = c / min diag(R): the
+    # same keep decisions, Q^T within 1e-13 kappa of the reference and R
+    # within 1e-13 kappa c
+    kept, dropped, qt, R = _sweep(columns, order, tol, prior)
+    ref_kept, ref_dropped, ref_qt, ref_R = dense.sweep(columns, list(order), tol, prior)
+    assert (kept, dropped) == (ref_kept, ref_dropped)
+    if kept:
+        c = np.linalg.norm(columns, axis=0).max()
+        kappa = c / np.diagonal(ref_R).min()
+        assert np.all(np.abs(qt - ref_qt) <= 1e-13 * kappa)
+        assert np.all(np.abs(R - ref_R) <= 1e-13 * kappa * c)
+
+
+def projector(u: np.ndarray, N: int = 1):
+    """The projection onto (I_N (x) u)'s span, u of orthonormal columns, of a
+    column or of a block of columns."""
+    return lambda v: (u @ (u.T @ v.reshape(N, len(u), -1))).reshape(v.shape)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(frame_blocks(), st.sampled_from([1e-12, 1.0, 1e12]))
+def test_sweep_of_frame_blocks_is_the_reference(blocks, scale):
+    # the reduction's two sweeps at its threshold: C0 alone, then X against
+    # I_N (x) Q0, the prior ``_reduce_blocks`` passes
+    X, C0, N = blocks[0] * scale, blocks[1] * scale, blocks[2]
+    tol = REDUCE_TOL * max(np.linalg.norm(b, axis=0).max(initial=0.0) for b in (X, C0))
+    assert_sweep_is_the_reference(C0, range(C0.shape[1]), tol)
+    q0t = _sweep(C0, range(C0.shape[1]), tol)[2]
+    assert_sweep_is_the_reference(X, range(X.shape[1]), tol, projector(q0t.T, N))
+
+
+@st.composite
+def panel_columns(draw):
+    """(columns, order, prior) for the sweep: as many columns as a panel,
+    one fewer or one more, or several panels and more columns than rows;
+    columns dependent on the ones swept before them at the first and the
+    last slot of a panel, zero columns, and at times a prior span."""
+    W = SWEEP_PANEL
+    q = draw(st.sampled_from([W - 1, W, W + 1, 2 * W + 1, 3 * W]))
+    n = draw(st.one_of(st.integers(q, q + 3), st.integers(1, q - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    if draw(st.booleans()):
+        columns = (rng.random((n, q)) < 0.4) * 1.0
+    else:
+        columns = rng.normal(size=(n, q))
+    order = list(rng.permutation(q)) if draw(st.booleans()) else list(range(q))
+    slots = [p + last for p in range(0, q, W) for last in (0, W - 1) if p + last < q]
+    for slot in draw(st.lists(st.sampled_from(slots), max_size=4, unique=True)):
+        # a combination of the columns swept before this slot
+        before = columns[:, order[:slot]]
+        columns[:, order[slot]] = before @ rng.normal(size=slot)
+    for idx in draw(st.lists(st.integers(0, q - 1), max_size=2)):
+        columns[:, idx] = 0.0
+    prior = lambda v: 0.0
+    if n > 1 and draw(st.booleans()):
+        u = np.linalg.qr(rng.normal(size=(n, draw(st.integers(1, n - 1)))))[0]
+        prior = projector(u)
+    return columns, order, prior
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(panel_columns())
+def test_sweep_by_panels_is_the_reference(case):
+    columns, order, prior = case
+    n, q = columns.shape
+    event(f"q = {q}, {'more columns than rows' if q > n else 'q <= n'}")
+    tol = REDUCE_TOL * np.linalg.norm(columns, axis=0).max()
+    assert_sweep_is_the_reference(columns, order, tol, prior)
+
+
+def test_sweep_at_tolerance_zero_drops_the_columns_past_the_rows():
+    # LeastSquaresFactor.of sweeps at tolerance 0, where a column past the
+    # rows has a residual of rounding size: the rule drops it, inside a
+    # panel or at its start
+    rng = np.random.default_rng(3)
+    q = 3 * SWEEP_PANEL
+    for n in (SWEEP_PANEL - 1, SWEEP_PANEL, SWEEP_PANEL + 1, 2 * SWEEP_PANEL + 3):
+        columns = rng.normal(size=(n, q))
+        kept, dropped, qt, R = _sweep(columns, range(q), 0.0)
+        assert (kept, dropped) == (list(range(n)), list(range(n, q)))
+        assert (kept, dropped) == tuple(dense.sweep(columns, range(q), 0.0)[:2])
+        np.testing.assert_allclose(qt.T @ R, columns[:, kept], rtol=0, atol=1e-12)

@@ -12,6 +12,7 @@ from commonshock.arrays import ArrayLayout
 from commonshock.covariance import (
     STRUCTURE_KINDS,
     CellwiseTwoLevel,
+    DiagonalScalar,
     GammaStructure,
     Term,
     structure_for,
@@ -780,3 +781,25 @@ def test_non_finite_forecast_inputs_are_design_errors(extra):
     assert fd.n_arrays * len(fd.cells) == 30
     with pytest.raises(cs.DesignError, match="finite"):
         cs.predict(fit, fd, **extra)
+
+
+@pytest.mark.parametrize("table", ["alpha", "beta"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_coefficients_on_forecast_cells_are_config_errors(table, value):
+    # ShockSpec checks the fitted cells only: a coefficient that is not
+    # finite on a forecast cell let the fit succeed, and then predict
+    # raised NumericalError ("raw-scale mean would overflow", alpha) or the
+    # estimability check a DesignError naming a parameter (beta), where the
+    # input is at fault
+    lay = ArrayLayout.triangle(2, 6)
+    coll = simulate_two_level(lay, 0.1, 0.15, seed=5)
+    coeff = np.ones((2, 6, 6))
+    coeff[1, 5, 4] = value  # array 2, cell (6, 5): past the triangle
+    within = table == "beta"
+    shock = cs.ShockSpec(cs.build_partition("row", lay), include_within=within, **{table: coeff})
+    design = cs.assemble(lay, shock)
+    structure = DiagonalScalar(design.A, design.B)
+    fit = cs.ml_dispersion_generic(cs.stack_log(coll), design, structure, [0.01] * (2 + within))
+    message = rf"{table} coefficient of cell \(array 2, i=6, j=5\) is not finite"
+    with pytest.raises(cs.ConfigError, match=message):
+        cs.predict(fit, cs.build_forecast_design(design, cs.future_cells(lay, 6)))
