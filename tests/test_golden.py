@@ -48,6 +48,20 @@ CONFIGS = {
     "example48_diagonal": {"covariance": "example48", "partition": "diagonal"},
     "hoerl_column": {"covariance": "diagonal_scalar", "partition": "column", "design": "hoerl"},
     "hoerl_cell": {"covariance": "diagonal_scalar", "partition": "cell", "design": "hoerl"},
+    # shock means kept by the design (12 of the 15 column means); the array
+    # frame's fit whitens their Qx columns
+    "hoerl_column_unshared": {
+        "covariance": "diagonal_scalar",
+        "partition": "column",
+        "design": "hoerl",
+        "shared_shock_mean": "false",
+    },
+    "cellwise_two_level_hoerl_column_unshared": {
+        "covariance": "cellwise_two_level",
+        "partition": "column",
+        "design": "hoerl",
+        "shared_shock_mean": "false",
+    },
     "diagonal_scalar_array": {"covariance": "diagonal_scalar", "partition": "array"},
     "cellwise_two_level_row": {"covariance": "cellwise_two_level", "partition": "row"},
     "diagonal_scalar_row_unshared": {
