@@ -10,12 +10,13 @@ Redundant columns (a tied shock mean is absorbed by the column effects, for
 instance) are detected by a rank-revealing sweep and removed; the kept
 parameterization follows the corner-constraint convention with the first row
 effect fixed at zero, so reported effects are directly interpretable. The
-sweep orthogonalises one array's idiosyncratic block C0 once, by panels of
-columns projected by matrix-matrix products, and its basis of the kept
-columns is C0's factor wherever one is needed: for the alias coefficients,
-and in the least-squares factor of the reduced M (``LeastSquaresFactor``),
-formed on first read of ``ModelDesign.factor``, from which every fit on the
-design starts.
+sweep orthogonalises one array's idiosyncratic block C0 once, then the
+shock-mean columns against it, by panels of columns projected by
+matrix-matrix products. Its basis of the kept columns is the only
+orthogonalisation of M: it gives the alias coefficients, and it is the
+least-squares factor of the reduced M (``LeastSquaresFactor``), formed on
+first read of ``ModelDesign.factor``, from which every fit on the design
+starts.
 """
 
 from __future__ import annotations
@@ -257,7 +258,17 @@ def _sweep(columns: np.ndarray, order, tol: float, prior=lambda P: 0.0):
             else:
                 dropped.append(idx)
     r0 = len(kept)
-    return kept, dropped, basis[:r0], R[:r0, :r0]
+    if r0 < len(basis):  # copies: a design keeps the basis, and a view would pin every row
+        basis, R = basis[:r0].copy(), R[:r0, :r0].copy()
+    return kept, dropped, basis, R
+
+
+def _sweep_blocks(X, x_order, C0, c0_order, n_blocks: int, tol: float):
+    """``_sweep`` of C0 in ``c0_order``, then of X in ``x_order`` against
+    I_N (x) Q0, N = ``n_blocks``: the two sweeps of M = [X | I_N (x) C0]."""
+    c0 = _sweep(C0, c0_order, tol)
+    Q0, N = c0[2], n_blocks
+    return c0, _sweep(X, x_order, tol, lambda P: _by_block(Q0.T, _by_block(Q0, P, N), N))
 
 
 def _reduce_blocks(X, x_order, C0, c0_order, n_blocks: int):
@@ -269,20 +280,19 @@ def _reduce_blocks(X, x_order, C0, c0_order, n_blocks: int):
     first pivot of column-pivoted QR (Businger and Golub 1965), which is
     the largest over X's and C0's columns. C0 is swept once in
     ``c0_order``, and its kept set and basis Q0 serve every array, because
-    array n's columns meet no other array's rows.
-    X is then swept in ``x_order`` against I_N (x) Q0 and its own kept
-    columns. Returns what ``reduce_columns`` returns, indexed into M, and
-    the sweep's factor (Q0^T, R0) of C0's kept columns in sweep order,
-    C0[:, kept] = Q0 R0, which is the least-squares factor's (see
-    ``LeastSquaresFactor.of``): no other orthogonalisation of C0 is taken.
+    array n's columns meet no other array's rows; X is then swept in
+    ``x_order`` against I_N (x) Q0 (``_sweep_blocks``). Returns what
+    ``reduce_columns`` returns, indexed into M, and the sweeps' basis, the
+    least-squares factor's (``LeastSquaresFactor.of``): (order, Q^T, R) for
+    C0, then X, with the kept columns' indices into the reduced block in
+    sweep order, and R upper-triangular in that order.
     """
-    N = n_blocks
-    (k, q), s = C0.shape, X.shape[1]
+    N, (k, q), s = n_blocks, C0.shape, X.shape[1]
     x_norms, c0_norms = (np.linalg.norm(cols, axis=0) for cols in (X, C0))
     tol = REDUCE_TOL * max(x_norms.max(initial=0.0), c0_norms.max(initial=0.0))
 
-    kept0, dropped0, Q0, R0 = _sweep(C0, c0_order, tol)
-    keptx, droppedx, Qx, _ = _sweep(X, x_order, tol, lambda P: _by_block(Q0.T, _by_block(Q0, P, N), N))
+    sweeps = _sweep_blocks(X, x_order, C0, c0_order, N, tol)
+    (kept0, dropped0, Q0, R0), (keptx, droppedx, Qx, Rx) = sweeps
     reasons = {}
     for norms, dropped, offsets in (
         (x_norms, droppedx, [0]), (c0_norms, dropped0, s + q * np.arange(N))
@@ -311,7 +321,8 @@ def _reduce_blocks(X, x_order, C0, c0_order, n_blocks: int):
         b_shock = b[:, len(d0):].reshape(r0, N, len(dx)).transpose(1, 0, 2)
         coef[len(kx):, : len(dx)] = b_shock.reshape(N * r0, len(dx))
         coef[len(kx):, len(dx):] = np.kron(np.eye(N), b[:, : len(d0)])
-    return kept, dropped, coef, reasons, (Q0, R0)
+    basis = [(np.searchsorted(k0, kept0), Q0, R0), (np.searchsorted(kx, keptx), Qx, Rx)]
+    return kept, dropped, coef, reasons, basis
 
 
 def reduce_columns(M: np.ndarray, keep_priority=None):
@@ -350,67 +361,53 @@ def frame_times(X: np.ndarray, C0: np.ndarray, v: np.ndarray, n_blocks: int) -> 
     return X @ v[:s] + _by_block(C0, v0, n_blocks).reshape(X.shape[0], *v.shape[1:])
 
 
-def _pivots(R: np.ndarray) -> np.ndarray:
-    """R's diagonal, one entry per column: 0 for a column past R's last row."""
-    return np.pad(np.diagonal(R), (0, R.shape[1] - min(R.shape)))
-
-
 @dataclass(frozen=True)
 class LeastSquaresFactor:
     """M = [Qx | I_N (x) Q0] T, the least-squares factor of M = [X | I_N (x) C0].
 
-    One factor C0 = Q0 R0 serves every array: the reduction sweep's, CGS2
-    on C0's kept columns (``_reduce_blocks``), with R0 the sweep's
-    coefficients. The shock-mean columns X are projected off I_N (x) Q0,
-    with one re-orthogonalisation pass, and what is left is factored by one
-    QR: X - (I_N (x) Q0) Z = Qx Rx with Z = (I_N (x) Q0)^T X. So
-    T = [[Rx, 0], [Z, I_N (x) R0]] in M's column order. T^-1 is held by
+    It is the reduction's two sweeps (``_sweep_blocks``): C0 = Q0 R0 for
+    every array, and X - (I_N (x) Q0) Z = Qx Rx with Z = (I_N (x) Q0)^T X,
+    so T = [[Rx, 0], [Z, I_N (x) R0]] in M's column order. T^-1 is held by
     these blocks only and applied by them (``t_inv_times``). A bare matrix
-    is the one-block case, C0 = M with no X, swept at tolerance 0 (see
-    ``of``).
+    is the one-block case, C0 = M with no X, swept at tolerance 0 (``of``).
     """
 
     q0: np.ndarray  # (cells, r0)
     qx: np.ndarray  # (n, s)
     z: np.ndarray  # (N r0, s)
-    # R0^-1 and Rx^-1 as inverted through R^T, in the memory order that
-    # kappa's block products read (another order rounds them differently)
+    # R0^-1 and Rx^-1, rows in M's order, inverted through R^T, in the memory
+    # order that kappa's block products read (another order rounds them differently)
     r0_inv: np.ndarray
     rx_inv: np.ndarray
 
     @classmethod
     def of(
-        cls, X: np.ndarray, C0: np.ndarray, n_blocks: int, labels, c0_basis=None
+        cls, X: np.ndarray, C0: np.ndarray, n_blocks: int, labels, basis=None
     ) -> "LeastSquaresFactor":
         """The factor of [X | I_N (x) C0], N = ``n_blocks``.
 
-        ``c0_basis`` is (Q0^T, R0) with C0 = Q0 R0, as the reduction sweep
-        leaves it; without it C0 is swept here at tolerance 0, which drops
-        only a column past the rows or one whose residual is exactly zero.
-        A column whose diagonal entry of T is at most 1e-12 times the
-        largest (or 1) is aliased, and so is a column the sweep dropped,
-        which has no diagonal entry; DesignError names every such column.
+        ``basis`` is the sweeps' basis of C0 and X as ``_reduce_blocks``
+        leaves it; without it C0 and then X are swept here at tolerance 0,
+        which drops only a column past the rows or one whose residual is
+        exactly zero. A column whose sweep's diagonal entry is at most 1e-12
+        times the largest (or 1) is aliased, and so is a column the sweep
+        dropped, which has none; DesignError names every such column.
         """
-        (k, r0), s, N = C0.shape, X.shape[1], n_blocks
-        if c0_basis is None:
-            kept, _, q0t, R0 = _sweep(C0, range(r0), 0.0)
-        else:
-            kept, (q0t, R0) = range(r0), c0_basis
-        pivots0 = np.zeros(r0)
-        pivots0[kept] = np.diagonal(R0)
-        q0 = q0t.T
-        Z = _by_block(q0t, X, N)
-        left = X - _by_block(q0, Z, N)
-        again = _by_block(q0t, left, N)  # one re-orthogonalisation pass
-        left -= _by_block(q0, again, N)
-        Z += again
-        qx, Rx = np.linalg.qr(left) if s else (left, np.zeros((0, 0)))
-        rdiag = np.abs(np.concatenate([_pivots(Rx), np.tile(pivots0, N)]))
+        r0, s, N = C0.shape[1], X.shape[1], n_blocks
+        if basis is None:
+            sweeps = _sweep_blocks(X, range(s), C0, range(r0), N, 0.0)
+            basis = [(kept, Qt, R) for kept, _, Qt, R in sweeps]
+        (order0, q0t, R0), (orderx, qxt, Rx) = basis
+        pivots0, pivotsx = np.zeros(r0), np.zeros(s)
+        pivots0[order0], pivotsx[orderx] = np.diagonal(R0), np.diagonal(Rx)
+        rdiag = np.concatenate([pivotsx, np.tile(pivots0, N)])
         aliased = rdiag <= 1e-12 * rdiag.max(initial=1.0)
         if aliased.any():
             bad = [labels[j] for j in np.where(aliased)[0]]
             raise DesignError(f"normal equations are singular; aliased columns: {bad}")
-        return cls(q0, qx, Z, _tril_inverse(R0.T).T, _tril_inverse(Rx.T).T)
+        # R^-1 with its rows in M's order, (R P)^-1 = P^T R^-1
+        r0_inv, rx_inv = (_tril_inverse(R.T).take(np.argsort(o), axis=1).T for o, _, R in basis)
+        return cls(q0t.T, qxt.T, _by_block(q0t, X, N), r0_inv, rx_inv)
 
     def t_inv_times(self, v: np.ndarray) -> np.ndarray:
         """T^-1[:, :k] v for a matrix v of s <= k <= m rows, by blocks:
@@ -452,10 +449,10 @@ class ModelDesign:
     dropped: tuple  # ((label, reason), ...)
     coef: np.ndarray  # kept -> dropped alias coefficients
     labels: tuple = field(init=False)
-    # (Q0^T, R0) with C0 = Q0 R0, the reduction sweep's factor of C0's kept
-    # columns: ``assemble`` sets it on the design it builds, and it is no
-    # field, so a copy (``dataclasses.replace``) sweeps its own C0
-    _c0_basis = None
+    # the reduction sweeps' basis of C0 and X, the factor's: ``assemble``
+    # sets it on the design it builds, and it is no field, so a copy
+    # (``dataclasses.replace``) sweeps its own (``LeastSquaresFactor.of``)
+    _basis = None
 
     def __post_init__(self):
         object.__setattr__(
@@ -475,9 +472,8 @@ class ModelDesign:
     @cached_property
     def factor(self) -> LeastSquaresFactor:
         """M = [Qx | I_N (x) Q0] T; DesignError names M's aliased columns."""
-        return LeastSquaresFactor.of(
-            self.X, self.C0, self.layout.n_arrays, self.labels, self._c0_basis
-        )
+        N = self.layout.n_arrays
+        return LeastSquaresFactor.of(self.X, self.C0, N, self.labels, self._basis)
 
     @cached_property
     def _rows(self) -> _CellRows:
@@ -629,7 +625,7 @@ def assemble(
     s, q, N = X.shape[1], C0.shape[1], lay.n_arrays
     rank = {"xi": 1, "xi_shared": 1, "eta": 0}
     x_order = sorted(range(s), key=lambda k: (rank[labels[k][0]], k))
-    kept, dropped, coef, reasons, c0_basis = _reduce_blocks(X, x_order, C0, range(q), N)
+    kept, dropped, coef, reasons, basis = _reduce_blocks(X, x_order, C0, range(q), N)
     if not kept:
         raise DesignError("design reduced to zero columns")
     design = ModelDesign(
@@ -643,6 +639,5 @@ def assemble(
         dropped=tuple((labels[d], reasons[d]) for d in dropped),
         coef=coef,
     )
-    # C0 was swept in column order, so the sweep's factor is the kept C0's
-    object.__setattr__(design, "_c0_basis", c0_basis)
+    object.__setattr__(design, "_basis", basis)
     return design

@@ -3,8 +3,8 @@
 With the covariance known, the location estimate is the usual GLS solution.
 M is factored once per design, by least squares in its array frame
 (``ModelDesign.factor``: the reduction sweep's orthonormal basis of one
-array's idiosyncratic block, and one QR of the projected shock-mean
-columns), and that factor alone judges aliasing.
+array's idiosyncratic block and of the shock-mean columns swept against
+it), and that factor alone judges aliasing.
 A GLS fit then takes one QR of the factor's columns that Sigma mixes, with
 y, in the rows the covariance writes for them (``gls_fit``); neither
 Sigma^-1 nor (M^T Sigma^-1 M)^-1 is formed, only the inverses of
@@ -304,18 +304,19 @@ def ml_dispersion_generic(
     ``init_omega`` values; with none free the fit is ``gls_fit`` there,
     with its score. ConfigError rejects a ``tol`` that is not finite and
     positive, a ``max_iter`` that is not a non-negative integer, an
-    ``init_omega`` or a ``free_mask`` without one value per component, and
-    a start at or below zero on a free component that must stay positive.
+    ``init_omega`` or a ``free_mask`` without one value per component, a
+    held component with no ``init_omega`` value, and a start at or below
+    zero on a free component that must stay positive.
 
-    A given start is always scored from; None, or a None entry, starts at
-    ``START``. With no start and every component free, the cell-matched
-    model over M's own arrays (``_cell_matched``: ``cellwise_two_level``,
-    ``diagonal_scalar`` on the cell partition) starts at the closed form of
-    the least-squares residual, the ML point on an invariant design
-    (Szatrowski 1980), returned as its ``gls_fit`` with n_iter = 1 and no
-    score. On an invariant design the least-squares kappa is fitted once
-    and a point costs one factor of Sigma; otherwise each point is a GLS
-    fit. The fit returned is ``gls_fit`` at the last point.
+    A given start is always scored from; a free component with no value
+    starts at ``START``. With no start and every component free, the
+    cell-matched model over M's own arrays (``_cell_matched``:
+    ``cellwise_two_level``, ``diagonal_scalar`` on the cell partition)
+    starts at the closed form of the least-squares residual, the ML point on
+    an invariant design (Szatrowski 1980), returned as its ``gls_fit`` with
+    n_iter = 1 and no score. On an invariant design the least-squares kappa
+    is fitted once and a point costs one factor of Sigma; otherwise each
+    point is a GLS fit. The fit returned is ``gls_fit`` at the last point.
     """
     if not (np.isfinite(tol) and tol > 0):
         raise ConfigError(f"tol must be a positive number, got {tol!r}")
@@ -330,6 +331,9 @@ def ml_dispersion_generic(
             raise ConfigError(
                 f"{name} needs {structure.n_params} values for {structure.omega_names}"
             )
+    if np.any(unset & ~free):
+        held = [n for n, h in zip(structure.omega_names, unset & ~free) if h]
+        raise ConfigError(f"init_omega gives no value for the held components {held}")
     positive = free & ~np.asarray(structure.zero_allowed, dtype=bool)
     if np.any(omega[positive] <= 0):
         raise ConfigError(

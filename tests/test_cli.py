@@ -670,6 +670,58 @@ class TestErrorPaths:
         assert not (tmp_path / "report.txt").exists()
 
 
+SIMULATE_KEYS = {
+    "n_arrays": 2, "n_rows": 4, "n_cols": 4,
+    "row_effects_1": "100, 102, 104, 106", "row_effects_2": "300, 297, 294, 291",
+    "col_effects_1": "0.2, 0.3, 0.25, 0.1", "col_effects_2": "0.4, 0.3, 0.2, 0.05",
+    "shock_sd": 0.1, "idio_sd": 0.15, "seed": 11,
+}
+
+
+@pytest.mark.parametrize("command, keys, status, message", [
+    # keys: None for no config file, a str for a line of its own, else keys
+    # added to the command's base configuration (None drops a key)
+    pytest.param("fit", None, 2, "config file does not exist", id="missing_config"),
+    pytest.param("fit", "data bundled.csv", 2, "expected 'key = value', got 'data bundled.csv'",
+                 id="line_without_equals"),
+    pytest.param("simulate", {"shock_sd": "wide"}, 2, "shock_sd must be a number, got 'wide'",
+                 id="not_a_number"),
+    pytest.param("fit", {"t_max": "last"}, 2, "t_max must be an integer, got 'last'",
+                 id="not_an_integer"),
+    pytest.param("simulate", {"row_effects_1": "100, x"}, 2,
+                 "row_effects_1 must be a comma-separated list of numbers", id="not_a_list"),
+    pytest.param("simulate", {"idio_sd": None}, 2, "missing required key 'idio_sd'",
+                 id="missing_key"),
+    pytest.param("fit", {"sigma2": "fixed"}, 2, "sigma2 must be 'estimate' or a number",
+                 id="variance_key"),
+    pytest.param("simulate", {"mask": "triangle"}, 0, "", id="triangle"),
+    pytest.param("simulate", {"mask": "triangle", "n_cols": 5}, 2,
+                 "triangle mask needs a square grid", id="triangle_not_square"),
+])
+def test_config_values_through_main(tmp_path, capsys, command, keys, status, message):
+    # each bad value exits 2 naming the key and writes nothing; a triangle
+    # mask on a square grid simulates the triangle's cells
+    cfg, out = tmp_path / "c.cfg", tmp_path / ("s.csv" if command == "simulate" else "report")
+    if isinstance(keys, str):
+        cfg.write_text(keys + "\n")
+    elif keys is not None:
+        base = SIMULATE_KEYS if command == "simulate" else {
+            "data": ", ".join(bundled_paths()), "t_max": 15,
+        }
+        merged = {**base, **keys}
+        write_config(cfg, **{k: v for k, v in merged.items() if v is not None})
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == status
+    err = capsys.readouterr().err
+    written = out if command == "simulate" else out.with_suffix(".txt")
+    assert written.exists() == (status == 0)
+    if status:
+        assert err.startswith("config error: ") and message in err
+    else:
+        assert err == ""
+        layout = read_claims_csv([out]).layout
+        np.testing.assert_array_equal(layout.mask, cs.ArrayLayout.triangle(2, 4).mask)
+
+
 HEADER = "array,accident,development,value\n"
 
 

@@ -403,6 +403,24 @@ class TestGenericSolver:
         assert fit.omega_hat[0] == 0.02
         assert abs(fit.score[1]) < 1e-9
 
+    @pytest.mark.parametrize(
+        "init, free, named",
+        [
+            (None, [False, True], ["sigma2"]),
+            ([None, 0.02], [False, True], ["sigma2"]),
+            (None, [False, False], ["sigma2", "v2"]),
+            ([0.02, None], [True, False], ["v2"]),
+        ],
+    )
+    def test_held_component_without_a_value_is_a_config_error(self, init, free, named):
+        # a held component stays at its init_omega value: with none given
+        # there is no value to hold, and the error names each such component
+        y, design, _ = small_fit_inputs(seed=17, size=4)
+        structure = CellwiseTwoLevel(2, 16)
+        with pytest.raises(cs.ConfigError, match="held component") as err:
+            cs.ml_dispersion_generic(y, design, structure, init, free_mask=free)
+        assert str(err.value).endswith(str(named))
+
 
 class TestParameterizationInvariance:
     def test_dispersion_invariant_to_gauge(self, ref_fit):

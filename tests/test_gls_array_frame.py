@@ -30,7 +30,7 @@ from commonshock.partitions import PARTITION_KINDS
 import dense
 from conftest import toy_design
 from test_design_properties import designs
-from test_invariance import array_frame_shapes, calendar_means, counted_qr, qr_shapes  # noqa: F401
+from test_invariance import calendar_means, counted_qr, qr_shapes  # noqa: F401
 
 
 def with_aliased_column(design, rng, where):
@@ -52,8 +52,8 @@ def with_aliased_column(design, rng, where):
 def gls_against_dense(y, design, structure, omega):
     """(named, want): the columns gls_fit names as aliased and those the
     dense reference finds, both None where there are none; where there are
-    none, gls_fit must be the dense fit, take one QR beyond the factor's
-    (of the k whitened mixed columns and y) where k > 0 and none where
+    none, gls_fit must be the dense fit, take one QR (of the k whitened
+    mixed columns and y; the factor takes none) where k > 0 and none where
     k = 0, and keep the frame exactly at Sigma = C (x) I over M's arrays."""
     bare = isinstance(design, np.ndarray)
     if bare:
@@ -194,10 +194,9 @@ def test_whitening_does_not_change_which_columns_are_aliased(v2):
 def test_gls_fit_forms_no_n_by_m_matrix(qr_shapes):
     # identity Example48, N = 8 on a 16 x 16 triangle with unshared calendar
     # means, of which 14 are kept: n = 1088 and m = 262. The design's factor
-    # takes one QR, of the n x 14 projected shock block (C0's factor is the
-    # reduction sweep's), and the fit one of the n x 15 whitened [Qx | y];
-    # together they hold less than one n x m float64 matrix, where the
-    # whitened M alone would take one
+    # takes no QR (it is the reduction sweeps'), and the fit one, of the
+    # n x 15 whitened [Qx | y]; the fit holds less than one n x m float64
+    # matrix, where the whitened M alone would take one
     lay = ArrayLayout.triangle(8, 16)
     design = toy_design(lay, kind="diagonal", shared_mean=False)
     cells = lay.cells_per_array
@@ -215,7 +214,7 @@ def test_gls_fit_forms_no_n_by_m_matrix(qr_shapes):
     finally:
         tracemalloc.stop()
     assert peak < n * m * 8
-    assert qr_shapes == array_frame_shapes(design) + [(n, design.X.shape[1] + 1)]
+    assert qr_shapes == [(n, design.X.shape[1] + 1)]
     assert fit.frame is not None
     full = structure.sigma(omega)
     kappa, _, loglik, var, _ = dense.gls(y, dense.M(design), design.X.shape[1], full)
@@ -252,7 +251,7 @@ def test_frame_fit_holds_no_m_by_m_matrix():
 def test_subset_frame_fit_forms_no_n_by_m_matrix(qr_shapes):
     # diagonal_scalar on the diagonal partition, N = 4 on a 30 x 30
     # triangle: one subset per calendar diagonal, grouped by its length,
-    # and the complement. Beyond the design's factor the fit takes one QR of
+    # and the complement. The design's factor takes no QR, and the fit one of
     # one array's cells and one of few rows, so it holds less than one n x m
     # float64 matrix (2.6 MB against 3.5), where whitening the n x m Q takes
     # 22 MB
@@ -274,10 +273,8 @@ def test_subset_frame_fit_forms_no_n_by_m_matrix(qr_shapes):
     finally:
         tracemalloc.stop()
     assert peak < n * m * 8
-    factored = array_frame_shapes(design)
-    assert qr_shapes[: len(factored)] == factored
-    assert [rows for rows, _ in qr_shapes[len(factored) :]][0] == lay.cells_per_array
-    assert len(qr_shapes) == len(factored) + 2 and qr_shapes[-1][0] < n / 4
+    assert qr_shapes[0][0] == lay.cells_per_array
+    assert len(qr_shapes) == 2 and qr_shapes[-1][0] < n / 4
     assert fit.frame is None
     full = structure.sigma(omega)
     kappa, _, loglik, var, _ = dense.gls(y, dense.M(design), design.X.shape[1], full)

@@ -148,12 +148,12 @@ def test_block_factor_is_the_dense_factor(case):
     s = X.shape[1]
     y = rng.normal(size=design.n_obs)
     event("kept shock means" if s else "no shock means")
-    # the design's own factor takes C0's from the reduction sweep, classical
-    # Gram-Schmidt with one re-orthogonalisation pass on the kept columns,
-    # and no QR of C0
+    # the design's own factor is the reduction's two sweeps, classical
+    # Gram-Schmidt with one re-orthogonalisation pass on the kept columns of
+    # C0 and of X, and takes no QR
     with counted_qr() as shapes:
         factor = design.factor
-    assert shapes == array_frame_shapes(design)
+    assert shapes == []
     assert_dense_factor(factor, M, s, y)
     variants = (
         (X, C0, []),
@@ -298,16 +298,9 @@ def qr_shapes():
         yield shapes
 
 
-def array_frame_shapes(design):
-    """The QRs of the design's least-squares factor: the n x s_x projected
-    shock-mean block when shock means are kept, and none of C0, whose
-    factor is the reduction sweep's."""
-    return [design.X.shape] if design.X.shape[1] else []
-
-
 def unfactored(design):
     """A copy of ``design`` whose least-squares factor is not formed yet;
-    it sweeps its own C0 on first read of the factor."""
+    it sweeps its own C0 and X on first read of the factor."""
     return dataclasses.replace(design)
 
 
@@ -323,26 +316,24 @@ def test_closed_form_path_makes_one_qr(ref_fit, qr_shapes):
 
 
 def test_closed_form_path_with_kept_shock_means(bundled, qr_shapes):
-    # unshared calendar means are partly kept: their columns, projected off
-    # I_N (x) Q0, take the factor's one QR, n x s_x (C0's factor is the
-    # reduction sweep's), and the fit at omega-hat one more, of the
-    # whitened [Qx | y]; nothing has N r0 columns
+    # unshared calendar means are partly kept: the factor takes no QR (Qx
+    # and Q0 are the reduction sweep's), and the fit at omega-hat one, of
+    # the whitened [Qx | y]; nothing has N r0 columns
     coll = bundled.restrict_to_diagonals(15)
     design = toy_design(coll.layout, kind="diagonal", shared_mean=False)
     fit = cs.ml_dispersion_cellwise(cs.stack_log(coll), design)
     assert fit.n_iter == 1  # the fixed location, no solver steps
     assert design.X.shape[1] > 0
     n, s = design.X.shape
-    assert qr_shapes == [design.X.shape, (n, s + 1)]
+    assert qr_shapes == [(n, s + 1)]
 
 
 @pytest.mark.parametrize("name", ["cellwise_two_level", "diagonal_scalar"])
 def test_generic_solver_on_an_invariant_design_makes_one_qr(ref_fit, qr_shapes, name):
-    # no QR for M's factor (C0's is the sweep's, and the reference design
-    # keeps no shock mean) and none at the points visited; the fit at
-    # omega-hat whitens no column in the array frame, and every column of
-    # Q with y, one n x (m + 1) QR, under the one-array DiagonalScalar(A),
-    # whose cells are not one array's
+    # no QR for M's factor (it is the reduction sweeps') and none at the
+    # points visited; the fit at omega-hat whitens no column in the array
+    # frame, and every column of Q with y, one n x (m + 1) QR, under the
+    # one-array DiagonalScalar(A), whose cells are not one array's
     design = unfactored(ref_fit["design"])
     cells = design.layout.cells_per_array
     if name == "cellwise_two_level":
@@ -450,10 +441,9 @@ def test_closed_form_path_on_a_moving_design(bundled):
 
 def test_one_qr_of_c0_per_design(bundled, qr_shapes, monkeypatch):
     # a GLS fit, both ML solvers, under the array-frame and a one-array Sigma,
-    # and a forecast share the design's one factor: C0 is orthogonalised
-    # once, by the reduction sweep, whose basis is the factor's, and takes
-    # no QR; the projected shock means take one; every other QR is of
-    # whitened mixed columns and y
+    # and a forecast share the design's one factor: C0 and the shock means
+    # are orthogonalised once, by the reduction sweeps, whose basis is the
+    # factor's, and take no QR; every QR is of whitened mixed columns and y
     swept, sweep = [], design_module._sweep
 
     def counted(columns, *args, **kwargs):
@@ -477,9 +467,8 @@ def test_one_qr_of_c0_per_design(bundled, qr_shapes, monkeypatch):
     P, N = design.shock.partition.n_subsets, design.layout.n_arrays
     q = (len(design.full_labels) - P) // N
     assert swept == [(design.C0.shape[0], q), (design.n_obs, P)]
-    assert qr_shapes[:1] == array_frame_shapes(design)
     (n, s), m = design.X.shape, design.n_params
-    assert set(qr_shapes[1:]) == {(n, s + 1), (n, m + 1)}
+    assert set(qr_shapes) == {(n, s + 1), (n, m + 1)}
 
 
 def test_generic_solver_on_a_moving_design_whitens_qx_per_point(bundled, qr_shapes):

@@ -1,10 +1,14 @@
 """Property tests of the generic ML solver over random layouts and structures."""
 
+import itertools
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import commonshock as cs
+from commonshock import estimation
 from commonshock.arrays import ArrayLayout
 from commonshock.covariance import DiagonalScalar, Example48
 from commonshock.partitions import PARTITION_KINDS
@@ -77,3 +81,66 @@ def test_generic_solver_reaches_a_projected_stationary_point(case):
     np.testing.assert_array_equal(omega[~free], init[~free])
     start = cs.gls_fit(y, design, cs.SigmaModel(structure, init)).loglik
     assert loglik >= start
+
+
+def accepted_logliks(monkeypatch):
+    """The log-likelihood of each point the generic solver scores, in order:
+    the start and every accepted step (``profile_score`` on its fit)."""
+    logliks, score = [], estimation.profile_score
+
+    def recorded(*args, fit=None, **kwargs):
+        logliks.append(fit.loglik)
+        return score(*args, fit=fit, **kwargs)
+
+    monkeypatch.setattr(estimation, "profile_score", recorded)
+    return logliks
+
+
+@pytest.mark.parametrize("structure_name", ["diagonal_scalar", "example48"])
+def test_step_halving_recovers_from_an_overshoot(monkeypatch, structure_name):
+    # the first step's Fisher information scaled by 1/100 makes that step
+    # 100 times too long; halving brings it back to a point whose
+    # log-likelihood does not drop past the rounding allowance, and the
+    # solver ends where it ends unforced
+    y, design, structure = solver_problem(2, "triangle", "diagonal", False, structure_name, 4)
+    init = np.full(structure.n_params, 0.02)
+    want = cs.ml_dispersion_generic(y, design, structure, init)
+    information, steps, points = cs.SigmaModel.information, itertools.count(), []
+
+    def overshot(self, idx=None):
+        return (0.01 if next(steps) == 0 else 1.0) * information(self, idx)
+
+    def counted(structure, omega):
+        points.append(omega)
+        return cs.SigmaModel(structure, omega)
+
+    monkeypatch.setattr(cs.SigmaModel, "information", overshot)
+    monkeypatch.setattr(estimation, "SigmaModel", counted)
+    logliks = accepted_logliks(monkeypatch)
+    fit = cs.ml_dispersion_generic(y, design, structure, init)
+    # the start and one point per step, unless a step was halved
+    assert len(points) > fit.n_iter + 1
+    np.testing.assert_allclose(fit.omega_hat, want.omega_hat, rtol=1e-8, atol=1e-12)
+    for before, after in zip(logliks, logliks[1:]):
+        assert after >= before - 1e-12 * (1.0 + abs(before))
+
+
+def test_step_halving_that_finds_no_increase_raises(monkeypatch):
+    # every fit after the start's has a log-likelihood of -inf, so no
+    # halved step is accepted: the error carries the start and its score
+    y, design, structure = solver_problem(2, "triangle", "diagonal", False, "diagonal_scalar", 4)
+    init = np.full(structure.n_params, 0.02)
+    start_score = cs.profile_score(y, design, structure, init)
+    fit_at, fits = estimation._fit, itertools.count()
+
+    def lowered(*args, **gls):
+        fit = fit_at(*args, **gls)
+        if next(fits):  # every fit after the start's
+            fit.loglik = -np.inf
+        return fit
+
+    monkeypatch.setattr(estimation, "_fit", lowered)
+    with pytest.raises(cs.NumericalError, match="step halving found no increase") as err:
+        cs.ml_dispersion_generic(y, design, structure, init)
+    np.testing.assert_array_equal(err.value.last_omega, init)
+    assert err.value.score_norm == pytest.approx(np.max(np.abs(start_score)), rel=1e-12)
